@@ -3,7 +3,8 @@
 Thin shells over the library operations: space descriptors come in as JSON,
 results go out as a human table on stdout and optionally as CSV/JSON (same
 record schema as the sweep module).  Every stochastic run echoes its seed.
-Exit codes: 0 success, 2 input error, 3 unsupported capability.
+Exit codes: 0 success, 2 input error (including a file that cannot be read
+or written), 3 unsupported capability.
 """
 
 import argparse
@@ -37,6 +38,12 @@ def _parse_vector(text, name):
                          % name)
 
 
+def _floats(values):
+    """Comma-separated shortest round-trip reprs (numpy 2 scalars would
+    print as ``np.float64(...)``)."""
+    return ",".join(repr(float(v)) for v in values)
+
+
 def _record(desc, n, quantity, value, stderr=0.0, lower=None, upper=None,
             seed=0):
     return SweepRecord(descriptor=desc, n=n, quantity=quantity,
@@ -56,7 +63,7 @@ def _print_table(records, seed):
             "" if r.upper is None else "%.6g" % r.upper))
 
 
-def _emit(records, args):
+def _emit(records, args, out):
     seed = getattr(args, "seed", 0)
     if args.format == "csv":
         text = "# seed=%d\n" % seed + records_to_csv(records)
@@ -65,8 +72,8 @@ def _emit(records, args):
                            "records": [r.row() for r in records]}, indent=2)
     else:
         text = None
-    if args.out:
-        with open(args.out, "w") as fh:
+    if out:
+        with open(out, "w") as fh:
             fh.write(text if text is not None else records_to_csv(records))
         _print_table(records, seed)
     elif text is not None:
@@ -128,11 +135,14 @@ def _cmd_cone(args):
             fh.write("# seed=%d\n" % args.seed)
             fh.write(",".join("x%d" % i for i in range(s.dim)) + ",weight\n")
             for pt, w in zip(cs.points, cs.weights):
-                fh.write(",".join("%r" % v for v in pt) + ",%r\n" % w)
+                fh.write(_floats(pt) + ",%r\n" % float(w))
     mean_abs = float(np.abs(cs.points[:, 0]).mean())
-    return [_record(s.descriptor, s.dim, "cone_abs_coord_mean", mean_abs,
-                    float(np.abs(cs.points[:, 0]).std()
-                          / np.sqrt(len(cs.points))), seed=args.seed)]
+    # --out holds the sample dump, so the summary goes to stdout only
+    _emit([_record(s.descriptor, s.dim, "cone_abs_coord_mean", mean_abs,
+                   float(np.abs(cs.points[:, 0]).std()
+                         / np.sqrt(len(cs.points))), seed=args.seed)],
+          args, None)
+    return None
 
 
 def _cmd_meanwidth(args):
@@ -213,8 +223,8 @@ def _cmd_extend(args):
     x = _parse_vector(args.point, "point")
     value, weights = ext.evaluate(op, x)
     print("# seed=%d" % args.seed)
-    print("value: " + ",".join("%r" % v for v in value))
-    print("weights: " + ",".join("%r" % w for w in weights))
+    print("value: " + _floats(value))
+    print("weights: " + _floats(weights))
     return None
 
 
@@ -296,14 +306,14 @@ def main(argv=None):
     except InputError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
-    except (json.JSONDecodeError, ValueError) as exc:
+    except (json.JSONDecodeError, ValueError, OSError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
     except CapabilityError as exc:
         print("capability error: %s" % exc, file=sys.stderr)
         return 3
     if records is not None:
-        _emit(records, args)
+        _emit(records, args, args.out)
     return 0
 
 

@@ -7,14 +7,16 @@ for a given (inputs, seed, trials) regardless of worker count.
 """
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
 
-from .space import (INF, CapabilityError, InputError, NormedSpace, coord_bound,
-                    gradient_batch, norm_batch, space)
+from .space import (INF, CapabilityError, InputError, NormedSpace,
+                    _solve_increasing, coord_bound, gradient_batch, norm_batch,
+                    space)
 
 CHUNK = 1 << 15
 
@@ -90,11 +92,22 @@ def estimate_mean(kernel, trials, seed, workers=1, chunk=CHUNK):
 
 
 def volume_exact(sp):
-    """Exact unit-ball volume where a closed form exists."""
+    """Exact unit-ball volume where a closed form exists.  Raises
+    CapabilityError when the volume overflows a float or underflows below
+    its smallest normal value; `log_volume_exact` is finite there."""
     desc = space(sp).descriptor
-    if desc.kind == "lp" and desc.p == INF:
-        return 2.0 ** desc.n   # exact, where exp(n log 2) is off by ulps
-    return math.exp(_log_vol_exact(desc))
+    try:
+        if desc.kind == "lp" and desc.p == INF:
+            vol = 2.0 ** desc.n   # exact, where exp(n log 2) is off by ulps
+        else:
+            vol = math.exp(_log_vol_exact(desc))
+    except OverflowError:
+        vol = math.inf
+    if not sys.float_info.min <= vol < math.inf:
+        raise CapabilityError(
+            "unit-ball volume of %s is outside the float range; use "
+            "log_volume_exact" % (desc.to_json(),))
+    return vol
 
 
 def log_volume_exact(sp):
@@ -238,8 +251,10 @@ def hit_and_run_sample(sp, count, burn_in=None, seed=0, chains=64, thin=None):
     """Approximately uniform samples from the unit ball via hit-and-run.
 
     Runs `chains` parallel chains from the origin; each step picks a uniform
-    direction, brackets the chord through the current point by bisection and
-    jumps to a uniform point on it.  Samples are taken every `thin` steps
+    direction, finds both ends of the chord through the current point with
+    a bracketed root solver (`space._solve_increasing`) and jumps to a
+    uniform point on it.  Chord ends are the inside ends of their brackets,
+    so every point has norm at most 1.  Samples are taken every `thin` steps
     after `burn_in` steps, so within-chain correlation is small but not
     exactly zero (stated diagnostic: the radial mean should approach
     n/(n+1)).
@@ -260,8 +275,7 @@ def hit_and_run_sample(sp, count, burn_in=None, seed=0, chains=64, thin=None):
     for step in range(steps):
         d = rng.standard_normal((chains, n))
         d /= np.sqrt((d * d).sum(axis=1))[:, None]
-        t_plus = _chord_end(s, x, d)
-        t_minus = _chord_end(s, x, -d)
+        t_plus, t_minus = _chord_ends(s, x, d)
         u = rng.random(chains)
         x = x + (u * (t_plus + t_minus) - t_minus)[:, None] * d
         if step >= burn_in and (step - burn_in) % thin == thin - 1:
@@ -270,18 +284,34 @@ def hit_and_run_sample(sp, count, burn_in=None, seed=0, chains=64, thin=None):
     return out[:count]
 
 
-def _chord_end(s, x, d, iters=48):
-    """Distance along direction d from x (inside the ball) to the boundary."""
-    nx = norm_batch(s, x)
-    nd = norm_batch(s, d)
-    lo = np.zeros(x.shape[0])
-    hi = 1.000001 * (1.0 + nx) / nd
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        inside = norm_batch(s, x + mid[:, None] * d) <= 1.0
-        lo[inside] = mid[inside]
-        hi[~inside] = mid[~inside]
-    return lo
+def _chord_ends(s, x, d):
+    """Distances from each row of x (inside the ball) to the boundary along
+    +d and along -d, both to 2^-48 of the starting bracket or to a residual
+    within 4 eps of the boundary.
+
+    The triangle inequality brackets the distance t along d by
+    [(1 - ||x||)/||d||, 1.000001 (1 + ||x||)/||d||]; the norm is even, so
+    one stacked solve serves both directions.
+    """
+    m = x.shape[0]
+    nx, nd = np.split(norm_batch(s, np.concatenate([x, d])), 2)
+    X = np.concatenate([x, x])
+    D = np.concatenate([d, -d])
+    lo = np.tile(np.maximum(0.0, (1.0 - nx) / nd), 2)
+    hi = np.tile(1.000001 * (1.0 + nx) / nd, 2)
+    ends = np.concatenate([X + lo[:, None] * D, X + hi[:, None] * D])
+    f_lo, f_hi = np.split(norm_batch(s, ends) - 1.0, 2)
+    # rounding can put the lower end just outside; x itself is the fallback
+    outside = f_lo > 0.0
+    lo[outside] = 0.0
+    f_lo[outside] = np.tile(nx - 1.0, 2)[outside]
+
+    def excess(t, rows):
+        return norm_batch(s, X[rows] + t[:, None] * D[rows]) - 1.0
+
+    t = _solve_increasing(excess, lo, hi, f_lo, f_hi,
+                          xtol=2.0 ** -48 * (hi - lo))
+    return t[:m], t[m:]
 
 
 # ---------------------------------------------------------------------------

@@ -60,11 +60,15 @@ def _window(qpts, c):
     return np.vstack([lo, hi])
 
 
+def _check_delta(delta):
+    if not delta > 0:
+        raise InputError("delta must be positive, got %r" % (delta,))
+
+
 def sample_partition(sp, delta, queries, seed=0, batch=256):
     """One realization of the iterative ball partition for a query set."""
     s = space(sp)
-    if delta <= 0:
-        raise InputError("delta must be positive")
+    _check_delta(delta)
     if isinstance(queries, QuerySet):
         qpts = queries.points
     else:
@@ -113,6 +117,7 @@ def separation_prob_mc(sp, u, v, delta, trials=10_000, seed=0, workers=1,
     the window until both queries are covered; the trial separates when the
     two first-hit indices differ."""
     s = space(sp)
+    _check_delta(delta)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if np.array_equal(u, v):
@@ -185,6 +190,7 @@ def separation_prob_exact(sp, u, v, delta, trials=100_000, seed=0, workers=1):
     the rescaled offset; exact for l_inf (slab product), one Monte Carlo
     estimate of t otherwise."""
     s = space(sp)
+    _check_delta(delta)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if np.array_equal(u, v):

@@ -362,12 +362,14 @@ def sweep(family="lp", p=2.0, dims=(4, 8, 16, 32), companion=False,
     """Per-dimension separation bounds and geometric quantities.
 
     Returns a list of SweepRecord in config order; rows carry derived seeds
-    so any single row can be reproduced in isolation."""
+    so any single row can be reproduced in isolation.  The only family is
+    "lp"."""
+    if family != "lp":
+        raise InputError("unknown sweep family %r (only 'lp')" % (family,))
     records = []
     idx = 0
     for n in dims:
-        desc = lp(n, p) if family == "lp" else lp(n, INF)
-        x = space(desc)
+        x = space(lp(n, p))
         y = companion_space(x) if companion else x
         lower = sep_lower_evr(x) if "sep_lower" in quantities else None
         upper_est = None

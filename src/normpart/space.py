@@ -229,13 +229,72 @@ def space(desc):
 # norm evaluation (batched: X has shape (..., n))
 
 
+_RESIDUAL_TOL = 4.0 * np.finfo(float).eps
+_HALVING_STEPS = 8
+
+
+def _solve_increasing(f, lo, hi, f_lo, f_hi, xtol=0.0):
+    """Roots of increasing 1-D equations f(t) = 0, one per row.
+
+    Row i brackets its root by [lo[i], hi[i]] with f_lo[i] <= 0 < f_hi[i];
+    ``f(t, rows)`` evaluates the rows indexed by ``rows`` at the points
+    ``t``.  Each step is Illinois regula falsi, replaced by bisection when
+    the secant point leaves the open bracket or the bracket has not halved
+    in `_HALVING_STEPS` steps.  A row freezes once its bracket is no wider
+    than max(xtol, 2 ulp) or a step lands with residual in [-4 eps, 0];
+    rows with f_lo >= -4 eps are done at once.  Returns the inside (f <= 0)
+    end of every bracket.
+    """
+    out = np.array(lo, dtype=float)
+    xtol = np.broadcast_to(xtol, out.shape)
+    rows = np.flatnonzero((f_lo < -_RESIDUAL_TOL)
+                          & (hi - lo > np.maximum(xtol, 2.0 * np.spacing(hi))))
+    # One row per unfinished root: its bracket [a, b] with f(a), f(b), the
+    # width tolerance, the end the last step moved (-1 a, +1 b), the width
+    # when the bracket last halved and the steps taken since then.
+    state = np.zeros((rows.size, 8))
+    for j, v in enumerate((lo, f_lo, hi, f_hi, xtol)):
+        state[:, j] = v[rows]
+    state[:, 6] = state[:, 2] - state[:, 0]
+    while rows.size:
+        a, fa, b, fb, tol, moved, ref, since = state.T
+        width = b - a
+        halved = width <= 0.5 * ref
+        ref[halved] = width[halved]
+        since += 1.0
+        since[halved] = 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = a - fa * (width / (fb - fa))
+        bisect = ~((a < c) & (c < b)) | (since > _HALVING_STEPS)
+        c[bisect] = 0.5 * (a[bisect] + b[bisect])
+        fc = f(c, rows)
+        inside = fc <= 0.0
+        outside = ~inside
+        # Illinois: an end kept twice in a row has its value halved
+        fb[inside & (moved < 0)] *= 0.5
+        fa[outside & (moved > 0)] *= 0.5
+        a[inside] = c[inside]
+        fa[inside] = fc[inside]
+        b[outside] = c[outside]
+        fb[outside] = fc[outside]
+        moved[:] = np.where(inside, -1.0, 1.0)
+        done = ((inside & (fc >= -_RESIDUAL_TOL))
+                | ~(b - a > np.maximum(tol, 2.0 * np.spacing(b))))
+        if done.any():
+            out[rows[done]] = a[done]
+            rows, state = rows[~done], state[~done]
+    return out
+
+
 def _orlicz_norm_batch(beta, m, A):
     """Luxemburg norm for |X| rows A (shape (N, m)).
 
-    Solves sum_i psi_beta(|x_i|/s) = 1 by bisection on the bracket
-    [||x||_inf, ||x||_inf / (1 - exp(-beta/m))], which always contains the
-    root because the l_inf sandwich for this Orlicz family pins the norm
-    between those two endpoints.
+    Solves sum_i psi_beta(u a_i) = 1 for u = 1/s with `_solve_increasing`
+    on the bracket [(1 - exp(-beta/m)) / ||x||_inf, 1 / ||x||_inf], which
+    always contains the root because the l_inf sandwich for this Orlicz
+    family pins the norm between ||x||_inf and
+    ||x||_inf / (1 - exp(-beta/m)).  The solver returns the inside end u,
+    so s = 1/u is the norm or lies just above it.
     """
     top = A.max(axis=-1)
     out = np.array(top, dtype=float, copy=True)
@@ -243,17 +302,21 @@ def _orlicz_norm_batch(beta, m, A):
     if not mask.any():
         return out
     Am = A[mask]
-    lo = np.array(top[mask], dtype=float)
-    hi = lo / -math.expm1(-beta / m)
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        t = Am / mid[:, None]
+    hi = 1.0 / top[mask]
+    lo = hi * -math.expm1(-beta / m)
+
+    def excess(u, rows):
+        t = Am[rows]                    # a copy: rows is an index array
+        t *= u[:, None]
+        np.minimum(t, 1.0, out=t)
         with np.errstate(divide="ignore", invalid="ignore"):
-            s = -np.log1p(-np.minimum(t, 1.0)).sum(axis=-1) / beta
-        big = s > 1.0
-        lo[big] = mid[big]
-        hi[~big] = mid[~big]
-    out[mask] = 0.5 * (lo + hi)
+            np.log1p(np.negative(t, out=t), out=t)
+        return -t.sum(axis=-1) / beta - 1.0
+
+    u = _solve_increasing(excess, lo, hi, excess(lo, np.arange(lo.size)),
+                          np.full(lo.shape, np.inf))
+    with np.errstate(divide="ignore"):
+        out[mask] = 1.0 / u
     return out
 
 

@@ -41,6 +41,46 @@ def luxemburg_norm_1d(x, beta):
     point of (1/beta) log(1/(1 - |x|/s)) = 1 is s = |x|/(1 - e^{-beta})."""
     return abs(x) / (1.0 - math.exp(-beta))
 
+
+def luxemburg_norm_bisect(A, beta):
+    """Luxemburg norms of the rows of A >= 0 (shape (N, m)) for the Young
+    function log(1/(1 - t))/beta, by 90 bisection steps on
+    [||a||_inf, ||a||_inf / (1 - e^{-beta/m})]: sum_i psi(a_i/s) is 1 at the
+    norm, at most 1 at the upper end (every a_i/s <= 1 - e^{-beta/m}) and
+    infinite at the lower end (the largest a_i/s is 1)."""
+    A = np.asarray(A, dtype=float)
+    top = A.max(axis=-1)
+    out = top.copy()
+    mask = top > 0
+    lo = top[mask]
+    hi = lo / -math.expm1(-beta / A.shape[-1])
+    for _ in range(90):
+        mid = 0.5 * (lo + hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.minimum(A[mask] / mid[:, None], 1.0)
+            s = -np.log1p(-t).sum(axis=-1) / beta
+        big = s > 1.0
+        lo = np.where(big, mid, lo)
+        hi = np.where(big, hi, mid)
+    out[mask] = 0.5 * (lo + hi)
+    return out
+
+
+def chord_end_bisect(norm, x, d, iters=48):
+    """Distance from each row of x (in the unit ball of `norm`, a batched
+    norm function) to the boundary along d, by `iters` bisection steps on
+    [0, hi0] with hi0 = 1.000001 (1 + ||x||)/||d||, which lies outside by
+    the triangle inequality.  Returns (t, hi0)."""
+    hi0 = 1.000001 * (1.0 + norm(x)) / norm(d)
+    lo, hi = np.zeros(x.shape[0]), hi0
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        inside = norm(x + mid[:, None] * d) <= 1.0
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid)
+    return lo, hi0
+
+
 def lp_ball_volume(n, p):
     """2^n Gamma(1 + 1/p)^n / Gamma(1 + n/p); 2^n for the cube."""
     if p == float("inf"):

@@ -1,4 +1,7 @@
 import json
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
@@ -7,6 +10,31 @@ import pytest
 
 from normpart.cli import main
 from normpart.sepmod import rows_from_csv
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_cli_examples():
+    """The README's CLI block as (files, argv) pairs: ``files`` maps the
+    names its heredocs write to their text, ``argv`` is one normpart call."""
+    block = re.search(r"^## CLI$.*?^```sh$(.*?)^```$", README.read_text(),
+                      re.S | re.M).group(1)
+    lines = iter(block.replace("\\\n", " ").strip().splitlines())
+    files, examples = {}, []
+    for line in lines:
+        heredoc = re.match(r"cat > (\S+) <<'(\w+)'$", line)
+        if heredoc:
+            body = []
+            for text in lines:
+                if text == heredoc.group(2):
+                    break
+                body.append(text)
+            files[heredoc.group(1)] = "\n".join(body) + "\n"
+            continue
+        argv = shlex.split(line)
+        assert argv[0] == "normpart", line
+        examples.append((dict(files), argv[1:]))
+    return examples
 
 
 def run_main(argv, capsys):
@@ -132,6 +160,55 @@ def test_lw_check_command(capsys):
     code, out, _ = run_main(["lw-check", "--trials", "50", "--seed", "2"],
                             capsys)
     assert code == 0 and "loomis_whitney_holds" in out
+
+
+def test_sep_prob_nonpositive_delta_exit_2(capsys):
+    base = ["sep-prob", "--space", '{"kind":"lp","n":2,"p":2}',
+            "--u", "0,0", "--v", "1,0", "--trials", "100"]
+    for delta in ("0", "-2"):
+        for extra in ([], ["--exact"]):
+            code, _, err = run_main(base + ["--delta", delta] + extra, capsys)
+            assert code == 2 and "delta" in err
+
+
+def test_vol_outside_float_range_exit_3(capsys):
+    for desc in ('{"kind":"lp","n":1100,"p":"inf"}',
+                 '{"kind":"lp","n":500,"p":2}'):
+        code, out, err = run_main(["vol", "--space", desc], capsys)
+        assert code == 3 and "log_volume_exact" in err and out == ""
+
+
+def test_cone_out_keeps_sample_dump(tmp_path, capsys):
+    out_file = tmp_path / "cone.csv"
+    code, out, _ = run_main(["cone", "--space", '{"kind":"lp","n":3,"p":1}',
+                             "--trials", "50", "--seed", "4",
+                             "--out", str(out_file)], capsys)
+    assert code == 0 and "cone_abs_coord_mean" in out
+    lines = out_file.read_text().splitlines()
+    assert lines[:2] == ["# seed=4", "x0,x1,x2,weight"]
+    rows = np.array([[float(v) for v in line.split(",")]
+                     for line in lines[2:]])
+    assert rows.shape == (50, 4)
+    assert np.allclose(np.abs(rows[:, :3]).sum(axis=1), 1.0)
+    assert np.all(rows[:, 3] == 1.0)
+
+
+def test_unreadable_anchor_file_exit_2(tmp_path, capsys):
+    code, _, err = run_main(["extend", "--space", '{"kind":"lp","n":2,"p":2}',
+                             "--anchors", str(tmp_path / "missing.json"),
+                             "--point", "0.3,0.3"], capsys)
+    assert code == 2 and "input error" in err
+
+
+@pytest.mark.parametrize("files,argv", [
+    pytest.param(files, argv, id=argv[0])
+    for files, argv in readme_cli_examples()])
+def test_readme_cli_example(files, argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code, _, err = run_main(argv, capsys)
+    assert code == 0, err
 
 
 def test_console_script_entrypoint():

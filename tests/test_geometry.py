@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from normpart.space import (block_lp, intersect_ball, linf, lp, norm_batch,
-                            orlicz, schatten, space)
-from normpart.geometry import (cauchy_surface_identity_check, cone_sample,
+from normpart.space import (CapabilityError, block_lp, intersect_ball, linf,
+                            lp, norm_batch, orlicz, schatten, space)
+from normpart.geometry import (_chord_ends, cauchy_surface_identity_check,
+                               cone_sample,
                                cone_volume, estimate_mean,
                                euclidean_ball_volume, gaussian_l2_mean,
                                hit_and_run_sample,
@@ -76,6 +77,16 @@ def test_volume_exact_block():
         pytest.approx(2.0 * oracles.lp_ball_volume(3, 2))
 
 
+def test_volume_exact_outside_float_range_is_a_capability_error():
+    # overflow (2^1100) and underflow (the l_2 ball volume at n = 500 is
+    # about 1e-390) both point to the log-volume
+    for d in (linf(1100), lp(500, 2)):
+        with pytest.raises(CapabilityError, match="log_volume_exact"):
+            volume_exact(d)
+        assert math.isfinite(log_volume_exact(d))
+    assert volume_exact(linf(1023)) == 2.0 ** 1023
+
+
 def test_log_volume_exact_in_high_dimension():
     # the volumes themselves underflow or overflow a float here
     for n in (210, 453, 500, 1030, 4096):
@@ -143,9 +154,14 @@ def test_uniform_ball_sample_radius_law():
 
 
 def test_hit_and_run_inside_ball():
+    # chord ends are the inside ends of their brackets, so no point leaves
+    # the ball, not even by rounding
+    for d in (schatten(3, 2.5), intersect_ball(lp(4, 1), 1.0)):
+        assert np.all(norm_batch(d, hit_and_run_sample(d, 500, seed=13))
+                      <= 1.0)
     s = space(schatten(2, 1))
     pts = hit_and_run_sample(s, 2_000, seed=13)
-    assert np.all(norm_batch(s, pts) <= 1.0 + 1e-9)
+    assert np.all(norm_batch(s, pts) <= 1.0)
     # second moment along one coordinate should match a direct rejection
     # sample from the same body
     rng = np.random.default_rng(14)
@@ -160,6 +176,32 @@ def test_hit_and_run_inside_ball():
     tol = 4 * ((pts[:, 0] ** 2).std() / math.sqrt(len(pts))
                + (ref ** 2).std() / math.sqrt(len(ref))) + 0.01
     assert abs(m_hr - m_ref) <= tol
+
+
+def test_chord_ends_match_bisection_reference():
+    # the bracketed solver against the 48-step bisection it replaced: both
+    # ends reach the boundary from inside and lie within 2^-46 hi0 of the
+    # bisection's result, where [0, hi0] is the bisection's first bracket
+    rng = np.random.default_rng(23)
+    for d in (schatten(2, 2.5), schatten(3, 1), intersect_ball(lp(4, 1), 1.0),
+              lp(4, 1), linf(3), lp(3, 3), orlicz(4, 1.0)):
+        s = space(d)
+        n = s.dim
+        y = rng.standard_normal((300, n))
+        x = y * (rng.random(300) / norm_batch(s, y))[:, None]
+        v = rng.standard_normal((300, n))
+        # sign-aligned rows: the norm of l_1 type grows linearly along them,
+        # so the lower end of the bracket is the root
+        v[:40] = np.sign(x[:40]) * np.abs(v[:40])
+        x[40:80] = 0.0
+        v /= np.sqrt((v * v).sum(axis=1))[:, None]
+        t_plus, t_minus = _chord_ends(s, x, v)
+        for t, dv in ((t_plus, v), (t_minus, -v)):
+            r = norm_batch(s, x + t[:, None] * dv)
+            assert np.all(r <= 1.0) and np.all(r >= 1.0 - 1e-13)
+            ref, hi0 = oracles.chord_end_bisect(
+                lambda z: norm_batch(s, z), x, dv)
+            assert np.all(np.abs(t - ref) <= 2.0 ** -46 * hi0)
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,14 @@ def test_separation_edge_cases():
                               trials=10).value == 0.0
 
 
+def test_separation_rejects_nonpositive_delta():
+    # delta = 0 used to divide by zero, and a negative delta acted as |delta|
+    for delta in (0.0, -2.0, float("nan")):
+        for fn in (separation_prob_exact, separation_prob_mc):
+            with pytest.raises(InputError, match="delta"):
+                fn(lp(2, 2), [0, 0], [1, 0], delta, trials=10)
+
+
 def test_separation_monotone_in_distance():
     vals = [separation_prob_exact(linf(2), [0, 0], [s, 0], 2.0).value
             for s in (0.2, 0.7, 1.3, 1.9)]

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from normpart.space import (INF, CapabilityError, block_lp, circumradius,
-                            linf, lp, orlicz, norm_batch, space)
+from normpart.space import (INF, CapabilityError, InputError, block_lp,
+                            circumradius, linf, lp, orlicz, norm_batch, space)
 from normpart.sepmod import (SweepRecord, companion_sandwich, companion_space,
                              external_volume_ratio, loglog_slope,
                              records_to_csv, records_to_json, rows_from_csv,
@@ -165,3 +165,9 @@ def test_sweep_reproducible():
     a = sweep(family="lp", p=2.0, dims=(4,), samples=15_000, seed=11)
     b = sweep(family="lp", p=2.0, dims=(4,), samples=15_000, seed=11)
     assert records_to_csv(a) == records_to_csv(b)
+
+
+def test_sweep_rejects_unknown_family():
+    # any family but "lp" used to fall back to l_inf without a word
+    with pytest.raises(InputError, match="family"):
+        sweep(family="orlicz", dims=(4,), samples=1_000)

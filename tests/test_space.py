@@ -137,6 +137,24 @@ def test_orlicz_norm_dominates_linf():
         1.0 / (1.0 - math.exp(-2.0)), rel=1e-9)
 
 
+def test_orlicz_norm_matches_bisection_reference():
+    # the bracketed solver against the 90-step bisection it replaced, over
+    # zero rows, one-hot rows and entries spread over 80 decades
+    rng = np.random.default_rng(11)
+    for m in (1, 3, 8, 48):
+        X = rng.standard_normal((300, m)) * 10.0 ** rng.uniform(
+            -40, 40, size=(300, 1))
+        X[:20] = 0.0
+        X[20:60] = 0.0
+        X[np.arange(20, 60), rng.integers(0, m, 40)] = rng.uniform(
+            -5, 5, 40)
+        for beta in (0.3, 1.0, 4.0):
+            nrm = norm_batch(orlicz(m, beta), X)
+            ref = oracles.luxemburg_norm_bisect(np.abs(X), beta)
+            assert np.all(nrm[:20] == 0.0)
+            assert np.all(np.abs(nrm[20:] - ref[20:]) <= 4e-15 * ref[20:])
+
+
 def test_gradient_euler_identity():
     rng = np.random.default_rng(7)
     for _ in range(40):
