@@ -253,12 +253,47 @@ def _cmd_decompose(args):
     return None
 
 
+# Every option; each command takes those its _cmd_* function reads.
+OPTIONS = {
+    "space": dict(help="space descriptor JSON"),
+    "space-y": dict(help="auxiliary space descriptor JSON"),
+    "delta": dict(type=float, default=2.0),
+    "rho": dict(type=float, default=0.5),
+    "n": dict(type=int, default=None),
+    "p": dict(default="2"),
+    "dims": dict(default="4,8,16,32"),
+    "w": dict(help="direction, comma-separated floats"),
+    "u": dict(help="point, comma-separated floats"),
+    "v": dict(help="point, comma-separated floats"),
+    "point": dict(help="point, comma-separated floats"),
+    "anchors": dict(help="JSON file with anchors/values"),
+    "trials": dict(type=int, default=100_000),
+    "restarts": dict(type=int, default=8),
+    "mc-rounds": dict(type=int, default=64),
+    "seed": dict(type=int, default=0),
+    "workers": dict(type=int, default=1),
+    "companion": dict(action="store_true"),
+    "exact": dict(action="store_true"),
+    "mc": dict(action="store_true"),
+    "out": dict(default=None),
+    "format": dict(choices=("csv", "json", "table"), default="table"),
+}
+RUN = " trials seed workers format out"
+
 COMMANDS = {
-    "vol": _cmd_vol, "iq": _cmd_iq, "psi": _cmd_psi, "maxproj": _cmd_maxproj,
-    "cone": _cmd_cone, "meanwidth": _cmd_meanwidth, "sep-prob": _cmd_sep_prob,
-    "pad-prob": _cmd_pad_prob, "sep-bounds": _cmd_sep_bounds,
-    "sweep": _cmd_sweep, "extend": _cmd_extend, "lw-check": _cmd_lw_check,
-    "decompose": _cmd_decompose,
+    "vol": (_cmd_vol, "space mc" + RUN),
+    "iq": (_cmd_iq, "space mc" + RUN),
+    "psi": (_cmd_psi, "space w mc" + RUN),
+    "maxproj": (_cmd_maxproj, "space restarts trials seed format out"),
+    "cone": (_cmd_cone, "space trials seed format out"),
+    "meanwidth": (_cmd_meanwidth, "space" + RUN),
+    "sep-prob": (_cmd_sep_prob, "space u v delta exact" + RUN),
+    "pad-prob": (_cmd_pad_prob, "space rho exact" + RUN),
+    "sep-bounds": (_cmd_sep_bounds, "space space-y restarts" + RUN),
+    "sweep": (_cmd_sweep, "p dims companion restarts" + RUN),
+    "extend": (_cmd_extend, "space anchors point mc-rounds seed"),
+    "lw-check": (_cmd_lw_check, "trials seed format out"),
+    "decompose": (_cmd_decompose, "n"),
 }
 
 
@@ -268,33 +303,10 @@ def build_parser():
         description="Randomized partitions, volumes, and separation bounds "
                     "for finite-dimensional normed spaces.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, flags) in COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--space", help="space descriptor JSON")
-        p.add_argument("--space-y", dest="space_y",
-                       help="auxiliary space descriptor JSON")
-        p.add_argument("--delta", type=float, default=2.0)
-        p.add_argument("--rho", type=float, default=0.5)
-        p.add_argument("--r", type=float, default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--p", default="2")
-        p.add_argument("--dims", default="4,8,16,32")
-        p.add_argument("--w", help="direction, comma-separated floats")
-        p.add_argument("--u", help="point, comma-separated floats")
-        p.add_argument("--v", help="point, comma-separated floats")
-        p.add_argument("--point", help="point, comma-separated floats")
-        p.add_argument("--anchors", help="JSON file with anchors/values")
-        p.add_argument("--trials", type=int, default=100_000)
-        p.add_argument("--restarts", type=int, default=8)
-        p.add_argument("--mc-rounds", dest="mc_rounds", type=int, default=64)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--companion", action="store_true")
-        p.add_argument("--exact", action="store_true")
-        p.add_argument("--mc", action="store_true")
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("csv", "json", "table"),
-                       default="table")
+        for name in flags.split():
+            p.add_argument("--" + name, **OPTIONS[name])
     return parser
 
 
@@ -302,7 +314,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        records = COMMANDS[args.command](args)
+        records = COMMANDS[args.command][0](args)
     except InputError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .space import (INF, CapabilityError, InputError, NormedSpace,
-                    _solve_increasing, coord_bound, gradient_batch, norm_batch,
-                    space)
+from .space import (REGISTRY, CapabilityError, InputError, _solve_increasing,
+                    coord_bound, gradient_batch, log_euclidean_ball_volume,
+                    norm_batch, space)
 
 CHUNK = 1 << 15
 
@@ -97,10 +97,7 @@ def volume_exact(sp):
     its smallest normal value; `log_volume_exact` is finite there."""
     desc = space(sp).descriptor
     try:
-        if desc.kind == "lp" and desc.p == INF:
-            vol = 2.0 ** desc.n   # exact, where exp(n log 2) is off by ulps
-        else:
-            vol = math.exp(_log_vol_exact(desc))
+        vol = REGISTRY[desc.kind].volume(desc)
     except OverflowError:
         vol = math.inf
     if not sys.float_info.min <= vol < math.inf:
@@ -114,67 +111,12 @@ def log_volume_exact(sp):
     """Natural log of the exact unit-ball volume.  Finite in every dimension,
     unlike the volume itself, which under- or overflows a float from a few
     hundred dimensions on."""
-    return _log_vol_exact(space(sp).descriptor)
-
-
-def _log_vol_exact(desc):
-    k = desc.kind
-    if k == "lp":
-        if desc.p == INF:
-            return desc.n * math.log(2.0)
-        return (desc.n * math.log(2.0) + desc.n * gammaln(1.0 + 1.0 / desc.p)
-                - gammaln(1.0 + desc.n / desc.p))
-    if k == "orlicz_beta":
-        # 2^m * P(m, beta), a regularized lower incomplete gamma at integer
-        # order m.
-        return desc.n * math.log(2.0) + _log_gammainc_int(desc.n, desc.beta)
-    if k == "block_lp":
-        logv = math.fsum(_log_vol_exact(b) for b in desc.blocks)
-        if desc.p == INF:
-            return logv
-        logv += math.fsum(gammaln(1.0 + b.n / desc.p) for b in desc.blocks)
-        return logv - gammaln(1.0 + desc.n / desc.p)
-    raise CapabilityError("no exact volume for kind %r" % (k,))
-
-
-def _log_gammainc_int(m, beta):
-    """log P(m, beta) for the regularized lower incomplete gamma at integer
-    order m >= 1, finite where P itself underflows.
-
-    For beta <= m this sums the convergent series
-    P = e^{-beta} beta^m / m! * sum_k beta^k m! / (m + k)!, whose terms fall
-    from 1.  Otherwise P = 1 - Q with the finite sum
-    Q = e^{-beta} sum_{j<m} beta^j / j!, summed down from its largest term."""
-    total = term = 1.0
-    if beta <= m:
-        k = 0
-        # the tail after term k is at most term * beta / (m + k + 1 - beta)
-        while term * beta > 1e-17 * total * (m + k + 1 - beta):
-            k += 1
-            term *= beta / (m + k)
-            total += term
-        return (-beta + m * math.log(beta) - gammaln(m + 1.0)
-                + math.log(total))
-    for j in range(m - 1, 0, -1):
-        term *= j / beta
-        total += term
-    log_q = (-beta + (m - 1) * math.log(beta) - gammaln(float(m))
-             + math.log(total))
-    return math.log1p(-math.exp(log_q))
-
-
-def log_euclidean_ball_volume(n):
-    return 0.5 * n * math.log(math.pi) - gammaln(1.0 + 0.5 * n)
+    desc = space(sp).descriptor
+    return REGISTRY[desc.kind].log_volume(desc)
 
 
 def euclidean_ball_volume(n):
     return math.exp(log_euclidean_ball_volume(n))
-
-
-def _euclidean_shadow_ratio(n):
-    """v_{n-1} / v_n, the psi of the Euclidean ball at a unit vector."""
-    return math.exp(log_euclidean_ball_volume(n - 1)
-                    - log_euclidean_ball_volume(n))
 
 
 # ---------------------------------------------------------------------------
@@ -184,58 +126,34 @@ def _euclidean_shadow_ratio(n):
 def cone_sample(sp, count, seed=0):
     """Sample the cone (boundary) measure of the unit ball.
 
-    Direct samplers exist for lp leaves (sign-symmetric p-generalized
-    Gaussians, normalized), their lp block sums (per-block radii with
-    Gamma(m_j/p)^{1/p} law), and the Orlicz family (push-forward of the l_1
-    cone measure with self-normalized importance weights).  Schatten and
-    ball-intersection spaces fall back to hit-and-run followed by radial
-    projection.
+    The kind's direct sampler (`Kind.cone_sample`: l_p, Orlicz and their l_p
+    block sums; importance-weighted where an Orlicz ball is involved) where
+    it has one; otherwise hit-and-run followed by radial projection.
     """
     s = space(sp)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
     if s.has_cone_sampler:
-        pts, w = _cone_direct(s.descriptor, count, rng)
-        return ConeSamples(points=pts, weights=w)
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        pts, w = REGISTRY[s.descriptor.kind].cone_sample(s.descriptor, count,
+                                                         rng)
+    else:
+        pts, w = _hit_and_run_cone(s, count, seed)
+    return ConeSamples(points=pts, weights=w)
+
+
+def _hit_and_run_cone(s, count, seed):
+    """Hit-and-run points pushed radially onto the unit sphere, unit
+    weights."""
     pts = hit_and_run_sample(s, count, seed=seed)
-    nrm = norm_batch(s, pts)
-    return ConeSamples(points=pts / nrm[:, None],
-                       weights=np.ones(count))
+    return pts / norm_batch(s, pts)[:, None], np.ones(count)
 
 
-def _cone_direct(desc, count, rng):
-    k = desc.kind
-    if k == "lp":
-        n, p = desc.n, desc.p
-        if p == INF:
-            x = rng.uniform(-1.0, 1.0, size=(count, n))
-        else:
-            x = rng.standard_gamma(1.0 / p, size=(count, n)) ** (1.0 / p)
-            x *= rng.choice([-1.0, 1.0], size=(count, n))
-        return x / norm_batch(desc, x)[:, None], np.ones(count)
-    if k == "orlicz_beta":
-        m, beta = desc.n, desc.beta
-        e = rng.standard_exponential(size=(count, m))
-        tau = e / e.sum(axis=1)[:, None]
-        tau *= rng.choice([-1.0, 1.0], size=(count, m))
-        z = -np.sign(tau) * np.expm1(-beta * np.abs(tau))
-        w = np.expm1(beta * np.abs(tau)).sum(axis=1)
-        return z, w
-    if k == "block_lp":
-        X = np.empty((count, desc.n))
-        w = np.ones(count)
-        off = 0
-        for b in desc.blocks:
-            pts, bw = _cone_direct(b, count, rng)
-            if desc.p == INF:
-                radius = rng.random(count) ** (1.0 / b.n)
-            else:
-                radius = rng.standard_gamma(b.n / desc.p, size=count) \
-                    ** (1.0 / desc.p)
-            X[:, off:off + b.n] = pts * radius[:, None]
-            w *= bw
-            off += b.n
-        return X / norm_batch(desc, X)[:, None], w
-    raise CapabilityError("no direct cone sampler for kind %r" % (k,))
+def _cone_points(s, rng, m):
+    """m cone-measure points and weights drawn from rng: the kind's direct
+    sampler, or hit-and-run seeded from rng, so that a chunked Monte Carlo
+    kernel stays deterministic given the master seed."""
+    if s.has_cone_sampler:
+        return REGISTRY[s.descriptor.kind].cone_sample(s.descriptor, m, rng)
+    return _hit_and_run_cone(s, m, int(rng.integers(0, 2 ** 63)))
 
 
 def uniform_ball_sample(sp, count, seed=0):
@@ -349,30 +267,13 @@ def volume_of(sp, trials=200_000, seed=0):
 # surface ratios and isoperimetric quotients
 
 
-def _cone_kernel(s, seed):
-    """Returns a kernel-factory: kernel(rng, m) -> (points, weights)."""
-    if s.has_cone_sampler:
-        def gen(rng, m):
-            return _cone_direct(s.descriptor, m, rng)
-        return gen
-    # membership-oracle fallback: one shared hit-and-run cloud, resampled
-    # per chunk (deterministic given the master seed)
-    def gen(rng, m):
-        sub = int(rng.integers(0, 2 ** 63))
-        pts = hit_and_run_sample(s, m, seed=sub)
-        pts /= norm_batch(s, pts)[:, None]
-        return pts, np.ones(m)
-    return gen
-
-
 def surface_ratio(sp, samples=100_000, seed=0, workers=1):
     """vol_{n-1}(boundary)/vol(ball) = n * E_cone ||grad norm||_2."""
     s = space(sp)
-    gen = _cone_kernel(s, seed)
     n = s.dim
 
     def kernel(rng, m):
-        pts, w = gen(rng, m)
+        pts, w = _cone_points(s, rng, m)
         g = gradient_batch(s, pts)
         return n * np.sqrt((g * g).sum(axis=1)), w
 
@@ -396,16 +297,7 @@ def iq(sp, samples=100_000, seed=0, workers=1):
 def iq_exact(sp):
     """Closed-form isoperimetric quotient (cube, Euclidean ball, l_1)."""
     desc = space(sp).descriptor
-    if desc.kind != "lp":
-        raise CapabilityError("iq_exact supports lp with p in {1, 2, inf}")
-    n, p = desc.n, desc.p
-    if p == INF:
-        return 2.0 * n
-    if p == 2.0:
-        return n * math.sqrt(math.pi) / math.exp(gammaln(1.0 + 0.5 * n) / n)
-    if p == 1.0:
-        return n * math.sqrt(n) * math.exp(_log_vol_exact(desc) / n)
-    raise CapabilityError("iq_exact supports lp with p in {1, 2, inf}")
+    return REGISTRY[desc.kind].iq_exact(desc)
 
 
 # ---------------------------------------------------------------------------
@@ -415,14 +307,7 @@ def iq_exact(sp):
 def psi_closed_form(sp, w):
     """Closed form of psi where known (l_inf and l_2); None otherwise."""
     desc = space(sp).descriptor
-    w = np.asarray(w, dtype=float)
-    if desc.kind == "lp" and desc.p == INF:
-        return 0.5 * float(np.abs(w).sum())
-    if desc.kind == "lp" and desc.p == 2.0:
-        n = desc.n
-        ratio = _euclidean_shadow_ratio(n)
-        return float(np.sqrt((w * w).sum())) * ratio
-    return None
+    return REGISTRY[desc.kind].psi_closed_form(desc, np.asarray(w, dtype=float))
 
 
 def psi(sp, w, samples=100_000, seed=0, workers=1, closed_form=True):
@@ -441,11 +326,10 @@ def psi(sp, w, samples=100_000, seed=0, workers=1, closed_form=True):
         cf = psi_closed_form(s, w)
         if cf is not None:
             return exact_estimate(cf, seed=seed)
-    gen = _cone_kernel(s, seed)
     n = s.dim
 
     def kernel(rng, m):
-        pts, wt = gen(rng, m)
+        pts, wt = _cone_points(s, rng, m)
         g = gradient_batch(s, pts)
         return 0.5 * n * np.abs(g @ w), wt
 
@@ -488,29 +372,36 @@ def hyperplane_projection_volume(sp, w, samples=100_000, seed=0, workers=1):
 # maximization over directions
 
 
-def _sphere_ascent(objective, subgrad, n, restarts, seed, iters=300,
-                   tol=1e-10):
-    """Multi-restart projected (sub)gradient ascent on the Euclidean sphere.
+def _ball_ascent(objective, subgrad, normalize, n, restarts, seed, steps=200):
+    """Multi-restart projected subgradient ascent of a convex objective over
+    the unit sphere of a norm (maximum lies on the sphere).
 
-    The objectives used here (psi and norm values) are convex and even, so
-    ascent to a local max of the restriction to the sphere is well behaved at
-    desk scale; restart dispersion is the practical quality diagnostic.
+    ``normalize`` projects a point radially onto that sphere.  The
+    objectives used here (psi and norm values) are convex and even, so
+    ascent to a local max is well behaved at desk scale; the restart
+    dispersion, returned third, is the practical quality diagnostic.
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xa5ce)))
-    best_val, best_z, vals = -np.inf, None, []
-    starts = [np.ones(n) / math.sqrt(n), np.eye(n)[0]]
-    starts += [rng.standard_normal(n) for _ in range(restarts)]
-    for z in starts:
-        z = z / math.sqrt(float(z @ z))
-        step = 1.0
+    best_z, best_val = None, -np.inf
+    vals = []
+    starts = [np.ones(n)] + list(np.eye(n)[:restarts])
+    while len(starts) < restarts + n + 1:
+        starts.append(rng.standard_normal(n))
+    for z0 in starts:
+        z = normalize(np.asarray(z0, dtype=float))
         fz = objective(z)
-        for _ in range(iters):
-            g = subgrad(z)
-            cand = z + step * g
-            cand /= math.sqrt(float(cand @ cand))
+        step = 0.5
+        g = None
+        for _ in range(steps):
+            if g is None:       # a rejected step keeps z, so g is unchanged
+                g = subgrad(z)
+                gn = float(np.linalg.norm(g))
+            if gn < 1e-15:
+                break
+            cand = normalize(z + step * g / gn)
             fc = objective(cand)
-            if fc > fz + tol:
-                z, fz = cand, fc
+            if fc > fz:
+                z, fz, g = cand, fc, None
             else:
                 step *= 0.5
                 if step < 1e-12:
@@ -521,40 +412,48 @@ def _sphere_ascent(objective, subgrad, n, restarts, seed, iters=300,
     return best_z, best_val, float(np.std(vals))
 
 
+def _psi_objective(s, samples, seed):
+    """psi of s and a subgradient of it, for `_ball_ascent`, and the
+    gradient cloud behind them.  A closed form gets a forward-difference
+    subgradient and no cloud; otherwise both come from one
+    `psi_gradient_cloud`, returned as (G, weights)."""
+    n = s.dim
+    if psi_closed_form(s, np.ones(n)) is not None:
+        def objective(z):
+            return psi_closed_form(s, z)
+
+        def subgrad(z):
+            eps = 1e-6
+            g = np.empty(n)
+            base = objective(z)
+            for i in range(n):
+                dz = z.copy()
+                dz[i] += eps
+                g[i] = (objective(dz) - base) / eps
+            return g
+        return objective, subgrad, None
+    G, wt = psi_gradient_cloud(s, samples=samples, seed=seed)
+    sw = wt.sum()
+
+    def objective(z):
+        return 0.5 * n * float((wt * np.abs(G @ z)).sum() / sw)
+
+    def subgrad(z):
+        return 0.5 * n * (G.T @ (wt * np.sign(G @ z))) / sw
+    return objective, subgrad, (G, wt)
+
+
 def maxproj(sp, restarts=32, samples=100_000, seed=0):
     """Largest hyperplane shadow: direction and its projection volume."""
     s = space(sp)
-    n = s.dim
-    cf = psi_closed_form(s, np.ones(n))
-    if s.descriptor.kind == "lp" and s.descriptor.p == INF:
-        def objective(z):
-            return 0.5 * float(np.abs(z).sum())
+    objective, subgrad, cloud = _psi_objective(s, samples, seed)
 
-        def subgrad(z):
-            return 0.5 * np.sign(z)
-        stderr_psi = 0.0
-    elif s.descriptor.kind == "lp" and s.descriptor.p == 2.0:
-        ratio = _euclidean_shadow_ratio(n)
+    def normalize(z):
+        return z / math.sqrt(float(z @ z))
 
-        def objective(z):
-            return ratio
-
-        def subgrad(z):
-            return np.zeros(n)
-        stderr_psi = 0.0
-    else:
-        G, wt = psi_gradient_cloud(s, samples=samples, seed=seed)
-        sw = wt.sum()
-
-        def objective(z):
-            return 0.5 * n * float((wt * np.abs(G @ z)).sum() / sw)
-
-        def subgrad(z):
-            return 0.5 * n * (G.T @ (wt * np.sign(G @ z))) / sw
-        stderr_psi = None
-    z, val, spread = _sphere_ascent(objective, subgrad, n, restarts, seed)
-    if stderr_psi is None:
-        _, stderr_psi = psi_from_cloud(s, G, wt, z)
+    z, val, spread = _ball_ascent(objective, subgrad, normalize, s.dim,
+                                  restarts, seed)
+    stderr_psi = 0.0 if cloud is None else psi_from_cloud(s, *cloud, z)[1]
     vol = volume_of(s, seed=seed)
     err = math.hypot(stderr_psi * vol.value, val * vol.stderr, spread * vol.value)
     return z, MonteCarloEstimate(value=val * vol.value, stderr=err,

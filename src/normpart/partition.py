@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import InputError, coord_bound, norm_batch, space
-from .geometry import (MonteCarloEstimate, _cone_direct, estimate_mean,
+from .space import REGISTRY, InputError, coord_bound, linf, norm_batch, space
+from .geometry import (MonteCarloEstimate, _cone_points, estimate_mean,
                        exact_estimate, psi)
 
 MAX_PROPOSALS = 10 ** 9
@@ -156,7 +156,6 @@ def separation_prob_mc(sp, u, v, delta, trials=10_000, seed=0, workers=1,
 
 def _overlap_mc(s, w, samples, seed, workers=1):
     """t = vol(B intersect (w + B))/vol(B) via uniform-in-ball sampling."""
-    n = s.dim
 
     def kernel(rng, m):
         pts, wt = _ball_points(s, rng, m)
@@ -167,28 +166,21 @@ def _overlap_mc(s, w, samples, seed, workers=1):
 
 
 def _ball_points(s, rng, m):
-    if s.has_cone_sampler:
-        pts, wt = _cone_direct(s.descriptor, m, rng)
-    else:
-        from .geometry import hit_and_run_sample
-        sub = int(rng.integers(0, 2 ** 63))
-        raw = hit_and_run_sample(s, m, seed=sub)
-        pts = raw / norm_batch(s, raw)[:, None]
-        wt = np.ones(m)
+    pts, wt = _cone_points(s, rng, m)
     radius = rng.random(m) ** (1.0 / s.dim)
     return pts * radius[:, None], wt
 
 
 def overlap_exact_linf(w):
     """Exact overlap fraction of two unit cubes offset by w (slab product)."""
-    w = np.abs(np.asarray(w, dtype=float))
-    return float(np.prod(np.clip(1.0 - 0.5 * w, 0.0, None)))
+    w = np.asarray(w, dtype=float)
+    return REGISTRY["lp"].overlap_exact(linf(w.size), w)
 
 
 def separation_prob_exact(sp, u, v, delta, trials=100_000, seed=0, workers=1):
     """Pr[separated] = (2 - 2t)/(2 - t), t the unit-ball overlap fraction at
-    the rescaled offset; exact for l_inf (slab product), one Monte Carlo
-    estimate of t otherwise."""
+    the rescaled offset; exact where the kind has t in closed form (l_inf),
+    one Monte Carlo estimate of t otherwise."""
     s = space(sp)
     _check_delta(delta)
     u = np.asarray(u, dtype=float)
@@ -198,9 +190,8 @@ def separation_prob_exact(sp, u, v, delta, trials=100_000, seed=0, workers=1):
     w = (2.0 / delta) * (v - u)
     if float(norm_batch(s, w)) >= 2.0:
         return exact_estimate(1.0, seed=seed)
-    desc = s.descriptor
-    if desc.kind == "lp" and desc.p == float("inf"):
-        t = overlap_exact_linf(w)
+    t = REGISTRY[s.descriptor.kind].overlap_exact(s.descriptor, w)
+    if t is not None:
         return exact_estimate((2.0 - 2.0 * t) / (2.0 - t), seed=seed)
     t = _overlap_mc(s, w, trials, seed, workers=workers)
     val = (2.0 - 2.0 * t.value) / (2.0 - t.value)

@@ -13,17 +13,16 @@ import io
 import json
 import math
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .space import (INF, CapabilityError, InputError, SpaceDescriptor,
-                    block_lp, coord_bound, circumradius, lp, norm_batch,
-                    orlicz, space)
-from .geometry import (MonteCarloEstimate, cone_sample, exact_estimate, iq,
-                       iq_exact, log_euclidean_ball_volume, log_volume_exact,
-                       psi, psi_closed_form, psi_gradient_cloud,
-                       psi_from_cloud)
+from .space import (INF, REGISTRY, CapabilityError, InputError,
+                    SpaceDescriptor, block_lp, circumradius, lp, norm_batch,
+                    norm_gradient, orlicz, space)
+from .geometry import (MonteCarloEstimate, _ball_ascent, _psi_objective,
+                       cone_sample, exact_estimate, iq, iq_exact,
+                       log_euclidean_ball_volume, log_volume_exact, psi)
 
 
 def external_volume_ratio(sp):
@@ -73,56 +72,19 @@ def sep_lower_limit_constant():
 # upper bound: transfer of the psi profile of Y through the X norm
 
 
-def _ball_ascent(objective, subgrad, normalize, n, restarts, seed, steps=200):
-    """Multi-restart projected subgradient ascent of a convex objective over
-    the unit sphere of a norm (maximum lies on the sphere)."""
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xa5ce)))
-    best_z, best_val = None, -np.inf
-    vals = []
-    starts = [np.ones(n)] + [v for i in range(min(n, restarts))
-                             for v in (np.eye(n)[i],)]
-    while len(starts) < restarts + n + 1:
-        starts.append(rng.standard_normal(n))
-    for z0 in starts:
-        z = normalize(np.asarray(z0, dtype=float))
-        fz = objective(z)
-        step = 0.5
-        for _ in range(steps):
-            g = subgrad(z)
-            gn = float(np.linalg.norm(g))
-            if gn < 1e-15:
-                break
-            cand = normalize(z + step * g / gn)
-            fc = objective(cand)
-            if fc > fz:
-                z, fz = cand, fc
-            else:
-                step *= 0.5
-                if step < 1e-12:
-                    break
-        vals.append(fz)
-        if fz > best_val:
-            best_val, best_z = fz, z
-    return best_z, best_val, float(np.std(vals))
-
-
 def _sup_norm_on_sphere(sp_dom, sp_val, restarts, seed):
     """sup of the sp_val norm over the unit sphere of sp_dom."""
     dom = space(sp_dom)
     val = space(sp_val)
-    dv = val.descriptor
-    if dv.kind == "lp" and dv.p == INF:
-        return float(coord_bound(dom)), None
-    if dv.kind == "lp" and dv.p == 2.0 and dom.is_canonically_positioned:
-        return float(circumradius(dom)), None
+    closed = REGISTRY[val.descriptor.kind].sphere_sup(val.descriptor, dom)
+    if closed is not None:
+        return closed, None
 
     def normalize(z):
         return z / float(norm_batch(dom, z))
 
     def objective(z):
         return float(norm_batch(val, z))
-
-    from .space import norm_gradient
 
     def subgrad(z):
         return norm_gradient(val, z)
@@ -145,8 +107,9 @@ def sep_upper_two_norm(sp_x, sp_y=None, restarts=16, samples=100_000, seed=0,
         4 * (sup_{z in S_Y} ||z||_X) * (sup_{z in S_X} psi_Y(z)).
 
     The first factor rescales Y so its ball sits inside the X ball; both
-    suprema are heuristic maxima from multi-restart ascent (exact for the
-    symmetric special cases below), and the returned stderr combines the
+    suprema are heuristic maxima from multi-restart ascent (exact where the
+    kinds have closed forms: `Kind.sphere_sup`, `Kind.vertex_orbit`), and
+    the returned stderr combines the
     Monte Carlo error of psi at the argmax with the restart dispersion."""
     x = space(sp_x)
     y = space(sp_x if sp_y is None else sp_y)
@@ -157,40 +120,12 @@ def sep_upper_two_norm(sp_x, sp_y=None, restarts=16, samples=100_000, seed=0,
     dx = x.descriptor
 
     # psi_Y is a norm, hence convex: its maximum over the X ball sits at an
-    # extreme point.  For sign-invariant Y the cube's maximum is the all-ones
-    # vertex and the cross-polytope's is a coordinate direction, both exact.
-    if dx.kind == "lp" and dx.p == INF:
-        candidates = [np.ones(n)]
-        spread = 0.0
-    elif dx.kind == "lp" and dx.p == 1.0:
-        candidates = [e for e in np.eye(n)]
-        spread = 0.0
-    else:
-        cf_probe = psi_closed_form(y, np.ones(n))
-        if cf_probe is not None:
-            def objective(z):
-                return psi_closed_form(y, z)
-
-            from .space import norm_gradient
-
-            def subgrad(z):
-                eps = 1e-6
-                g = np.empty(n)
-                base = objective(z)
-                for i in range(n):
-                    dz = z.copy()
-                    dz[i] += eps
-                    g[i] = (objective(dz) - base) / eps
-                return g
-        else:
-            G, wt = psi_gradient_cloud(y, samples=samples, seed=seed)
-            sw = wt.sum()
-
-            def objective(z):
-                return 0.5 * n * float((wt * np.abs(G @ z)).sum() / sw)
-
-            def subgrad(z):
-                return 0.5 * n * (G.T @ (wt * np.sign(G @ z))) / sw
+    # extreme point.  For sign-invariant Y and a polytope X with known
+    # vertices (cube, cross-polytope) one vertex per sign orbit is exact.
+    candidates = REGISTRY[dx.kind].vertex_orbit(dx)
+    spread = 0.0
+    if candidates is None:
+        objective, subgrad, _ = _psi_objective(y, samples, seed)
 
         def normalize(z):
             return z / float(norm_batch(x, z))
@@ -288,20 +223,7 @@ class SweepRecord:
 
     def row(self):
         d = self.descriptor
-        p = q = beta = ""
-        if d.kind == "lp":
-            p = _fmt_p(d.p)
-        elif d.kind == "schatten":
-            p = _fmt_p(d.p)
-        elif d.kind == "orlicz_beta":
-            beta = repr(float(d.beta))
-        elif d.kind == "block_lp":
-            p = _fmt_p(d.p)
-            inner = d.blocks[0]
-            if inner.kind == "lp":
-                q = _fmt_p(inner.p)
-            elif inner.kind == "orlicz_beta":
-                beta = repr(float(inner.beta))
+        p, q, beta = REGISTRY[d.kind].row_fields(d)
         return {
             "kind": d.kind, "n": str(self.n), "p": p, "q": q, "beta": beta,
             "quantity": self.quantity, "value": repr(float(self.value)),
@@ -310,10 +232,6 @@ class SweepRecord:
             "upper": "" if self.upper is None else repr(float(self.upper)),
             "seed": str(self.seed),
         }
-
-
-def _fmt_p(p):
-    return "inf" if p == INF else repr(float(p))
 
 
 def records_to_csv(records):

@@ -11,6 +11,9 @@ supported:
 * ``schatten``      -- Schatten p-norm of a square matrix (n = d*d entries),
 * ``intersect_ball`` -- norm whose unit ball is B_base intersected with a
                        Euclidean ball of radius r: max(base norm, ||x||_2/r).
+
+Everything normpart knows about one kind lives in one `Kind` subclass below,
+and `REGISTRY` maps each descriptor kind to its instance.
 """
 
 import bisect
@@ -20,10 +23,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import gammaln
 
 INF = float("inf")
-
-KINDS = ("lp", "block_lp", "orlicz_beta", "schatten", "intersect_ball")
 
 
 class InputError(ValueError):
@@ -49,32 +51,11 @@ class SpaceDescriptor:
     r: float = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in REGISTRY:
             raise InputError("unknown kind %r" % (self.kind,))
         if not isinstance(self.n, int) or self.n < 1:
             raise InputError("n must be a positive integer, got %r" % (self.n,))
-        if self.kind in ("lp", "block_lp", "schatten"):
-            if self.p is None or not (self.p >= 1):
-                raise InputError("kind %r needs p >= 1" % (self.kind,))
-        if self.kind == "block_lp":
-            if not self.blocks:
-                raise InputError("block_lp needs a nonempty blocks list")
-            if sum(b.n for b in self.blocks) != self.n:
-                raise InputError("block dimensions must sum to n")
-        if self.kind == "orlicz_beta":
-            if self.beta is None or not (self.beta > 0):
-                raise InputError("orlicz_beta needs beta > 0")
-        if self.kind == "schatten":
-            d = math.isqrt(self.n)
-            if d * d != self.n:
-                raise InputError("schatten needs n = d*d (square matrices)")
-        if self.kind == "intersect_ball":
-            if self.base is None:
-                raise InputError("intersect_ball needs a base descriptor")
-            if self.base.n != self.n:
-                raise InputError("intersect_ball base dimension mismatch")
-            if self.r is None or not (self.r > 0):
-                raise InputError("intersect_ball needs r > 0")
+        REGISTRY[self.kind].validate(self)
 
     # -- serialization ------------------------------------------------------
 
@@ -160,58 +141,25 @@ def intersect_ball(base, r):
 # normed space wrapper
 
 
-def _canonically_positioned(desc):
-    if desc.kind in ("lp", "orlicz_beta", "schatten"):
-        return True
-    if desc.kind == "block_lp":
-        return (len(set(desc.blocks)) == 1
-                and _canonically_positioned(desc.blocks[0]))
-    if desc.kind == "intersect_ball":
-        return _canonically_positioned(desc.base)
-    return False
-
-
 @dataclass(frozen=True)
 class NormedSpace:
     descriptor: SpaceDescriptor
     dim: int = field(init=False)
-    has_gradient: bool = field(init=False)
     has_cone_sampler: bool = field(init=False)
     has_exact_volume: bool = field(init=False)
     is_canonically_positioned: bool = field(init=False)
 
     def __post_init__(self):
         d = self.descriptor
+        kind = REGISTRY[d.kind]
         object.__setattr__(self, "dim", d.n)
-        object.__setattr__(self, "has_gradient", True)
-        object.__setattr__(self, "has_cone_sampler", _has_cone(d))
-        object.__setattr__(self, "has_exact_volume", _has_exact_volume(d))
+        object.__setattr__(self, "has_cone_sampler", kind.has_cone_sampler(d))
+        object.__setattr__(self, "has_exact_volume", kind.has_exact_volume(d))
         object.__setattr__(self, "is_canonically_positioned",
-                           _canonically_positioned(d))
+                           kind.canonically_positioned(d))
 
     def norm(self, x):
         return norm_eval(self, x)
-
-
-def _has_cone(desc):
-    if desc.kind == "lp":
-        return True
-    if desc.kind == "orlicz_beta":
-        return True
-    if desc.kind == "block_lp":
-        return all(_has_cone(b) for b in desc.blocks)
-    return False
-
-
-def _has_exact_volume(desc):
-    if desc.kind == "lp":
-        return True
-    if desc.kind == "orlicz_beta":
-        return True
-    if desc.kind == "block_lp":
-        return desc.p < INF and all(_has_exact_volume(b) for b in desc.blocks) \
-            or desc.p == INF and all(_has_exact_volume(b) for b in desc.blocks)
-    return False
 
 
 def space(desc):
@@ -226,7 +174,7 @@ def space(desc):
 
 
 # ---------------------------------------------------------------------------
-# norm evaluation (batched: X has shape (..., n))
+# the root solver shared by the Orlicz norm and hit-and-run chord ends
 
 
 _RESIDUAL_TOL = 4.0 * np.finfo(float).eps
@@ -286,6 +234,10 @@ def _solve_increasing(f, lo, hi, f_lo, f_hi, xtol=0.0):
     return out
 
 
+# ---------------------------------------------------------------------------
+# numerical helpers of the kinds
+
+
 def _orlicz_norm_batch(beta, m, A):
     """Luxemburg norm for |X| rows A (shape (N, m)).
 
@@ -320,51 +272,40 @@ def _orlicz_norm_batch(beta, m, A):
     return out
 
 
-def _schatten_sv(desc, X):
-    d = math.isqrt(desc.n)
-    mats = X.reshape(X.shape[:-1] + (d, d))
-    return np.linalg.svd(mats, compute_uv=False)
+def _log_gammainc_int(m, beta):
+    """log P(m, beta) for the regularized lower incomplete gamma at integer
+    order m >= 1, finite where P itself underflows.
+
+    For beta <= m this sums the convergent series
+    P = e^{-beta} beta^m / m! * sum_k beta^k m! / (m + k)!, whose terms fall
+    from 1.  Otherwise P = 1 - Q with the finite sum
+    Q = e^{-beta} sum_{j<m} beta^j / j!, summed down from its largest term."""
+    total = term = 1.0
+    if beta <= m:
+        k = 0
+        # the tail after term k is at most term * beta / (m + k + 1 - beta)
+        while term * beta > 1e-17 * total * (m + k + 1 - beta):
+            k += 1
+            term *= beta / (m + k)
+            total += term
+        return (-beta + m * math.log(beta) - gammaln(m + 1.0)
+                + math.log(total))
+    for j in range(m - 1, 0, -1):
+        term *= j / beta
+        total += term
+    log_q = (-beta + (m - 1) * math.log(beta) - gammaln(float(m))
+             + math.log(total))
+    return math.log1p(-math.exp(log_q))
 
 
-def norm_batch(sp, X):
-    """Norms of a batch of vectors, X shape (..., dim) -> (...)."""
-    desc = sp.descriptor if isinstance(sp, NormedSpace) else sp
-    X = np.asarray(X, dtype=float)
-    if X.shape[-1] != desc.n:
-        raise InputError("vector length %d != dim %d" % (X.shape[-1], desc.n))
-    k = desc.kind
-    if k == "lp":
-        A = np.abs(X)
-        if desc.p == INF:
-            return A.max(axis=-1)
-        if desc.p == 1.0:
-            return A.sum(axis=-1)
-        if desc.p == 2.0:
-            return np.sqrt((A * A).sum(axis=-1))
-        return _scaled_p_sum(A, desc.p)
-    if k == "block_lp":
-        parts = []
-        off = 0
-        for b in desc.blocks:
-            parts.append(norm_batch(b, X[..., off:off + b.n]))
-            off += b.n
-        B = np.stack(parts, axis=-1)
-        if desc.p == INF:
-            return B.max(axis=-1)
-        return _scaled_p_sum(B, desc.p)
-    if k == "orlicz_beta":
-        A = np.abs(X)
-        flat = A.reshape(-1, desc.n)
-        return _orlicz_norm_batch(desc.beta, desc.n, flat).reshape(A.shape[:-1])
-    if k == "schatten":
-        sv = _schatten_sv(desc, X)
-        if desc.p == INF:
-            return sv.max(axis=-1)
-        return (sv ** desc.p).sum(axis=-1) ** (1.0 / desc.p)
-    if k == "intersect_ball":
-        return np.maximum(norm_batch(desc.base, X),
-                          np.sqrt((X * X).sum(axis=-1)) / desc.r)
-    raise InputError("unknown kind %r" % (k,))
+def log_euclidean_ball_volume(n):
+    return 0.5 * n * math.log(math.pi) - gammaln(1.0 + 0.5 * n)
+
+
+def _euclidean_shadow_ratio(n):
+    """v_{n-1} / v_n, the psi of the Euclidean ball at a unit vector."""
+    return math.exp(log_euclidean_ball_volume(n - 1)
+                    - log_euclidean_ball_volume(n))
 
 
 def _scaled_p_sum(A, p):
@@ -376,16 +317,469 @@ def _scaled_p_sum(A, p):
     return safe * (r ** p).sum(axis=-1) ** (1.0 / p)
 
 
+def _schatten_sv(desc, X):
+    d = math.isqrt(desc.n)
+    mats = X.reshape(X.shape[:-1] + (d, d))
+    return np.linalg.svd(mats, compute_uv=False)
+
+
+def _check_p(d):
+    if d.p is None or not (d.p >= 1):
+        raise InputError("kind %r needs p >= 1" % (d.kind,))
+
+
+def _fmt_p(p):
+    return "inf" if p == INF else repr(float(p))
+
+
+def _blocks(d):
+    """(block descriptor, its coordinate slice) for each block of d."""
+    off = 0
+    for b in d.blocks:
+        yield b, slice(off, off + b.n)
+        off += b.n
+
+
+def _block_norms(d, X):
+    return np.stack([norm_batch(b, X[..., sl]) for b, sl in _blocks(d)],
+                    axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# the kinds
+
+
+class Kind:
+    """What normpart knows about one kind of space; every method takes the
+    descriptor ``d``.  Each kind defines ``validate(d)`` (raise InputError
+    unless its fields are well formed), ``norm(d, X)`` and ``gradient(d, X)``
+    on batches of rows, ``is_smooth(d, x)`` at one x != 0, ``coord_bound(d)``
+    (the l_inf circumradius) and ``circumradius(d)`` (the Euclidean one, for
+    canonically positioned d).  The methods below answer for a kind without
+    the capability or closed form in question; the closed forms, None where
+    unknown, are ``psi_closed_form(d, w)``, the overlap fraction
+    vol(B intersect (w + B)) / vol(B) ``overlap_exact(d, w)``, the sup of the
+    norm over the unit sphere of the space ``dom`` ``sphere_sup(d, dom)``,
+    and ``vertex_orbit(d)``: one vertex of the unit ball per orbit of
+    coordinate sign changes, where the ball is a polytope with known
+    vertices."""
+
+    def canonically_positioned(self, d):
+        return True
+
+    def has_cone_sampler(self, d):
+        return False
+
+    def has_exact_volume(self, d):
+        return False
+
+    def log_volume(self, d):
+        raise CapabilityError("no exact volume for kind %r" % (d.kind,))
+
+    def volume(self, d):
+        return math.exp(self.log_volume(d))
+
+    def iq_exact(self, d):
+        raise CapabilityError("iq_exact supports lp with p in {1, 2, inf}")
+
+    def psi_closed_form(self, d, w):
+        return None
+
+    def overlap_exact(self, d, w):
+        return None
+
+    def sphere_sup(self, d, dom):
+        return None
+
+    def vertex_orbit(self, d):
+        return None
+
+    def row_fields(self, d):
+        """The p, q and beta columns of a sweep record."""
+        return ("" if d.p is None else _fmt_p(d.p), "",
+                "" if d.beta is None else repr(float(d.beta)))
+
+    def block_row_fields(self, d):
+        """The q and beta columns of a block_lp record whose blocks are d."""
+        return "", ""
+
+
+class LpKind(Kind):
+    """l_p^n, 1 <= p <= inf."""
+
+    def validate(self, d):
+        _check_p(d)
+
+    def norm(self, d, X):
+        A = np.abs(X)
+        if d.p == INF:
+            return A.max(axis=-1)
+        if d.p == 1.0:
+            return A.sum(axis=-1)
+        if d.p == 2.0:
+            return np.sqrt((A * A).sum(axis=-1))
+        return _scaled_p_sum(A, d.p)
+
+    def gradient(self, d, X):
+        if d.p == INF:
+            idx = np.abs(X).argmax(axis=-1)
+            G = np.zeros_like(X)
+            np.put_along_axis(G, idx[..., None],
+                              np.sign(np.take_along_axis(X, idx[..., None], -1)), -1)
+            return G
+        if d.p == 1.0:
+            return np.sign(X)
+        nrm = norm_batch(d, X)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            G = np.sign(X) * (np.abs(X) / nrm[..., None]) ** (d.p - 1.0)
+        return np.nan_to_num(G)
+
+    def is_smooth(self, d, x):
+        ax = np.abs(x)
+        if d.p == INF:
+            return int((ax == ax.max()).sum()) == 1
+        if d.p == 1.0:
+            return not np.any(ax == 0)
+        return True
+
+    def coord_bound(self, d):
+        return 1.0
+
+    def circumradius(self, d):
+        if d.p == INF:
+            return math.sqrt(d.n)
+        return d.n ** max(0.5 - 1.0 / d.p, 0.0)
+
+    def has_cone_sampler(self, d):
+        return True
+
+    def has_exact_volume(self, d):
+        return True
+
+    def log_volume(self, d):
+        if d.p == INF:
+            return d.n * math.log(2.0)
+        return (d.n * math.log(2.0) + d.n * gammaln(1.0 + 1.0 / d.p)
+                - gammaln(1.0 + d.n / d.p))
+
+    def volume(self, d):
+        if d.p == INF:
+            return 2.0 ** d.n     # exact, where exp(n log 2) is off by ulps
+        return super().volume(d)
+
+    def cone_sample(self, d, count, rng):
+        """Sign-symmetric p-generalized Gaussians, normalized."""
+        if d.p == INF:
+            x = rng.uniform(-1.0, 1.0, size=(count, d.n))
+        else:
+            x = rng.standard_gamma(1.0 / d.p, size=(count, d.n)) ** (1.0 / d.p)
+            x *= rng.choice([-1.0, 1.0], size=(count, d.n))
+        return x / norm_batch(d, x)[:, None], np.ones(count)
+
+    def psi_closed_form(self, d, w):
+        if d.p == INF:
+            return 0.5 * float(np.abs(w).sum())
+        if d.p == 2.0:
+            return float(np.sqrt((w * w).sum())) * _euclidean_shadow_ratio(d.n)
+        return None
+
+    def iq_exact(self, d):
+        n = d.n
+        if d.p == INF:
+            return 2.0 * n
+        if d.p == 2.0:
+            return n * math.sqrt(math.pi) / math.exp(gammaln(1.0 + 0.5 * n) / n)
+        if d.p == 1.0:
+            return n * math.sqrt(n) * math.exp(self.log_volume(d) / n)
+        return super().iq_exact(d)
+
+    def overlap_exact(self, d, w):
+        if d.p == INF:      # a product of slabs
+            return float(np.prod(np.clip(1.0 - 0.5 * np.abs(w), 0.0, None)))
+        return None
+
+    def sphere_sup(self, d, dom):
+        if d.p == INF:
+            return float(coord_bound(dom))
+        if d.p == 2.0 and dom.is_canonically_positioned:
+            return float(circumradius(dom))
+        return None
+
+    def vertex_orbit(self, d):
+        if d.p == INF:
+            return [np.ones(d.n)]
+        if d.p == 1.0:
+            return list(np.eye(d.n))
+        return None
+
+    def block_row_fields(self, d):
+        return _fmt_p(d.p), ""
+
+
+class BlockLpKind(Kind):
+    """The l_p sum of the spaces ``d.blocks`` (outer exponent ``d.p``)."""
+
+    def validate(self, d):
+        _check_p(d)
+        if not d.blocks:
+            raise InputError("block_lp needs a nonempty blocks list")
+        if sum(b.n for b in d.blocks) != d.n:
+            raise InputError("block dimensions must sum to n")
+
+    def norm(self, d, X):
+        B = _block_norms(d, X)
+        if d.p == INF:
+            return B.max(axis=-1)
+        return _scaled_p_sum(B, d.p)
+
+    def gradient(self, d, X):
+        nrm = norm_batch(d, X)
+        G = np.empty_like(X)
+        B = _block_norms(d, X)
+        if d.p == INF:
+            winner = B.argmax(axis=-1)
+        for j, (b, sl) in enumerate(_blocks(d)):
+            sub = gradient_batch(b, X[..., sl])
+            if d.p == INF:
+                w = (winner == j).astype(float)
+            else:
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    w = (B[..., j] / nrm) ** (d.p - 1.0)
+                w = np.nan_to_num(w)
+            G[..., sl] = sub * w[..., None]
+        return G
+
+    def is_smooth(self, d, x):
+        bn = _block_norms(d, x)
+        if not all(REGISTRY[b.kind].is_smooth(b, x[sl])
+                   for (b, sl), nb in zip(_blocks(d), bn) if nb > 0):
+            return False
+        if d.p == INF:
+            return int((bn == bn.max()).sum()) == 1
+        if d.p == 1.0:
+            return not np.any(bn == 0)
+        return True
+
+    def coord_bound(self, d):
+        return max(coord_bound(b) for b in d.blocks)
+
+    def circumradius(self, d):
+        k = len(d.blocks)
+        outer = math.sqrt(k) if d.p == INF else k ** max(0.5 - 1.0 / d.p, 0.0)
+        inner = d.blocks[0]
+        return outer * REGISTRY[inner.kind].circumradius(inner)
+
+    def canonically_positioned(self, d):
+        inner = d.blocks[0]
+        return (len(set(d.blocks)) == 1
+                and REGISTRY[inner.kind].canonically_positioned(inner))
+
+    def has_cone_sampler(self, d):
+        return all(REGISTRY[b.kind].has_cone_sampler(b) for b in d.blocks)
+
+    def has_exact_volume(self, d):
+        return all(REGISTRY[b.kind].has_exact_volume(b) for b in d.blocks)
+
+    def log_volume(self, d):
+        logv = math.fsum(REGISTRY[b.kind].log_volume(b) for b in d.blocks)
+        if d.p == INF:
+            return logv
+        logv += math.fsum(gammaln(1.0 + b.n / d.p) for b in d.blocks)
+        return logv - gammaln(1.0 + d.n / d.p)
+
+    def cone_sample(self, d, count, rng):
+        """Per-block cone samples scaled by radii with the Gamma(m_j/p)^{1/p}
+        law (uniform-ball radii for p = inf), then normalized."""
+        X = np.empty((count, d.n))
+        w = np.ones(count)
+        for b, sl in _blocks(d):
+            pts, bw = REGISTRY[b.kind].cone_sample(b, count, rng)
+            if d.p == INF:
+                radius = rng.random(count) ** (1.0 / b.n)
+            else:
+                radius = rng.standard_gamma(b.n / d.p, size=count) \
+                    ** (1.0 / d.p)
+            X[:, sl] = pts * radius[:, None]
+            w *= bw
+        return X / norm_batch(d, X)[:, None], w
+
+    def row_fields(self, d):
+        inner = d.blocks[0]
+        return (_fmt_p(d.p),) + REGISTRY[inner.kind].block_row_fields(inner)
+
+
+class OrliczKind(Kind):
+    """The Orlicz space of psi_beta on R^m, m = ``d.n``."""
+
+    def validate(self, d):
+        if d.beta is None or not (d.beta > 0):
+            raise InputError("orlicz_beta needs beta > 0")
+
+    def norm(self, d, X):
+        A = np.abs(X)
+        flat = A.reshape(-1, d.n)
+        return _orlicz_norm_batch(d.beta, d.n, flat).reshape(A.shape[:-1])
+
+    def gradient(self, d, X):
+        # Degree-0 homogeneous: evaluate on the boundary representative.
+        nrm = norm_batch(d, X)
+        T = np.abs(X) / nrm[..., None]
+        D = T / (1.0 - T)
+        denom = D.sum(axis=-1)
+        return np.sign(X) / (1.0 - T) / denom[..., None]
+
+    def is_smooth(self, d, x):
+        return not np.any(np.abs(x) == 0)
+
+    def coord_bound(self, d):
+        return -math.expm1(-d.beta)
+
+    def circumradius(self, d):
+        # equal-coordinate extreme points: sqrt(j) * (1 - exp(-beta/j))
+        return max(math.sqrt(j) * -math.expm1(-d.beta / j)
+                   for j in range(1, d.n + 1))
+
+    def has_cone_sampler(self, d):
+        return True
+
+    def has_exact_volume(self, d):
+        return True
+
+    def log_volume(self, d):
+        # 2^m * P(m, beta), a regularized lower incomplete gamma at integer
+        # order m.
+        return d.n * math.log(2.0) + _log_gammainc_int(d.n, d.beta)
+
+    def cone_sample(self, d, count, rng):
+        """Push-forward of the l_1 cone measure with self-normalized
+        importance weights."""
+        m, beta = d.n, d.beta
+        e = rng.standard_exponential(size=(count, m))
+        tau = e / e.sum(axis=1)[:, None]
+        tau *= rng.choice([-1.0, 1.0], size=(count, m))
+        z = -np.sign(tau) * np.expm1(-beta * np.abs(tau))
+        w = np.expm1(beta * np.abs(tau)).sum(axis=1)
+        return z, w
+
+    def block_row_fields(self, d):
+        return "", repr(float(d.beta))
+
+
+class SchattenKind(Kind):
+    """The Schatten p-norm of d x d matrices, n = d^2."""
+
+    def validate(self, d):
+        _check_p(d)
+        k = math.isqrt(d.n)
+        if k * k != d.n:
+            raise InputError("schatten needs n = d*d (square matrices)")
+
+    def norm(self, d, X):
+        sv = _schatten_sv(d, X)
+        if d.p == INF:
+            return sv.max(axis=-1)
+        return (sv ** d.p).sum(axis=-1) ** (1.0 / d.p)
+
+    def gradient(self, d, X):
+        k = math.isqrt(d.n)
+        mats = X.reshape(X.shape[:-1] + (k, k))
+        U, sv, Vt = np.linalg.svd(mats)
+        if d.p == INF:
+            g = np.einsum("...i,...j->...ij", U[..., :, 0], Vt[..., 0, :])
+        else:
+            nrm = (sv ** d.p).sum(axis=-1) ** (1.0 / d.p)
+            w = (sv / nrm[..., None]) ** (d.p - 1.0)
+            g = np.einsum("...ik,...k,...kj->...ij", U, w, Vt)
+        return g.reshape(X.shape)
+
+    def is_smooth(self, d, x):
+        """Smooth at every x != 0 for 1 < p < inf; at full rank for p = 1;
+        with a gap after the top singular value for p = inf."""
+        if d.p != 1.0 and d.p != INF:
+            return True
+        sv = _schatten_sv(d, x)             # descending
+        if d.p == 1.0:
+            return bool(sv[-1] > 0)
+        return bool(sv.shape[0] == 1 or sv[0] - sv[1] > 1e-12 * sv[0])
+
+    def coord_bound(self, d):
+        return 1.0
+
+    def circumradius(self, d):
+        return math.isqrt(d.n) ** max(0.5 - 1.0 / d.p, 0.0)
+
+
+class IntersectBallKind(Kind):
+    """The unit ball of ``d.base`` cut by the Euclidean ball of radius
+    ``d.r``: the norm max(base norm, ||x||_2 / r)."""
+
+    def validate(self, d):
+        if d.base is None:
+            raise InputError("intersect_ball needs a base descriptor")
+        if d.base.n != d.n:
+            raise InputError("intersect_ball base dimension mismatch")
+        if d.r is None or not (d.r > 0):
+            raise InputError("intersect_ball needs r > 0")
+
+    def norm(self, d, X):
+        return np.maximum(norm_batch(d.base, X),
+                          np.sqrt((X * X).sum(axis=-1)) / d.r)
+
+    def gradient(self, d, X):
+        base_n = norm_batch(d.base, X)
+        euc = np.sqrt((X * X).sum(axis=-1))
+        Gb = gradient_batch(d.base, X)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            Ge = X / (d.r * euc[..., None])
+        Ge = np.nan_to_num(Ge)
+        pick = (base_n >= euc / d.r)[..., None]
+        return np.where(pick, Gb, Ge)
+
+    def is_smooth(self, d, x):
+        b = norm_batch(d.base, x)
+        e = math.sqrt(float(np.dot(x, x))) / d.r
+        if abs(b - e) <= 1e-12 * max(b, e):
+            return False
+        return REGISTRY[d.base.kind].is_smooth(d.base, x) if b > e else True
+
+    def coord_bound(self, d):
+        return min(coord_bound(d.base), d.r)
+
+    def circumradius(self, d):
+        return min(REGISTRY[d.base.kind].circumradius(d.base), d.r)
+
+    def canonically_positioned(self, d):
+        return REGISTRY[d.base.kind].canonically_positioned(d.base)
+
+
+REGISTRY = {
+    "lp": LpKind(),
+    "block_lp": BlockLpKind(),
+    "orlicz_beta": OrliczKind(),
+    "schatten": SchattenKind(),
+    "intersect_ball": IntersectBallKind(),
+}
+
+
+# ---------------------------------------------------------------------------
+# norms, gradients and radii (batched: X has shape (..., n))
+
+
+def norm_batch(sp, X):
+    """Norms of a batch of vectors, X shape (..., dim) -> (...)."""
+    desc = sp.descriptor if isinstance(sp, NormedSpace) else sp
+    X = np.asarray(X, dtype=float)
+    if X.shape[-1] != desc.n:
+        raise InputError("vector length %d != dim %d" % (X.shape[-1], desc.n))
+    return REGISTRY[desc.kind].norm(desc, X)
+
+
 def norm_eval(sp, x):
     """The norm of a single vector."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise InputError("norm_eval expects a single vector")
     return float(norm_batch(sp, x))
-
-
-# ---------------------------------------------------------------------------
-# gradients
 
 
 def gradient_batch(sp, X):
@@ -397,120 +791,12 @@ def gradient_batch(sp, X):
     Monte Carlo integrals this feeds.
     """
     desc = sp.descriptor if isinstance(sp, NormedSpace) else sp
-    X = np.asarray(X, dtype=float)
-    k = desc.kind
-    if k == "lp":
-        if desc.p == INF:
-            idx = np.abs(X).argmax(axis=-1)
-            G = np.zeros_like(X)
-            np.put_along_axis(G, idx[..., None],
-                              np.sign(np.take_along_axis(X, idx[..., None], -1)), -1)
-            return G
-        if desc.p == 1.0:
-            return np.sign(X)
-        nrm = norm_batch(desc, X)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            G = np.sign(X) * (np.abs(X) / nrm[..., None]) ** (desc.p - 1.0)
-        return np.nan_to_num(G)
-    if k == "block_lp":
-        nrm = norm_batch(desc, X)
-        G = np.empty_like(X)
-        off = 0
-        bn = []
-        for b in desc.blocks:
-            bn.append(norm_batch(b, X[..., off:off + b.n]))
-            off += b.n
-        B = np.stack(bn, axis=-1)
-        if desc.p == INF:
-            winner = B.argmax(axis=-1)
-        off = 0
-        for j, b in enumerate(desc.blocks):
-            sub = gradient_batch(b, X[..., off:off + b.n])
-            if desc.p == INF:
-                w = (winner == j).astype(float)
-            else:
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    w = (B[..., j] / nrm) ** (desc.p - 1.0)
-                w = np.nan_to_num(w)
-            G[..., off:off + b.n] = sub * w[..., None]
-            off += b.n
-        return G
-    if k == "orlicz_beta":
-        # Degree-0 homogeneous: evaluate on the boundary representative.
-        nrm = norm_batch(desc, X)
-        T = np.abs(X) / nrm[..., None]
-        D = T / (1.0 - T)
-        denom = D.sum(axis=-1)
-        return np.sign(X) / (1.0 - T) / denom[..., None]
-    if k == "schatten":
-        d = math.isqrt(desc.n)
-        mats = X.reshape(X.shape[:-1] + (d, d))
-        U, sv, Vt = np.linalg.svd(mats)
-        if desc.p == INF:
-            g = np.einsum("...i,...j->...ij", U[..., :, 0], Vt[..., 0, :])
-        else:
-            nrm = (sv ** desc.p).sum(axis=-1) ** (1.0 / desc.p)
-            w = (sv / nrm[..., None]) ** (desc.p - 1.0)
-            g = np.einsum("...ik,...k,...kj->...ij", U, w, Vt)
-        return g.reshape(X.shape)
-    if k == "intersect_ball":
-        base_n = norm_batch(desc.base, X)
-        euc = np.sqrt((X * X).sum(axis=-1))
-        Gb = gradient_batch(desc.base, X)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            Ge = X / (desc.r * euc[..., None])
-        Ge = np.nan_to_num(Ge)
-        pick = (base_n >= euc / desc.r)[..., None]
-        return np.where(pick, Gb, Ge)
-    raise InputError("unknown kind %r" % (k,))
-
-
-def _is_smooth(desc, x):
-    k = desc.kind
-    ax = np.abs(x)
-    if k == "lp":
-        if desc.p == INF:
-            m = ax.max()
-            return int((ax == m).sum()) == 1
-        if desc.p == 1.0:
-            return not np.any(ax == 0)
-        return True
-    if k == "block_lp":
-        off = 0
-        bn = []
-        ok = True
-        for b in desc.blocks:
-            sub = x[off:off + b.n]
-            bn.append(norm_batch(b, sub))
-            if norm_batch(b, sub) > 0:
-                ok = ok and _is_smooth(b, sub)
-            off += b.n
-        bn = np.array(bn)
-        if desc.p == INF:
-            return ok and int((bn == bn.max()).sum()) == 1
-        if desc.p == 1.0:
-            return ok and not np.any(bn == 0)
-        return ok
-    if k == "orlicz_beta":
-        return not np.any(ax == 0)
-    if k == "schatten":
-        sv = _schatten_sv(desc, np.asarray(x, dtype=float))
-        sv = np.sort(sv)[::-1]
-        gaps_ok = np.all(np.diff(sv) < -1e-12 * max(sv[0], 1.0))
-        if desc.p == INF:
-            return sv.shape[0] == 1 or sv[0] - sv[1] > 1e-12 * sv[0]
-        return bool(gaps_ok) and sv[-1] > 0
-    if k == "intersect_ball":
-        b = norm_batch(desc.base, x)
-        e = math.sqrt(float(np.dot(x, x))) / desc.r
-        if abs(b - e) <= 1e-12 * max(b, e):
-            return False
-        return _is_smooth(desc.base, x) if b > e else True
-    raise InputError("unknown kind %r" % (k,))
+    return REGISTRY[desc.kind].gradient(desc, np.asarray(X, dtype=float))
 
 
 def norm_gradient(sp, x, with_flag=False):
-    """Gradient (or a flagged subgradient) of the norm at x != 0."""
+    """Gradient (or a flagged subgradient) of the norm at x != 0; with
+    ``with_flag`` also whether the norm is differentiable at x."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise InputError("norm_gradient expects a single vector")
@@ -519,29 +805,14 @@ def norm_gradient(sp, x, with_flag=False):
     desc = sp.descriptor if isinstance(sp, NormedSpace) else sp
     g = gradient_batch(desc, x[None, :])[0]
     if with_flag:
-        return g, _is_smooth(desc, x)
+        return g, REGISTRY[desc.kind].is_smooth(desc, x)
     return g
-
-
-# ---------------------------------------------------------------------------
-# radii
 
 
 def coord_bound(sp):
     """max over the unit ball of |x_i| (the l_inf circumradius)."""
     desc = sp.descriptor if isinstance(sp, NormedSpace) else sp
-    k = desc.kind
-    if k == "lp":
-        return 1.0
-    if k == "block_lp":
-        return max(coord_bound(b) for b in desc.blocks)
-    if k == "orlicz_beta":
-        return -math.expm1(-desc.beta)
-    if k == "schatten":
-        return 1.0
-    if k == "intersect_ball":
-        return min(coord_bound(desc.base), desc.r)
-    raise InputError("unknown kind %r" % (k,))
+    return REGISTRY[desc.kind].coord_bound(desc)
 
 
 def circumradius(sp):
@@ -551,34 +822,7 @@ def circumradius(sp):
     if not s.is_canonically_positioned:
         raise CapabilityError(
             "circumradius needs a canonically positioned space")
-    return _circ(s.descriptor)
-
-
-def _circ(desc):
-    k = desc.kind
-    if k == "lp":
-        if desc.p == INF:
-            return math.sqrt(desc.n)
-        return desc.n ** max(0.5 - 1.0 / desc.p, 0.0)
-    if k == "block_lp":
-        kk = len(desc.blocks)
-        if desc.p == INF:
-            outer = math.sqrt(kk)
-        else:
-            outer = kk ** max(0.5 - 1.0 / desc.p, 0.0)
-        return outer * _circ(desc.blocks[0])
-    if k == "orlicz_beta":
-        # equal-coordinate extreme points: sqrt(j) * (1 - exp(-beta/j))
-        best = 0.0
-        for j in range(1, desc.n + 1):
-            best = max(best, math.sqrt(j) * -math.expm1(-desc.beta / j))
-        return best
-    if k == "schatten":
-        d = math.isqrt(desc.n)
-        return d ** max(0.5 - 1.0 / desc.p, 0.0)
-    if k == "intersect_ball":
-        return min(_circ(desc.base), desc.r)
-    raise InputError("unknown kind %r" % (k,))
+    return REGISTRY[s.descriptor.kind].circumradius(s.descriptor)
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,21 @@ def test_cone_out_keeps_sample_dump(tmp_path, capsys):
     assert np.all(rows[:, 3] == 1.0)
 
 
+@pytest.mark.parametrize("argv", [
+    ["vol", "--rho", "0.3"], ["vol", "--r", "1"], ["iq", "--delta", "1"],
+    ["psi", "--rho", "0.3"], ["maxproj", "--workers", "2"],
+    ["cone", "--workers", "2"], ["meanwidth", "--mc"],
+    ["sep-prob", "--rho", "0.3"], ["pad-prob", "--delta", "1"],
+    ["sep-bounds", "--exact"], ["sweep", "--space", "{}"],
+    ["extend", "--format", "csv"], ["lw-check", "--space", "{}"],
+    ["decompose", "--space", "{}"]], ids=" ".join)
+def test_option_the_command_does_not_read_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_unreadable_anchor_file_exit_2(tmp_path, capsys):
     code, _, err = run_main(["extend", "--space", '{"kind":"lp","n":2,"p":2}',
                              "--anchors", str(tmp_path / "missing.json"),

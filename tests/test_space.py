@@ -180,6 +180,48 @@ def test_gradient_finite_difference():
             assert g[i] == pytest.approx(fd, abs=5e-5)
 
 
+# intersect_ball(l_1^2, r) meets its Euclidean cap at (1, 0.5), where the two
+# pieces have different gradients
+SEAM_R = math.sqrt(1.25) / 1.5
+
+
+@pytest.mark.parametrize("desc,x,smooth", [
+    (linf(3), [1.0, 0.5, -0.2], True),
+    (linf(3), [1.0, -1.0, 0.2], False),
+    (lp(3, 1), [1.0, 0.5, -0.2], True),
+    (lp(3, 1), [1.0, 0.0, -0.2], False),
+    (block_lp(INF, [lp(2, 2), lp(2, 2)]), [1.0, 0.0, 0.3, 0.2], True),
+    (block_lp(INF, [lp(2, 2), lp(2, 2)]), [0.6, 0.8, 0.0, 1.0], False),
+    (orlicz(3, 1.0), [0.5, 0.2, -0.1], True),
+    (orlicz(3, 1.0), [0.5, 0.0, -0.1], False),
+    (intersect_ball(lp(2, 1), 0.5), [1.0, 0.5], True),
+    (intersect_ball(lp(2, 1), 2.0), [1.0, 0.5], True),
+    (intersect_ball(lp(2, 1), SEAM_R), [1.0, 0.5], False),
+    (schatten(2, 2), [1.0, 0.0, 0.0, 1.0], True),
+    (schatten(2, 2), [1.0, 0.0, 0.0, 0.0], True),
+    (schatten(2, 3), [1.0, 0.0, 0.0, 1.0], True),
+    (schatten(2, 3), [1.0, 0.0, 0.0, 0.0], True),
+    (schatten(2, 1), [1.0, 0.0, 0.0, 1.0], True),
+    (schatten(2, 1), [1.0, 0.0, 0.0, 0.0], False),
+    (schatten(2, INF), [2.0, 0.0, 0.0, 1.0], True),
+    (schatten(2, INF), [1.0, 0.0, 0.0, 1.0], False),
+])
+def test_norm_gradient_smoothness_flag(desc, x, smooth):
+    """The flag holds exactly where the norm is differentiable: there the
+    gradient matches central differences, elsewhere some coordinate line
+    through x has a kink."""
+    x = np.asarray(x, dtype=float)
+    g, flag = norm_gradient(desc, x, with_flag=True)
+    assert flag == smooth
+    h = 1e-6
+    E = h * np.eye(x.size)
+    plus, minus = norm_batch(desc, x + E), norm_batch(desc, x - E)
+    if smooth:
+        assert np.allclose((plus - minus) / (2 * h), g, atol=1e-6)
+    else:
+        assert ((plus + minus - 2 * norm_eval(desc, x)) / h).max() > 0.1
+
+
 def test_coord_bound_and_circumradius():
     assert coord_bound(lp(5, 2)) == 1.0
     assert coord_bound(orlicz(3, 1.0)) == pytest.approx(1 - math.exp(-1))
