@@ -12,7 +12,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .space import (REGISTRY, CapabilityError, InputError, _solve_increasing,
                     coord_bound, gradient_batch, log_euclidean_ball_volume,
@@ -307,7 +306,8 @@ def iq_exact(sp):
 def psi_closed_form(sp, w):
     """Closed form of psi where known (l_inf and l_2); None otherwise."""
     desc = space(sp).descriptor
-    return REGISTRY[desc.kind].psi_closed_form(desc, np.asarray(w, dtype=float))
+    w = np.asarray(w, dtype=float)
+    return REGISTRY[desc.kind].psi_closed_form(desc, w)
 
 
 def psi(sp, w, samples=100_000, seed=0, workers=1, closed_form=True):
@@ -372,7 +372,8 @@ def hyperplane_projection_volume(sp, w, samples=100_000, seed=0, workers=1):
 # maximization over directions
 
 
-def _ball_ascent(objective, subgrad, normalize, n, restarts, seed, steps=200):
+def _ball_ascent(objective, subgrad, normalize, n, restarts, seed,
+                 steps=200):
     """Multi-restart projected subgradient ascent of a convex objective over
     the unit sphere of a norm (maximum lies on the sphere).
 
@@ -477,7 +478,8 @@ def cone_volume(sp, z, samples=100_000, seed=0, workers=1):
 
 
 def gaussian_l2_mean(n):
-    return math.sqrt(2.0) * math.exp(gammaln(0.5 * (n + 1)) - gammaln(0.5 * n))
+    return math.sqrt(2.0) * math.exp(math.lgamma(0.5 * (n + 1))
+                                     - math.lgamma(0.5 * n))
 
 
 def mean_width_dual(sp, samples=100_000, seed=0, workers=1):
@@ -511,8 +513,8 @@ def cauchy_surface_identity_check(sp, samples=100_000, directions=4096,
     s = space(sp)
     n = s.dim
     lhs = surface_ratio(s, samples=samples, seed=seed, workers=workers)
-    c_n = 2.0 * math.sqrt(math.pi) * math.exp(gammaln(0.5 * (n + 1))
-                                              - gammaln(0.5 * n))
+    c_n = 2.0 * math.sqrt(math.pi) * math.exp(math.lgamma(0.5 * (n + 1))
+                                              - math.lgamma(0.5 * n))
     G, wt = psi_gradient_cloud(s, samples=samples, seed=seed + 1)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xca0c)))
     Z = rng.standard_normal((directions, n))

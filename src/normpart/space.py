@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 INF = float("inf")
 
@@ -288,18 +287,18 @@ def _log_gammainc_int(m, beta):
             k += 1
             term *= beta / (m + k)
             total += term
-        return (-beta + m * math.log(beta) - gammaln(m + 1.0)
+        return (-beta + m * math.log(beta) - math.lgamma(m + 1.0)
                 + math.log(total))
     for j in range(m - 1, 0, -1):
         term *= j / beta
         total += term
-    log_q = (-beta + (m - 1) * math.log(beta) - gammaln(float(m))
+    log_q = (-beta + (m - 1) * math.log(beta) - math.lgamma(float(m))
              + math.log(total))
     return math.log1p(-math.exp(log_q))
 
 
 def log_euclidean_ball_volume(n):
-    return 0.5 * n * math.log(math.pi) - gammaln(1.0 + 0.5 * n)
+    return 0.5 * n * math.log(math.pi) - math.lgamma(1.0 + 0.5 * n)
 
 
 def _euclidean_shadow_ratio(n):
@@ -424,8 +423,8 @@ class LpKind(Kind):
         if d.p == INF:
             idx = np.abs(X).argmax(axis=-1)
             G = np.zeros_like(X)
-            np.put_along_axis(G, idx[..., None],
-                              np.sign(np.take_along_axis(X, idx[..., None], -1)), -1)
+            top = np.take_along_axis(X, idx[..., None], -1)
+            np.put_along_axis(G, idx[..., None], np.sign(top), -1)
             return G
         if d.p == 1.0:
             return np.sign(X)
@@ -459,8 +458,8 @@ class LpKind(Kind):
     def log_volume(self, d):
         if d.p == INF:
             return d.n * math.log(2.0)
-        return (d.n * math.log(2.0) + d.n * gammaln(1.0 + 1.0 / d.p)
-                - gammaln(1.0 + d.n / d.p))
+        return (d.n * math.log(2.0) + d.n * math.lgamma(1.0 + 1.0 / d.p)
+                - math.lgamma(1.0 + d.n / d.p))
 
     def volume(self, d):
         if d.p == INF:
@@ -488,7 +487,8 @@ class LpKind(Kind):
         if d.p == INF:
             return 2.0 * n
         if d.p == 2.0:
-            return n * math.sqrt(math.pi) / math.exp(gammaln(1.0 + 0.5 * n) / n)
+            return (n * math.sqrt(math.pi)
+                    / math.exp(math.lgamma(1.0 + 0.5 * n) / n))
         if d.p == 1.0:
             return n * math.sqrt(n) * math.exp(self.log_volume(d) / n)
         return super().iq_exact(d)
@@ -584,8 +584,8 @@ class BlockLpKind(Kind):
         logv = math.fsum(REGISTRY[b.kind].log_volume(b) for b in d.blocks)
         if d.p == INF:
             return logv
-        logv += math.fsum(gammaln(1.0 + b.n / d.p) for b in d.blocks)
-        return logv - gammaln(1.0 + d.n / d.p)
+        logv += math.fsum(math.lgamma(1.0 + b.n / d.p) for b in d.blocks)
+        return logv - math.lgamma(1.0 + d.n / d.p)
 
     def cone_sample(self, d, count, rng):
         """Per-block cone samples scaled by radii with the Gamma(m_j/p)^{1/p}

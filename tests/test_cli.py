@@ -231,3 +231,13 @@ def test_console_script_entrypoint():
                            "--space", '{"kind":"lp","n":2,"p":1}'],
                           capture_output=True, text=True)
     assert proc.returncode == 0 and "2" in proc.stdout
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is a test dependency only (tests/oracles.py)."""
+    code = ("import sys, normpart.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
