@@ -278,19 +278,19 @@ OPTIONS = {
     "out": dict(default=None),
     "format": dict(choices=("csv", "json", "table"), default="table"),
 }
-RUN = " trials seed workers format out"
+RUN_OPTIONS = " trials seed workers format out"
 
 COMMANDS = {
-    "vol": (_cmd_vol, "space mc" + RUN),
-    "iq": (_cmd_iq, "space mc" + RUN),
-    "psi": (_cmd_psi, "space w mc" + RUN),
+    "vol": (_cmd_vol, "space mc" + RUN_OPTIONS),
+    "iq": (_cmd_iq, "space mc" + RUN_OPTIONS),
+    "psi": (_cmd_psi, "space w mc" + RUN_OPTIONS),
     "maxproj": (_cmd_maxproj, "space restarts trials seed format out"),
     "cone": (_cmd_cone, "space trials seed format out"),
-    "meanwidth": (_cmd_meanwidth, "space" + RUN),
-    "sep-prob": (_cmd_sep_prob, "space u v delta exact" + RUN),
-    "pad-prob": (_cmd_pad_prob, "space rho exact" + RUN),
-    "sep-bounds": (_cmd_sep_bounds, "space space-y restarts" + RUN),
-    "sweep": (_cmd_sweep, "p dims companion restarts" + RUN),
+    "meanwidth": (_cmd_meanwidth, "space" + RUN_OPTIONS),
+    "sep-prob": (_cmd_sep_prob, "space u v delta exact" + RUN_OPTIONS),
+    "pad-prob": (_cmd_pad_prob, "space rho exact" + RUN_OPTIONS),
+    "sep-bounds": (_cmd_sep_bounds, "space space-y restarts" + RUN_OPTIONS),
+    "sweep": (_cmd_sweep, "p dims companion restarts" + RUN_OPTIONS),
     "extend": (_cmd_extend, "space anchors point mc-rounds seed"),
     "lw-check": (_cmd_lw_check, "trials seed format out"),
     "decompose": (_cmd_decompose, "n"),
@@ -305,8 +305,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, flags) in COMMANDS.items():
         p = sub.add_parser(name)
-        for name in flags.split():
-            p.add_argument("--" + name, **OPTIONS[name])
+        for option in flags.split():
+            p.add_argument("--" + option, **OPTIONS[option])
     return parser
 
 

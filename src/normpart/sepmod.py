@@ -109,8 +109,8 @@ def sep_upper_two_norm(sp_x, sp_y=None, restarts=16, samples=100_000, seed=0,
     The first factor rescales Y so its ball sits inside the X ball; both
     suprema are heuristic maxima from multi-restart ascent (exact where the
     kinds have closed forms: `Kind.sphere_sup`, `Kind.vertex_orbit`), and
-    the returned stderr combines the
-    Monte Carlo error of psi at the argmax with the restart dispersion."""
+    the returned stderr combines the Monte Carlo error of psi at the argmax
+    with the restart dispersion."""
     x = space(sp_x)
     y = space(sp_x if sp_y is None else sp_y)
     if x.dim != y.dim:

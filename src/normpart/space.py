@@ -395,8 +395,7 @@ class Kind:
 
     def row_fields(self, d):
         """The p, q and beta columns of a sweep record."""
-        return ("" if d.p is None else _fmt_p(d.p), "",
-                "" if d.beta is None else repr(float(d.beta)))
+        return "", "", ""
 
     def block_row_fields(self, d):
         """The q and beta columns of a block_lp record whose blocks are d."""
@@ -511,6 +510,9 @@ class LpKind(Kind):
         if d.p == 1.0:
             return list(np.eye(d.n))
         return None
+
+    def row_fields(self, d):
+        return _fmt_p(d.p), "", ""
 
     def block_row_fields(self, d):
         return _fmt_p(d.p), ""
@@ -661,6 +663,9 @@ class OrliczKind(Kind):
         w = np.expm1(beta * np.abs(tau)).sum(axis=1)
         return z, w
 
+    def row_fields(self, d):
+        return "", "", repr(float(d.beta))
+
     def block_row_fields(self, d):
         return "", repr(float(d.beta))
 
@@ -707,6 +712,9 @@ class SchattenKind(Kind):
 
     def circumradius(self, d):
         return math.isqrt(d.n) ** max(0.5 - 1.0 / d.p, 0.0)
+
+    def row_fields(self, d):
+        return _fmt_p(d.p), "", ""
 
 
 class IntersectBallKind(Kind):
