@@ -11,15 +11,13 @@ by the separation profile 4*psi of the ambient norm.
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .space import InputError, coord_bound, norm_batch, space
+from .space import InputError, norm_batch, space
 from .geometry import psi_gradient_cloud, psi_from_cloud
-
-STREAM_BLOCK = 1024
-MAX_STREAM = 1 << 22
+from .partition import _grid_first_arrivals
 
 # Largest Lipschitz-ratio-vs-profile observed over a frozen corpus of fifty
 # fixed-seed instances (master seed 20260826: small lp spaces, 3-8 anchors,
@@ -65,52 +63,12 @@ class ExtensionOperator:
     anchors: np.ndarray
     values: np.ndarray
     target: object
-    scale_range: tuple
     mc_rounds: int
     seed: int
-    _streams: dict = field(default_factory=dict, repr=False)
-
-    def _window(self, k):
-        cb = coord_bound(self.space)
-        margin = (4.0 * 2.0 ** k + 2.0 ** (k - 1)) * cb * (1.0 + 1e-9)
-        lo = self.anchors.min(axis=0) - margin
-        hi = self.anchors.max(axis=0) + margin
-        return lo, hi
-
-    def _stream(self, k, j, count):
-        """First `count` center proposals of round j at scale k; the stream
-        is deterministic in (seed, k, j) and extended in fixed blocks so that
-        every evaluation sees the same realization."""
-        key = (k, j)
-        if key not in self._streams:
-            ss = np.random.SeedSequence([self.seed, k + (1 << 20), j])
-            gen = np.random.default_rng(ss)
-            self._streams[key] = [gen, []]
-        gen, blocks = self._streams[key]
-        lo, hi = self._window(k)
-        have = sum(b.shape[0] for b in blocks)
-        while have < count:
-            blocks.append(gen.uniform(lo, hi,
-                                      size=(STREAM_BLOCK, self.anchors.shape[1])))
-            have += STREAM_BLOCK
-        return blocks
-
-    def _first_hit(self, k, j, x, radius):
-        """Index/point of the first proposal at (k, j) within `radius` of x."""
-        offset = 0
-        count = STREAM_BLOCK
-        while count <= MAX_STREAM:
-            blocks = self._stream(k, j, count)
-            for b in blocks[offset:]:
-                hits = norm_batch(self.space, b - x) <= radius
-                if hits.any():
-                    return b[int(hits.argmax())]
-            offset = len(blocks)
-            count *= 2
-        raise RuntimeError("proposal stream exhausted without a hit")
 
     def weights(self, x):
-        """Convex anchor weights of the extension at x."""
+        """Convex anchor weights of the extension at x.  Round j at scale k
+        reads realization j of the partition process keyed by (seed, k)."""
         x = np.asarray(x, dtype=float)
         match = np.all(self.anchors == x, axis=1)
         w = np.zeros(self.anchors.shape[0])
@@ -121,12 +79,13 @@ class ExtensionOperator:
         d = float(dists.min())
         for k in active_scales(d):
             phi = float(bump(d / 2.0 ** k))
-            radius = 2.0 ** (k - 1)
-            for j in range(self.mc_rounds):
-                center = self._first_hit(k, j, x, radius)
-                sel = int(np.argmin(norm_batch(self.space,
-                                               self.anchors - center)))
-                w[sel] += phi
+            keys = np.random.SeedSequence([self.seed, k + (1 << 20)]) \
+                .generate_state(self.mc_rounds, np.uint64)
+            _, centers = _grid_first_arrivals(self.space, keys, x[None],
+                                              2.0 ** (k - 1))
+            sel = np.argmin(norm_batch(self.space,
+                                       self.anchors - centers), axis=1)
+            np.add.at(w, sel, phi)
         return w / w.sum()
 
     def __call__(self, x):
@@ -152,20 +111,11 @@ def build_extension(sp, anchors, values, target=None, mc_rounds=64, seed=0):
         warnings.warn("duplicate anchors removed")
         keep = np.sort(keep)
         anchors, values = anchors[keep], values[keep]
-    if anchors.shape[0] > 1:
-        diff = anchors[:, None, :] - anchors[None, :, :]
-        gaps = norm_batch(s, diff.reshape(-1, s.dim))
-        positive = gaps[gaps > 0]
-        k_min = math.floor(math.log2(positive.min())) - 2
-        k_max = math.ceil(math.log2(positive.max())) + 2
-    else:
-        k_min, k_max = -2, 2
     if target is None:
         from .space import lp
         target = lp(values.shape[1], 2)
     return ExtensionOperator(space=s, anchors=anchors, values=values,
                              target=space(target),
-                             scale_range=(k_min, k_max),
                              mc_rounds=int(mc_rounds), seed=int(seed))
 
 
@@ -203,8 +153,8 @@ def lipschitz_ratio_scan(op, pair_count=100, seed=0, profile_samples=50_000,
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo) + 1e-3
     lo = mid - box_scale * half
     hi = mid + box_scale * half
-    xs = rng.uniform(lo, hi, size=(pair_count, s.dim))
-    ys = rng.uniform(lo, hi, size=(pair_count, s.dim))
+    xs = lo + (hi - lo) * rng.random((pair_count, s.dim))
+    ys = lo + (hi - lo) * rng.random((pair_count, s.dim))
     na = op.anchors.shape[0]
     if na >= 2:
         ai = rng.integers(0, na, size=(8, 2))

@@ -1,16 +1,20 @@
-"""Randomized iterative ball partitioning on a finite window, plus the exact
-separation/padding probability formulas it realizes.
+"""Randomized iterative ball partitioning, plus the exact separation/padding
+probability formulas it realizes.
 
-The partition process: i.i.d. uniform centers in an axis box that covers the
-query set inflated by the l_inf circumradius of the (delta/2)-ball; every
-query joins the first center within norm-distance delta/2.  Every event the
-probability formulas below describe depends only on where the first center
-hitting a given region lands, and first hits are uniform in their regions, so
-this finite window reproduces the translation-invariant construction exactly
-for the queries at hand.  Internally everything is rescaled to delta = 2,
-ball radius 1.
+The partition process: centers arrive as a Poisson process in space-time,
+and every query joins the first center to arrive within norm-distance
+delta/2.  The process is realized on boxes of equal size: arrival a of a box
+has a uniform position in it and an Exp(1) time gap after arrival a - 1, both
+hashed from the box's 64-bit key and a, so a box's arrivals do not depend on
+who asks for them.  `sample_partition` and the extension operator put the
+boxes on a grid of keyed cells, so a query reads only the cells its ball
+meets; `separation_prob_mc` uses one box per trial, large enough to hold both
+balls.  The first arrival in a region is uniform on it, which is all the
+probability formulas below use.  Internally everything is rescaled to
+delta = 2, ball radius 1.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -21,7 +25,75 @@ from .space import REGISTRY, InputError, coord_bound, linf, norm_batch, space
 from .geometry import (MonteCarloEstimate, _cone_points, estimate_mean,
                        exact_estimate, psi)
 
-MAX_PROPOSALS = 10 ** 9
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+# Arrivals per box in one pass grow 1, 2, 4, ... up to this bound on memory.
+_PASS_ARRIVALS = 16
+
+
+def _mix(z):
+    """One splitmix64 step: add the golden gamma, then finalize."""
+    z = z + _GAMMA
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _first_arrivals(s, x, radius, lo, side, keys):
+    """Time and position of the first arrival within `radius` of each query
+    x[i, q] (shape (rows, queries, n)) among the arrivals of the boxes
+    lo[i, b] + [0, side] keyed keys[i, b].  Arrival a of a box hashes the
+    counters a(n+1), ..., a(n+1) + n: an Exp(1) time gap after arrival a - 1,
+    then a uniform position.  A row stops once each of its queries has a hit
+    no later than the last arrival drawn in every box; later arrivals come
+    later still, so the answer is exact."""
+    rows, _, n = x.shape
+    t = np.full(x.shape[:2], np.inf)
+    pos = np.zeros(x.shape)
+    last = np.zeros(keys.shape)
+    live = np.arange(rows)
+    drawn, step = 0, 1
+    while live.size:
+        words = np.arange(drawn * (n + 1), (drawn + step) * (n + 1),
+                          dtype=np.uint64)
+        h = _mix(keys[live][..., None] + words * _GAMMA) >> np.uint64(11)
+        u = h.reshape(live.size, -1, step, n + 1) * 2.0 ** -53
+        times = np.cumsum(np.concatenate(
+            [last[live][..., None], -np.log1p(-u[..., 0])], axis=-1),
+            axis=-1)[..., 1:]
+        centers = (lo[live][:, :, None] + side * u[..., 1:]).reshape(
+            live.size, 1, -1, n)
+        tt = np.where(norm_batch(s, centers - x[live][:, :, None]) <= radius,
+                      times.reshape(live.size, 1, -1), np.inf)
+        j = tt.argmin(axis=-1)[..., None]
+        first = np.take_along_axis(tt, j, -1)[..., 0]
+        ri, qi = np.nonzero(first < t[live])
+        t[live[ri], qi] = first[ri, qi]
+        pos[live[ri], qi] = centers[ri, 0, j[ri, qi, 0]]
+        last[live] = times[..., -1]
+        drawn, step = drawn + step, min(2 * step, _PASS_ARRIVALS)
+        live = live[t[live].max(axis=1) > last[live].min(axis=1)]
+    return t, pos
+
+
+def _grid_first_arrivals(s, keys, x, radius):
+    """`_first_arrivals` of the queries x (shape (queries, n)) in each
+    realization keys[i] of the process on the grid of cells of side
+    2 coord_bound(s) radius, as arrays (rows, queries) and (rows, queries, n).
+    A query's ball lies in the 2^n cells from the one holding x - side/2 up;
+    a cell's key hashes the realization's key with its integer coordinates."""
+    side = 2.0 * coord_bound(s) * radius
+    n = x.shape[1]
+    cells = (np.floor(x / side - 0.5).astype(np.int64)[:, None, :]
+             + np.array(list(itertools.product((0, 1), repeat=n))))
+    h = np.broadcast_to(keys[:, None, None], (keys.size,) + cells.shape[:2])
+    for c in np.moveaxis(cells.view(np.uint64), -1, 0):
+        h = _mix(h ^ c)
+    rows = h.size // cells.shape[1]
+    t, pos = _first_arrivals(
+        s, np.broadcast_to(x, (keys.size,) + x.shape).reshape(rows, 1, n),
+        radius, np.broadcast_to(cells * side, h.shape + (n,)).reshape(
+            rows, -1, n), side, h.reshape(rows, -1))
+    return t.reshape(keys.size, -1), pos.reshape(keys.size, -1, n)
 
 
 @dataclass(frozen=True)
@@ -39,9 +111,8 @@ class QuerySet:
 @dataclass(frozen=True)
 class PartitionSample:
     delta: float
-    centers: np.ndarray     # ordered proposals, original coordinates
+    centers: np.ndarray     # centers in order of arrival, original coordinates
     assignment: dict        # query index -> center index
-    window: np.ndarray      # (2, dim): low and high corners
     seed: int
 
     def to_json(self):
@@ -49,15 +120,8 @@ class PartitionSample:
             "delta": self.delta,
             "centers": self.centers.tolist(),
             "assignment": {str(k): v for k, v in self.assignment.items()},
-            "window": self.window.tolist(),
             "seed": self.seed,
         })
-
-
-def _window(qpts, c):
-    lo = qpts.min(axis=0) - c
-    hi = qpts.max(axis=0) + c
-    return np.vstack([lo, hi])
 
 
 def _check_delta(delta):
@@ -65,8 +129,11 @@ def _check_delta(delta):
         raise InputError("delta must be positive, got %r" % (delta,))
 
 
-def sample_partition(sp, delta, queries, seed=0, batch=256):
-    """One realization of the iterative ball partition for a query set."""
+def sample_partition(sp, delta, queries, seed=0):
+    """One realization of the iterative ball partition for a query set.  The
+    realization is fixed by the seed alone: a query's center does not depend
+    on the other queries.  `centers` holds the centers some query joined, in
+    order of arrival."""
     s = space(sp)
     _check_delta(delta)
     if isinstance(queries, QuerySet):
@@ -76,46 +143,23 @@ def sample_partition(sp, delta, queries, seed=0, batch=256):
     if qpts.shape[0] == 0:
         raise InputError("queries must be nonempty")
     scale = 2.0 / delta
-    q = qpts * scale
-    c = coord_bound(s)
-    win = _window(q, c)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    centers = []
-    assignment = {}
-    unassigned = set(range(q.shape[0]))
-    offset = 0
-    while unassigned:
-        if offset >= MAX_PROPOSALS:
-            raise RuntimeError("partition proposal cap exceeded")
-        props = rng.uniform(win[0], win[1], size=(batch, q.shape[1]))
-        centers.append(props)
-        idx = sorted(unassigned)
-        diff = props[:, None, :] - q[idx][None, :, :]
-        hit = norm_batch(s, diff) <= 1.0
-        for j, qi in enumerate(idx):
-            col = hit[:, j]
-            if col.any():
-                assignment[qi] = offset + int(col.argmax())
-                unassigned.discard(qi)
-        offset += batch
-    centers = np.concatenate(centers, axis=0)
-    last = max(assignment.values())
-    centers = centers[:last + 1] / scale
-    return PartitionSample(delta=float(delta), centers=centers,
-                           assignment=assignment,
-                           window=win / scale, seed=seed)
+    key = np.random.SeedSequence(seed).generate_state(1, np.uint64)
+    t, pos = _grid_first_arrivals(s, key, qpts * scale, 1.0)
+    _, first, which = np.unique(t[0], return_index=True, return_inverse=True)
+    return PartitionSample(delta=float(delta), centers=pos[0, first] / scale,
+                           assignment=dict(enumerate(which.tolist())),
+                           seed=seed)
 
 
 # ---------------------------------------------------------------------------
 # separation
 
 
-def separation_prob_mc(sp, u, v, delta, trials=10_000, seed=0, workers=1,
-                       batch_proposals=64):
+def separation_prob_mc(sp, u, v, delta, trials=10_000, seed=0, workers=1):
     """Fraction of partition realizations placing u and v in distinct
-    clusters.  Vectorized across trials: each trial draws uniform centers in
-    the window until both queries are covered; the trial separates when the
-    two first-hit indices differ."""
+    clusters.  Vectorized across trials: each trial realizes the process on
+    one box holding both balls, keyed from the chunk's generator, and
+    separates when the first arrivals near u and near v differ."""
     s = space(sp)
     _check_delta(delta)
     u = np.asarray(u, dtype=float)
@@ -123,33 +167,16 @@ def separation_prob_mc(sp, u, v, delta, trials=10_000, seed=0, workers=1,
     if np.array_equal(u, v):
         return exact_estimate(0.0, seed=seed)
     scale = 2.0 / delta
-    us, vs = u * scale, v * scale
+    q = np.vstack([u, v]) * scale
     c = coord_bound(s)
-    win = _window(np.vstack([us, vs]), c)
-    n = s.dim
+    lo, hi = q.min(axis=0) - c, q.max(axis=0) + c
 
     def kernel(rng, m):
-        first_u = np.full(m, -1, dtype=np.int64)
-        first_v = np.full(m, -1, dtype=np.int64)
-        alive = np.arange(m)
-        offset = 0
-        K = batch_proposals
-        while alive.size:
-            props = rng.uniform(win[0], win[1], size=(alive.size, K, n))
-            hit_u = norm_batch(s, props - us) <= 1.0
-            hit_v = norm_batch(s, props - vs) <= 1.0
-            any_u = hit_u.any(axis=1)
-            any_v = hit_v.any(axis=1)
-            iu = np.where(any_u, hit_u.argmax(axis=1) + offset, -1)
-            iv = np.where(any_v, hit_v.argmax(axis=1) + offset, -1)
-            newly_u = any_u & (first_u[alive] < 0)
-            newly_v = any_v & (first_v[alive] < 0)
-            first_u[alive[newly_u]] = iu[newly_u]
-            first_v[alive[newly_v]] = iv[newly_v]
-            done = (first_u[alive] >= 0) & (first_v[alive] >= 0)
-            alive = alive[~done]
-            offset += K
-        return (first_u != first_v).astype(float), np.ones(m)
+        keys = rng.integers(0, 1 << 64, size=(m, 1), dtype=np.uint64)
+        t, _ = _first_arrivals(s, np.broadcast_to(q, (m,) + q.shape), 1.0,
+                               np.broadcast_to(lo, (m, 1, lo.size)), hi - lo,
+                               keys)
+        return (t[:, 0] != t[:, 1]).astype(float), np.ones(m)
 
     return estimate_mean(kernel, trials, seed, workers=workers, chunk=1 << 13)
 
@@ -285,10 +312,8 @@ def product_partition(sample_a, sample_b, s=2.0):
         delta = max(sample_a.delta, sample_b.delta)
     else:
         delta = (sample_a.delta ** s + sample_b.delta ** s) ** (1.0 / s)
-    window = np.concatenate([sample_a.window, sample_b.window], axis=1)
     return PartitionSample(delta=float(delta), centers=centers,
-                           assignment=assignment, window=window,
-                           seed=sample_a.seed)
+                           assignment=assignment, seed=sample_a.seed)
 
 
 # ---------------------------------------------------------------------------

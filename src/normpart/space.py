@@ -54,7 +54,13 @@ class SpaceDescriptor:
             raise InputError("unknown kind %r" % (self.kind,))
         if not isinstance(self.n, int) or self.n < 1:
             raise InputError("n must be a positive integer, got %r" % (self.n,))
-        REGISTRY[self.kind].validate(self)
+        kind = REGISTRY[self.kind]
+        unused = [f for f in ("p", "blocks", "beta", "base", "r")
+                  if getattr(self, f) is not None and f not in kind.fields]
+        if unused:
+            raise InputError("kind %r does not use %s"
+                             % (self.kind, ", ".join(unused)))
+        kind.validate(self)
 
     # -- serialization ------------------------------------------------------
 
@@ -350,8 +356,9 @@ def _block_norms(d, X):
 
 class Kind:
     """What normpart knows about one kind of space; every method takes the
-    descriptor ``d``.  Each kind defines ``validate(d)`` (raise InputError
-    unless its fields are well formed), ``norm(d, X)`` and ``gradient(d, X)``
+    descriptor ``d``.  Each kind names the optional descriptor fields it
+    reads in ``fields`` (a descriptor that sets any other is rejected) and
+    defines ``validate(d)`` (raise InputError unless those are well formed), ``norm(d, X)`` and ``gradient(d, X)``
     on batches of rows, ``is_smooth(d, x)`` at one x != 0, ``coord_bound(d)``
     (the l_inf circumradius) and ``circumradius(d)`` (the Euclidean one, for
     canonically positioned d).  The methods below answer for a kind without
@@ -404,6 +411,8 @@ class Kind:
 
 class LpKind(Kind):
     """l_p^n, 1 <= p <= inf."""
+
+    fields = ("p",)
 
     def validate(self, d):
         _check_p(d)
@@ -521,6 +530,8 @@ class LpKind(Kind):
 class BlockLpKind(Kind):
     """The l_p sum of the spaces ``d.blocks`` (outer exponent ``d.p``)."""
 
+    fields = ("p", "blocks")
+
     def validate(self, d):
         _check_p(d)
         if not d.blocks:
@@ -613,6 +624,8 @@ class BlockLpKind(Kind):
 class OrliczKind(Kind):
     """The Orlicz space of psi_beta on R^m, m = ``d.n``."""
 
+    fields = ("beta",)
+
     def validate(self, d):
         if d.beta is None or not (d.beta > 0):
             raise InputError("orlicz_beta needs beta > 0")
@@ -673,6 +686,8 @@ class OrliczKind(Kind):
 class SchattenKind(Kind):
     """The Schatten p-norm of d x d matrices, n = d^2."""
 
+    fields = ("p",)
+
     def validate(self, d):
         _check_p(d)
         k = math.isqrt(d.n)
@@ -721,6 +736,8 @@ class IntersectBallKind(Kind):
     """The unit ball of ``d.base`` cut by the Euclidean ball of radius
     ``d.r``: the norm max(base norm, ||x||_2 / r)."""
 
+    fields = ("base", "r")
+
     def validate(self, d):
         if d.base is None:
             raise InputError("intersect_ball needs a base descriptor")
@@ -744,11 +761,17 @@ class IntersectBallKind(Kind):
         return np.where(pick, Gb, Ge)
 
     def is_smooth(self, d, x):
+        """Off the seam base norm = ||x||_2 / r, where the larger piece is;
+        on it, where the base norm is smooth with the gradient of the
+        Euclidean piece (a tangency)."""
         b = norm_batch(d.base, x)
-        e = math.sqrt(float(np.dot(x, x))) / d.r
-        if abs(b - e) <= 1e-12 * max(b, e):
-            return False
-        return REGISTRY[d.base.kind].is_smooth(d.base, x) if b > e else True
+        euc = math.sqrt(float(np.dot(x, x)))
+        e = euc / d.r
+        if abs(b - e) > 1e-12 * max(b, e):
+            return REGISTRY[d.base.kind].is_smooth(d.base, x) if b > e else True
+        return bool(REGISTRY[d.base.kind].is_smooth(d.base, x)
+                    and np.allclose(gradient_batch(d.base, x),
+                                    x / (d.r * euc), rtol=1e-9, atol=1e-12))
 
     def coord_bound(self, d):
         return min(coord_bound(d.base), d.r)

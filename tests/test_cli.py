@@ -80,6 +80,9 @@ def test_input_error_exit_2(capsys):
                              '{"kind":"lp","n":2,"p":2}',
                              "--u", "0,0", "--v", "1,banana"], capsys)
     assert code == 2
+    code, _, err = run_main(["vol", "--space",
+                             '{"kind":"lp","n":2,"p":2,"beta":1.0}'], capsys)
+    assert code == 2 and "does not use beta" in err
 
 
 def test_capability_error_exit_3(capsys):
@@ -111,14 +114,18 @@ def test_json_output_includes_seed(capsys):
 
 
 def test_byte_identical_reruns_and_worker_invariance(capsys):
-    args = ["pad-prob", "--space", '{"kind":"lp","n":2,"p":1}',
-            "--rho", "0.3", "--trials", "20000", "--seed", "3",
-            "--format", "csv"]
-    _, out1, _ = run_main(args, capsys)
-    _, out2, _ = run_main(args, capsys)
-    assert out1 == out2
-    _, out3, _ = run_main(args + ["--workers", "4"], capsys)
-    assert out1 == out3
+    pad = ["pad-prob", "--space", '{"kind":"lp","n":2,"p":1}',
+           "--rho", "0.3", "--trials", "20000", "--seed", "3",
+           "--format", "csv"]
+    sep = ["sep-prob", "--space", '{"kind":"lp","n":3,"p":1}',
+           "--u", "0,0,0", "--v", "0.5,0.3,0", "--delta", "2",
+           "--trials", "20000", "--seed", "3", "--format", "csv"]
+    for args in (pad, sep):
+        _, out1, _ = run_main(args, capsys)
+        _, out2, _ = run_main(args, capsys)
+        assert out1 == out2
+        _, out3, _ = run_main(args + ["--workers", "4"], capsys)
+        assert out1 == out3
 
 
 def test_sep_prob_mc_and_exact_agree(capsys):

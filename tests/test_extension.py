@@ -102,7 +102,7 @@ def test_evaluation_deterministic():
     v1, w1 = evaluate(op1, x)
     v2, w2 = evaluate(op2, x)
     assert np.array_equal(w1, w2)
-    # repeated evaluation through the cached streams is stable too
+    # repeated evaluation of one operator is stable too
     v3, w3 = evaluate(op1, x)
     assert np.array_equal(w1, w3)
 

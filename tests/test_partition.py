@@ -31,6 +31,19 @@ def test_sample_partition_invariants():
             assert np.all(earlier > delta / 2)
 
 
+def test_sample_partition_independent_of_query_set():
+    # the realization is fixed by the seed: a far query added to the set
+    # leaves every other query's center where it was
+    rng = np.random.default_rng(0)
+    queries = rng.uniform(-2, 2, size=(15, 3))
+    a = sample_partition(lp(3, 1), 1.5, queries, seed=4)
+    b = sample_partition(lp(3, 1), 1.5, np.vstack([queries, [40, 40, 40]]),
+                         seed=4)
+    for i in range(15):
+        assert np.array_equal(a.centers[a.assignment[i]],
+                              b.centers[b.assignment[i]])
+
+
 def test_sample_partition_deterministic():
     queries = [[0.0, 0.0], [1.0, 0.2], [-0.5, 0.8]]
     a = sample_partition(lp(2, 2), 2.0, queries, seed=9)

@@ -70,6 +70,22 @@ def test_descriptor_validation():
         SpaceDescriptor.from_json('{"kind":"nope","n":2,"p":1}')
 
 
+def test_descriptor_rejects_fields_its_kind_does_not_use():
+    # an unread field made two descriptors of one space compare unequal
+    for d in ({"kind": "lp", "n": 2, "p": 2, "beta": 1.0, "r": 3.0},
+              {"kind": "orlicz_beta", "n": 2, "beta": 1.0, "p": 2},
+              {"kind": "schatten", "n": 4, "p": 2, "blocks": [
+                  {"kind": "lp", "n": 4, "p": 1}]},
+              {"kind": "block_lp", "n": 2, "p": 2, "r": 1.0, "blocks": [
+                  {"kind": "lp", "n": 2, "p": 1}]},
+              {"kind": "intersect_ball", "n": 2, "r": 1.0, "beta": 1.0,
+               "base": {"kind": "lp", "n": 2, "p": 1}}):
+        with pytest.raises(InputError, match="does not use"):
+            SpaceDescriptor.from_dict(d)
+    with pytest.raises(InputError, match="does not use beta"):
+        SpaceDescriptor(kind="lp", n=2, p=2.0, beta=1.0)
+
+
 def test_capabilities():
     assert space(lp(3, 1)).has_exact_volume
     assert space(orlicz(3, 1.0)).has_exact_volume
@@ -205,6 +221,8 @@ SEAM_R = math.sqrt(1.25) / 1.5
     (schatten(2, 1), [1.0, 0.0, 0.0, 0.0], False),
     (schatten(2, INF), [2.0, 0.0, 0.0, 1.0], True),
     (schatten(2, INF), [1.0, 0.0, 0.0, 1.0], False),
+    # a tangency seam: both pieces have gradient (1, 1) at (0.6, 0.6)
+    (intersect_ball(lp(2, 1), math.sqrt(2) / 2), [0.6, 0.6], True),
 ])
 def test_norm_gradient_smoothness_flag(desc, x, smooth):
     """The flag holds exactly where the norm is differentiable: there the
