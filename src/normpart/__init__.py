@@ -3,19 +3,17 @@ separation and padding probabilities, polar-projection-body norms, volume
 and surface-area formulas, separation-modulus bounds, and a convex-weight
 Lipschitz extension operator."""
 
-from .space import (INF, CapabilityError, InputError, NormedSpace,
-                    SpaceDescriptor, block_lp, circumradius, coord_bound,
-                    intersect_ball, linf, loglacunary_decompose, lp,
-                    norm_batch, norm_eval, norm_gradient, orlicz, schatten,
-                    space)
+from .space import (INF, CapabilityError, InputError, SpaceDescriptor,
+                    block_lp, circumradius, coord_bound, intersect_ball, linf,
+                    loglacunary_decompose, lp, norm_batch, norm_eval,
+                    norm_gradient, orlicz, schatten, space)
 from .geometry import (ConeSamples, MonteCarloEstimate, cone_sample,
                        cone_volume, estimate_mean, euclidean_ball_volume,
-                       hit_and_run_sample, intersect_construction, iq,
-                       iq_exact, maxproj, mean_width_dual, psi,
-                       psi_closed_form, surface_ratio, uniform_ball_sample,
-                       volume_exact, volume_mc, volume_of)
-from .partition import (PartitionSample, QuerySet,
-                        deterministic_partition_bound_check,
+                       hit_and_run_sample, iq, iq_exact, maxproj,
+                       mean_width_dual, psi, psi_closed_form, surface_ratio,
+                       uniform_ball_sample, volume_exact, volume_mc,
+                       volume_of)
+from .partition import (PartitionSample, deterministic_partition_bound_check,
                         loomis_whitney_boundary, overlap_exact_linf,
                         padding_prob_exact, padding_prob_mc,
                         product_partition, sample_partition,

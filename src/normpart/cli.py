@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .space import (CapabilityError, InputError, SpaceDescriptor,
-                    loglacunary_decompose, space)
+                    loglacunary_decompose)
 from . import geometry as geo
 from . import partition as part
 from . import sepmod
@@ -25,7 +25,7 @@ from .sepmod import SweepRecord, records_to_csv, records_to_json
 def _parse_space(text):
     if text is None:
         raise InputError("--space is required for this command")
-    return space(SpaceDescriptor.from_json(text))
+    return SpaceDescriptor.from_json(text)
 
 
 def _parse_vector(text, name):
@@ -89,7 +89,7 @@ def _cmd_vol(args):
                             workers=args.workers, force=True)
     else:
         est = geo.volume_of(s, trials=args.trials, seed=args.seed)
-    return [_record(s.descriptor, s.dim, "volume", est.value, est.stderr,
+    return [_record(s, s.dim, "volume", est.value, est.stderr,
                     seed=args.seed)]
 
 
@@ -102,11 +102,9 @@ def _cmd_iq(args):
         except CapabilityError:
             exact = None
     if exact is not None:
-        return [_record(s.descriptor, s.dim, "iq", exact, 0.0,
-                        seed=args.seed)]
+        return [_record(s, s.dim, "iq", exact, 0.0, seed=args.seed)]
     est = geo.iq(s, samples=args.trials, seed=args.seed, workers=args.workers)
-    return [_record(s.descriptor, s.dim, "iq", est.value, est.stderr,
-                    seed=args.seed)]
+    return [_record(s, s.dim, "iq", est.value, est.stderr, seed=args.seed)]
 
 
 def _cmd_psi(args):
@@ -114,8 +112,7 @@ def _cmd_psi(args):
     w = _parse_vector(args.w, "w")
     est = geo.psi(s, w, samples=args.trials, seed=args.seed,
                   workers=args.workers, closed_form=not args.mc)
-    return [_record(s.descriptor, s.dim, "psi", est.value, est.stderr,
-                    seed=args.seed)]
+    return [_record(s, s.dim, "psi", est.value, est.stderr, seed=args.seed)]
 
 
 def _cmd_maxproj(args):
@@ -123,7 +120,7 @@ def _cmd_maxproj(args):
     z, est = geo.maxproj(s, restarts=args.restarts, samples=args.trials,
                          seed=args.seed)
     print("# direction=%s" % ",".join("%.10g" % v for v in z))
-    return [_record(s.descriptor, s.dim, "maxproj", est.value, est.stderr,
+    return [_record(s, s.dim, "maxproj", est.value, est.stderr,
                     seed=args.seed)]
 
 
@@ -138,7 +135,7 @@ def _cmd_cone(args):
                 fh.write(_floats(pt) + ",%r\n" % float(w))
     mean_abs = float(np.abs(cs.points[:, 0]).mean())
     # --out holds the sample dump, so the summary goes to stdout only
-    _emit([_record(s.descriptor, s.dim, "cone_abs_coord_mean", mean_abs,
+    _emit([_record(s, s.dim, "cone_abs_coord_mean", mean_abs,
                    float(np.abs(cs.points[:, 0]).std()
                          / np.sqrt(len(cs.points))), seed=args.seed)],
           args, None)
@@ -149,7 +146,7 @@ def _cmd_meanwidth(args):
     s = _parse_space(args.space)
     est = geo.mean_width_dual(s, samples=args.trials, seed=args.seed,
                               workers=args.workers)
-    return [_record(s.descriptor, s.dim, "mean_width_dual", est.value,
+    return [_record(s, s.dim, "mean_width_dual", est.value,
                     est.stderr, seed=args.seed)]
 
 
@@ -165,19 +162,19 @@ def _cmd_sep_prob(args):
         est = part.separation_prob_mc(s, u, v, args.delta,
                                       trials=args.trials, seed=args.seed,
                                       workers=args.workers)
-    return [_record(s.descriptor, s.dim, "sep_prob", est.value, est.stderr,
+    return [_record(s, s.dim, "sep_prob", est.value, est.stderr,
                     seed=args.seed)]
 
 
 def _cmd_pad_prob(args):
     s = _parse_space(args.space)
     if args.exact:
-        return [_record(s.descriptor, s.dim, "pad_prob",
+        return [_record(s, s.dim, "pad_prob",
                         part.padding_prob_exact(s, args.rho), 0.0,
                         seed=args.seed)]
     est = part.padding_prob_mc(s, args.rho, trials=args.trials,
                                seed=args.seed, workers=args.workers)
-    return [_record(s.descriptor, s.dim, "pad_prob", est.value, est.stderr,
+    return [_record(s, s.dim, "pad_prob", est.value, est.stderr,
                     seed=args.seed)]
 
 
@@ -188,9 +185,9 @@ def _cmd_sep_bounds(args):
     upper = sepmod.sep_upper_two_norm(s, y, restarts=args.restarts,
                                       samples=args.trials, seed=args.seed,
                                       workers=args.workers)
-    return [_record(s.descriptor, s.dim, "sep_lower", lower, 0.0,
+    return [_record(s, s.dim, "sep_lower", lower, 0.0,
                     lower=lower, upper=upper.value, seed=args.seed),
-            _record(y.descriptor, s.dim, "sep_upper", upper.value,
+            _record(y, s.dim, "sep_upper", upper.value,
                     upper.stderr, lower=lower, upper=upper.value,
                     seed=args.seed)]
 

@@ -61,6 +61,8 @@ def estimate_mean(kernel, trials, seed, workers=1, chunk=CHUNK):
     estimate is sum(w*f)/sum(w) with a delta-method standard error; for unit
     weights this is the ordinary sample mean and stderr.
     """
+    if trials < 1:
+        raise InputError("need at least one trial, got %r" % (trials,))
     sizes = _chunk_sizes(trials, chunk)
     streams = np.random.SeedSequence(seed).spawn(len(sizes))
 
@@ -94,15 +96,15 @@ def volume_exact(sp):
     """Exact unit-ball volume where a closed form exists.  Raises
     CapabilityError when the volume overflows a float or underflows below
     its smallest normal value; `log_volume_exact` is finite there."""
-    desc = space(sp).descriptor
+    d = space(sp)
     try:
-        vol = REGISTRY[desc.kind].volume(desc)
+        vol = REGISTRY[d.kind].volume(d)
     except OverflowError:
         vol = math.inf
     if not sys.float_info.min <= vol < math.inf:
         raise CapabilityError(
             "unit-ball volume of %s is outside the float range; use "
-            "log_volume_exact" % (desc.to_json(),))
+            "log_volume_exact" % (d.to_json(),))
     return vol
 
 
@@ -110,8 +112,8 @@ def log_volume_exact(sp):
     """Natural log of the exact unit-ball volume.  Finite in every dimension,
     unlike the volume itself, which under- or overflows a float from a few
     hundred dimensions on."""
-    desc = space(sp).descriptor
-    return REGISTRY[desc.kind].log_volume(desc)
+    d = space(sp)
+    return REGISTRY[d.kind].log_volume(d)
 
 
 def euclidean_ball_volume(n):
@@ -130,10 +132,11 @@ def cone_sample(sp, count, seed=0):
     it has one; otherwise hit-and-run followed by radial projection.
     """
     s = space(sp)
+    if count < 1:
+        raise InputError("need at least one sample, got %r" % (count,))
     if s.has_cone_sampler:
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        pts, w = REGISTRY[s.descriptor.kind].cone_sample(s.descriptor, count,
-                                                         rng)
+        pts, w = REGISTRY[s.kind].cone_sample(s, count, rng)
     else:
         pts, w = _hit_and_run_cone(s, count, seed)
     return ConeSamples(points=pts, weights=w)
@@ -151,7 +154,7 @@ def _cone_points(s, rng, m):
     sampler, or hit-and-run seeded from rng, so that a chunked Monte Carlo
     kernel stays deterministic given the master seed."""
     if s.has_cone_sampler:
-        return REGISTRY[s.descriptor.kind].cone_sample(s.descriptor, m, rng)
+        return REGISTRY[s.kind].cone_sample(s, m, rng)
     return _hit_and_run_cone(s, m, int(rng.integers(0, 2 ** 63)))
 
 
@@ -164,25 +167,24 @@ def uniform_ball_sample(sp, count, seed=0):
     return cs.points * radius[:, None], cs.weights
 
 
-def hit_and_run_sample(sp, count, burn_in=None, seed=0, chains=64, thin=None):
+def hit_and_run_sample(sp, count, seed=0):
     """Approximately uniform samples from the unit ball via hit-and-run.
 
-    Runs `chains` parallel chains from the origin; each step picks a uniform
+    Runs up to 64 parallel chains from the origin; each step picks a uniform
     direction, finds both ends of the chord through the current point with
     a bracketed root solver (`space._solve_increasing`) and jumps to a
     uniform point on it.  Chord ends are the inside ends of their brackets,
-    so every point has norm at most 1.  Samples are taken every `thin` steps
-    after `burn_in` steps, so within-chain correlation is small but not
-    exactly zero (stated diagnostic: the radial mean should approach
+    so every point has norm at most 1.  Samples are taken every n steps
+    after a burn-in of 100 n steps, so within-chain correlation is small but
+    not exactly zero (stated diagnostic: the radial mean should approach
     n/(n+1)).
     """
     s = space(sp)
     n = s.dim
-    if burn_in is None:
-        burn_in = 100 * n
-    if thin is None:
-        thin = n
-    chains = min(chains, count)
+    if count < 1:
+        raise InputError("need at least one sample, got %r" % (count,))
+    burn_in, thin = 100 * n, n
+    chains = min(64, count)
     per = -(-count // chains)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     x = np.zeros((chains, n))
@@ -295,8 +297,8 @@ def iq(sp, samples=100_000, seed=0, workers=1):
 
 def iq_exact(sp):
     """Closed-form isoperimetric quotient (cube, Euclidean ball, l_1)."""
-    desc = space(sp).descriptor
-    return REGISTRY[desc.kind].iq_exact(desc)
+    d = space(sp)
+    return REGISTRY[d.kind].iq_exact(d)
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +307,9 @@ def iq_exact(sp):
 
 def psi_closed_form(sp, w):
     """Closed form of psi where known (l_inf and l_2); None otherwise."""
-    desc = space(sp).descriptor
+    d = space(sp)
     w = np.asarray(w, dtype=float)
-    return REGISTRY[desc.kind].psi_closed_form(desc, w)
+    return REGISTRY[d.kind].psi_closed_form(d, w)
 
 
 def psi(sp, w, samples=100_000, seed=0, workers=1, closed_form=True):
@@ -474,7 +476,7 @@ def cone_volume(sp, z, samples=100_000, seed=0, workers=1):
 
 
 # ---------------------------------------------------------------------------
-# mean width and the ball-intersection construction
+# mean width and the Cauchy surface-area identity
 
 
 def gaussian_l2_mean(n):
@@ -533,29 +535,3 @@ def cauchy_surface_identity_check(sp, samples=100_000, directions=4096,
     sigma = math.hypot(lhs.stderr, math.hypot(rhs_err, cloud_err)) / rhs_val
     return CauchyCheck(lhs=lhs.value, rhs=rhs_val,
                        residual=(lhs.value - rhs_val) / rhs_val, sigma=sigma)
-
-
-def intersect_construction(sp, r=None, samples=50_000, restarts=16, seed=0):
-    """Intersect the unit ball with r*B_2 (default r = 1/(2M)) and report the
-    volume root and largest-shadow ratios that make the construction useful:
-    vol(L)^{1/n} against 1/(M sqrt(n)), and MaxProj(L) against
-    vol(L)^{(n-1)/n}."""
-    from .space import intersect_ball
-    s = space(sp)
-    n = s.dim
-    M = mean_width_dual(s, samples=samples, seed=seed)
-    if r is None:
-        r = 1.0 / (2.0 * M.value)
-    L = space(intersect_ball(s.descriptor, r))
-    vol = volume_mc(L, trials=4 * samples, seed=seed)
-    _, mp = maxproj(L, restarts=restarts, samples=samples, seed=seed)
-    root = vol.value ** (1.0 / n)
-    report = {
-        "r": r,
-        "mean_width": M.value,
-        "vol_root": root,
-        "vol_root_floor": 1.0 / (M.value * math.sqrt(n)),
-        "maxproj": mp.value,
-        "vol_power": vol.value ** ((n - 1.0) / n),
-    }
-    return L, report

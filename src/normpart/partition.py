@@ -97,18 +97,6 @@ def _grid_first_arrivals(s, keys, x, radius):
 
 
 @dataclass(frozen=True)
-class QuerySet:
-    points: np.ndarray
-    space: object
-
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if pts.shape[1] != space(self.space).dim:
-            raise InputError("query dimension mismatch")
-        object.__setattr__(self, "points", pts)
-
-
-@dataclass(frozen=True)
 class PartitionSample:
     delta: float
     centers: np.ndarray     # centers in order of arrival, original coordinates
@@ -129,6 +117,17 @@ def _check_delta(delta):
         raise InputError("delta must be positive, got %r" % (delta,))
 
 
+def _separation_args(s, u, v, delta):
+    """u and v as float vectors of the dimension of s, once delta > 0."""
+    _check_delta(delta)
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if u.shape != (s.dim,) or v.shape != (s.dim,):
+        raise InputError("u and v must have length %d, got shapes %s and %s"
+                         % (s.dim, u.shape, v.shape))
+    return u, v
+
+
 def sample_partition(sp, delta, queries, seed=0):
     """One realization of the iterative ball partition for a query set.  The
     realization is fixed by the seed alone: a query's center does not depend
@@ -136,12 +135,11 @@ def sample_partition(sp, delta, queries, seed=0):
     order of arrival."""
     s = space(sp)
     _check_delta(delta)
-    if isinstance(queries, QuerySet):
-        qpts = queries.points
-    else:
-        qpts = np.atleast_2d(np.asarray(queries, dtype=float))
+    qpts = np.atleast_2d(np.asarray(queries, dtype=float))
     if qpts.shape[0] == 0:
         raise InputError("queries must be nonempty")
+    if qpts.shape[1] != s.dim:
+        raise InputError("query dimension mismatch")
     scale = 2.0 / delta
     key = np.random.SeedSequence(seed).generate_state(1, np.uint64)
     t, pos = _grid_first_arrivals(s, key, qpts * scale, 1.0)
@@ -161,9 +159,7 @@ def separation_prob_mc(sp, u, v, delta, trials=10_000, seed=0, workers=1):
     one box holding both balls, keyed from the chunk's generator, and
     separates when the first arrivals near u and near v differ."""
     s = space(sp)
-    _check_delta(delta)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    u, v = _separation_args(s, u, v, delta)
     if np.array_equal(u, v):
         return exact_estimate(0.0, seed=seed)
     scale = 2.0 / delta
@@ -209,15 +205,13 @@ def separation_prob_exact(sp, u, v, delta, trials=100_000, seed=0, workers=1):
     the rescaled offset; exact where the kind has t in closed form (l_inf),
     one Monte Carlo estimate of t otherwise."""
     s = space(sp)
-    _check_delta(delta)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    u, v = _separation_args(s, u, v, delta)
     if np.array_equal(u, v):
         return exact_estimate(0.0, seed=seed)
     w = (2.0 / delta) * (v - u)
     if float(norm_batch(s, w)) >= 2.0:
         return exact_estimate(1.0, seed=seed)
-    t = REGISTRY[s.descriptor.kind].overlap_exact(s.descriptor, w)
+    t = REGISTRY[s.kind].overlap_exact(s, w)
     if t is not None:
         return exact_estimate((2.0 - 2.0 * t) / (2.0 - t), seed=seed)
     t = _overlap_mc(s, w, trials, seed, workers=workers)

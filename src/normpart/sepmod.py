@@ -76,7 +76,7 @@ def _sup_norm_on_sphere(sp_dom, sp_val, restarts, seed):
     """sup of the sp_val norm over the unit sphere of sp_dom."""
     dom = space(sp_dom)
     val = space(sp_val)
-    closed = REGISTRY[val.descriptor.kind].sphere_sup(val.descriptor, dom)
+    closed = REGISTRY[val.kind].sphere_sup(val, dom)
     if closed is not None:
         return closed, None
 
@@ -117,12 +117,11 @@ def sep_upper_two_norm(sp_x, sp_y=None, restarts=16, samples=100_000, seed=0,
         raise InputError("spaces must share a dimension")
     n = x.dim
     s_factor, _ = _sup_norm_on_sphere(y, x, restarts, seed)
-    dx = x.descriptor
 
     # psi_Y is a norm, hence convex: its maximum over the X ball sits at an
     # extreme point.  For sign-invariant Y and a polytope X with known
     # vertices (cube, cross-polytope) one vertex per sign orbit is exact.
-    candidates = REGISTRY[dx.kind].vertex_orbit(dx)
+    candidates = REGISTRY[x.kind].vertex_orbit(x)
     spread = 0.0
     if candidates is None:
         objective, subgrad, _ = _psi_objective(y, samples, seed)
@@ -160,12 +159,11 @@ def companion_space(sp):
     the single rounded body Omega_{(n-1)/2}^n.  With no admissible divisor,
     n = km + r is patched with an l_inf sum of a small Orlicz block."""
     s = space(sp)
-    d = s.descriptor
-    if d.kind != "lp":
+    if s.kind != "lp":
         raise CapabilityError("companion construction applies to lp spaces")
     n = s.dim
-    p_eff = math.log(2.0 * n) if d.p == INF else float(d.p)
-    if d.p != INF and d.p <= math.log(2.0 * n):
+    p_eff = math.log(2.0 * n) if s.p == INF else float(s.p)
+    if s.p != INF and s.p <= math.log(2.0 * n):
         return s
     lo = max(p_eff, 2.0)
     hi = min(math.exp(p_eff), float(n))
@@ -176,18 +174,18 @@ def companion_space(sp):
         m = max(divisors)
         beta = 0.5 * (m - 1)
         if m == n:
-            return space(orlicz(n, beta))
-        return space(block_lp(p_out, [orlicz(m, beta)] * (n // m)))
+            return orlicz(n, beta)
+        return block_lp(p_out, [orlicz(m, beta)] * (n // m))
     m = int(min(hi, n))
     if m < 2:
-        return space(lp(n, math.log(2.0 * n)))
+        return lp(n, math.log(2.0 * n))
     k, r = divmod(n, m)
     beta = 0.5 * (m - 1)
     main = block_lp(p_out, [orlicz(m, beta)] * k)
     if r == 0:
-        return space(main)
+        return main
     patch = orlicz(r, max(0.5 * (r - 1), 0.5))
-    return space(block_lp(INF, [main, patch]))
+    return block_lp(INF, [main, patch])
 
 
 def companion_sandwich(sp, companion=None, samples=2048, seed=0):
@@ -287,7 +285,7 @@ def sweep(family="lp", p=2.0, dims=(4, 8, 16, 32), companion=False,
     records = []
     idx = 0
     for n in dims:
-        x = space(lp(n, p))
+        x = lp(n, p)
         y = companion_space(x) if companion else x
         lower = sep_lower_evr(x) if "sep_lower" in quantities else None
         upper_est = None
@@ -297,13 +295,13 @@ def sweep(family="lp", p=2.0, dims=(4, 8, 16, 32), companion=False,
                 seed=_derived_seed(seed, idx), workers=workers)
         if lower is not None:
             records.append(SweepRecord(
-                descriptor=x.descriptor, n=n, quantity="sep_lower",
+                descriptor=x, n=n, quantity="sep_lower",
                 value=lower, stderr=0.0, lower=lower,
                 upper=None if upper_est is None else upper_est.value,
                 seed=_derived_seed(seed, idx)))
         if upper_est is not None:
             records.append(SweepRecord(
-                descriptor=y.descriptor, n=n, quantity="sep_upper",
+                descriptor=y, n=n, quantity="sep_upper",
                 value=upper_est.value, stderr=upper_est.stderr,
                 lower=lower, upper=upper_est.value,
                 seed=upper_est.seed))
@@ -318,7 +316,7 @@ def sweep(family="lp", p=2.0, dims=(4, 8, 16, 32), companion=False,
             else:
                 est = iq(x, samples=samples, seed=sub, workers=workers)
             records.append(SweepRecord(
-                descriptor=x.descriptor, n=n, quantity="iq",
+                descriptor=x, n=n, quantity="iq",
                 value=est.value, stderr=est.stderr, seed=sub))
         idx += 1
     return records

@@ -1,8 +1,8 @@
 """Normed-space descriptors, norm evaluation, gradients and structural metadata.
 
-A space is described by a small serializable tree (`SpaceDescriptor`) and
-wrapped into a `NormedSpace` carrying capability flags.  Five kinds are
-supported:
+A space is its descriptor: a small serializable tree (`SpaceDescriptor`)
+whose dimension and capability flags are answered by its kind.  Five kinds
+are supported:
 
 * ``lp``            -- classical l_p^n, 1 <= p <= inf,
 * ``block_lp``      -- an l_p sum of smaller spaces (outer exponent ``p``),
@@ -19,7 +19,7 @@ and `REGISTRY` maps each descriptor kind to its instance.
 import bisect
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -114,6 +114,33 @@ class SpaceDescriptor:
             raise InputError("descriptor is not valid JSON: %s" % e) from e
         return SpaceDescriptor.from_dict(d)
 
+    # -- dimension and capabilities, answered by the kind -------------------
+
+    @property
+    def dim(self):
+        return self.n
+
+    @property
+    def has_cone_sampler(self):
+        return REGISTRY[self.kind].has_cone_sampler(self)
+
+    @property
+    def has_exact_volume(self):
+        return REGISTRY[self.kind].has_exact_volume(self)
+
+    @property
+    def is_canonically_positioned(self):
+        return REGISTRY[self.kind].canonically_positioned(self)
+
+
+def space(desc):
+    """The SpaceDescriptor given, or one parsed from a JSON string or dict."""
+    if isinstance(desc, str):
+        return SpaceDescriptor.from_json(desc)
+    if isinstance(desc, dict):
+        return SpaceDescriptor.from_dict(desc)
+    return desc
+
 
 def lp(n, p):
     return SpaceDescriptor(kind="lp", n=n, p=float(p))
@@ -140,42 +167,6 @@ def schatten(d, p):
 def intersect_ball(base, r):
     return SpaceDescriptor(kind="intersect_ball", n=base.n, base=base,
                            r=float(r))
-
-
-# ---------------------------------------------------------------------------
-# normed space wrapper
-
-
-@dataclass(frozen=True)
-class NormedSpace:
-    descriptor: SpaceDescriptor
-    dim: int = field(init=False)
-    has_cone_sampler: bool = field(init=False)
-    has_exact_volume: bool = field(init=False)
-    is_canonically_positioned: bool = field(init=False)
-
-    def __post_init__(self):
-        d = self.descriptor
-        kind = REGISTRY[d.kind]
-        object.__setattr__(self, "dim", d.n)
-        object.__setattr__(self, "has_cone_sampler", kind.has_cone_sampler(d))
-        object.__setattr__(self, "has_exact_volume", kind.has_exact_volume(d))
-        object.__setattr__(self, "is_canonically_positioned",
-                           kind.canonically_positioned(d))
-
-    def norm(self, x):
-        return norm_eval(self, x)
-
-
-def space(desc):
-    """Wrap a SpaceDescriptor (or JSON string / dict) into a NormedSpace."""
-    if isinstance(desc, NormedSpace):
-        return desc
-    if isinstance(desc, str):
-        desc = SpaceDescriptor.from_json(desc)
-    elif isinstance(desc, dict):
-        desc = SpaceDescriptor.from_dict(desc)
-    return NormedSpace(descriptor=desc)
 
 
 # ---------------------------------------------------------------------------
@@ -798,11 +789,10 @@ REGISTRY = {
 
 def norm_batch(sp, X):
     """Norms of a batch of vectors, X shape (..., dim) -> (...)."""
-    desc = sp.descriptor if isinstance(sp, NormedSpace) else sp
     X = np.asarray(X, dtype=float)
-    if X.shape[-1] != desc.n:
-        raise InputError("vector length %d != dim %d" % (X.shape[-1], desc.n))
-    return REGISTRY[desc.kind].norm(desc, X)
+    if X.shape[-1] != sp.n:
+        raise InputError("vector length %d != dim %d" % (X.shape[-1], sp.n))
+    return REGISTRY[sp.kind].norm(sp, X)
 
 
 def norm_eval(sp, x):
@@ -821,8 +811,7 @@ def gradient_batch(sp, X):
     maxima); the selected value only matters on measure-zero sets for the
     Monte Carlo integrals this feeds.
     """
-    desc = sp.descriptor if isinstance(sp, NormedSpace) else sp
-    return REGISTRY[desc.kind].gradient(desc, np.asarray(X, dtype=float))
+    return REGISTRY[sp.kind].gradient(sp, np.asarray(X, dtype=float))
 
 
 def norm_gradient(sp, x, with_flag=False):
@@ -833,17 +822,15 @@ def norm_gradient(sp, x, with_flag=False):
         raise InputError("norm_gradient expects a single vector")
     if not np.any(x):
         raise InputError("gradient undefined at the origin")
-    desc = sp.descriptor if isinstance(sp, NormedSpace) else sp
-    g = gradient_batch(desc, x[None, :])[0]
+    g = gradient_batch(sp, x[None, :])[0]
     if with_flag:
-        return g, REGISTRY[desc.kind].is_smooth(desc, x)
+        return g, REGISTRY[sp.kind].is_smooth(sp, x)
     return g
 
 
 def coord_bound(sp):
     """max over the unit ball of |x_i| (the l_inf circumradius)."""
-    desc = sp.descriptor if isinstance(sp, NormedSpace) else sp
-    return REGISTRY[desc.kind].coord_bound(desc)
+    return REGISTRY[sp.kind].coord_bound(sp)
 
 
 def circumradius(sp):
@@ -853,7 +840,7 @@ def circumradius(sp):
     if not s.is_canonically_positioned:
         raise CapabilityError(
             "circumradius needs a canonically positioned space")
-    return REGISTRY[s.descriptor.kind].circumradius(s.descriptor)
+    return REGISTRY[s.kind].circumradius(s)
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,32 @@ def test_sep_prob_nonpositive_delta_exit_2(capsys):
             assert code == 2 and "delta" in err
 
 
+def test_sep_prob_points_of_the_wrong_length_exit_2(capsys):
+    base = ["sep-prob", "--space", '{"kind":"lp","n":2,"p":2}',
+            "--u", "0,0,0", "--v", "0,0,0", "--trials", "100"]
+    for extra in ([], ["--exact"]):
+        code, out, err = run_main(base + extra, capsys)
+        assert code == 2 and "length 2" in err and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["vol", "--space", '{"kind":"lp","n":2,"p":2}', "--mc"],
+    ["iq", "--space", '{"kind":"lp","n":3,"p":3}', "--mc"],
+    ["psi", "--space", '{"kind":"lp","n":3,"p":3}', "--w", "1,0,0"],
+    ["maxproj", "--space", '{"kind":"lp","n":3,"p":3}'],
+    ["cone", "--space", '{"kind":"lp","n":2,"p":2}'],
+    ["cone", "--space", '{"kind":"schatten","n":4,"p":2}'],
+    ["meanwidth", "--space", '{"kind":"lp","n":2,"p":2}'],
+    ["sep-prob", "--space", '{"kind":"lp","n":2,"p":2}',
+     "--u", "0,0", "--v", "1,0"],
+    ["pad-prob", "--space", '{"kind":"lp","n":2,"p":2}']],
+    ids=lambda argv: "%s-%s" % (argv[0], json.loads(argv[2])["kind"]))
+def test_trials_below_one_exit_2(argv, capsys):
+    for trials in ("0", "-3"):
+        code, out, err = run_main(argv + ["--trials", trials], capsys)
+        assert code == 2 and "input error" in err and out == ""
+
+
 def test_vol_outside_float_range_exit_3(capsys):
     for desc in ('{"kind":"lp","n":1100,"p":"inf"}',
                  '{"kind":"lp","n":500,"p":2}'):

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from normpart.space import (CapabilityError, block_lp, intersect_ball, linf,
-                            lp, norm_batch, orlicz, schatten, space)
+from normpart.space import (CapabilityError, InputError, block_lp,
+                            intersect_ball, linf, lp, norm_batch, orlicz,
+                            schatten, space)
 from normpart.geometry import (_chord_ends, cauchy_surface_identity_check,
                                cone_sample,
                                cone_volume, estimate_mean,
@@ -49,6 +50,20 @@ def test_estimate_mean_weighted():
 
     est = estimate_mean(kernel, 100_000, seed=1)
     assert est.value == pytest.approx(1.0 / 6.0, abs=4 * est.stderr)
+
+
+def test_sample_counts_below_one_raise():
+    def kernel(rng, m):
+        return np.ones(m), np.ones(m)
+
+    for count in (0, -3):
+        with pytest.raises(InputError, match="trial"):
+            estimate_mean(kernel, count, seed=0)
+        for d in (lp(2, 2), schatten(2, 2)):
+            with pytest.raises(InputError, match="sample"):
+                cone_sample(d, count)
+        with pytest.raises(InputError, match="sample"):
+            hit_and_run_sample(schatten(2, 2), count)
 
 
 # ---------------------------------------------------------------------------

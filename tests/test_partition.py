@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from normpart.space import InputError, linf, lp, norm_batch, orlicz
-from normpart.partition import (PartitionSample, QuerySet,
+from normpart.partition import (PartitionSample,
                                 deterministic_partition_bound_check,
                                 loomis_whitney_boundary, overlap_exact_linf,
                                 padding_prob_exact, padding_prob_mc,
@@ -59,7 +59,7 @@ def test_sample_partition_validation():
     with pytest.raises(InputError):
         sample_partition(lp(2, 2), 1.0, np.empty((0, 2)))
     with pytest.raises(InputError):
-        QuerySet(points=[[0.0, 0.0, 0.0]], space=lp(2, 2))
+        sample_partition(lp(2, 2), 1.0, [[0.0, 0.0, 0.0]])
 
 
 def test_nearby_queries_share_cluster():
@@ -120,6 +120,14 @@ def test_separation_rejects_nonpositive_delta():
         for fn in (separation_prob_exact, separation_prob_mc):
             with pytest.raises(InputError, match="delta"):
                 fn(lp(2, 2), [0, 0], [1, 0], delta, trials=10)
+
+
+def test_separation_rejects_points_of_the_wrong_length():
+    # equal points used to return 0 before any check of their length
+    for u, v in (([0, 0, 0], [0, 0, 0]), ([0, 0], [1, 0, 0])):
+        for fn in (separation_prob_exact, separation_prob_mc):
+            with pytest.raises(InputError, match="length 2"):
+                fn(lp(2, 2), u, v, 2.0, trials=10)
 
 
 def test_separation_monotone_in_distance():

@@ -93,13 +93,12 @@ def test_sep_upper_dimension_mismatch():
 
 
 def test_companion_rules():
-    assert companion_space(lp(8, 2)).descriptor == lp(8, 2)
+    assert companion_space(lp(8, 2)) == lp(8, 2)
     n = 16
-    assert companion_space(lp(n, math.log(n))).descriptor == \
-        lp(n, math.log(n))
+    assert companion_space(lp(n, math.log(n))) == lp(n, math.log(n))
     c = companion_space(linf(42))
-    assert c.descriptor.kind == "orlicz_beta"
-    assert c.dim == 42 and c.descriptor.beta == pytest.approx(20.5)
+    assert c.kind == "orlicz_beta"
+    assert c.dim == 42 and c.beta == pytest.approx(20.5)
     with pytest.raises(CapabilityError):
         companion_space(orlicz(3, 1.0))
 
@@ -108,7 +107,7 @@ def test_companion_sandwich_orlicz():
     # ||.||_inf <= ||.||_Omega <= ||.||_inf / (1 - e^{-beta/m})
     for n in (6, 9):
         y = companion_space(linf(n))
-        beta = y.descriptor.beta
+        beta = y.beta
         lo, hi = companion_sandwich(linf(n), y, samples=1024, seed=1)
         assert lo >= 1.0 - 1e-9
         assert hi <= 1.0 / (1.0 - math.exp(-beta / n)) + 1e-9
