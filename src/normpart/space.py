@@ -237,34 +237,39 @@ def _solve_increasing(f, lo, hi, f_lo, f_hi, xtol=0.0):
 def _orlicz_norm_batch(beta, m, A):
     """Luxemburg norm for |X| rows A (shape (N, m)).
 
-    Solves sum_i psi_beta(u a_i) = 1 for u = 1/s with `_solve_increasing`
-    on the bracket [(1 - exp(-beta/m)) / ||x||_inf, 1 / ||x||_inf], which
-    always contains the root because the l_inf sandwich for this Orlicz
-    family pins the norm between ||x||_inf and
-    ||x||_inf / (1 - exp(-beta/m)).  The solver returns the inside end u,
-    so s = 1/u is the norm or lies just above it.
+    Scales each row to b = a / ||a||_inf and solves
+    sum_i psi_beta(u b_i) = 1 for u = ||a||_inf / s with `_solve_increasing`
+    on the bracket [1 - exp(-beta/m), min(1 - exp(-beta), beta / ||b||_1)].
+    The residual is at most 0 at the lower end, where every
+    psi_beta(u b_i) <= 1/m.  It is at least 0 at the upper end, because the
+    largest coordinate alone reaches psi_beta = 1 at u = 1 - exp(-beta), and
+    psi_beta(t) >= t / beta.  Both ends are finite, so the first step is
+    already a secant step.  The solver returns the inside end u, so
+    s = ||a||_inf / u is the norm or lies just above it.
     """
     top = A.max(axis=-1)
     out = np.array(top, dtype=float, copy=True)
     mask = top > 0
     if not mask.any():
         return out
-    Am = A[mask]
-    hi = 1.0 / top[mask]
-    lo = hi * -math.expm1(-beta / m)
+    B = A[mask]                         # a copy: mask is a boolean array
+    B /= top[mask, None]
 
     def excess(u, rows):
-        t = Am[rows]                    # a copy: rows is an index array
+        t = B[rows]                     # a copy: rows is an index array
         t *= u[:, None]
         np.minimum(t, 1.0, out=t)
         with np.errstate(divide="ignore", invalid="ignore"):
             np.log1p(np.negative(t, out=t), out=t)
         return -t.sum(axis=-1) / beta - 1.0
 
+    hi = np.minimum(-math.expm1(-beta), beta / B.sum(axis=-1))
+    f_hi = excess(hi, np.arange(hi.size))
+    # where the residual at hi is not positive (one-hot rows), hi is the root
+    lo = np.where(f_hi > 0.0, -math.expm1(-beta / m), hi)
     u = _solve_increasing(excess, lo, hi, excess(lo, np.arange(lo.size)),
-                          np.full(lo.shape, np.inf))
-    with np.errstate(divide="ignore"):
-        out[mask] = 1.0 / u
+                          f_hi)
+    out[mask] /= u
     return out
 
 
