@@ -96,6 +96,9 @@ class ExtensionOperator:
 def build_extension(sp, anchors, values, target=None, mc_rounds=64, seed=0):
     """Assemble the extension operator for anchors C and values f(C)."""
     s = space(sp)
+    if not isinstance(mc_rounds, (int, np.integer)) or mc_rounds < 1:
+        raise InputError("mc_rounds must be an integer >= 1, got %r"
+                         % (mc_rounds,))
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     if anchors.size == 0:
         raise InputError("anchors must be nonempty")

@@ -34,7 +34,8 @@ class MonteCarloEstimate:
 @dataclass(frozen=True)
 class ConeSamples:
     """A batch of cone-measure samples: boundary points with importance
-    weights (weight 1 for direct samplers, self-normalizing otherwise)."""
+    weights (1 where the sampler draws the cone measure itself,
+    self-normalizing otherwise)."""
     points: np.ndarray  # (count, dim), on the unit sphere of the norm
     weights: np.ndarray  # (count,)
 
@@ -127,9 +128,13 @@ def euclidean_ball_volume(n):
 def cone_sample(sp, count, seed=0):
     """Sample the cone (boundary) measure of the unit ball.
 
-    The kind's direct sampler (`Kind.cone_sample`: l_p, Orlicz and their l_p
-    block sums; importance-weighted where an Orlicz ball is involved) where
-    it has one; otherwise hit-and-run followed by radial projection.
+    Where the space has a cone sampler (``has_cone_sampler``), this is the
+    kind's exact direct sampler, `Kind.cone_sample`, with self-normalized
+    importance weights (1 where it draws the cone measure itself).  Every
+    kind has one, except an intersect_ball whose base lacks a cone sampler
+    or an exact volume (a Schatten base, say) and block sums holding such a
+    ball; those fall back to `hit_and_run_sample` followed by radial
+    projection, whose points are only approximately uniform.
     """
     s = space(sp)
     if count < 1:
@@ -151,8 +156,9 @@ def _hit_and_run_cone(s, count, seed):
 
 def _cone_points(s, rng, m):
     """m cone-measure points and weights drawn from rng: the kind's direct
-    sampler, or hit-and-run seeded from rng, so that a chunked Monte Carlo
-    kernel stays deterministic given the master seed."""
+    sampler where the space has one (see `cone_sample`), hit-and-run seeded
+    from rng otherwise, so that a chunked Monte Carlo kernel stays
+    deterministic given the master seed."""
     if s.has_cone_sampler:
         return REGISTRY[s.kind].cone_sample(s, m, rng)
     return _hit_and_run_cone(s, m, int(rng.integers(0, 2 ** 63)))
@@ -169,6 +175,10 @@ def uniform_ball_sample(sp, count, seed=0):
 
 def hit_and_run_sample(sp, count, seed=0):
     """Approximately uniform samples from the unit ball via hit-and-run.
+
+    `cone_sample` and the Monte Carlo estimates built on it use this only
+    for spaces without a direct cone sampler; it also serves as an
+    independent cross-check of the direct samplers.
 
     Runs up to 64 parallel chains from the origin; each step picks a uniform
     direction, finds both ends of the chord through the current point with

@@ -680,7 +680,8 @@ class OrliczKind(Kind):
 
 
 class SchattenKind(Kind):
-    """The Schatten p-norm of d x d matrices, n = d^2."""
+    """The Schatten p-norm of d x d matrices, n = d^2, with an exact
+    (importance-weighted) cone sampler."""
 
     fields = ("p",)
 
@@ -724,13 +725,47 @@ class SchattenKind(Kind):
     def circumradius(self, d):
         return math.isqrt(d.n) ** max(0.5 - 1.0 / d.p, 0.0)
 
+    def has_cone_sampler(self, d):
+        return True
+
+    def cone_sample(self, d, count, rng):
+        """U diag(sigma) V^T with sigma from the l_p^k cone measure weighted
+        by prod_{i<j} |sigma_i^2 - sigma_j^2| (self-normalized) and U, V
+        Haar on O(k), k = sqrt(n).
+
+        Exact: in singular-value coordinates Lebesgue measure on k x k
+        matrices is c prod_{i<j} |sigma_i^2 - sigma_j^2| dsigma dU dV, and
+        the product is homogeneous of degree k(k - 1), so in polar form
+        the direction sigma / ||sigma||_p has that density with respect to
+        the l_p cone measure.  Signs of sigma are absorbed by U.  The
+        result has norm ||sigma||_p = 1 without an SVD."""
+        k = math.isqrt(d.n)
+        sv, _ = REGISTRY["lp"].cone_sample(lp(k, d.p), count, rng)
+        sq = sv * sv
+        i, j = np.triu_indices(k, 1)
+        w = np.abs(sq[:, i] - sq[:, j]).prod(axis=1)
+        U, V = _haar_orthogonal(rng, count, k), _haar_orthogonal(rng, count, k)
+        return np.einsum("cik,ck,cjk->cij", U, sv, V).reshape(count, d.n), w
+
     def row_fields(self, d):
         return _fmt_p(d.p), "", ""
 
 
+def _haar_orthogonal(rng, count, k):
+    """count Haar-distributed k x k orthogonal matrices: the Q of a Gaussian
+    matrix with each column's sign fixed by the diagonal of R."""
+    q, r = np.linalg.qr(rng.standard_normal((count, k, k)))
+    return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
+
+
+_REJECTION_BLOCK = 1 << 12
+
+
 class IntersectBallKind(Kind):
     """The unit ball of ``d.base`` cut by the Euclidean ball of radius
-    ``d.r``: the norm max(base norm, ||x||_2 / r)."""
+    ``d.r``: the norm max(base norm, ||x||_2 / r).  Its cone sampler is
+    exact where the base has a cone sampler and an exact volume; elsewhere
+    `geometry.cone_sample` falls back to hit-and-run."""
 
     fields = ("base", "r")
 
@@ -777,6 +812,43 @@ class IntersectBallKind(Kind):
 
     def canonically_positioned(self, d):
         return REGISTRY[d.base.kind].canonically_positioned(d.base)
+
+    def has_cone_sampler(self, d):
+        base = REGISTRY[d.base.kind]
+        return base.has_cone_sampler(d.base) and base.has_exact_volume(d.base)
+
+    def cone_sample(self, d, count, rng):
+        """Rejection from whichever of the base ball and r B_2 has the
+        smaller exact volume, then radial projection.
+
+        Uniform points of the base ball are its cone samples times U^{1/n}
+        and keep the base's weights; uniform points of r B_2 are Gaussian
+        directions times r U^{1/n}.  A point is kept when it lies in the
+        other body, so the kept points are uniform in the intersection and
+        their radial projections follow its cone measure.  Points are drawn
+        from rng in blocks of `_REJECTION_BLOCK`, so memory stays bounded
+        and the output depends only on the rng stream."""
+        n, r, base = d.n, d.r, d.base
+        from_base = (REGISTRY[base.kind].log_volume(base)
+                     <= log_euclidean_ball_volume(n) + n * math.log(r))
+        pts, wts, got = np.empty((count, n)), np.empty(count), 0
+        while got < count:
+            if from_base:
+                x, w = REGISTRY[base.kind].cone_sample(base, _REJECTION_BLOCK,
+                                                       rng)
+                x *= rng.random(_REJECTION_BLOCK)[:, None] ** (1.0 / n)
+                keep = (x * x).sum(axis=1) <= r * r
+            else:
+                x = rng.standard_normal((_REJECTION_BLOCK, n))
+                x *= (r * rng.random(_REJECTION_BLOCK) ** (1.0 / n)
+                      / np.sqrt((x * x).sum(axis=1)))[:, None]
+                w = np.ones(_REJECTION_BLOCK)
+                keep = norm_batch(base, x) <= 1.0
+            take = min(int(keep.sum()), count - got)
+            pts[got:got + take] = x[keep][:take]
+            wts[got:got + take] = w[keep][:take]
+            got += take
+        return pts / norm_batch(d, pts)[:, None], wts
 
 
 REGISTRY = {

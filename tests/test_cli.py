@@ -163,6 +163,17 @@ def test_extend_command(tmp_path, capsys):
     assert code == 0 and "value:" in out and "weights:" in out
 
 
+def test_extend_mc_rounds_below_one_exit_2(tmp_path, capsys):
+    f = tmp_path / "anchors.json"
+    f.write_text(json.dumps({"anchors": [[0.0, 0.0], [1.0, 0.0]],
+                             "values": [[0.0], [1.0]]}))
+    base = ["extend", "--space", '{"kind":"lp","n":2,"p":2}',
+            "--anchors", str(f), "--point", "0.3,0.3"]
+    for rounds in ("0", "-2"):
+        code, out, err = run_main(base + ["--mc-rounds", rounds], capsys)
+        assert code == 2 and "mc_rounds" in err and out == ""
+
+
 def test_lw_check_command(capsys):
     code, out, _ = run_main(["lw-check", "--trials", "50", "--seed", "2"],
                             capsys)

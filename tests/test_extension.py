@@ -92,6 +92,14 @@ def test_build_validation():
         build_extension(lp(3, 2), [[0.0, 0.0]], [1.0])
 
 
+def test_build_rejects_mc_rounds_that_are_not_positive_integers():
+    # 0 and -2 used to fail inside numpy only once evaluated, and 2.5 was
+    # silently truncated to 2
+    for rounds in (0, -2, 2.5):
+        with pytest.raises(InputError, match="mc_rounds"):
+            build_extension(lp(2, 2), [[0.0, 0.0]], [1.0], mc_rounds=rounds)
+
+
 def test_evaluation_deterministic():
     rng = np.random.default_rng(7)
     anchors = rng.uniform(-1, 1, size=(5, 2))

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from normpart.space import (CapabilityError, InputError, block_lp,
-                            intersect_ball, linf, lp, norm_batch, orlicz,
-                            schatten, space)
-from normpart.geometry import (_chord_ends, cauchy_surface_identity_check,
-                               cone_sample,
+                            coord_bound, intersect_ball, linf, lp, norm_batch,
+                            orlicz, schatten, space)
+from normpart.geometry import (CHUNK, _chord_ends,
+                               cauchy_surface_identity_check, cone_sample,
                                cone_volume, estimate_mean,
                                euclidean_ball_volume, gaussian_l2_mean,
                                hit_and_run_sample,
@@ -168,6 +168,19 @@ def test_uniform_ball_sample_radius_law():
     assert r.mean() == pytest.approx(0.75, abs=4 * r.std() / math.sqrt(len(r)))
 
 
+def _box_rejection_x0(s, count, seed):
+    """First coordinates of at least count points uniform in the unit ball
+    of s, by rejection from its l_inf bounding box."""
+    rng = np.random.default_rng(seed)
+    c = coord_bound(s)
+    acc = []
+    while len(acc) < count:
+        cand = rng.uniform(-c, c, size=(4_000, s.dim))
+        keep = cand[norm_batch(s, cand) <= 1.0]
+        acc.extend(keep[:, 0].tolist())
+    return np.array(acc)
+
+
 def test_hit_and_run_inside_ball():
     # chord ends are the inside ends of their brackets, so no point leaves
     # the ball, not even by rounding
@@ -179,18 +192,63 @@ def test_hit_and_run_inside_ball():
     assert np.all(norm_batch(s, pts) <= 1.0)
     # second moment along one coordinate should match a direct rejection
     # sample from the same body
-    rng = np.random.default_rng(14)
-    acc = []
-    while len(acc) < 4_000:
-        cand = rng.uniform(-1, 1, size=(4_000, 4))
-        keep = cand[norm_batch(s, cand) <= 1.0]
-        acc.extend(keep[:, 0].tolist())
-    ref = np.array(acc)
+    ref = _box_rejection_x0(s, 4_000, seed=14)
     m_hr = (pts[:, 0] ** 2).mean()
     m_ref = (ref ** 2).mean()
     tol = 4 * ((pts[:, 0] ** 2).std() / math.sqrt(len(pts))
                + (ref ** 2).std() / math.sqrt(len(ref))) + 0.01
     assert abs(m_hr - m_ref) <= tol
+
+
+@pytest.mark.parametrize("d", [
+    schatten(2, 1),
+    intersect_ball(orlicz(3, 4.0), 1.2),    # drawn from the weighted base
+    intersect_ball(lp(4, 1), 0.6),          # drawn from 0.6 B_2
+], ids=["schatten", "ib-orlicz-base", "ib-euclidean-source"])
+def test_direct_ball_samples_match_box_rejection(d):
+    # E x_0^2 of the (weighted) direct samples against a rejection sample,
+    # within 4 sigma of both
+    assert d.has_cone_sampler
+    pts, w = uniform_ball_sample(d, 100_000, seed=15)
+    assert np.all(norm_batch(d, pts) <= 1.0 + 1e-12)
+    f = pts[:, 0] ** 2
+    m = float((w * f).sum() / w.sum())
+    se = math.sqrt(float((w * w * (f - m) ** 2).sum())) / w.sum()
+    ref = _box_rejection_x0(d, 100_000, seed=16) ** 2
+    assert abs(m - ref.mean()) <= 4 * (se + ref.std() / math.sqrt(ref.size))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_schatten_2_psi_is_the_euclidean_closed_form(k):
+    # the Hilbert-Schmidt ball is the Euclidean ball of R^{k*k}
+    w = np.random.default_rng(k).standard_normal(k * k)
+    est = psi(schatten(k, 2), w, samples=200_000, seed=17, closed_form=False)
+    assert within_sigma(est, psi_closed_form(lp(k * k, 2), w), k=4.0)
+
+
+def test_intersect_ball_below_the_inradius_is_a_euclidean_ball():
+    # r = 0.4 is below the inradius 1/2 of l_1^4: the norm is ||x||_2 / r
+    w = np.array([0.3, -0.2, 0.5, 0.1])
+    shadow = math.exp(oracles.log_euclidean_ball_volume(3)
+                      - oracles.log_euclidean_ball_volume(4))
+    est = psi(intersect_ball(lp(4, 1), 0.4), w, samples=100_000, seed=18)
+    assert within_sigma(est, np.linalg.norm(w) * shadow / 0.4, k=4.0)
+
+
+def test_intersect_ball_at_the_circumradius_is_its_base():
+    # r = 1 is the circumradius of l_1^4, so the cut removes nothing
+    w = np.array([0.3, -0.2, 0.5, 0.1])
+    a = psi(intersect_ball(lp(4, 1), 1.0), w, samples=100_000, seed=19)
+    b = psi(lp(4, 1), w, samples=100_000, seed=20)
+    assert abs(a.value - b.value) <= 4 * math.hypot(a.stderr, b.stderr)
+
+
+def test_schatten_psi_identical_across_workers():
+    # two chunks of the Monte Carlo engine, drawn in either order
+    w = np.arange(1.0, 10.0)
+    a = psi(schatten(3, 1.5), w, samples=CHUNK + 5_000, seed=21, workers=1)
+    b = psi(schatten(3, 1.5), w, samples=CHUNK + 5_000, seed=21, workers=2)
+    assert a.value == b.value and a.stderr == b.stderr
 
 
 def test_chord_ends_match_bisection_reference():

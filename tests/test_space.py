@@ -92,7 +92,10 @@ def test_capabilities():
     assert space(block_lp(2, [lp(2, 1), lp(3, 3)])).has_exact_volume
     assert not space(schatten(2, 1)).has_exact_volume
     assert space(lp(4, 7)).has_cone_sampler
-    assert not space(intersect_ball(lp(3, 1), 1.0)).has_cone_sampler
+    assert space(schatten(2, 3)).has_cone_sampler
+    assert space(intersect_ball(lp(3, 1), 1.0)).has_cone_sampler
+    # the rejection sampler needs the base ball's exact volume
+    assert not space(intersect_ball(schatten(2, 1), 0.5)).has_cone_sampler
     assert space(schatten(2, 3)).is_canonically_positioned
     assert not space(block_lp(2, [lp(1, 1), lp(2, 2)])).is_canonically_positioned
     assert space(block_lp(2, [lp(2, 3), lp(2, 3)])).is_canonically_positioned
