@@ -133,11 +133,13 @@ def _cmd_cone(args):
             fh.write(",".join("x%d" % i for i in range(s.dim)) + ",weight\n")
             for pt, w in zip(cs.points, cs.weights):
                 fh.write(_floats(pt) + ",%r\n" % float(w))
-    mean_abs = float(np.abs(cs.points[:, 0]).mean())
+    # the self-normalized weighted mean, as in geometry.estimate_mean
+    f, w = np.abs(cs.points[:, 0]), cs.weights
+    mean_abs = float((w * f).sum() / w.sum())
+    stderr = float(np.sqrt((w * w * (f - mean_abs) ** 2).sum()) / w.sum())
     # --out holds the sample dump, so the summary goes to stdout only
-    _emit([_record(s, s.dim, "cone_abs_coord_mean", mean_abs,
-                   float(np.abs(cs.points[:, 0]).std()
-                         / np.sqrt(len(cs.points))), seed=args.seed)],
+    _emit([_record(s, s.dim, "cone_abs_coord_mean", mean_abs, stderr,
+                   seed=args.seed)],
           args, None)
     return None
 

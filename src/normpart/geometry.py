@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import (REGISTRY, CapabilityError, InputError, _solve_increasing,
-                    coord_bound, gradient_batch, log_euclidean_ball_volume,
-                    norm_batch, space)
+from .space import (REGISTRY, CapabilityError, InputError, RejectionStalled,
+                    _solve_increasing, coord_bound, gradient_batch,
+                    log_euclidean_ball_volume, norm_batch, space)
 
 CHUNK = 1 << 15
 
@@ -131,20 +131,31 @@ def cone_sample(sp, count, seed=0):
     Where the space has a cone sampler (``has_cone_sampler``), this is the
     kind's exact direct sampler, `Kind.cone_sample`, with self-normalized
     importance weights (1 where it draws the cone measure itself).  Every
-    kind has one, except an intersect_ball whose base lacks a cone sampler
-    or an exact volume (a Schatten base, say) and block sums holding such a
-    ball; those fall back to `hit_and_run_sample` followed by radial
-    projection, whose points are only approximately uniform.
+    kind has one, except Schatten balls of matrices larger than 7 x 7 (whose
+    Jacobian weights degenerate), an intersect_ball whose base lacks a cone
+    sampler or an exact volume (a Schatten base, say) and block sums holding
+    such a ball.  Those, and an intersect_ball whose rejection stalls
+    (`space.RejectionStalled`), fall back to `hit_and_run_sample` followed
+    by radial projection, whose points are only approximately uniform.
     """
     s = space(sp)
     if count < 1:
         raise InputError("need at least one sample, got %r" % (count,))
-    if s.has_cone_sampler:
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        pts, w = REGISTRY[s.kind].cone_sample(s, count, rng)
-    else:
-        pts, w = _hit_and_run_cone(s, count, seed)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    got = _direct_cone(s, count, rng)
+    pts, w = got if got is not None else _hit_and_run_cone(s, count, seed)
     return ConeSamples(points=pts, weights=w)
+
+
+def _direct_cone(s, count, rng):
+    """The kind's direct cone sample drawn from rng, or None where the space
+    has no cone sampler or its rejection stalled."""
+    if not s.has_cone_sampler:
+        return None
+    try:
+        return REGISTRY[s.kind].cone_sample(s, count, rng)
+    except RejectionStalled:
+        return None
 
 
 def _hit_and_run_cone(s, count, seed):
@@ -156,11 +167,12 @@ def _hit_and_run_cone(s, count, seed):
 
 def _cone_points(s, rng, m):
     """m cone-measure points and weights drawn from rng: the kind's direct
-    sampler where the space has one (see `cone_sample`), hit-and-run seeded
-    from rng otherwise, so that a chunked Monte Carlo kernel stays
-    deterministic given the master seed."""
-    if s.has_cone_sampler:
-        return REGISTRY[s.kind].cone_sample(s, m, rng)
+    sampler where `cone_sample` would use it, hit-and-run seeded from rng
+    otherwise, so that a chunked Monte Carlo kernel stays deterministic
+    given the master seed."""
+    got = _direct_cone(s, m, rng)
+    if got is not None:
+        return got
     return _hit_and_run_cone(s, m, int(rng.integers(0, 2 ** 63)))
 
 
@@ -177,8 +189,9 @@ def hit_and_run_sample(sp, count, seed=0):
     """Approximately uniform samples from the unit ball via hit-and-run.
 
     `cone_sample` and the Monte Carlo estimates built on it use this only
-    for spaces without a direct cone sampler; it also serves as an
-    independent cross-check of the direct samplers.
+    for spaces without a direct cone sampler and where the intersect_ball
+    rejection stalls; it also serves as an independent cross-check of the
+    direct samplers.
 
     Runs up to 64 parallel chains from the origin; each step picks a uniform
     direction, finds both ends of the chord through the current point with

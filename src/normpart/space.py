@@ -35,6 +35,11 @@ class CapabilityError(RuntimeError):
     """Operation not supported for this space (CLI exit code 3)."""
 
 
+class RejectionStalled(CapabilityError):
+    """A rejection cone sampler accepted too few points of its first block;
+    `geometry` then samples by hit-and-run instead."""
+
+
 # ---------------------------------------------------------------------------
 # descriptors
 
@@ -726,7 +731,7 @@ class SchattenKind(Kind):
         return math.isqrt(d.n) ** max(0.5 - 1.0 / d.p, 0.0)
 
     def has_cone_sampler(self, d):
-        return True
+        return math.isqrt(d.n) <= _SCHATTEN_DIRECT_MAX_D
 
     def cone_sample(self, d, count, rng):
         """U diag(sigma) V^T with sigma from the l_p^k cone measure weighted
@@ -738,10 +743,16 @@ class SchattenKind(Kind):
         the product is homogeneous of degree k(k - 1), so in polar form
         the direction sigma / ||sigma||_p has that density with respect to
         the l_p cone measure.  Signs of sigma are absorbed by U.  The
-        result has norm ||sigma||_p = 1 without an SVD."""
+        result has norm ||sigma||_p = 1 without an SVD.
+
+        sigma^2 is scaled by k^{2/p}, a constant factor of every weight, so
+        that a typical factor is of order 1 rather than k^{-2/p}.  The
+        weights are bounded, but their effective sample size falls with k
+        (`_SCHATTEN_DIRECT_MAX_D`), so larger k has no cone sampler and
+        uses hit-and-run."""
         k = math.isqrt(d.n)
         sv, _ = REGISTRY["lp"].cone_sample(lp(k, d.p), count, rng)
-        sq = sv * sv
+        sq = sv * sv * k ** (2.0 / d.p)
         i, j = np.triu_indices(k, 1)
         w = np.abs(sq[:, i] - sq[:, j]).prod(axis=1)
         U, V = _haar_orthogonal(rng, count, k), _haar_orthogonal(rng, count, k)
@@ -758,14 +769,27 @@ def _haar_orthogonal(rng, count, k):
     return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
 
 
+# The largest d whose d x d Schatten balls get the direct cone sampler.  The
+# Kish effective sample size of its weights, ESS/N over 20k draws, falls by
+# about a third per step in d: at d = 7 it was 0.11-0.14 for p in
+# {1, 1.5, 2, 3, 4, inf}, at d = 8 0.07-0.10 and at d = 12 0.007-0.017.
+_SCHATTEN_DIRECT_MAX_D = 7
+
 _REJECTION_BLOCK = 1 << 12
+# The rejection sampler of intersect_ball gives up, and hit-and-run takes
+# over, when its first block keeps fewer than this share of its points.
+# Near the acceptance 1/(30 n) a kept point costs about as much as a
+# hit-and-run point; 2^-10 is that break-even at n = 34 and bounds the
+# rejection work at about 1024 drawn rows per kept point in every dimension.
+_MIN_ACCEPTANCE = 2.0 ** -10
 
 
 class IntersectBallKind(Kind):
     """The unit ball of ``d.base`` cut by the Euclidean ball of radius
     ``d.r``: the norm max(base norm, ||x||_2 / r).  Its cone sampler is
-    exact where the base has a cone sampler and an exact volume; elsewhere
-    `geometry.cone_sample` falls back to hit-and-run."""
+    exact where the base has a cone sampler and an exact volume; elsewhere,
+    and where that sampler's rejection stalls, `geometry.cone_sample` falls
+    back to hit-and-run."""
 
     fields = ("base", "r")
 
@@ -821,30 +845,34 @@ class IntersectBallKind(Kind):
         """Rejection from whichever of the base ball and r B_2 has the
         smaller exact volume, then radial projection.
 
-        Uniform points of the base ball are its cone samples times U^{1/n}
-        and keep the base's weights; uniform points of r B_2 are Gaussian
-        directions times r U^{1/n}.  A point is kept when it lies in the
+        Uniform points of a ball are its cone samples (with their weights)
+        times its radius times U^{1/n}.  A point is kept when it lies in the
         other body, so the kept points are uniform in the intersection and
         their radial projections follow its cone measure.  Points are drawn
         from rng in blocks of `_REJECTION_BLOCK`, so memory stays bounded
-        and the output depends only on the rng stream."""
+        and the output depends only on the rng stream.  Raises
+        `RejectionStalled` when the first block keeps less than the share
+        `_MIN_ACCEPTANCE` of its points, which happens in high dimension
+        where the two balls have about the same volume."""
         n, r, base = d.n, d.r, d.base
-        from_base = (REGISTRY[base.kind].log_volume(base)
-                     <= log_euclidean_ball_volume(n) + n * math.log(r))
-        pts, wts, got = np.empty((count, n)), np.empty(count), 0
+        euclid = lp(n, 2.0)
+        if (REGISTRY[base.kind].log_volume(base)
+                <= log_euclidean_ball_volume(n) + n * math.log(r)):
+            src, src_r, other, other_r = base, 1.0, euclid, r
+        else:
+            src, src_r, other, other_r = euclid, r, base, 1.0
+        pts, wts, got, first = np.empty((count, n)), np.empty(count), 0, True
         while got < count:
-            if from_base:
-                x, w = REGISTRY[base.kind].cone_sample(base, _REJECTION_BLOCK,
-                                                       rng)
-                x *= rng.random(_REJECTION_BLOCK)[:, None] ** (1.0 / n)
-                keep = (x * x).sum(axis=1) <= r * r
-            else:
-                x = rng.standard_normal((_REJECTION_BLOCK, n))
-                x *= (r * rng.random(_REJECTION_BLOCK) ** (1.0 / n)
-                      / np.sqrt((x * x).sum(axis=1)))[:, None]
-                w = np.ones(_REJECTION_BLOCK)
-                keep = norm_batch(base, x) <= 1.0
-            take = min(int(keep.sum()), count - got)
+            x, w = REGISTRY[src.kind].cone_sample(src, _REJECTION_BLOCK, rng)
+            x *= src_r * rng.random(_REJECTION_BLOCK)[:, None] ** (1.0 / n)
+            keep = norm_batch(other, x) <= other_r
+            kept = int(keep.sum())
+            if first and kept < _MIN_ACCEPTANCE * _REJECTION_BLOCK:
+                raise RejectionStalled(
+                    "intersect_ball rejection kept %d of %d points"
+                    % (kept, _REJECTION_BLOCK))
+            first = False
+            take = min(kept, count - got)
             pts[got:got + take] = x[keep][:take]
             wts[got:got + take] = w[keep][:take]
             got += take

@@ -237,6 +237,22 @@ def test_cone_out_keeps_sample_dump(tmp_path, capsys):
     assert np.all(rows[:, 3] == 1.0)
 
 
+def test_cone_summary_uses_the_weights(tmp_path, capsys):
+    # Schatten cone samples carry Jacobian weights: the printed mean of
+    # |x_0| is the weighted mean of the dumped samples
+    out_file = tmp_path / "cone.csv"
+    code, out, _ = run_main(["cone", "--space", '{"kind":"schatten","n":4,'
+                             '"p":2.5}', "--trials", "2000", "--seed", "4",
+                             "--format", "csv", "--out", str(out_file)],
+                            capsys)
+    assert code == 0
+    row, = rows_from_csv(out)
+    dump = np.loadtxt(out_file, delimiter=",", skiprows=2)
+    f, w = np.abs(dump[:, 0]), dump[:, 4]
+    assert np.ptp(w) > 0.0
+    assert row["value"] == pytest.approx((w * f).sum() / w.sum(), rel=1e-12)
+
+
 @pytest.mark.parametrize("argv", [
     ["vol", "--rho", "0.3"], ["vol", "--r", "1"], ["iq", "--delta", "1"],
     ["psi", "--rho", "0.3"], ["maxproj", "--workers", "2"],

@@ -1,12 +1,14 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
 
-from normpart.space import (CapabilityError, InputError, block_lp,
-                            coord_bound, intersect_ball, linf, lp, norm_batch,
-                            orlicz, schatten, space)
-from normpart.geometry import (CHUNK, _chord_ends,
+from normpart.space import (REGISTRY, CapabilityError, InputError,
+                            RejectionStalled, block_lp, coord_bound,
+                            intersect_ball, linf, lp, norm_batch, orlicz,
+                            schatten, space)
+from normpart.geometry import (CHUNK, _chord_ends, _hit_and_run_cone,
                                cauchy_surface_identity_check, cone_sample,
                                cone_volume, estimate_mean,
                                euclidean_ball_volume, gaussian_l2_mean,
@@ -218,12 +220,69 @@ def test_direct_ball_samples_match_box_rejection(d):
     assert abs(m - ref.mean()) <= 4 * (se + ref.std() / math.sqrt(ref.size))
 
 
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [2, 3, 7])
 def test_schatten_2_psi_is_the_euclidean_closed_form(k):
-    # the Hilbert-Schmidt ball is the Euclidean ball of R^{k*k}
+    # the Hilbert-Schmidt ball is the Euclidean ball of R^{k*k}; k = 7 is
+    # the largest size with the direct sampler
+    assert schatten(k, 2).has_cone_sampler
     w = np.random.default_rng(k).standard_normal(k * k)
     est = psi(schatten(k, 2), w, samples=200_000, seed=17, closed_form=False)
     assert within_sigma(est, psi_closed_form(lp(k * k, 2), w), k=4.0)
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+def test_schatten_weights_at_the_largest_direct_size(p):
+    # the two ends of the p range at 7 x 7: finite, positive weights with a
+    # Kish effective sample size near the measured 0.11-0.14 of the draws
+    w = cone_sample(schatten(7, p), 20_000, seed=23).weights
+    assert np.all(np.isfinite(w)) and w.sum() > 0.0
+    assert w.sum() ** 2 / (w * w).sum() >= 0.08 * w.size
+
+
+def test_fallback_cone_samples_match_the_euclidean_ball():
+    # 0.5 is below 1/sqrt(2), the Frobenius inradius of the nuclear-norm
+    # ball, so intersect_ball(schatten(2, 1), 0.5) is 0.5 B_2^4; it has no
+    # cone sampler, so cone_sample and psi take hit-and-run
+    d = intersect_ball(schatten(2, 1), 0.5)
+    assert not d.has_cone_sampler
+    pts, w = uniform_ball_sample(d, 4_000, seed=24)
+    assert np.all(w == 1.0)
+    f = pts[:, 0] ** 2
+    # E x_0^2 = r^2 / (n + 2) in r B_2^n; hit-and-run chains are correlated,
+    # hence a slack of 0.002 (5% of the value) beside 4 sigma
+    assert abs(f.mean() - 0.25 / 6) <= 4 * f.std() / math.sqrt(f.size) + 0.002
+    wv = np.array([0.3, -0.2, 0.5, 0.1])
+    shadow = math.exp(oracles.log_euclidean_ball_volume(3)
+                      - oracles.log_euclidean_ball_volume(4))
+    est = psi(d, wv, samples=4_000, seed=25)
+    assert within_sigma(est, np.linalg.norm(wv) * shadow / 0.5, k=4.0)
+
+
+def test_intersect_ball_rejection_stalls_in_high_dimension():
+    # l_inf^128 cut at the radius of equal volume keeps about 1 point in
+    # 3800, so the first block of 4096 keeps fewer than 4
+    n = 128
+    r = math.exp((n * math.log(2.0) - oracles.log_euclidean_ball_volume(n))
+                 / n)
+    d = intersect_ball(linf(n), r)
+    assert d.has_cone_sampler
+    with pytest.raises(RejectionStalled):
+        REGISTRY["intersect_ball"].cone_sample(d, 10, np.random.default_rng(0))
+
+
+def test_stalled_rejection_falls_back_to_hit_and_run(monkeypatch):
+    # a floor above every possible acceptance makes each first block stall
+    monkeypatch.setattr(importlib.import_module("normpart.space"),
+                        "_MIN_ACCEPTANCE", 2.0)
+    d = intersect_ball(lp(4, 1), 0.4)       # 0.4 B_2^4
+    cs = cone_sample(d, 300, seed=26)
+    pts, w = _hit_and_run_cone(d, 300, 26)
+    assert np.array_equal(cs.points, pts) and np.array_equal(cs.weights, w)
+    wv = np.array([0.3, -0.2, 0.5, 0.1])
+    shadow = math.exp(oracles.log_euclidean_ball_volume(3)
+                      - oracles.log_euclidean_ball_volume(4))
+    est = psi(d, wv, samples=4_000, seed=27)
+    assert within_sigma(est, np.linalg.norm(wv) * shadow / 0.4, k=4.0)
 
 
 def test_intersect_ball_below_the_inradius_is_a_euclidean_ball():

@@ -93,6 +93,9 @@ def test_capabilities():
     assert not space(schatten(2, 1)).has_exact_volume
     assert space(lp(4, 7)).has_cone_sampler
     assert space(schatten(2, 3)).has_cone_sampler
+    # the Schatten Jacobian weights degenerate above 7 x 7 matrices
+    assert space(schatten(7, 1)).has_cone_sampler
+    assert not space(schatten(8, 2)).has_cone_sampler
     assert space(intersect_ball(lp(3, 1), 1.0)).has_cone_sampler
     # the rejection sampler needs the base ball's exact volume
     assert not space(intersect_ball(schatten(2, 1), 0.5)).has_cone_sampler
