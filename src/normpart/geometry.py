@@ -397,15 +397,22 @@ def hyperplane_projection_volume(sp, w, samples=100_000, seed=0, workers=1):
 # maximization over directions
 
 
-def _ball_ascent(objective, subgrad, normalize, n, restarts, seed,
+def _ball_ascent(objective, subgrad, support, normalize, n, restarts, seed,
                  steps=200):
-    """Multi-restart projected subgradient ascent of a convex objective over
-    the unit sphere of a norm (maximum lies on the sphere).
+    """Multi-restart ascent of a convex objective over the unit sphere of a
+    norm (the maximum over the ball lies on the sphere).
 
-    ``normalize`` projects a point radially onto that sphere.  The
-    objectives used here (psi and norm values) are convex and even, so
-    ascent to a local max is well behaved at desk scale; the restart
-    dispersion, returned third, is the practical quality diagnostic.
+    Each step moves z to the support point of a subgradient g at z,
+    ``support(g)``: the point of the unit ball that maximizes <g, .>.  For
+    convex f, f(cand) >= f(z) + <g, cand - z> >= f(z), so the update never
+    loses, needs no step size, and stops at the first candidate that does
+    not gain; on a sampled psi cloud f is polyhedral, so that happens after
+    finitely many steps.  Where ``support`` returns None (an intersect_ball
+    domain, whose support point has no closed form, or a block sum holding
+    one), the step is instead a projected subgradient step, halved on every
+    rejection.  ``normalize`` projects a point radially onto the sphere;
+    `steps` caps each start.  Returns the best point, its value and the
+    dispersion of the starts' values, the practical quality diagnostic.
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xa5ce)))
     best_z, best_val = None, -np.inf
@@ -424,10 +431,13 @@ def _ball_ascent(objective, subgrad, normalize, n, restarts, seed,
                 gn = float(np.linalg.norm(g))
             if gn < 1e-15:
                 break
-            cand = normalize(z + step * g / gn)
+            top = support(g)
+            cand = normalize(z + step * g / gn if top is None else top)
             fc = objective(cand)
             if fc > fz:
                 z, fz, g = cand, fc, None
+            elif top is not None:
+                break
             else:
                 step *= 0.5
                 if step < 1e-12:
@@ -470,15 +480,20 @@ def _psi_objective(s, samples, seed):
 
 
 def maxproj(sp, restarts=32, samples=100_000, seed=0):
-    """Largest hyperplane shadow: direction and its projection volume."""
+    """Largest hyperplane shadow: direction and its projection volume.
+
+    psi is convex and 1-homogeneous, so its sup over directions is its max
+    over the Euclidean ball, found by `_ball_ascent` whose support map is
+    g / |g|_2.  The stderr combines the Monte Carlo error of psi at the
+    argmax, the volume's error and the restarts' dispersion."""
     s = space(sp)
     objective, subgrad, cloud = _psi_objective(s, samples, seed)
 
     def normalize(z):
         return z / math.sqrt(float(z @ z))
 
-    z, val, spread = _ball_ascent(objective, subgrad, normalize, s.dim,
-                                  restarts, seed)
+    z, val, spread = _ball_ascent(objective, subgrad, normalize, normalize,
+                                  s.dim, restarts, seed)
     stderr_psi = 0.0 if cloud is None else psi_from_cloud(s, *cloud, z)[1]
     vol = volume_of(s, seed=seed)
     err = math.hypot(stderr_psi * vol.value, val * vol.stderr, spread * vol.value)

@@ -14,6 +14,7 @@ import json
 import math
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -73,9 +74,14 @@ def sep_lower_limit_constant():
 
 
 def _sup_norm_on_sphere(sp_dom, sp_val, restarts, seed):
-    """sup of the sp_val norm over the unit sphere of sp_dom."""
+    """sup of the sp_val norm over the unit sphere of sp_dom: exactly 1 when
+    the two spaces are equal, a closed form where `Kind.sphere_sup` has one,
+    and otherwise the best of `_ball_ascent` (with the domain's support
+    map) and 256 cone samples of the domain."""
     dom = space(sp_dom)
     val = space(sp_val)
+    if dom == val:
+        return 1.0, None
     closed = REGISTRY[val.kind].sphere_sup(val, dom)
     if closed is not None:
         return closed, None
@@ -89,9 +95,10 @@ def _sup_norm_on_sphere(sp_dom, sp_val, restarts, seed):
     def subgrad(z):
         return norm_gradient(val, z)
 
-    # seed candidate starts with extreme points of the domain ball
-    z, best, spread = _ball_ascent(objective, subgrad, normalize, dom.dim,
-                                   restarts, seed)
+    z, best, spread = _ball_ascent(objective, subgrad,
+                                   partial(REGISTRY[dom.kind].support_point,
+                                           dom),
+                                   normalize, dom.dim, restarts, seed)
     cs = cone_sample(dom, 256, seed=seed + 1)
     cand = cs.points / norm_batch(dom, cs.points)[:, None]
     vals = norm_batch(val, cand)
@@ -106,11 +113,14 @@ def sep_upper_two_norm(sp_x, sp_y=None, restarts=16, samples=100_000, seed=0,
 
         4 * (sup_{z in S_Y} ||z||_X) * (sup_{z in S_X} psi_Y(z)).
 
-    The first factor rescales Y so its ball sits inside the X ball; both
-    suprema are heuristic maxima from multi-restart ascent (exact where the
-    kinds have closed forms: `Kind.sphere_sup`, `Kind.vertex_orbit`), and
-    the returned stderr combines the Monte Carlo error of psi at the argmax
-    with the restart dispersion."""
+    The first factor rescales Y so its ball sits inside the X ball, and is
+    1 when Y is X.  Both suprema are heuristic maxima from multi-restart
+    ascent (exact where the kinds have closed forms: `Kind.sphere_sup`,
+    `Kind.vertex_orbit`), which climbs by support points of the domain ball
+    (`Kind.support_point`), each step at least as high as the last; an
+    intersect_ball domain, with no closed-form support point, takes
+    projected subgradient steps instead.  The returned stderr combines the
+    Monte Carlo error of psi at the argmax with the restart dispersion."""
     x = space(sp_x)
     y = space(sp_x if sp_y is None else sp_y)
     if x.dim != y.dim:
@@ -129,8 +139,9 @@ def sep_upper_two_norm(sp_x, sp_y=None, restarts=16, samples=100_000, seed=0,
         def normalize(z):
             return z / float(norm_batch(x, z))
 
-        z, _, spread = _ball_ascent(objective, subgrad, normalize, n,
-                                    restarts, seed)
+        z, _, spread = _ball_ascent(objective, subgrad,
+                                    partial(REGISTRY[x.kind].support_point, x),
+                                    normalize, n, restarts, seed)
         candidates = [z]
 
     best = None

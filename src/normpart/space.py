@@ -334,6 +334,13 @@ def _check_p(d):
         raise InputError("kind %r needs p >= 1" % (d.kind,))
 
 
+def _dual_exponent(p):
+    """q with 1/p + 1/q = 1."""
+    if p == 1.0:
+        return INF
+    return 1.0 if p == INF else p / (p - 1.0)
+
+
 def _fmt_p(p):
     return "inf" if p == INF else repr(float(p))
 
@@ -367,9 +374,11 @@ class Kind:
     unknown, are ``psi_closed_form(d, w)``, the overlap fraction
     vol(B intersect (w + B)) / vol(B) ``overlap_exact(d, w)``, the sup of the
     norm over the unit sphere of the space ``dom`` ``sphere_sup(d, dom)``,
-    and ``vertex_orbit(d)``: one vertex of the unit ball per orbit of
+    ``vertex_orbit(d)``: one vertex of the unit ball per orbit of
     coordinate sign changes, where the ball is a polytope with known
-    vertices."""
+    vertices, and ``support_point(d, g)``: a point z of the unit ball
+    maximizing <g, z>, which is a gradient of the dual norm at g (the zero
+    vector at g = 0)."""
 
     def canonically_positioned(self, d):
         return True
@@ -399,6 +408,9 @@ class Kind:
         return None
 
     def vertex_orbit(self, d):
+        return None
+
+    def support_point(self, d, g):
         return None
 
     def row_fields(self, d):
@@ -521,6 +533,12 @@ class LpKind(Kind):
             return list(np.eye(d.n))
         return None
 
+    def support_point(self, d, g):
+        """sign(g) |g|^{q-1} / ||g||_q^{q-1}, the gradient of the dual l_q
+        norm: a signed basis vector at argmax |g_i| for p = 1, sign(g) for
+        p = inf."""
+        return gradient_batch(lp(d.n, _dual_exponent(d.p)), g)
+
     def row_fields(self, d):
         return _fmt_p(d.p), "", ""
 
@@ -617,6 +635,18 @@ class BlockLpKind(Kind):
             w *= bw
         return X / norm_batch(d, X)[:, None], w
 
+    def support_point(self, d, g):
+        """Each block's support point s_i, scaled by the outer l_p support
+        point of the blocks' dual norms <g_i, s_i>; None where a block has
+        no support point."""
+        parts = [REGISTRY[b.kind].support_point(b, g[sl])
+                 for b, sl in _blocks(d)]
+        if any(s is None for s in parts):
+            return None
+        dual = np.array([g[sl] @ s for (_, sl), s in zip(_blocks(d), parts)])
+        w = REGISTRY["lp"].support_point(lp(len(parts), d.p), dual)
+        return np.concatenate([wi * s for wi, s in zip(w, parts)])
+
     def row_fields(self, d):
         inner = d.blocks[0]
         return (_fmt_p(d.p),) + REGISTRY[inner.kind].block_row_fields(inner)
@@ -676,6 +706,23 @@ class OrliczKind(Kind):
         z = -np.sign(tau) * np.expm1(-beta * np.abs(tau))
         w = np.expm1(beta * np.abs(tau)).sum(axis=1)
         return z, w
+
+    def support_point(self, d, g):
+        """Water-filling: |z_i| = max(0, 1 - mu / |g_i|), where
+        k log mu = sum_{top k} log |g_i| - beta over the k largest |g_i|,
+        and k is the largest count with |g_(k)| > mu_k.  These are the KKT
+        conditions of maximizing sum |g_i| t_i subject to
+        -sum log(1 - t_i) = beta; the counts that qualify form a prefix."""
+        a = np.abs(g)
+        if not a.any():
+            return np.zeros_like(a)
+        with np.errstate(divide="ignore"):
+            log_top = np.log(-np.sort(-a))
+            log_mu = ((np.cumsum(log_top) - d.beta)
+                      / np.arange(1, d.n + 1))
+            k = np.count_nonzero(log_top > log_mu)
+            return np.sign(g) * np.maximum(
+                0.0, -np.expm1(log_mu[k - 1] - np.log(a)))
 
     def row_fields(self, d):
         return "", "", repr(float(d.beta))
@@ -757,6 +804,14 @@ class SchattenKind(Kind):
         w = np.abs(sq[:, i] - sq[:, j]).prod(axis=1)
         U, V = _haar_orthogonal(rng, count, k), _haar_orthogonal(rng, count, k)
         return np.einsum("cik,ck,cjk->cij", U, sv, V).reshape(count, d.n), w
+
+    def support_point(self, d, g):
+        """U diag(s) V^T for g = U diag(sigma) V^T, where s is the l_p
+        support point of sigma: the gradient of the dual Schatten q norm."""
+        if not g.any():
+            return np.zeros_like(g)
+        return gradient_batch(schatten(math.isqrt(d.n), _dual_exponent(d.p)),
+                              g)
 
     def row_fields(self, d):
         return _fmt_p(d.p), "", ""

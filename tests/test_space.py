@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from normpart.space import (INF, CapabilityError, InputError, SpaceDescriptor,
-                            block_lp, circumradius, coord_bound,
-                            intersect_ball, linf, loglacunary_decompose, lp,
-                            norm_batch, norm_eval, norm_gradient, orlicz,
-                            schatten, space)
+from normpart.space import (INF, REGISTRY, CapabilityError, InputError,
+                            SpaceDescriptor, block_lp, circumradius,
+                            coord_bound, intersect_ball, linf,
+                            loglacunary_decompose, lp, norm_batch, norm_eval,
+                            norm_gradient, orlicz, schatten, space)
+from normpart.geometry import cone_sample
 
 import oracles
 
@@ -244,6 +245,46 @@ def test_norm_gradient_smoothness_flag(desc, x, smooth):
         assert np.allclose((plus - minus) / (2 * h), g, atol=1e-6)
     else:
         assert ((plus + minus - 2 * norm_eval(desc, x)) / h).max() > 0.1
+
+
+# ---------------------------------------------------------------------------
+# support points
+
+
+def _dual_lp(d):
+    q = INF if d.p == 1.0 else 1.0 if d.p == INF else d.p / (d.p - 1.0)
+    return lp(d.n, q)
+
+
+@pytest.mark.parametrize("desc", [
+    lp(6, 1), lp(6, 1.5), lp(6, 3), linf(6), orlicz(5, 0.7), orlicz(5, 4.0),
+    schatten(3, 1), schatten(2, 2.5), schatten(3, INF),
+    block_lp(2.5, [lp(2, 1), orlicz(3, 2.0), schatten(2, 3)]),
+    block_lp(INF, [lp(3, 3), lp(2, 1)]),
+    block_lp(1, [orlicz(2, 1.0), linf(3)])], ids=lambda d: d.to_json())
+def test_support_point_against_brute_force(desc):
+    """The support point lies on the unit sphere, beats every one of 4096
+    cone samples, and for lp attains the dual norm ||g||_q."""
+    rng = np.random.default_rng(23)
+    pts = cone_sample(desc, 4096, seed=24).points
+    for _ in range(8):
+        g = rng.standard_normal(desc.n)
+        z = REGISTRY[desc.kind].support_point(desc, g)
+        assert abs(norm_eval(desc, z) - 1.0) <= 1e-12
+        assert g @ z >= (pts @ g).max()
+        if desc.kind == "lp":
+            assert abs(g @ z - norm_eval(_dual_lp(desc), g)) \
+                <= 1e-12 * norm_eval(_dual_lp(desc), g)
+    zero = REGISTRY[desc.kind].support_point(desc, np.zeros(desc.n))
+    assert np.array_equal(zero, np.zeros(desc.n))
+
+
+def test_support_point_of_a_ball_intersection_is_none():
+    g = np.array([1.0, -0.5, 0.25])
+    assert REGISTRY["intersect_ball"].support_point(
+        intersect_ball(lp(3, 1), 0.8), g) is None
+    assert REGISTRY["block_lp"].support_point(
+        block_lp(2, [intersect_ball(lp(2, 1), 0.8), lp(1, 2)]), g) is None
 
 
 def test_coord_bound_and_circumradius():
