@@ -33,13 +33,23 @@ def bump(t):
     return np.clip(np.minimum(t - 1.0, 4.0 - t), 0.0, 1.0)
 
 
+def _scales(d):
+    """The active dyadic scales of distances d[i] > 0 (shape (P,)): arrays
+    (i, k, bump(d[i] / 2^k)) over the k with 2^k in (d[i]/4, d[i]), in order
+    of i, then k ascending."""
+    k = np.floor(np.log2(d))[:, None].astype(int) + np.arange(-2, 2)
+    phi = bump(d[:, None] / 2.0 ** k)
+    i, j = np.nonzero(phi > 0.0)
+    return i, k[i, j], phi[i, j]
+
+
 def active_scales(d):
     """Dyadic scales k with bump(d / 2^k) > 0, i.e. 2^k in (d/4, d)."""
+    if not math.isfinite(d):
+        raise InputError("distance %r is not finite" % (d,))
     if d <= 0.0:
         return []
-    hi = math.ceil(math.log2(d))            # largest k with 2^k < d (loose)
-    lo = math.floor(math.log2(d / 4.0))
-    return [k for k in range(lo, hi + 1) if bump(d / 2.0 ** k) > 0.0]
+    return _scales(np.array([float(d)]))[1].tolist()
 
 
 def bump_weights(sp, x, anchors, k):
@@ -67,26 +77,49 @@ class ExtensionOperator:
     seed: int
 
     def weights(self, x):
-        """Convex anchor weights of the extension at x.  Round j at scale k
-        reads realization j of the partition process keyed by (seed, k)."""
+        """Convex anchor weights of the extension at one point x (shape (n,))
+        or at each point of a stack (shape (P, n)), as an array (A,) or
+        (P, A).  Round j at scale k reads realization j of the partition
+        process keyed by (seed, k).  Every (point, active scale, round)
+        triple is one row of a single grid call, and a point has at most two
+        active scales.  The grid takes the rows in blocks and holds under
+        8 * partition._PASS_WORDS words (8 MiB) at a time whatever their
+        number (see `partition._grid_first_arrivals`); beyond that, each row
+        takes about (anchors + 2)(n + 1) words."""
         x = np.asarray(x, dtype=float)
-        match = np.all(self.anchors == x, axis=1)
-        w = np.zeros(self.anchors.shape[0])
-        if match.any():
-            w[int(match.argmax())] = 1.0
-            return w
-        dists = norm_batch(self.space, self.anchors - x)
-        d = float(dists.min())
-        for k in active_scales(d):
-            phi = float(bump(d / 2.0 ** k))
-            keys = np.random.SeedSequence([self.seed, k + (1 << 20)]) \
-                .generate_state(self.mc_rounds, np.uint64)
-            _, centers = _grid_first_arrivals(self.space, keys, x[None],
-                                              2.0 ** (k - 1))
-            sel = np.argmin(norm_batch(self.space,
-                                       self.anchors - centers), axis=1)
-            np.add.at(w, sel, phi)
-        return w / w.sum()
+        n = self.anchors.shape[1]
+        if x.ndim not in (1, 2) or x.shape[-1] != n:
+            raise InputError("points must have shape (%d,) or (P, %d), got "
+                             "%s" % (n, n, x.shape))
+        pts = x.reshape(-1, n)
+        if not np.all(np.isfinite(pts)):
+            raise InputError("points must be finite")
+        dists = norm_batch(self.space, self.anchors - pts[:, None])
+        d = dists.min(axis=1)
+        if not np.all(np.isfinite(d)):
+            raise InputError("the distance from a point to the anchors "
+                             "overflows")
+        w = np.zeros(dists.shape)
+        at = np.flatnonzero(d == 0.0)
+        w[at, dists[at].argmin(axis=1)] = 1.0
+        off = np.flatnonzero(d > 0.0)
+        i, k, phi = _scales(d[off])
+        rounds = self.mc_rounds
+        state = {kk: np.random.SeedSequence([self.seed, kk + (1 << 20)])
+                 .generate_state(rounds, np.uint64) for kk in set(k.tolist())}
+        keys = np.array([state[kk] for kk in k.tolist()],
+                        dtype=np.uint64).ravel()
+        _, centers = _grid_first_arrivals(
+            self.space, keys, np.repeat(pts[off[i]], rounds, axis=0),
+            np.repeat(2.0 ** (k - 1), rounds))
+        sel = np.argmin(norm_batch(self.space,
+                                   self.anchors - centers[:, None]), axis=1)
+        # np.add.at adds in row order: for each point its scales ascending,
+        # then its rounds, the order of a single point's sum, so a stack's
+        # weights equal its points' weights bit for bit.
+        np.add.at(w, (np.repeat(off[i], rounds), sel), np.repeat(phi, rounds))
+        w[off] /= w[off].sum(axis=1, keepdims=True)
+        return w[0] if x.ndim == 1 else w
 
     def __call__(self, x):
         value, _ = evaluate(self, x)
@@ -109,6 +142,8 @@ def build_extension(sp, anchors, values, target=None, mc_rounds=64, seed=0):
         values = values[:, None]
     if values.shape[0] != anchors.shape[0]:
         raise InputError("one value per anchor required")
+    if not (np.all(np.isfinite(anchors)) and np.all(np.isfinite(values))):
+        raise InputError("anchors and values must be finite")
     _, keep = np.unique(anchors, axis=0, return_index=True)
     if keep.size < anchors.shape[0]:
         warnings.warn("duplicate anchors removed")
@@ -164,12 +199,11 @@ def lipschitz_ratio_scan(op, pair_count=100, seed=0, profile_samples=50_000,
         ai = ai[ai[:, 0] != ai[:, 1]]
         xs = np.vstack([xs, op.anchors[ai[:, 0]]])
         ys = np.vstack([ys, op.anchors[ai[:, 1]]])
+    F = [op.values.T @ w for w in op.weights(np.vstack([xs, ys]))]
     best, best_pair = 0.0, (xs[0], ys[0])
-    for x, y in zip(xs, ys):
+    for x, y, fx, fy in zip(xs, ys, F, F[len(xs):]):
         if np.array_equal(x, y):
             continue
-        fx, _ = evaluate(op, x)
-        fy, _ = evaluate(op, y)
         num = float(norm_batch(op.target, fx - fy))
         den = profile(x - y)
         if den <= 0:

@@ -28,6 +28,13 @@ from .geometry import (MonteCarloEstimate, _cone_points, estimate_mean,
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 # Arrivals per box in one pass grow 1, 2, 4, ... up to this bound on memory.
 _PASS_ARRIVALS = 16
+# Words of one array of one pass of a grid block: the grid hands
+# `_first_arrivals` blocks of rows with rows * 2^n * _PASS_ARRIVALS * (n + 1)
+# <= _PASS_WORDS, and at least one row.
+_PASS_WORDS = 1 << 17
+# Cell coordinates are int64; a query further than this many cells from the
+# origin cannot be placed on the grid.
+_MAX_CELLS = 2.0 ** 62
 
 
 def _mix(z):
@@ -38,14 +45,27 @@ def _mix(z):
     return z ^ (z >> np.uint64(31))
 
 
+def _block_rows(boxes, n):
+    """Rows of one block: one pass over them holds at most _PASS_WORDS words
+    per array, and a block holds at least one row."""
+    return max(1, _PASS_WORDS // (boxes * _PASS_ARRIVALS * (n + 1)))
+
+
 def _first_arrivals(s, x, radius, lo, side, keys):
-    """Time and position of the first arrival within `radius` of each query
+    """Time and position of the first arrival within radius[i] of each query
     x[i, q] (shape (rows, queries, n)) among the arrivals of the boxes
-    lo[i, b] + [0, side] keyed keys[i, b].  Arrival a of a box hashes the
-    counters a(n+1), ..., a(n+1) + n: an Exp(1) time gap after arrival a - 1,
-    then a uniform position.  A row stops once each of its queries has a hit
-    no later than the last arrival drawn in every box; later arrivals come
-    later still, so the answer is exact."""
+    lo[i, b] + [0, side[i]] keyed keys[i, b]; side has shape (rows, n) or
+    (rows, 1).  Arrival a of a box hashes the counters a(n+1), ...,
+    a(n+1) + n: an Exp(1) time gap after arrival a - 1, then a uniform
+    position.  A row stops once each of its queries has a hit no later than
+    the last arrival drawn in every box; later arrivals come later still, so
+    the answer is exact, and a row's answer does not depend on the other
+    rows of the call.
+
+    One pass holds arrays of rows * boxes * _PASS_ARRIVALS * (n + 1) words
+    (8 bytes each), so the caller bounds memory by the rows it passes: the
+    grid passes blocks of `_block_rows(2^n, n)` rows, `separation_prob_mc`
+    its Monte Carlo chunks of single-box trials."""
     rows, _, n = x.shape
     t = np.full(x.shape[:2], np.inf)
     pos = np.zeros(x.shape)
@@ -60,9 +80,11 @@ def _first_arrivals(s, x, radius, lo, side, keys):
         times = np.cumsum(np.concatenate(
             [last[live][..., None], -np.log1p(-u[..., 0])], axis=-1),
             axis=-1)[..., 1:]
-        centers = (lo[live][:, :, None] + side * u[..., 1:]).reshape(
+        centers = (lo[live][:, :, None]
+                   + side[live][:, None, None] * u[..., 1:]).reshape(
             live.size, 1, -1, n)
-        tt = np.where(norm_batch(s, centers - x[live][:, :, None]) <= radius,
+        tt = np.where(norm_batch(s, centers - x[live][:, :, None])
+                      <= radius[live][:, None, None],
                       times.reshape(live.size, 1, -1), np.inf)
         j = tt.argmin(axis=-1)[..., None]
         first = np.take_along_axis(tt, j, -1)[..., 0]
@@ -76,24 +98,42 @@ def _first_arrivals(s, x, radius, lo, side, keys):
 
 
 def _grid_first_arrivals(s, keys, x, radius):
-    """`_first_arrivals` of the queries x (shape (queries, n)) in each
-    realization keys[i] of the process on the grid of cells of side
-    2 coord_bound(s) radius, as arrays (rows, queries) and (rows, queries, n).
-    A query's ball lies in the 2^n cells from the one holding x - side/2 up;
-    a cell's key hashes the realization's key with its integer coordinates."""
+    """`_first_arrivals` of query x[i] (shape (rows, n)) within radius[i] in
+    the realization keys[i] of the process on the grid of cells of side
+    2 coord_bound(s) radius[i], as arrays (rows,) and (rows, n).  A query's
+    ball lies in the 2^n cells from the one holding x - side/2 up; a cell's
+    key hashes the realization's key with its integer coordinates.
+
+    Rows go through in blocks of `_block_rows(2^n, n)`, so an array of a
+    pass holds at most _PASS_WORDS words (8 bytes each) and a pass keeps
+    fewer than eight such arrays alive (about 5.2 at most, measured over the
+    lp(n, 1) norms for n = 4..6).  Beyond its inputs and outputs a call thus
+    holds under 8 _PASS_WORDS words (8 MiB) at a time whatever the number of
+    rows, unless a single row needs more.  Raises InputError for a query
+    that is not finite or lies more than 2^62 cells from the origin."""
+    rows, n = x.shape
     side = 2.0 * coord_bound(s) * radius
-    n = x.shape[1]
-    cells = (np.floor(x / side - 0.5).astype(np.int64)[:, None, :]
-             + np.array(list(itertools.product((0, 1), repeat=n))))
-    h = np.broadcast_to(keys[:, None, None], (keys.size,) + cells.shape[:2])
-    for c in np.moveaxis(cells.view(np.uint64), -1, 0):
-        h = _mix(h ^ c)
-    rows = h.size // cells.shape[1]
-    t, pos = _first_arrivals(
-        s, np.broadcast_to(x, (keys.size,) + x.shape).reshape(rows, 1, n),
-        radius, np.broadcast_to(cells * side, h.shape + (n,)).reshape(
-            rows, -1, n), side, h.reshape(rows, -1))
-    return t.reshape(keys.size, -1), pos.reshape(keys.size, -1, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = np.abs(x) + 2.0 * side[:, None]
+        if not (np.all(span < np.inf)
+                and np.all(span < _MAX_CELLS * side[:, None])):
+            raise InputError("query points must be finite and lie within "
+                             "2^62 partition cells of the origin (smallest "
+                             "cell side here: %.3g)" % side.min())
+    corners = np.array(list(itertools.product((0, 1), repeat=n)))
+    block = _block_rows(corners.shape[0], n)
+    t, pos = np.empty(rows), np.empty((rows, n))
+    for b in range(0, rows, block):
+        r = slice(b, b + block)
+        cells = (np.floor(x[r] / side[r, None] - 0.5).astype(np.int64)
+                 [:, None, :] + corners)
+        h = np.broadcast_to(keys[r, None], cells.shape[:2])
+        for c in np.moveaxis(cells.view(np.uint64), -1, 0):
+            h = _mix(h ^ c)
+        tb, pb = _first_arrivals(s, x[r, None], radius[r],
+                                 cells * side[r, None, None], side[r, None], h)
+        t[r], pos[r] = tb[:, 0], pb[:, 0]
+    return t, pos
 
 
 @dataclass(frozen=True)
@@ -142,9 +182,11 @@ def sample_partition(sp, delta, queries, seed=0):
         raise InputError("query dimension mismatch")
     scale = 2.0 / delta
     key = np.random.SeedSequence(seed).generate_state(1, np.uint64)
-    t, pos = _grid_first_arrivals(s, key, qpts * scale, 1.0)
-    _, first, which = np.unique(t[0], return_index=True, return_inverse=True)
-    return PartitionSample(delta=float(delta), centers=pos[0, first] / scale,
+    rows = qpts.shape[0]
+    t, pos = _grid_first_arrivals(s, np.repeat(key, rows), qpts * scale,
+                                  np.ones(rows))
+    _, first, which = np.unique(t, return_index=True, return_inverse=True)
+    return PartitionSample(delta=float(delta), centers=pos[first] / scale,
                            assignment=dict(enumerate(which.tolist())),
                            seed=seed)
 
@@ -166,12 +208,14 @@ def separation_prob_mc(sp, u, v, delta, trials=10_000, seed=0, workers=1):
     q = np.vstack([u, v]) * scale
     c = coord_bound(s)
     lo, hi = q.min(axis=0) - c, q.max(axis=0) + c
+    if not np.all(np.isfinite(hi - lo)):
+        raise InputError("u and v scaled by 2/delta must be finite")
 
     def kernel(rng, m):
         keys = rng.integers(0, 1 << 64, size=(m, 1), dtype=np.uint64)
-        t, _ = _first_arrivals(s, np.broadcast_to(q, (m,) + q.shape), 1.0,
-                               np.broadcast_to(lo, (m, 1, lo.size)), hi - lo,
-                               keys)
+        t, _ = _first_arrivals(s, np.broadcast_to(q, (m,) + q.shape),
+                               np.ones(m), np.broadcast_to(lo, (m, 1, lo.size)),
+                               np.broadcast_to(hi - lo, (m, lo.size)), keys)
         return (t[:, 0] != t[:, 1]).astype(float), np.ones(m)
 
     return estimate_mean(kernel, trials, seed, workers=workers, chunk=1 << 13)

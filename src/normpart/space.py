@@ -25,6 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 INF = float("inf")
+_TINY = np.finfo(float).tiny
 
 
 class InputError(ValueError):
@@ -318,9 +319,22 @@ def _scaled_p_sum(A, p):
     """(sum A^p)^{1/p} for A >= 0, scaled by the row maximum so that tiny or
     huge entries do not underflow/overflow when raised to the power p."""
     m = A.max(axis=-1)
-    safe = np.where(m > 0.0, m, 1.0)
+    safe = np.where((m > 0.0) & (m < INF), m, 1.0)
     r = A / safe[..., None]
     return safe * (r ** p).sum(axis=-1) ** (1.0 / p)
+
+
+def _mend_p_sum(r, A, p):
+    """r = (sum A^p)^{1/p} computed without scaling, with the rows where a
+    power left the float range (r not finite, or below tiny^{1/p} so that
+    every power underflowed) recomputed by `_scaled_p_sum`.  The other rows
+    keep their value bit for bit."""
+    bad = ~(r >= _TINY ** (1.0 / p)) | (r == INF)
+    if not bad.any():
+        return r
+    r = np.array(r)
+    r[bad] = _scaled_p_sum(A[bad], p)
+    return r[()]
 
 
 def _schatten_sv(desc, X):
@@ -437,7 +451,8 @@ class LpKind(Kind):
         if d.p == 1.0:
             return A.sum(axis=-1)
         if d.p == 2.0:
-            return np.sqrt((A * A).sum(axis=-1))
+            with np.errstate(over="ignore", under="ignore"):
+                return _mend_p_sum(np.sqrt((A * A).sum(axis=-1)), A, 2.0)
         return _scaled_p_sum(A, d.p)
 
     def gradient(self, d, X):
@@ -747,7 +762,9 @@ class SchattenKind(Kind):
         sv = _schatten_sv(d, X)
         if d.p == INF:
             return sv.max(axis=-1)
-        return (sv ** d.p).sum(axis=-1) ** (1.0 / d.p)
+        with np.errstate(over="ignore", under="ignore"):
+            return _mend_p_sum((sv ** d.p).sum(axis=-1) ** (1.0 / d.p), sv,
+                               d.p)
 
     def gradient(self, d, X):
         k = math.isqrt(d.n)

@@ -174,6 +174,41 @@ def test_extend_mc_rounds_below_one_exit_2(tmp_path, capsys):
         assert code == 2 and "mc_rounds" in err and out == ""
 
 
+GOOD_ANCHORS = {"anchors": [[0.0, 0.0], [1.0, 0.0]], "values": [0.0, 1.0]}
+
+
+@pytest.mark.parametrize("payload,point,message", [
+    (GOOD_ANCHORS, "inf,0", "finite"),
+    (GOOD_ANCHORS, "nan,0", "finite"),
+    (GOOD_ANCHORS, "1,2,3", "shape"),
+    ({"anchors": [["inf", 0.0], [1.0, 0.0]], "values": [0.0, 1.0]}, "0.5,0",
+     "finite"),
+    ({"anchors": [[0.0, 0.0], [1.0, 0.0]], "values": ["nan", 1.0]}, "0.5,0",
+     "finite"),
+], ids=["inf point", "nan point", "long point", "inf anchor", "nan value"])
+def test_extend_bad_input_exit_2(payload, point, message, tmp_path, capsys):
+    # these crashed with a traceback, failed inside numpy, or printed a
+    # value of 1.0 or nan and exited 0
+    f = tmp_path / "anchors.json"
+    f.write_text(json.dumps(payload))
+    code, out, err = run_main(["extend", "--space",
+                               '{"kind":"lp","n":2,"p":2}', "--anchors",
+                               str(f), "--point", point, "--mc-rounds", "4"],
+                              capsys)
+    assert code == 2 and out == "" and "input error" in err
+    assert message in err
+
+
+def test_extend_far_point(tmp_path, capsys):
+    # the p = 2 norm of the point used to overflow and crash the command
+    f = tmp_path / "anchors.json"
+    f.write_text(json.dumps({"anchors": [[0.0, 0.0]], "values": [2.0]}))
+    code, out, _ = run_main(["extend", "--space", '{"kind":"lp","n":2,"p":2}',
+                             "--anchors", str(f), "--point", "1e300,0",
+                             "--mc-rounds", "4"], capsys)
+    assert code == 0 and "value: 2.0" in out
+
+
 def test_lw_check_command(capsys):
     code, out, _ = run_main(["lw-check", "--trials", "50", "--seed", "2"],
                             capsys)

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from normpart import partition
 from normpart.space import InputError, linf, lp, norm_batch
 from normpart.extension import (CALIBRATED_LIPSCHITZ_BOUND, active_scales,
                                 build_extension, bump, bump_weights, evaluate,
-                                lipschitz_ratio_scan)
+                                lipschitz_ratio_scan,
+                                separation_profile_cloud)
 
 
 def test_bump_shape():
@@ -160,3 +162,149 @@ def test_anchor_pairs_ratio_at_most_one():
 
 def test_calibrated_bound_is_frozen():
     assert CALIBRATED_LIPSCHITZ_BOUND == 1.722
+
+
+def _stack_case(sp, anchors_count, seed):
+    """An operator on sp and a stack of points: its anchors, points whose
+    distance to the anchors is a power of two (one active scale) and random
+    points (mostly two)."""
+    rng = np.random.default_rng(seed)
+    anchors = rng.uniform(-1, 1, size=(anchors_count, sp.n))
+    op = build_extension(sp, anchors, rng.standard_normal((anchors_count, 2)),
+                         mc_rounds=8, seed=seed)
+    step = np.zeros(sp.n)
+    step[0] = 2.0 ** rng.integers(-2, 2)
+    far = anchors[anchors[:, 0].argmax()] + step
+    stack = np.vstack([anchors, far, rng.uniform(-2, 2, size=(12, sp.n))])
+    return op, stack
+
+
+@pytest.mark.parametrize("sp,anchors_count", [
+    (lp(2, 2), 5), (lp(3, 1), 4), (linf(3), 6), (lp(2, 1.5), 12)],
+    ids=["l2_2", "l1_3", "linf_3", "l1.5_2_12_anchors"])
+def test_weights_of_a_stack_equal_pointwise_weights(sp, anchors_count):
+    op, stack = _stack_case(sp, anchors_count, seed=anchors_count)
+    scales = {len(active_scales(float(norm_batch(sp, op.anchors - x).min())))
+              for x in stack}
+    # 2^k in (d/4, d) holds for one k when d is a power of two, else two
+    assert scales == {0, 1, 2}
+    W = op.weights(stack)
+    assert W.shape == (stack.shape[0], anchors_count)
+    assert np.array_equal(W, np.array([op.weights(x) for x in stack]))
+    for x, w in zip(stack, W):
+        value, single = evaluate(op, x)
+        assert np.array_equal(single, w)
+        assert np.array_equal(value, op.values.T @ w)
+
+
+def _serial_ratio_scan(op, pair_count, seed, profile_samples, box_scale=1.5):
+    """lipschitz_ratio_scan as a loop of single-point evaluations."""
+    s = op.space
+    profile = separation_profile_cloud(s, samples=profile_samples, seed=seed)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x11b)))
+    lo, hi = op.anchors.min(axis=0), op.anchors.max(axis=0)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo) + 1e-3
+    lo, hi = mid - box_scale * half, mid + box_scale * half
+    xs = lo + (hi - lo) * rng.random((pair_count, s.dim))
+    ys = lo + (hi - lo) * rng.random((pair_count, s.dim))
+    ai = rng.integers(0, op.anchors.shape[0], size=(8, 2))
+    ai = ai[ai[:, 0] != ai[:, 1]]
+    xs = np.vstack([xs, op.anchors[ai[:, 0]]])
+    ys = np.vstack([ys, op.anchors[ai[:, 1]]])
+    best, best_pair = 0.0, (xs[0], ys[0])
+    for x, y in zip(xs, ys):
+        fx, _ = evaluate(op, x)
+        fy, _ = evaluate(op, y)
+        ratio = float(norm_batch(op.target, fx - fy)) / profile(x - y)
+        if ratio > best:
+            best, best_pair = ratio, (x, y)
+    return best, best_pair
+
+
+def _recipe_instance(master, i):
+    """Operator and scan seed of instance i of the calibration recipe of
+    test_extension_lipschitz_ratio_within_calibrated_headroom."""
+    pool = [lp(2, 2), lp(3, 2), lp(2, 1), lp(3, 1), linf(2), linf(3)]
+    rng = np.random.default_rng(np.random.SeedSequence([master, i]))
+    sp = pool[int(rng.integers(len(pool)))]
+    anchors = rng.uniform(-1.0, 1.0, size=(int(rng.integers(3, 9)), sp.n))
+    u = rng.standard_normal(sp.n)
+    dual = lp(sp.n, {1.0: math.inf, 2.0: 2.0, math.inf: 1.0}[sp.p])
+    u = u / float(norm_batch(dual, u))
+    op = build_extension(sp, anchors, anchors @ u, mc_rounds=16,
+                         seed=int(rng.integers(1 << 30)))
+    return op, int(rng.integers(1 << 30))
+
+
+@pytest.mark.parametrize("master,i", [(777, 4), (777, 5), (1, 4)])
+def test_lipschitz_ratio_scan_matches_a_serial_loop(master, i):
+    # on (777, 4) and (777, 5), forming F as W @ values instead of
+    # values.T @ w moves the ratio in the last ulp
+    op, seed = _recipe_instance(master, i)
+    ratio, (x, y) = lipschitz_ratio_scan(op, pair_count=60, seed=seed,
+                                         profile_samples=20_000)
+    ref, (rx, ry) = _serial_ratio_scan(op, 60, seed, 20_000)
+    assert ratio == ref > 0.0
+    assert np.array_equal(x, rx) and np.array_equal(y, ry)
+
+
+def _count_first_arrivals(monkeypatch):
+    calls = []
+    first_arrivals = partition._first_arrivals
+
+    def counted(*args):
+        calls.append(args[1].shape[0])
+        return first_arrivals(*args)
+
+    monkeypatch.setattr(partition, "_first_arrivals", counted)
+    return calls
+
+
+def test_a_scan_makes_one_grid_pass_per_row_block(monkeypatch):
+    # a 60-pair scan in three dimensions used to make 240 grid calls of 16
+    # rows, one per point and active scale
+    rng = np.random.default_rng(1)
+    anchors = rng.uniform(-1, 1, size=(5, 3))
+    op = build_extension(lp(3, 1), anchors, anchors @ [0.2, -0.5, 0.3],
+                         mc_rounds=16, seed=7)
+    calls = _count_first_arrivals(monkeypatch)
+    lipschitz_ratio_scan(op, pair_count=60, seed=2, profile_samples=2_000)
+    block = partition._block_rows(8, 3)
+    assert len(calls) == math.ceil(sum(calls) / block) <= 20
+    assert sum(calls) > 16 * 120
+
+
+def test_one_evaluate_makes_one_grid_call(monkeypatch):
+    op = build_extension(lp(2, 2), [[0.0, 0.0], [3.0, 0.0]], [0.0, 1.0],
+                         mc_rounds=16, seed=1)
+    calls = _count_first_arrivals(monkeypatch)
+    for x, scales in (([1.0, 0.0], 1), ([0.7, 0.4], 2)):
+        assert len(active_scales(float(np.hypot(*x)))) == scales
+        calls.clear()
+        evaluate(op, x)
+        assert calls == [16 * scales]
+
+
+def test_bad_points_raise_input_errors():
+    op = build_extension(lp(2, 2), [[0.0, 0.0], [1.0, 0.0]], [0.0, 1.0],
+                         mc_rounds=4, seed=0)
+    for x in ([np.inf, 0.0], [np.nan, 0.0], [0.5, 0.0, 0.0], [[[0.5, 0.0]]]):
+        with pytest.raises(InputError, match="points"):
+            op.weights(x)
+    with pytest.raises(InputError, match="distance"):
+        op.weights([-1.5e308, 1.5e308])
+    # a point this close to an anchor used to hang: its cells overflowed
+    with pytest.raises(InputError, match="2\\^62"):
+        op.weights([1.0, 1e-20])
+    # the norm no longer overflows, so a far point is evaluated
+    value, w = evaluate(op, [1e300, 0.0])
+    assert 0.0 <= value[0] <= 1.0 and w.sum() == 1.0
+    with pytest.raises(InputError):
+        active_scales(float("inf"))
+
+
+def test_build_rejects_anchors_and_values_that_are_not_finite():
+    for anchors, values in (([[np.inf, 0.0], [1.0, 0.0]], [0.0, 1.0]),
+                            ([[0.0, 0.0], [1.0, 0.0]], [np.nan, 1.0])):
+        with pytest.raises(InputError, match="finite"):
+            build_extension(lp(2, 2), anchors, values)

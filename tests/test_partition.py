@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from normpart.space import InputError, linf, lp, norm_batch, orlicz
+from normpart import partition
 from normpart.partition import (PartitionSample,
                                 deterministic_partition_bound_check,
                                 loomis_whitney_boundary, overlap_exact_linf,
@@ -60,6 +62,64 @@ def test_sample_partition_validation():
         sample_partition(lp(2, 2), 1.0, np.empty((0, 2)))
     with pytest.raises(InputError):
         sample_partition(lp(2, 2), 1.0, [[0.0, 0.0, 0.0]])
+
+
+def test_queries_the_grid_cannot_place_raise():
+    # each of these used to hang: its cells were not finite or overflowed
+    # int64, so no arrival ever came within the radius
+    for delta, q in ((1.0, [np.inf, 0.0]), (1.0, [np.nan, 0.0]),
+                     (1e-300, [1e10, 0.0]), (1e-30, [1.0, 0.0])):
+        with pytest.raises(InputError, match="2\\^62"):
+            sample_partition(lp(2, 2), delta, [q])
+
+
+def _grid_case(sp, rows, seed=0):
+    rng = np.random.default_rng(seed)
+    keys = rng.integers(0, 1 << 63, size=rows, dtype=np.uint64)
+    x = rng.uniform(-3.0, 3.0, size=(rows, sp.n))
+    return keys, x, 2.0 ** rng.integers(-3, 2, size=rows).astype(float)
+
+
+@pytest.mark.parametrize("sp", [lp(3, 1), lp(2, 2), linf(2)],
+                         ids=["l1_3", "l2_2", "linf_2"])
+def test_grid_row_blocks_do_not_change_the_answer(sp, monkeypatch):
+    keys, x, radius = _grid_case(sp, 150)
+    monkeypatch.setattr(partition, "_PASS_WORDS", 1 << 40)
+    t1, pos1 = partition._grid_first_arrivals(sp, keys, x, radius)
+    calls = []
+    first_arrivals = partition._first_arrivals
+
+    def counted(*args):
+        calls.append(args[1].shape[0])
+        return first_arrivals(*args)
+
+    monkeypatch.setattr(partition, "_first_arrivals", counted)
+    monkeypatch.setattr(partition, "_PASS_WORDS",
+                        7 * 2 ** sp.n * partition._PASS_ARRIVALS * (sp.n + 1))
+    t7, pos7 = partition._grid_first_arrivals(sp, keys, x, radius)
+    assert calls == [7] * 21 + [3]
+    assert np.array_equal(t1, t7) and np.array_equal(pos1, pos7)
+
+
+def test_grid_call_memory_is_bounded_by_its_blocks(monkeypatch):
+    # the docstring of _grid_first_arrivals states the bound: at most
+    # 8 _PASS_WORDS words beyond its inputs and outputs
+    sp = lp(3, 1)
+    keys, x, radius = _grid_case(sp, 5000)
+    bound = 8 * 8 * partition._PASS_WORDS
+
+    def peak():
+        tracemalloc.start()
+        try:
+            partition._grid_first_arrivals(sp, keys, x, radius)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak() < bound
+    # in one block the same call holds several times as much
+    monkeypatch.setattr(partition, "_PASS_WORDS", 1 << 40)
+    assert peak() > 2 * bound
 
 
 def test_nearby_queries_share_cluster():
@@ -128,6 +188,14 @@ def test_separation_rejects_points_of_the_wrong_length():
         for fn in (separation_prob_exact, separation_prob_mc):
             with pytest.raises(InputError, match="length 2"):
                 fn(lp(2, 2), u, v, 2.0, trials=10)
+
+
+def test_separation_mc_rejects_points_that_are_not_finite():
+    # these used to hang in a box of infinite side
+    for u, delta in (([np.inf, 0], 2.0), ([np.nan, 0], 2.0),
+                     ([1e300, 0], 1e-10)):
+        with pytest.raises(InputError, match="finite"):
+            separation_prob_mc(lp(2, 2), u, [0, 0], delta, trials=10)
 
 
 def test_separation_monotone_in_distance():

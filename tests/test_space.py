@@ -308,6 +308,29 @@ def test_norm_batch_matches_eval():
             assert val == pytest.approx(norm_eval(d, row), rel=1e-9)
 
 
+@pytest.mark.parametrize("desc,x,expected", [
+    (lp(3, 2), [3e200, 4e200, 0.0], 5e200),
+    (lp(3, 2), [3e-200, 4e-200, 0.0], 5e-200),
+    (lp(3, 2), [1e-320, 0.0, 0.0], 1e-320),
+    (schatten(2, 3), [3e200, 0.0, 0.0, 4e200], (27 + 64) ** (1 / 3) * 1e200),
+    (schatten(2, 2), [3e-200, 0.0, 0.0, 4e-200], 5e-200),
+    (block_lp(2, [lp(2, 2), lp(1, 1)]), [3e200, 4e200, 12e200], 13e200),
+])
+def test_norms_neither_overflow_nor_underflow(desc, x, expected):
+    # the unscaled p = 2 and Schatten sums gave inf, 0.0 and (block_lp) nan
+    assert norm_eval(desc, x) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+def test_p2_norm_keeps_its_fast_path_values_in_range():
+    rng = np.random.default_rng(21)
+    X = rng.standard_normal((200, 3)) * 10.0 ** rng.integers(-150, 150,
+                                                              (200, 1))
+    X[0] = 0.0
+    assert np.array_equal(norm_batch(lp(3, 2), X),
+                          np.sqrt((X * X).sum(axis=-1)))
+    assert norm_eval(lp(3, 2), [np.inf, 0.0, 0.0]) == np.inf
+
+
 # ---------------------------------------------------------------------------
 # decomposition
 
