@@ -35,7 +35,9 @@ class MonteCarloEstimate:
 class ConeSamples:
     """A batch of cone-measure samples: boundary points with importance
     weights (1 where the sampler draws the cone measure itself,
-    self-normalizing otherwise)."""
+    self-normalizing otherwise).  Every sampler puts its points on the unit
+    sphere by construction (the Orlicz sampler) or by dividing by their
+    norm, so the kernels below take their norms as 1."""
     points: np.ndarray  # (count, dim), on the unit sphere of the norm
     weights: np.ndarray  # (count,)
 
@@ -298,7 +300,7 @@ def surface_ratio(sp, samples=100_000, seed=0, workers=1):
 
     def kernel(rng, m):
         pts, w = _cone_points(s, rng, m)
-        g = gradient_batch(s, pts)
+        g = gradient_batch(s, pts, np.ones(m))
         return n * np.sqrt((g * g).sum(axis=1)), w
 
     return estimate_mean(kernel, samples, seed, workers=workers)
@@ -355,7 +357,7 @@ def psi(sp, w, samples=100_000, seed=0, workers=1, closed_form=True):
 
     def kernel(rng, m):
         pts, wt = _cone_points(s, rng, m)
-        g = gradient_batch(s, pts)
+        g = gradient_batch(s, pts, np.ones(m))
         return 0.5 * n * np.abs(g @ w), wt
 
     return estimate_mean(kernel, samples, seed, workers=workers)
@@ -366,7 +368,7 @@ def psi_gradient_cloud(sp, samples=100_000, seed=0):
     be evaluated as (n/2) * weighted-mean |G @ w| with one matmul each."""
     s = space(sp)
     cs = cone_sample(s, samples, seed=seed)
-    return gradient_batch(s, cs.points), cs.weights
+    return gradient_batch(s, cs.points, np.ones(samples)), cs.weights
 
 
 def psi_from_cloud(s, G, wt, w):
@@ -405,77 +407,112 @@ def _ball_ascent(objective, subgrad, support, normalize, n, restarts, seed,
     Each step moves z to the support point of a subgradient g at z,
     ``support(g)``: the point of the unit ball that maximizes <g, .>.  For
     convex f, f(cand) >= f(z) + <g, cand - z> >= f(z), so the update never
-    loses, needs no step size, and stops at the first candidate that does
-    not gain; on a sampled psi cloud f is polyhedral, so that happens after
-    finitely many steps.  Where ``support`` returns None (an intersect_ball
-    domain, whose support point has no closed form, or a block sum holding
-    one), the step is instead a projected subgradient step, halved on every
-    rejection.  ``normalize`` projects a point radially onto the sphere;
-    `steps` caps each start.  Returns the best point, its value and the
-    dispersion of the starts' values, the practical quality diagnostic.
+    loses, needs no step size, and a start stops at its first candidate
+    that does not gain; on a sampled psi cloud f is polyhedral, so that
+    happens after finitely many steps.  Where ``support`` returns None (an
+    intersect_ball domain, whose support point has no closed form, or a
+    block sum holding one), the step is instead a projected subgradient
+    step, halved on every rejection, and a start stops once its step falls
+    below 1e-12.  ``normalize`` projects points radially onto the sphere;
+    `steps` caps each start.
+
+    The starts move in lockstep: each step takes the stack of live starts,
+    shape (k, n), through one call each of ``objective`` (-> (k,)),
+    ``subgrad`` (-> (k, n), only at the starts that moved), ``support``
+    (-> (k, n) or None) and ``normalize`` (-> (k, n)), and a start leaves
+    the stack when it stops.  A start's path is the one it would take
+    alone, up to the rounding of the stacked products.  The psi objective
+    of `_psi_objective` takes its cloud in row blocks, so each of its
+    calls holds a few matrices of at most `_ASCENT_BLOCK_WORDS` words
+    (2 MiB each), however many starts the stack holds.  Returns the best
+    point, its value and the dispersion of the starts' values, the
+    practical quality diagnostic.
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xa5ce)))
-    best_z, best_val = None, -np.inf
-    vals = []
     starts = [np.ones(n)] + list(np.eye(n)[:restarts])
     while len(starts) < restarts + n + 1:
         starts.append(rng.standard_normal(n))
-    for z0 in starts:
-        z = normalize(np.asarray(z0, dtype=float))
-        fz = objective(z)
-        step = 0.5
-        g = None
-        for _ in range(steps):
-            if g is None:       # a rejected step keeps z, so g is unchanged
-                g = subgrad(z)
-                gn = float(np.linalg.norm(g))
-            if gn < 1e-15:
-                break
-            top = support(g)
-            cand = normalize(z + step * g / gn if top is None else top)
-            fc = objective(cand)
-            if fc > fz:
-                z, fz, g = cand, fc, None
-            elif top is not None:
-                break
-            else:
-                step *= 0.5
-                if step < 1e-12:
-                    break
-        vals.append(fz)
-        if fz > best_val:
-            best_val, best_z = fz, z
-    return best_z, best_val, float(np.std(vals))
+    Z = normalize(np.array(starts, dtype=float))
+    F = objective(Z)
+    G, gn = np.empty_like(Z), np.empty(len(Z))
+    step = np.full(len(Z), 0.5)
+    live = moved = np.arange(len(Z))
+    for _ in range(steps):
+        if moved.size:     # a rejected step keeps z, so g is unchanged
+            G[moved] = subgrad(Z[moved])
+            gn[moved] = np.linalg.norm(G[moved], axis=-1)
+        live = live[gn[live] >= 1e-15]
+        if not live.size:
+            break
+        top = support(G[live])
+        halving = top is None
+        if halving:
+            top = Z[live] + step[live, None] * G[live] / gn[live, None]
+        cand = normalize(top)
+        fc = objective(cand)
+        gain = fc > F[live]
+        moved = live[gain]
+        Z[moved], F[moved] = cand[gain], fc[gain]
+        if halving:
+            step[live[~gain]] *= 0.5
+            live = live[step[live] >= 1e-12]
+        else:
+            live = moved
+    best = int(np.argmax(F))
+    return Z[best], float(F[best]), float(np.std(F))
+
+
+# Words (8 bytes each) of one (cloud rows) x (starts) matrix of the psi
+# objective: the cloud is taken in blocks of at most this many entries.
+_ASCENT_BLOCK_WORDS = 1 << 18
 
 
 def _psi_objective(s, samples, seed):
-    """psi of s and a subgradient of it, for `_ball_ascent`, and the
-    gradient cloud behind them.  A closed form gets a forward-difference
-    subgradient and no cloud; otherwise both come from one
-    `psi_gradient_cloud`, returned as (G, weights)."""
+    """psi of s and a subgradient of it on stacks of directions, for
+    `_ball_ascent`, and the gradient cloud behind them.  A closed form gets
+    a forward-difference subgradient and no cloud; otherwise both come from
+    one `psi_gradient_cloud`, returned as (G, weights).
+
+    On the cloud, P = G Z^T holds <g_i, z_j> for every sample i and row j
+    of the stack Z; psi is (n/2) wt |P| / sum(wt) and a subgradient is
+    (n/2) (wt sign P)^T G / sum(wt).  Both are summed over blocks of
+    `_ASCENT_BLOCK_WORDS` // k cloud rows, so a call holds a few matrices
+    of at most `_ASCENT_BLOCK_WORDS` words whatever the stack size k."""
     n = s.dim
     if psi_closed_form(s, np.ones(n)) is not None:
-        def objective(z):
-            return psi_closed_form(s, z)
+        def objective(Z):
+            return np.array([psi_closed_form(s, z) for z in Z])
 
-        def subgrad(z):
+        def subgrad(Z):
             eps = 1e-6
-            g = np.empty(n)
-            base = objective(z)
+            g = np.empty_like(Z)
+            base = objective(Z)
             for i in range(n):
-                dz = z.copy()
-                dz[i] += eps
-                g[i] = (objective(dz) - base) / eps
+                dZ = Z.copy()
+                dZ[:, i] += eps
+                g[:, i] = (objective(dZ) - base) / eps
             return g
         return objective, subgrad, None
     G, wt = psi_gradient_cloud(s, samples=samples, seed=seed)
     sw = wt.sum()
 
-    def objective(z):
-        return 0.5 * n * float((wt * np.abs(G @ z)).sum() / sw)
+    def blocks(k):
+        rows = max(1, _ASCENT_BLOCK_WORDS // k)
+        return (slice(b, b + rows) for b in range(0, len(G), rows))
 
-    def subgrad(z):
-        return 0.5 * n * (G.T @ (wt * np.sign(G @ z))) / sw
+    def objective(Z):
+        out = np.zeros(len(Z))
+        for r in blocks(len(Z)):
+            out += wt[r] @ np.abs(G[r] @ Z.T)
+        return 0.5 * n * (out / sw)
+
+    def subgrad(Z):
+        out = np.zeros(Z.shape)
+        for r in blocks(len(Z)):
+            S = np.sign(G[r] @ Z.T)
+            S *= wt[r, None]
+            out += S.T @ G[r]
+        return 0.5 * n * out / sw
     return objective, subgrad, (G, wt)
 
 
@@ -489,8 +526,8 @@ def maxproj(sp, restarts=32, samples=100_000, seed=0):
     s = space(sp)
     objective, subgrad, cloud = _psi_objective(s, samples, seed)
 
-    def normalize(z):
-        return z / math.sqrt(float(z @ z))
+    def normalize(Z):
+        return Z / np.sqrt((Z * Z).sum(axis=-1))[:, None]
 
     z, val, spread = _ball_ascent(objective, subgrad, normalize, normalize,
                                   s.dim, restarts, seed)

@@ -158,13 +158,16 @@ def _check_delta(delta):
 
 
 def _separation_args(s, u, v, delta):
-    """u and v as float vectors of the dimension of s, once delta > 0."""
+    """u and v as finite float vectors of the dimension of s, once
+    delta > 0."""
     _check_delta(delta)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape != (s.dim,) or v.shape != (s.dim,):
         raise InputError("u and v must have length %d, got shapes %s and %s"
                          % (s.dim, u.shape, v.shape))
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+        raise InputError("u and v must be finite")
     return u, v
 
 
@@ -183,7 +186,9 @@ def sample_partition(sp, delta, queries, seed=0):
     scale = 2.0 / delta
     key = np.random.SeedSequence(seed).generate_state(1, np.uint64)
     rows = qpts.shape[0]
-    t, pos = _grid_first_arrivals(s, np.repeat(key, rows), qpts * scale,
+    with np.errstate(over="ignore"):    # the grid rejects what overflows
+        scaled = qpts * scale
+    t, pos = _grid_first_arrivals(s, np.repeat(key, rows), scaled,
                                   np.ones(rows))
     _, first, which = np.unique(t, return_index=True, return_inverse=True)
     return PartitionSample(delta=float(delta), centers=pos[first] / scale,
@@ -205,17 +210,19 @@ def separation_prob_mc(sp, u, v, delta, trials=10_000, seed=0, workers=1):
     if np.array_equal(u, v):
         return exact_estimate(0.0, seed=seed)
     scale = 2.0 / delta
-    q = np.vstack([u, v]) * scale
     c = coord_bound(s)
-    lo, hi = q.min(axis=0) - c, q.max(axis=0) + c
-    if not np.all(np.isfinite(hi - lo)):
+    with np.errstate(over="ignore"):    # rejected below
+        q = np.vstack([u, v]) * scale
+        lo, hi = q.min(axis=0) - c, q.max(axis=0) + c
+        span = hi - lo
+    if not np.all(np.isfinite(span)):
         raise InputError("u and v scaled by 2/delta must be finite")
 
     def kernel(rng, m):
         keys = rng.integers(0, 1 << 64, size=(m, 1), dtype=np.uint64)
         t, _ = _first_arrivals(s, np.broadcast_to(q, (m,) + q.shape),
                                np.ones(m), np.broadcast_to(lo, (m, 1, lo.size)),
-                               np.broadcast_to(hi - lo, (m, lo.size)), keys)
+                               np.broadcast_to(span, (m, lo.size)), keys)
         return (t[:, 0] != t[:, 1]).astype(float), np.ones(m)
 
     return estimate_mean(kernel, trials, seed, workers=workers, chunk=1 << 13)
@@ -252,7 +259,8 @@ def separation_prob_exact(sp, u, v, delta, trials=100_000, seed=0, workers=1):
     u, v = _separation_args(s, u, v, delta)
     if np.array_equal(u, v):
         return exact_estimate(0.0, seed=seed)
-    w = (2.0 / delta) * (v - u)
+    with np.errstate(over="ignore"):    # an infinite offset separates
+        w = (2.0 / delta) * (v - u)
     if float(norm_batch(s, w)) >= 2.0:
         return exact_estimate(1.0, seed=seed)
     t = REGISTRY[s.kind].overlap_exact(s, w)

@@ -19,8 +19,8 @@ from functools import partial
 import numpy as np
 
 from .space import (INF, REGISTRY, CapabilityError, InputError,
-                    SpaceDescriptor, block_lp, circumradius, lp, norm_batch,
-                    norm_gradient, orlicz, space)
+                    SpaceDescriptor, block_lp, circumradius, gradient_batch,
+                    lp, norm_batch, orlicz, space)
 from .geometry import (MonteCarloEstimate, _ball_ascent, _psi_objective,
                        cone_sample, exact_estimate, iq, iq_exact,
                        log_euclidean_ball_volume, log_volume_exact, psi)
@@ -86,14 +86,14 @@ def _sup_norm_on_sphere(sp_dom, sp_val, restarts, seed):
     if closed is not None:
         return closed, None
 
-    def normalize(z):
-        return z / float(norm_batch(dom, z))
+    def normalize(Z):
+        return Z / norm_batch(dom, Z)[:, None]
 
-    def objective(z):
-        return float(norm_batch(val, z))
+    def objective(Z):
+        return norm_batch(val, Z)
 
-    def subgrad(z):
-        return norm_gradient(val, z)
+    def subgrad(Z):
+        return gradient_batch(val, Z)
 
     z, best, spread = _ball_ascent(objective, subgrad,
                                    partial(REGISTRY[dom.kind].support_point,
@@ -136,8 +136,8 @@ def sep_upper_two_norm(sp_x, sp_y=None, restarts=16, samples=100_000, seed=0,
     if candidates is None:
         objective, subgrad, _ = _psi_objective(y, samples, seed)
 
-        def normalize(z):
-            return z / float(norm_batch(x, z))
+        def normalize(Z):
+            return Z / norm_batch(x, Z)[:, None]
 
         z, _, spread = _ball_ascent(objective, subgrad,
                                     partial(REGISTRY[x.kind].support_point, x),

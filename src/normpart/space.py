@@ -380,9 +380,11 @@ class Kind:
     """What normpart knows about one kind of space; every method takes the
     descriptor ``d``.  Each kind names the optional descriptor fields it
     reads in ``fields`` (a descriptor that sets any other is rejected) and
-    defines ``validate(d)`` (raise InputError unless those are well formed), ``norm(d, X)`` and ``gradient(d, X)``
-    on batches of rows, ``is_smooth(d, x)`` at one x != 0, ``coord_bound(d)``
-    (the l_inf circumradius) and ``circumradius(d)`` (the Euclidean one, for
+    defines ``validate(d)`` (raise InputError unless those are well formed),
+    ``norm(d, X)`` and ``gradient(d, X, nrm)`` on batches of rows (``nrm``
+    holds the norms of the rows of X, which `gradient_batch` computes unless
+    the caller knows them), ``is_smooth(d, x)`` at one x != 0,
+    ``coord_bound(d)`` (the l_inf circumradius) and ``circumradius(d)`` (the Euclidean one, for
     canonically positioned d).  The methods below answer for a kind without
     the capability or closed form in question; the closed forms, None where
     unknown, are ``psi_closed_form(d, w)``, the overlap fraction
@@ -392,7 +394,7 @@ class Kind:
     coordinate sign changes, where the ball is a polytope with known
     vertices, and ``support_point(d, g)``: a point z of the unit ball
     maximizing <g, z>, which is a gradient of the dual norm at g (the zero
-    vector at g = 0)."""
+    vector at g = 0), for each row of a stack g."""
 
     def canonically_positioned(self, d):
         return True
@@ -455,7 +457,7 @@ class LpKind(Kind):
                 return _mend_p_sum(np.sqrt((A * A).sum(axis=-1)), A, 2.0)
         return _scaled_p_sum(A, d.p)
 
-    def gradient(self, d, X):
+    def gradient(self, d, X, nrm):
         if d.p == INF:
             idx = np.abs(X).argmax(axis=-1)
             G = np.zeros_like(X)
@@ -464,7 +466,6 @@ class LpKind(Kind):
             return G
         if d.p == 1.0:
             return np.sign(X)
-        nrm = norm_batch(d, X)
         with np.errstate(invalid="ignore", divide="ignore"):
             G = np.sign(X) * (np.abs(X) / nrm[..., None]) ** (d.p - 1.0)
         return np.nan_to_num(G)
@@ -579,14 +580,13 @@ class BlockLpKind(Kind):
             return B.max(axis=-1)
         return _scaled_p_sum(B, d.p)
 
-    def gradient(self, d, X):
-        nrm = norm_batch(d, X)
+    def gradient(self, d, X, nrm):
         G = np.empty_like(X)
         B = _block_norms(d, X)
         if d.p == INF:
             winner = B.argmax(axis=-1)
         for j, (b, sl) in enumerate(_blocks(d)):
-            sub = gradient_batch(b, X[..., sl])
+            sub = gradient_batch(b, X[..., sl], B[..., j])
             if d.p == INF:
                 w = (winner == j).astype(float)
             else:
@@ -654,13 +654,15 @@ class BlockLpKind(Kind):
         """Each block's support point s_i, scaled by the outer l_p support
         point of the blocks' dual norms <g_i, s_i>; None where a block has
         no support point."""
-        parts = [REGISTRY[b.kind].support_point(b, g[sl])
+        parts = [REGISTRY[b.kind].support_point(b, g[..., sl])
                  for b, sl in _blocks(d)]
         if any(s is None for s in parts):
             return None
-        dual = np.array([g[sl] @ s for (_, sl), s in zip(_blocks(d), parts)])
+        dual = np.stack([(g[..., sl] * s).sum(axis=-1)
+                         for (_, sl), s in zip(_blocks(d), parts)], axis=-1)
         w = REGISTRY["lp"].support_point(lp(len(parts), d.p), dual)
-        return np.concatenate([wi * s for wi, s in zip(w, parts)])
+        return np.concatenate([w[..., j, None] * s
+                               for j, s in enumerate(parts)], axis=-1)
 
     def row_fields(self, d):
         inner = d.blocks[0]
@@ -681,13 +683,15 @@ class OrliczKind(Kind):
         flat = A.reshape(-1, d.n)
         return _orlicz_norm_batch(d.beta, d.n, flat).reshape(A.shape[:-1])
 
-    def gradient(self, d, X):
+    def gradient(self, d, X, nrm):
         # Degree-0 homogeneous: evaluate on the boundary representative.
-        nrm = norm_batch(d, X)
         T = np.abs(X) / nrm[..., None]
-        D = T / (1.0 - T)
-        denom = D.sum(axis=-1)
-        return np.sign(X) / (1.0 - T) / denom[..., None]
+        R = 1.0 - T
+        denom = (T / R).sum(axis=-1)
+        G = np.sign(X)
+        G /= R
+        G /= denom[..., None]
+        return G
 
     def is_smooth(self, d, x):
         return not np.any(np.abs(x) == 0)
@@ -727,17 +731,17 @@ class OrliczKind(Kind):
         k log mu = sum_{top k} log |g_i| - beta over the k largest |g_i|,
         and k is the largest count with |g_(k)| > mu_k.  These are the KKT
         conditions of maximizing sum |g_i| t_i subject to
-        -sum log(1 - t_i) = beta; the counts that qualify form a prefix."""
+        -sum log(1 - t_i) = beta; the counts that qualify form a prefix.  A
+        zero row has k = 0 and gives a zero row."""
         a = np.abs(g)
-        if not a.any():
-            return np.zeros_like(a)
-        with np.errstate(divide="ignore"):
-            log_top = np.log(-np.sort(-a))
-            log_mu = ((np.cumsum(log_top) - d.beta)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_top = np.log(-np.sort(-a, axis=-1))
+            log_mu = ((np.cumsum(log_top, axis=-1) - d.beta)
                       / np.arange(1, d.n + 1))
-            k = np.count_nonzero(log_top > log_mu)
-            return np.sign(g) * np.maximum(
-                0.0, -np.expm1(log_mu[k - 1] - np.log(a)))
+            k = np.count_nonzero(log_top > log_mu, axis=-1)[..., None]
+            mu = np.take_along_axis(log_mu, np.maximum(k - 1, 0), -1)
+            z = np.sign(g) * np.maximum(0.0, -np.expm1(mu - np.log(a)))
+        return np.where(k > 0, z, 0.0)
 
     def row_fields(self, d):
         return "", "", repr(float(d.beta))
@@ -766,14 +770,13 @@ class SchattenKind(Kind):
             return _mend_p_sum((sv ** d.p).sum(axis=-1) ** (1.0 / d.p), sv,
                                d.p)
 
-    def gradient(self, d, X):
+    def gradient(self, d, X, nrm):
         k = math.isqrt(d.n)
         mats = X.reshape(X.shape[:-1] + (k, k))
         U, sv, Vt = np.linalg.svd(mats)
         if d.p == INF:
             g = np.einsum("...i,...j->...ij", U[..., :, 0], Vt[..., 0, :])
         else:
-            nrm = (sv ** d.p).sum(axis=-1) ** (1.0 / d.p)
             w = (sv / nrm[..., None]) ** (d.p - 1.0)
             g = np.einsum("...ik,...k,...kj->...ij", U, w, Vt)
         return g.reshape(X.shape)
@@ -825,10 +828,12 @@ class SchattenKind(Kind):
     def support_point(self, d, g):
         """U diag(s) V^T for g = U diag(sigma) V^T, where s is the l_p
         support point of sigma: the gradient of the dual Schatten q norm."""
-        if not g.any():
-            return np.zeros_like(g)
-        return gradient_batch(schatten(math.isqrt(d.n), _dual_exponent(d.p)),
-                              g)
+        rows = g.reshape(-1, d.n)
+        z = np.zeros_like(rows)
+        live = rows.any(axis=-1)
+        z[live] = gradient_batch(
+            schatten(math.isqrt(d.n), _dual_exponent(d.p)), rows[live])
+        return z.reshape(g.shape)
 
     def row_fields(self, d):
         return _fmt_p(d.p), "", ""
@@ -877,10 +882,11 @@ class IntersectBallKind(Kind):
         return np.maximum(norm_batch(d.base, X),
                           np.sqrt((X * X).sum(axis=-1)) / d.r)
 
-    def gradient(self, d, X):
+    def gradient(self, d, X, nrm):
+        # nrm is the larger of the two pieces; which one it is takes both
         base_n = norm_batch(d.base, X)
         euc = np.sqrt((X * X).sum(axis=-1))
-        Gb = gradient_batch(d.base, X)
+        Gb = gradient_batch(d.base, X, base_n)
         with np.errstate(invalid="ignore", divide="ignore"):
             Ge = X / (d.r * euc[..., None])
         Ge = np.nan_to_num(Ge)
@@ -980,15 +986,23 @@ def norm_eval(sp, x):
     return float(norm_batch(sp, x))
 
 
-def gradient_batch(sp, X):
+def gradient_batch(sp, X, nrm=None):
     """Gradient of the norm at each row of X (shape (..., dim)).
+
+    ``nrm`` holds the norms of the rows (shape (...)) where the caller knows
+    them, e.g. ones at points on the unit sphere such as cone samples; they
+    are computed here otherwise.  Either way the kind gets them, so that no
+    norm is solved twice.
 
     At non-smooth points a fixed measurable subgradient selector is used
     (sign 0 on zero coordinates, first maximal coordinate for l_inf-type
     maxima); the selected value only matters on measure-zero sets for the
     Monte Carlo integrals this feeds.
     """
-    return REGISTRY[sp.kind].gradient(sp, np.asarray(X, dtype=float))
+    X = np.asarray(X, dtype=float)
+    if nrm is None:
+        nrm = norm_batch(sp, X)
+    return REGISTRY[sp.kind].gradient(sp, X, np.asarray(nrm, dtype=float))
 
 
 def norm_gradient(sp, x, with_flag=False):

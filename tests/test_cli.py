@@ -224,6 +224,15 @@ def test_sep_prob_nonpositive_delta_exit_2(capsys):
             assert code == 2 and "delta" in err
 
 
+def test_sep_prob_points_that_are_not_finite_exit_2(capsys):
+    base = ["sep-prob", "--space", '{"kind":"lp","n":2,"p":3}',
+            "--v", "0,0", "--delta", "2", "--trials", "100"]
+    for u in ("nan,0", "inf,0"):
+        for extra in ([], ["--exact"]):
+            code, out, err = run_main(base + ["--u", u] + extra, capsys)
+            assert code == 2 and "finite" in err and out == ""
+
+
 def test_sep_prob_points_of_the_wrong_length_exit_2(capsys):
     base = ["sep-prob", "--space", '{"kind":"lp","n":2,"p":2}',
             "--u", "0,0,0", "--v", "0,0,0", "--trials", "100"]

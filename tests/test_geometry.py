@@ -6,8 +6,8 @@ import pytest
 
 from normpart.space import (REGISTRY, CapabilityError, InputError,
                             RejectionStalled, block_lp, coord_bound,
-                            intersect_ball, linf, lp, norm_batch, orlicz,
-                            schatten, space)
+                            gradient_batch, intersect_ball, linf, lp,
+                            norm_batch, orlicz, schatten, space)
 from normpart.geometry import (CHUNK, _chord_ends, _hit_and_run_cone,
                                cauchy_surface_identity_check, cone_sample,
                                cone_volume, estimate_mean,
@@ -256,6 +256,38 @@ def test_fallback_cone_samples_match_the_euclidean_ball():
                       - oracles.log_euclidean_ball_volume(4))
     est = psi(d, wv, samples=4_000, seed=25)
     assert within_sigma(est, np.linalg.norm(wv) * shadow / 0.5, k=4.0)
+
+
+@pytest.mark.parametrize("d", [
+    lp(5, 3), lp(4, 1.5), linf(4), lp(4, 1), orlicz(4, 1.5), schatten(2, 3),
+    schatten(3, 1), block_lp(2, [lp(2, 3)] * 2),
+    block_lp(2.5, [lp(2, 1), orlicz(3, 2.0), schatten(2, 3)]),
+    intersect_ball(lp(3, 1), 0.8), intersect_ball(schatten(2, 3), 0.9)],
+    ids=lambda d: d.to_json())
+def test_cone_points_have_unit_norm_for_the_gradient(d):
+    """Cone samples lie on the unit sphere, so the gradient the psi kernels
+    take there with norms of ones is the one `gradient_batch` gets from
+    solving the norms; the last space takes the hit-and-run fallback."""
+    pts = cone_sample(d, 300, seed=31).points
+    np.testing.assert_allclose(
+        REGISTRY[d.kind].gradient(d, pts, np.ones(len(pts))),
+        gradient_batch(d, pts), rtol=1e-12, atol=1e-12)
+
+
+def test_orlicz_psi_solves_no_norm(monkeypatch):
+    """The Orlicz cone sampler builds its points on the unit sphere, so
+    psi needs no Luxemburg norm solve."""
+    module = importlib.import_module("normpart.space")
+    calls = []
+    original = module._orlicz_norm_batch
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, "_orlicz_norm_batch", counting)
+    est = psi(orlicz(48, 23.5), np.ones(48), samples=20_000)
+    assert est.value > 0 and not calls
 
 
 def test_intersect_ball_rejection_stalls_in_high_dimension():

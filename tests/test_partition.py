@@ -64,6 +64,7 @@ def test_sample_partition_validation():
         sample_partition(lp(2, 2), 1.0, [[0.0, 0.0, 0.0]])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_queries_the_grid_cannot_place_raise():
     # each of these used to hang: its cells were not finite or overflowed
     # int64, so no arrival ever came within the radius
@@ -190,12 +191,27 @@ def test_separation_rejects_points_of_the_wrong_length():
                 fn(lp(2, 2), u, v, 2.0, trials=10)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_separation_mc_rejects_points_that_are_not_finite():
     # these used to hang in a box of infinite side
     for u, delta in (([np.inf, 0], 2.0), ([np.nan, 0], 2.0),
                      ([1e300, 0], 1e-10)):
         with pytest.raises(InputError, match="finite"):
             separation_prob_mc(lp(2, 2), u, [0, 0], delta, trials=10)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_separation_exact_rejects_points_that_are_not_finite():
+    # these used to return 1.0
+    for sp, u in ((lp(2, 2), [np.nan, 0]), (lp(2, 3), [np.inf, 0]),
+                  (linf(2), [0, -np.inf])):
+        with pytest.raises(InputError, match="finite"):
+            separation_prob_exact(sp, u, [0, 0], 2.0, trials=10)
+        with pytest.raises(InputError, match="finite"):
+            separation_prob_exact(sp, [0, 0], u, 2.0, trials=10)
+    # finite points whose scaled offset overflows are surely separated
+    assert separation_prob_exact(lp(2, 3), [1e300, 0], [-1e300, 0],
+                                 1e-10).value == 1.0
 
 
 def test_separation_monotone_in_distance():

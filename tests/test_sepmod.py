@@ -5,9 +5,9 @@ import pytest
 
 from normpart import geometry, sepmod
 from normpart.geometry import maxproj, volume_mc
-from normpart.space import (INF, CapabilityError, InputError, block_lp,
-                            circumradius, intersect_ball, linf, lp, orlicz,
-                            norm_batch, schatten, space)
+from normpart.space import (INF, REGISTRY, CapabilityError, InputError,
+                            block_lp, circumradius, intersect_ball, linf, lp,
+                            orlicz, norm_batch, schatten, space)
 from normpart.sepmod import (SweepRecord, companion_sandwich, companion_space,
                              external_volume_ratio, loglog_slope,
                              records_to_csv, records_to_json, rows_from_csv,
@@ -113,28 +113,82 @@ def test_sep_upper_dominates_lower_off_lp(d):
 
 
 def test_ascent_objective_calls(monkeypatch):
-    """The support-point ascent needs at most a quarter of the objective
-    calls of the step-halving ascent it replaced.  That one made 5117 calls
-    for sep_upper on lp(32, 3) and 4353 for maxproj on lp(32, 1); the
-    maxproj bound is a quarter of 4232, an earlier and smaller count."""
+    """The support-point ascent evaluates at most a quarter of the objective
+    rows of the step-halving ascent it replaced, in at most 64 stacked
+    calls.  That one made 5117 single-row calls for sep_upper on lp(32, 3)
+    and 4353 for maxproj on lp(32, 1); the maxproj bound is a quarter of
+    4232, an earlier and smaller count."""
     calls = []
     original = geometry._psi_objective
 
     def counting(s, samples, seed):
         objective, subgrad, cloud = original(s, samples, seed)
 
-        def counted(z):
-            calls.append(z)
-            return objective(z)
+        def counted(Z):
+            calls.append(len(Z))
+            return objective(Z)
         return counted, subgrad, cloud
 
     monkeypatch.setattr(geometry, "_psi_objective", counting)
     monkeypatch.setattr(sepmod, "_psi_objective", counting)
     sep_upper_two_norm(lp(32, 3), restarts=8, samples=10_000)
-    assert 0 < len(calls) <= 5117 // 4
+    assert 0 < sum(calls) <= 5117 // 4 and len(calls) <= 64
     calls.clear()
     maxproj(lp(32, 1), restarts=6, samples=100_000)
-    assert 0 < len(calls) <= 4232 // 4
+    assert 0 < sum(calls) <= 4232 // 4 and len(calls) <= 64
+
+
+def _serial_ascent(objective, subgrad, support, normalize, n, restarts, seed,
+                   steps=200):
+    """The ascent one start at a time, each call on a stack of one row: the
+    reference for the lockstep `_ball_ascent`."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xa5ce)))
+    starts = [np.ones(n)] + list(np.eye(n)[:restarts])
+    while len(starts) < restarts + n + 1:
+        starts.append(rng.standard_normal(n))
+    vals = []
+    for z0 in starts:
+        z = normalize(np.asarray(z0, dtype=float)[None])
+        fz = objective(z)[0]
+        step, g = 0.5, None
+        for _ in range(steps):
+            if g is None:
+                g = subgrad(z)
+                gn = float(np.linalg.norm(g))
+            if gn < 1e-15:
+                break
+            top = support(g)
+            cand = normalize(z + step * g / gn if top is None else top)
+            fc = objective(cand)[0]
+            if fc > fz:
+                z, fz, g = cand, fc, None
+            elif top is not None:
+                break
+            else:
+                step *= 0.5
+                if step < 1e-12:
+                    break
+        vals.append(fz)
+    return max(vals)
+
+
+@pytest.mark.parametrize("d", [
+    lp(8, 3), orlicz(4, 1.5), schatten(2, 3), block_lp(2, [lp(2, 3)] * 2),
+    intersect_ball(lp(3, 1), 0.8)], ids=lambda d: d.to_json())
+def test_lockstep_ascent_matches_the_serial_one(d):
+    """The last space has no support point and takes the halving steps."""
+    objective, subgrad, _ = geometry._psi_objective(d, 5_000, 4)
+
+    def normalize(Z):
+        return Z / norm_batch(d, Z)[:, None]
+
+    def support(G):
+        return REGISTRY[d.kind].support_point(d, G)
+
+    _, best, _ = geometry._ball_ascent(objective, subgrad, support, normalize,
+                                       d.n, 6, 4)
+    ref = _serial_ascent(objective, subgrad, support, normalize, d.n, 6, 4)
+    assert best == pytest.approx(ref, rel=1e-12)
 
 
 def test_sup_norm_on_its_own_sphere_is_one():

@@ -279,6 +279,35 @@ def test_support_point_against_brute_force(desc):
     assert np.array_equal(zero, np.zeros(desc.n))
 
 
+@pytest.mark.parametrize("desc", [
+    lp(6, 1), lp(6, 3), linf(6), orlicz(5, 0.7), orlicz(5, 4.0),
+    schatten(3, 1), schatten(2, 2.5), schatten(3, INF),
+    block_lp(2.5, [lp(2, 1), orlicz(3, 2.0), schatten(2, 3)]),
+    block_lp(INF, [lp(3, 3), lp(2, 1)])], ids=lambda d: d.to_json())
+def test_support_point_of_a_stack_is_row_by_row(desc):
+    """A stack of subgradients, zero rows among them, gets the support
+    point of each row, and a zero row a zero row."""
+    g = np.random.default_rng(29).standard_normal((7, desc.n))
+    g[[2, 5]] = 0.0
+    kind = REGISTRY[desc.kind]
+    z = kind.support_point(desc, g)
+    assert z.shape == g.shape
+    np.testing.assert_allclose(
+        z, [kind.support_point(desc, row) for row in g], rtol=1e-15, atol=0)
+    assert not z[[2, 5]].any()
+
+
+def test_schatten_gradient_outside_the_float_range():
+    """The gradient is 0-homogeneous: entries near the float limits give
+    the gradient of the same matrix at unit scale."""
+    d = schatten(2, 3)
+    ref = norm_gradient(d, [3.0, 0.0, 0.0, 4.0])
+    assert ref == pytest.approx([0.445, 0.0, 0.0, 0.791], abs=1e-3)
+    for scale in (1e200, 1e-200):
+        g = norm_gradient(d, [3.0 * scale, 0.0, 0.0, 4.0 * scale])
+        np.testing.assert_allclose(g, ref, rtol=1e-12, atol=1e-12)
+
+
 def test_support_point_of_a_ball_intersection_is_none():
     g = np.array([1.0, -0.5, 0.25])
     assert REGISTRY["intersect_ball"].support_point(
