@@ -347,6 +347,8 @@ def psi(sp, w, samples=100_000, seed=0, workers=1, closed_form=True):
     w = np.asarray(w, dtype=float)
     if w.shape != (s.dim,):
         raise InputError("direction length mismatch")
+    if not np.all(np.isfinite(w)):
+        raise InputError("direction is not finite")
     if not np.any(w):
         return exact_estimate(0.0, seed=seed)
     if closed_form:
@@ -397,6 +399,11 @@ def hyperplane_projection_volume(sp, w, samples=100_000, seed=0, workers=1):
 
 # ---------------------------------------------------------------------------
 # maximization over directions
+
+
+def _check_restarts(restarts):
+    if restarts < 0:
+        raise InputError("restarts must be >= 0, got %r" % (restarts,))
 
 
 def _ball_ascent(objective, subgrad, support, normalize, n, restarts, seed,
@@ -524,6 +531,7 @@ def maxproj(sp, restarts=32, samples=100_000, seed=0):
     g / |g|_2.  The stderr combines the Monte Carlo error of psi at the
     argmax, the volume's error and the restarts' dispersion."""
     s = space(sp)
+    _check_restarts(restarts)
     objective, subgrad, cloud = _psi_objective(s, samples, seed)
 
     def normalize(Z):

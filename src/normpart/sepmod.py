@@ -21,9 +21,10 @@ import numpy as np
 from .space import (INF, REGISTRY, CapabilityError, InputError,
                     SpaceDescriptor, block_lp, circumradius, gradient_batch,
                     lp, norm_batch, orlicz, space)
-from .geometry import (MonteCarloEstimate, _ball_ascent, _psi_objective,
-                       cone_sample, exact_estimate, iq, iq_exact,
-                       log_euclidean_ball_volume, log_volume_exact, psi)
+from .geometry import (MonteCarloEstimate, _ball_ascent, _check_restarts,
+                       _psi_objective, cone_sample, exact_estimate, iq,
+                       iq_exact, log_euclidean_ball_volume, log_volume_exact,
+                       psi)
 
 
 def external_volume_ratio(sp):
@@ -125,6 +126,7 @@ def sep_upper_two_norm(sp_x, sp_y=None, restarts=16, samples=100_000, seed=0,
     y = space(sp_x if sp_y is None else sp_y)
     if x.dim != y.dim:
         raise InputError("spaces must share a dimension")
+    _check_restarts(restarts)
     n = x.dim
     s_factor, _ = _sup_norm_on_sphere(y, x, restarts, seed)
 

@@ -259,6 +259,24 @@ def test_trials_below_one_exit_2(argv, capsys):
         assert code == 2 and "input error" in err and out == ""
 
 
+@pytest.mark.parametrize("w", ["1,nan,0", "1,inf,0", "0,-inf,0"])
+def test_psi_direction_that_is_not_finite_exit_2(w, capsys):
+    code, out, err = run_main(["psi", "--space", '{"kind":"lp","n":3,"p":3}',
+                               "--w", w], capsys)
+    assert code == 2 and "not finite" in err and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["maxproj", "--space", '{"kind":"lp","n":3,"p":3}'],
+    ["sep-bounds", "--space", '{"kind":"lp","n":3,"p":3}'],
+    ["sweep", "--p", "3", "--dims", "3,4"]], ids=lambda argv: argv[0])
+def test_restarts_below_zero_exit_2(argv, capsys):
+    for restarts in ("-1", "-3"):
+        code, out, err = run_main(argv + ["--restarts", restarts,
+                                          "--trials", "1000"], capsys)
+        assert code == 2 and "restarts" in err and out == ""
+
+
 def test_vol_outside_float_range_exit_3(capsys):
     for desc in ('{"kind":"lp","n":1100,"p":"inf"}',
                  '{"kind":"lp","n":500,"p":2}'):

@@ -409,6 +409,15 @@ def test_euclidean_ball_is_isoperimetric_minimizer():
 # psi
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_directions_that_are_not_finite_raise(bad):
+    d = lp(3, 3)
+    w = np.array([1.0, bad, 0.0])
+    for f in (psi, hyperplane_projection_volume, cone_volume):
+        with pytest.raises(InputError, match="not finite"):
+            f(d, w, samples=100)
+
+
 def test_psi_closed_forms():
     w = np.array([1.0, -2.0, 0.5])
     assert psi_closed_form(linf(3), w) == pytest.approx(oracles.psi_linf(w))
@@ -478,6 +487,13 @@ def test_maxproj_cube():
 def test_maxproj_euclidean():
     _, est = maxproj(lp(3, 2), restarts=4, samples=10_000, seed=6)
     assert est.value == pytest.approx(math.pi, rel=1e-9)
+
+
+def test_maxproj_restarts_below_zero_raise():
+    with pytest.raises(InputError, match="restarts"):
+        maxproj(lp(3, 3), restarts=-1, samples=1000)
+    z, est = maxproj(lp(3, 3), restarts=0, samples=1000)
+    assert est.value > 0
 
 
 def test_mean_width_euclidean_is_one():

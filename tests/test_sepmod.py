@@ -202,6 +202,13 @@ def test_sep_upper_dimension_mismatch():
         sep_upper_two_norm(lp(2, 2), lp(3, 2))
 
 
+def test_sep_upper_restarts_below_zero_raise():
+    for d in (lp(3, 3), linf(3)):
+        with pytest.raises(InputError, match="restarts"):
+            sep_upper_two_norm(d, restarts=-1, samples=1000)
+    assert sep_upper_two_norm(lp(3, 3), restarts=0, samples=1000).value > 0
+
+
 def test_companion_rules():
     assert companion_space(lp(8, 2)) == lp(8, 2)
     n = 16

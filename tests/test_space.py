@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 
@@ -6,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from normpart.space import (INF, REGISTRY, CapabilityError, InputError,
-                            SpaceDescriptor, block_lp, circumradius,
-                            coord_bound, intersect_ball, linf,
-                            loglacunary_decompose, lp, norm_batch, norm_eval,
-                            norm_gradient, orlicz, schatten, space)
+                            SpaceDescriptor, _row_max, _row_sum, block_lp,
+                            circumradius, coord_bound, gradient_batch,
+                            intersect_ball, linf, loglacunary_decompose, lp,
+                            norm_batch, norm_eval, norm_gradient, orlicz,
+                            schatten, space)
 from normpart.geometry import cone_sample
 
 import oracles
@@ -358,6 +360,95 @@ def test_p2_norm_keeps_its_fast_path_values_in_range():
     assert np.array_equal(norm_batch(lp(3, 2), X),
                           np.sqrt((X * X).sum(axis=-1)))
     assert norm_eval(lp(3, 2), [np.inf, 0.0, 0.0]) == np.inf
+
+
+def _same_bits(a, b):
+    """Equal shapes, values, NaN positions and signs of zero."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a) & ~np.isnan(a),
+                               np.signbit(b) & ~np.isnan(b)))
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_row_reductions_match_numpy_bit_for_bit(n):
+    """The column passes of `_row_max` and `_row_sum` give what numpy's
+    reductions give, on short and long stacks, 4-d and strided inputs, and
+    rows with NaN, +-inf and -0.0 (a row of -0.0 sums to +0.0)."""
+    rng = np.random.default_rng(n)
+    for rows in (5, 127, 128, 129, 300):
+        base = rng.standard_normal((rows, 13)) * 10.0 ** rng.integers(
+            -30, 30, (rows, 13))
+        special = rng.random(base.shape) < 0.15
+        base[special] = rng.choice([np.nan, np.inf, -np.inf, -0.0, 0.0],
+                                   special.sum())
+        base[0] = -0.0
+        base[1, :2] = [-0.0, 0.0]
+        flat = np.ascontiguousarray(base[:, :n])
+        for A in (flat, base[:, :n], flat.reshape(rows, 1, 1, n),
+                  np.broadcast_to(base[:, None, None, :n], (rows, 1, 3, n))):
+            with np.errstate(invalid="ignore"):     # inf - inf in a sum
+                assert _same_bits(_row_max(A), A.max(axis=-1))
+                assert _same_bits(_row_sum(A), A.sum(axis=-1))
+
+
+@pytest.mark.parametrize("desc", [
+    lp(4, 1), lp(5, 2), lp(4, 3.5), linf(6), lp(9, 2.5),
+    block_lp(2.5, [lp(2, 3), lp(3, 1.5)]), block_lp(INF, [lp(1, 2), lp(2, 1)]),
+    orlicz(6, 1.5), schatten(2, 2.5), schatten(2, INF),
+    intersect_ball(lp(4, 1), 1.0)], ids=lambda d: d.to_json())
+def test_a_row_has_the_same_norm_alone_and_in_a_long_stack(desc):
+    """Norms do not depend on the stack a row is evaluated in, so seeded
+    results do not depend on the chunk size or the worker count."""
+    X = np.random.default_rng(37).standard_normal((32768, desc.n))
+    stacked = norm_batch(desc, X)
+    assert np.array_equal(norm_batch(desc, X[:100]), stacked[:100])
+    for i in (0, 17, 32767):
+        assert np.array_equal(norm_batch(desc, X[i]), stacked[i])
+        assert np.array_equal(norm_batch(desc, X[i:i + 1]), stacked[i:i + 1])
+
+
+def test_gradients_solve_no_norm_they_do_not_read(monkeypatch):
+    module = importlib.import_module("normpart.space")
+    calls = []
+    original = module.norm_batch
+
+    def counting(sp, X):
+        calls.append(sp)
+        return original(sp, X)
+
+    monkeypatch.setattr(module, "norm_batch", counting)
+    g = np.random.default_rng(41).standard_normal((41, 8))
+    gradient_batch(linf(8), g)
+    REGISTRY["lp"].support_point(lp(8, 1), g)
+    gradient_batch(lp(8, 1), g)
+    gradient_batch(block_lp(INF, [lp(3, 1), lp(5, INF)]), g)
+    assert calls == [lp(3, 1), lp(5, INF)]      # the block norms only
+    calls.clear()
+    gradient_batch(lp(8, 3), g)
+    assert calls == [lp(8, 3)]
+
+
+def test_schatten_support_points_take_one_svd(monkeypatch):
+    """41 support points of schatten(3, 3) take one SVD of 41 matrices; the
+    gradient takes its norm from that SVD's singular values."""
+    d = schatten(3, 3)
+    g = np.random.default_rng(43).standard_normal((41, 9))
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape[:-2])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    z = REGISTRY["schatten"].support_point(d, g)
+    assert calls == [(41,)]
+    monkeypatch.undo()
+    dual = schatten(3, 1.5)
+    np.testing.assert_allclose(
+        z, REGISTRY["schatten"].gradient(dual, g, norm_batch(dual, g)),
+        rtol=1e-13, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
