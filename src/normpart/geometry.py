@@ -9,13 +9,15 @@ for a given (inputs, seed, trials) regardless of worker count.
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .space import (REGISTRY, CapabilityError, InputError, RejectionStalled,
                     _solve_increasing, coord_bound, gradient_batch,
-                    log_euclidean_ball_volume, norm_batch, space)
+                    log_euclidean_ball_volume, lp, norm_batch, norm_eval,
+                    space)
 
 CHUNK = 1 << 15
 
@@ -331,17 +333,27 @@ def iq_exact(sp):
 
 
 def psi_closed_form(sp, w):
-    """Closed form of psi where known (l_inf and l_2); None otherwise."""
+    """Closed form of psi where known (l_inf and l_2): c ||w||_q with (c, q)
+    from `Kind.psi_norm`; None otherwise."""
     d = space(sp)
-    w = np.asarray(w, dtype=float)
-    return REGISTRY[d.kind].psi_closed_form(d, w)
+    cq = REGISTRY[d.kind].psi_norm(d)
+    return None if cq is None else cq[0] * norm_eval(lp(d.n, cq[1]), w)
+
+
+def _unit_scale(w):
+    """w times 2^-k, with k the exponent of max |w_i|, and k: an exact scale
+    to unit size, where a 1-homogeneous quantity is 2^-k times its value."""
+    k = math.frexp(float(np.max(np.abs(w), initial=0.0)))[1]
+    return np.ldexp(w, -k), k
 
 
 def psi(sp, w, samples=100_000, seed=0, workers=1, closed_form=True):
     """psi(w) = vol_{n-1}(shadow of the ball orthogonal to w) * ||w||_2 / vol.
 
     Computed as (n/2) E_cone |<w, grad norm>|, which turns the shadow volume
-    into a single cone-measure expectation.
+    into a single cone-measure expectation, taken at `_unit_scale(w)` and
+    scaled back, so that no direction overflows or underflows; a psi outside
+    the float range raises InputError.
     """
     s = space(sp)
     w = np.asarray(w, dtype=float)
@@ -351,18 +363,22 @@ def psi(sp, w, samples=100_000, seed=0, workers=1, closed_form=True):
         raise InputError("direction is not finite")
     if not np.any(w):
         return exact_estimate(0.0, seed=seed)
-    if closed_form:
-        cf = psi_closed_form(s, w)
-        if cf is not None:
-            return exact_estimate(cf, seed=seed)
-    n = s.dim
+    w, k = _unit_scale(w)
 
     def kernel(rng, m):
         pts, wt = _cone_points(s, rng, m)
         g = gradient_batch(s, pts, np.ones(m))
-        return 0.5 * n * np.abs(g @ w), wt
+        return 0.5 * s.dim * np.abs(g @ w), wt
 
-    return estimate_mean(kernel, samples, seed, workers=workers)
+    cf = psi_closed_form(s, w) if closed_form else None
+    est = (estimate_mean(kernel, samples, seed, workers=workers)
+           if cf is None else exact_estimate(cf, seed=seed))
+    try:
+        return replace(est, value=math.ldexp(est.value, k),
+                       stderr=math.ldexp(est.stderr, k))
+    except OverflowError:
+        raise InputError("psi at this direction is outside the float "
+                         "range") from None
 
 
 def psi_gradient_cloud(sp, samples=100_000, seed=0):
@@ -373,28 +389,71 @@ def psi_gradient_cloud(sp, samples=100_000, seed=0):
     return gradient_batch(s, cs.points, np.ones(samples)), cs.weights
 
 
+def _weighted_mean(f, w):
+    """The self-normalized weighted mean sum(w f) / sum(w) and its
+    delta-method standard error, as `estimate_mean` takes them."""
+    sw = w.sum()
+    mu = (w * f).sum() / sw
+    return float(mu), float(np.sqrt((w * w * (f - mu) ** 2).sum()) / sw)
+
+
 def psi_from_cloud(s, G, wt, w):
-    s = space(s)
-    f = np.abs(G @ np.asarray(w, dtype=float))
-    sw = wt.sum()
-    mu = float((wt * f).sum() / sw)
-    var = float((wt * wt * (f - mu) ** 2).sum()) / sw ** 2
-    return 0.5 * s.dim * mu, 0.5 * s.dim * math.sqrt(var)
+    """psi at w and its stderr from a `psi_gradient_cloud` (G, wt)."""
+    half_n = 0.5 * space(s).dim
+    mu, err = _weighted_mean(np.abs(G @ np.asarray(w, dtype=float)), wt)
+    return half_n * mu, half_n * err
+
+
+# Words (8 bytes each) of one (cloud rows) x (directions) matrix of the
+# cloud psi kernels, which take the cloud in blocks of at most this many.
+_PSI_BLOCK_WORDS = 1 << 18
+
+
+def _cloud_blocks(G, k):
+    rows = max(1, _PSI_BLOCK_WORDS // k)
+    return (slice(b, b + rows) for b in range(0, len(G), rows))
+
+
+def _cloud_psi(G, wt, Z):
+    """psi at every row of the stack Z from the cloud (G, wt): with
+    P = G Z^T, (n/2) wt |P| / sum(wt).  P is summed over blocks of
+    `_PSI_BLOCK_WORDS` // k cloud rows, so a call holds a few matrices of at
+    most `_PSI_BLOCK_WORDS` words (2 MiB each) whatever the stack size k."""
+    out = np.zeros(len(Z))
+    for r in _cloud_blocks(G, len(Z)):
+        out += wt[r] @ np.abs(G[r] @ Z.T)
+    return 0.5 * G.shape[1] * (out / wt.sum())
+
+
+def _cloud_psi_subgrad(G, wt, Z, F=None):
+    """A subgradient of psi at every row of Z, (n/2) (wt sign P)^T G / sum(wt),
+    over the blocks of `_cloud_psi`.  It does not read F, the psi values at
+    Z that `_ball_ascent` passes."""
+    out = np.zeros(Z.shape)
+    for r in _cloud_blocks(G, len(Z)):
+        S = np.sign(G[r] @ Z.T)
+        S *= wt[r, None]
+        out += S.T @ G[r]
+    return 0.5 * G.shape[1] * out / wt.sum()
+
+
+def _psi_volume(s, w, denom, samples, seed, workers):
+    """psi(w) * vol / denom, with the errors of both combined."""
+    ps = psi(s, w, samples=samples, seed=seed, workers=workers)
+    vol = volume_of(s, seed=seed)
+    scale = vol.value / denom
+    err = math.hypot(ps.stderr * scale, ps.value * vol.stderr / denom)
+    return MonteCarloEstimate(value=ps.value * scale, stderr=err,
+                              trials=ps.trials, seed=seed)
 
 
 def hyperplane_projection_volume(sp, w, samples=100_000, seed=0, workers=1):
-    """vol_{n-1} of the shadow of the unit ball orthogonal to w."""
-    s = space(sp)
-    w = np.asarray(w, dtype=float)
-    ps = psi(s, w, samples=samples, seed=seed, workers=workers)
-    vol = volume_of(s, seed=seed)
-    scale = vol.value / math.sqrt(float((w * w).sum()))
-    err = ps.stderr * scale
-    if vol.stderr > 0:
-        err = math.hypot(err, ps.value * vol.stderr
-                         / math.sqrt(float((w * w).sum())))
-    return MonteCarloEstimate(value=ps.value * scale, stderr=err,
-                              trials=ps.trials, seed=seed)
+    """vol_{n-1} of the shadow of the unit ball orthogonal to w, which is
+    psi(w) vol / |w|_2.  Only the direction of w counts, so both are taken
+    at `_unit_scale(w)`."""
+    w, _ = _unit_scale(np.asarray(w, dtype=float))
+    return _psi_volume(space(sp), w, math.sqrt(float((w * w).sum())),
+                       samples, seed, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -406,35 +465,35 @@ def _check_restarts(restarts):
         raise InputError("restarts must be >= 0, got %r" % (restarts,))
 
 
-def _ball_ascent(objective, subgrad, support, normalize, n, restarts, seed,
-                 steps=200):
-    """Multi-restart ascent of a convex objective over the unit sphere of a
-    norm (the maximum over the ball lies on the sphere).
+def _ball_ascent(objective, subgrad, dom, restarts, seed, steps=200):
+    """Multi-restart ascent of a convex objective over the unit sphere of the
+    space dom (the maximum over the ball lies on the sphere).
 
     Each step moves z to the support point of a subgradient g at z,
-    ``support(g)``: the point of the unit ball that maximizes <g, .>.  For
-    convex f, f(cand) >= f(z) + <g, cand - z> >= f(z), so the update never
-    loses, needs no step size, and a start stops at its first candidate
-    that does not gain; on a sampled psi cloud f is polyhedral, so that
-    happens after finitely many steps.  Where ``support`` returns None (an
-    intersect_ball domain, whose support point has no closed form, or a
-    block sum holding one), the step is instead a projected subgradient
-    step, halved on every rejection, and a start stops once its step falls
-    below 1e-12.  ``normalize`` projects points radially onto the sphere;
-    `steps` caps each start.
+    `Kind.support_point` of dom: the point of the unit ball that maximizes
+    <g, .>.  For convex f, f(cand) >= f(z) + <g, cand - z> >= f(z), so the
+    update never loses, needs no step size, and a start stops at its first
+    candidate that does not gain; on a sampled psi cloud f is polyhedral,
+    so that happens after finitely many steps.  Where dom has no support
+    point (an intersect_ball, or a block sum holding one), the step is
+    instead a projected subgradient step, halved on every rejection, and a
+    start stops once its step falls below 1e-12.  Points go onto the sphere
+    by dividing by their dom norm; `steps` caps each start.
 
-    The starts move in lockstep: each step takes the stack of live starts,
-    shape (k, n), through one call each of ``objective`` (-> (k,)),
-    ``subgrad`` (-> (k, n), only at the starts that moved), ``support``
-    (-> (k, n) or None) and ``normalize`` (-> (k, n)), and a start leaves
-    the stack when it stops.  A start's path is the one it would take
-    alone, up to the rounding of the stacked products.  The psi objective
-    of `_psi_objective` takes its cloud in row blocks, so each of its
-    calls holds a few matrices of at most `_ASCENT_BLOCK_WORDS` words
-    (2 MiB each), however many starts the stack holds.  Returns the best
-    point, its value and the dispersion of the starts' values, the
-    practical quality diagnostic.
+    The starts move in lockstep: each step takes the stack Z of live
+    starts, shape (k, n), through one call each of ``objective(Z)``
+    (-> (k,)), ``subgrad(Z, F)`` (-> (k, n), with F the objective values at
+    Z, only at the starts that moved), the support point and the
+    normalization, and a start leaves the stack when it stops.  A start's
+    path is the one it would take alone, up to the rounding of the stacked
+    products.  Returns the best point, its value and the dispersion of the
+    starts' values, the practical quality diagnostic.
     """
+    n = dom.dim
+
+    def normalize(Z):
+        return Z / norm_batch(dom, Z)[:, None]
+
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xa5ce)))
     starts = [np.ones(n)] + list(np.eye(n)[:restarts])
     while len(starts) < restarts + n + 1:
@@ -446,12 +505,12 @@ def _ball_ascent(objective, subgrad, support, normalize, n, restarts, seed,
     live = moved = np.arange(len(Z))
     for _ in range(steps):
         if moved.size:     # a rejected step keeps z, so g is unchanged
-            G[moved] = subgrad(Z[moved])
+            G[moved] = subgrad(Z[moved], F[moved])
             gn[moved] = np.linalg.norm(G[moved], axis=-1)
         live = live[gn[live] >= 1e-15]
         if not live.size:
             break
-        top = support(G[live])
+        top = REGISTRY[dom.kind].support_point(dom, G[live])
         halving = top is None
         if halving:
             top = Z[live] + step[live, None] * G[live] / gn[live, None]
@@ -469,76 +528,47 @@ def _ball_ascent(objective, subgrad, support, normalize, n, restarts, seed,
     return Z[best], float(F[best]), float(np.std(F))
 
 
-# Words (8 bytes each) of one (cloud rows) x (starts) matrix of the psi
-# objective: the cloud is taken in blocks of at most this many entries.
-_ASCENT_BLOCK_WORDS = 1 << 18
-
-
 def _psi_objective(s, samples, seed):
     """psi of s and a subgradient of it on stacks of directions, for
-    `_ball_ascent`, and the gradient cloud behind them.  A closed form gets
-    a forward-difference subgradient and no cloud; otherwise both come from
-    one `psi_gradient_cloud`, returned as (G, weights).
+    `_ball_ascent`, and the gradient cloud behind them: `_cloud_psi` and
+    `_cloud_psi_subgrad` on one `psi_gradient_cloud` (G, weights), or,
+    where psi is c ||.||_q (`Kind.psi_norm`), c times that norm with a
+    forward-difference subgradient and no cloud.  The l_q gradient would
+    stall starts on faces of the ball, where it reads sign(0) = 0: it put
+    the stderr of `maxproj(linf(4))` at 2.5 instead of 0."""
+    cq = REGISTRY[s.kind].psi_norm(s)
+    if cq is not None:
+        unit = lp(s.dim, cq[1])
 
-    On the cloud, P = G Z^T holds <g_i, z_j> for every sample i and row j
-    of the stack Z; psi is (n/2) wt |P| / sum(wt) and a subgradient is
-    (n/2) (wt sign P)^T G / sum(wt).  Both are summed over blocks of
-    `_ASCENT_BLOCK_WORDS` // k cloud rows, so a call holds a few matrices
-    of at most `_ASCENT_BLOCK_WORDS` words whatever the stack size k."""
-    n = s.dim
-    if psi_closed_form(s, np.ones(n)) is not None:
         def objective(Z):
-            return np.array([psi_closed_form(s, z) for z in Z])
+            return cq[0] * norm_batch(unit, Z)
 
-        def subgrad(Z):
+        def subgrad(Z, F):
             eps = 1e-6
             g = np.empty_like(Z)
-            base = objective(Z)
-            for i in range(n):
+            for i in range(s.dim):
                 dZ = Z.copy()
                 dZ[:, i] += eps
-                g[:, i] = (objective(dZ) - base) / eps
+                g[:, i] = (objective(dZ) - F) / eps
             return g
         return objective, subgrad, None
     G, wt = psi_gradient_cloud(s, samples=samples, seed=seed)
-    sw = wt.sum()
-
-    def blocks(k):
-        rows = max(1, _ASCENT_BLOCK_WORDS // k)
-        return (slice(b, b + rows) for b in range(0, len(G), rows))
-
-    def objective(Z):
-        out = np.zeros(len(Z))
-        for r in blocks(len(Z)):
-            out += wt[r] @ np.abs(G[r] @ Z.T)
-        return 0.5 * n * (out / sw)
-
-    def subgrad(Z):
-        out = np.zeros(Z.shape)
-        for r in blocks(len(Z)):
-            S = np.sign(G[r] @ Z.T)
-            S *= wt[r, None]
-            out += S.T @ G[r]
-        return 0.5 * n * out / sw
-    return objective, subgrad, (G, wt)
+    return (partial(_cloud_psi, G, wt), partial(_cloud_psi_subgrad, G, wt),
+            (G, wt))
 
 
 def maxproj(sp, restarts=32, samples=100_000, seed=0):
     """Largest hyperplane shadow: direction and its projection volume.
 
     psi is convex and 1-homogeneous, so its sup over directions is its max
-    over the Euclidean ball, found by `_ball_ascent` whose support map is
-    g / |g|_2.  The stderr combines the Monte Carlo error of psi at the
-    argmax, the volume's error and the restarts' dispersion."""
+    over the Euclidean ball, found by `_ball_ascent` on lp(n, 2), whose
+    support point is g / |g|_2.  The stderr combines the Monte Carlo error
+    of psi at the argmax, the volume's error and the restarts' dispersion."""
     s = space(sp)
     _check_restarts(restarts)
     objective, subgrad, cloud = _psi_objective(s, samples, seed)
-
-    def normalize(Z):
-        return Z / np.sqrt((Z * Z).sum(axis=-1))[:, None]
-
-    z, val, spread = _ball_ascent(objective, subgrad, normalize, normalize,
-                                  s.dim, restarts, seed)
+    z, val, spread = _ball_ascent(objective, subgrad, lp(s.dim, 2),
+                                  restarts, seed)
     stderr_psi = 0.0 if cloud is None else psi_from_cloud(s, *cloud, z)[1]
     vol = volume_of(s, seed=seed)
     err = math.hypot(stderr_psi * vol.value, val * vol.stderr, spread * vol.value)
@@ -550,12 +580,7 @@ def cone_volume(sp, z, samples=100_000, seed=0, workers=1):
     """Volume of the radial cone over the boundary cap in direction z:
     (1/n) * shadow-volume(z) * ||z||_2 = psi(z) * vol / n."""
     s = space(sp)
-    ps = psi(s, z, samples=samples, seed=seed, workers=workers)
-    vol = volume_of(s, seed=seed)
-    scale = vol.value / s.dim
-    err = math.hypot(ps.stderr * scale, ps.value * vol.stderr / s.dim)
-    return MonteCarloEstimate(value=ps.value * scale, stderr=err,
-                              trials=ps.trials, seed=seed)
+    return _psi_volume(s, z, s.dim, samples, seed, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -604,17 +629,13 @@ def cauchy_surface_identity_check(sp, samples=100_000, directions=4096,
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xca0c)))
     Z = rng.standard_normal((directions, n))
     Z /= np.sqrt((Z * Z).sum(axis=1))[:, None]
-    # mean over directions of psi(z); one matmul, shared cloud
-    F = np.abs(G @ Z.T)  # (samples, directions)
-    sw = wt.sum()
-    per_dir = 0.5 * n * (wt @ F) / sw
+    # psi(z) of every direction from the shared cloud, in row blocks
+    per_dir = _cloud_psi(G, wt, Z)
     rhs_val = c_n * float(per_dir.mean())
     rhs_err = c_n * float(per_dir.std() / math.sqrt(directions))
-    # cloud noise: reuse the per-sample average over directions
-    per_sample = 0.5 * n * F.mean(axis=1)
-    mu = float((wt * per_sample).sum() / sw)
-    cloud_err = c_n * math.sqrt(
-        float((wt * wt * (per_sample - mu) ** 2).sum())) / sw
+    # cloud noise: the spread over samples of their mean over directions
+    per_sample = _cloud_psi(Z, np.ones(directions), G)
+    cloud_err = c_n * _weighted_mean(per_sample, wt)[1]
     sigma = math.hypot(lhs.stderr, math.hypot(rhs_err, cloud_err)) / rhs_val
     return CauchyCheck(lhs=lhs.value, rhs=rhs_val,
                        residual=(lhs.value - rhs_val) / rhs_val, sigma=sigma)

@@ -14,7 +14,6 @@ import json
 import math
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -86,20 +85,9 @@ def _sup_norm_on_sphere(sp_dom, sp_val, restarts, seed):
     closed = REGISTRY[val.kind].sphere_sup(val, dom)
     if closed is not None:
         return closed, None
-
-    def normalize(Z):
-        return Z / norm_batch(dom, Z)[:, None]
-
-    def objective(Z):
-        return norm_batch(val, Z)
-
-    def subgrad(Z):
-        return gradient_batch(val, Z)
-
-    z, best, spread = _ball_ascent(objective, subgrad,
-                                   partial(REGISTRY[dom.kind].support_point,
-                                           dom),
-                                   normalize, dom.dim, restarts, seed)
+    z, best, _ = _ball_ascent(lambda Z: norm_batch(val, Z),
+                              lambda Z, F: gradient_batch(val, Z, F),
+                              dom, restarts, seed)
     cs = cone_sample(dom, 256, seed=seed + 1)
     cand = cs.points / norm_batch(dom, cs.points)[:, None]
     vals = norm_batch(val, cand)
@@ -127,7 +115,6 @@ def sep_upper_two_norm(sp_x, sp_y=None, restarts=16, samples=100_000, seed=0,
     if x.dim != y.dim:
         raise InputError("spaces must share a dimension")
     _check_restarts(restarts)
-    n = x.dim
     s_factor, _ = _sup_norm_on_sphere(y, x, restarts, seed)
 
     # psi_Y is a norm, hence convex: its maximum over the X ball sits at an
@@ -137,13 +124,7 @@ def sep_upper_two_norm(sp_x, sp_y=None, restarts=16, samples=100_000, seed=0,
     spread = 0.0
     if candidates is None:
         objective, subgrad, _ = _psi_objective(y, samples, seed)
-
-        def normalize(Z):
-            return Z / norm_batch(x, Z)[:, None]
-
-        z, _, spread = _ball_ascent(objective, subgrad,
-                                    partial(REGISTRY[x.kind].support_point, x),
-                                    normalize, n, restarts, seed)
+        z, _, spread = _ball_ascent(objective, subgrad, x, restarts, seed)
         candidates = [z]
 
     best = None

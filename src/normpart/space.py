@@ -445,9 +445,9 @@ class Kind:
     ``coord_bound(d)`` (the l_inf circumradius) and ``circumradius(d)`` (the Euclidean one, for
     canonically positioned d).  The methods below answer for a kind without
     the capability or closed form in question; the closed forms, None where
-    unknown, are ``psi_closed_form(d, w)``, the overlap fraction
-    vol(B intersect (w + B)) / vol(B) ``overlap_exact(d, w)``, the sup of the
-    norm over the unit sphere of the space ``dom`` ``sphere_sup(d, dom)``,
+    unknown, are ``psi_norm(d)``: (c, q) with psi(w) = c ||w||_q, the overlap
+    fraction vol(B intersect (w + B)) / vol(B) ``overlap_exact(d, w)``, the
+    sup of the norm over the unit sphere of ``dom`` ``sphere_sup(d, dom)``,
     ``vertex_orbit(d)``: one vertex of the unit ball per orbit of
     coordinate sign changes, where the ball is a polytope with known
     vertices, and ``support_point(d, g)``: a point z of the unit ball
@@ -472,7 +472,7 @@ class Kind:
     def iq_exact(self, d):
         raise CapabilityError("iq_exact supports lp with p in {1, 2, inf}")
 
-    def psi_closed_form(self, d, w):
+    def psi_norm(self, d):
         return None
 
     def overlap_exact(self, d, w):
@@ -572,11 +572,11 @@ class LpKind(Kind):
             x *= rng.choice([-1.0, 1.0], size=(count, d.n))
         return x / norm_batch(d, x)[:, None], np.ones(count)
 
-    def psi_closed_form(self, d, w):
+    def psi_norm(self, d):
         if d.p == INF:
-            return 0.5 * float(np.abs(w).sum())
+            return 0.5, 1.0
         if d.p == 2.0:
-            return float(np.sqrt((w * w).sum())) * _euclidean_shadow_ratio(d.n)
+            return _euclidean_shadow_ratio(d.n), 2.0
         return None
 
     def iq_exact(self, d):

@@ -266,6 +266,21 @@ def test_psi_direction_that_is_not_finite_exit_2(w, capsys):
     assert code == 2 and "not finite" in err and out == ""
 
 
+def test_psi_far_from_unit_scale(capsys):
+    lp3 = '{"kind":"lp","n":3,"p":3}'
+    for w in ("1e308,1e308,0", "1e-300,1e-300,0"):
+        code, out, _ = run_main(["psi", "--space", lp3, "--w", w,
+                                 "--trials", "20000", "--format", "csv"],
+                                capsys)
+        row, = rows_from_csv(out)
+        assert code == 0 and np.isfinite(row["value"])
+        assert np.isfinite(row["stderr"]) and row["stderr"] > 0
+    code, out, err = run_main(["psi", "--space", lp3, "--w",
+                               "1.7e308,1.7e308,1.7e308", "--trials", "1000"],
+                              capsys)
+    assert code == 2 and "float range" in err and out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["maxproj", "--space", '{"kind":"lp","n":3,"p":3}'],
     ["sep-bounds", "--space", '{"kind":"lp","n":3,"p":3}'],

@@ -1,5 +1,7 @@
 import importlib
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,15 +10,17 @@ from normpart.space import (REGISTRY, CapabilityError, InputError,
                             RejectionStalled, block_lp, coord_bound,
                             gradient_batch, intersect_ball, linf, lp,
                             norm_batch, orlicz, schatten, space)
-from normpart.geometry import (CHUNK, _chord_ends, _hit_and_run_cone,
+from normpart.geometry import (CHUNK, _chord_ends, _cloud_psi,
+                               _hit_and_run_cone,
                                cauchy_surface_identity_check, cone_sample,
                                cone_volume, estimate_mean,
                                euclidean_ball_volume, gaussian_l2_mean,
                                hit_and_run_sample,
                                hyperplane_projection_volume, iq, iq_exact,
                                log_volume_exact, maxproj, mean_width_dual,
-                               psi, psi_closed_form,
-                               surface_ratio, uniform_ball_sample,
+                               psi, psi_closed_form, psi_from_cloud,
+                               psi_gradient_cloud, surface_ratio,
+                               uniform_ball_sample,
                                volume_exact, volume_mc, volume_of)
 
 import oracles
@@ -432,6 +436,49 @@ def test_psi_closed_forms():
         - oracles.log_euclidean_ball_volume(n)), rel=1e-12)
 
 
+def test_closed_form_psi_outside_the_float_range():
+    """|w|_2 = 1e200 squares past the float range; psi = (3/4) |w|_2."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = psi_closed_form(lp(3, 2), [1e200, 0.0, 0.0])
+    assert got == pytest.approx(7.5e199, rel=1e-15)
+
+
+def test_psi_far_from_unit_scale():
+    """psi is taken at w scaled by a power of two and scaled back: exact, so
+    a power-of-two multiple of a direction gives the same bits times it."""
+    d = lp(3, 3)
+    ref = psi(d, [1.0, 1.0, 0.0], samples=20_000, seed=2)
+    for scale in (2.0 ** 1000, 2.0 ** -1000):
+        est = psi(d, [scale, scale, 0.0], samples=20_000, seed=2)
+        assert est.value == ref.value * scale
+        assert est.stderr == ref.stderr * scale
+    assert psi(d, [1e-300, 1e-300, 0.0], samples=20_000, seed=2).stderr > 0
+    for closed_form in (True, False):
+        with pytest.raises(InputError, match="float range"):
+            psi(linf(3), [1.7e308] * 3, samples=1000, closed_form=closed_form)
+
+
+def test_hyperplane_shadow_of_a_subnormal_direction():
+    d = lp(3, 3)
+    tiny = hyperplane_projection_volume(d, [1e-320, 0.0, 0.0], samples=20_000,
+                                        seed=3)
+    unit = hyperplane_projection_volume(d, [1.0, 0.0, 0.0], samples=20_000,
+                                        seed=3)
+    assert tiny.value == pytest.approx(unit.value, rel=1e-12)
+    assert tiny.stderr == pytest.approx(unit.stderr, rel=1e-12)
+
+
+def test_cloud_psi_matches_psi_from_cloud_row_by_row():
+    """300 directions take the cloud in blocks of 873 rows."""
+    for d in (lp(3, 3), schatten(2, 3)):
+        G, wt = psi_gradient_cloud(d, samples=20_000, seed=6)
+        Z = np.random.default_rng(7).standard_normal((300, d.n))
+        for z, v in zip(Z, _cloud_psi(G, wt, Z)):
+            assert v == pytest.approx(psi_from_cloud(d, G, wt, z)[0],
+                                      rel=1e-12)
+
+
 def test_psi_mc_matches_closed_forms():
     rng = np.random.default_rng(6)
     for n in (2, 4, 6):
@@ -509,6 +556,18 @@ def test_gaussian_l2_mean():
 def test_cauchy_surface_identity():
     chk = cauchy_surface_identity_check(lp(3, 1), samples=40_000, seed=8)
     assert abs(chk.residual) <= 3 * chk.sigma
+
+
+def test_cauchy_check_holds_its_cloud_in_row_blocks():
+    """The check takes its cloud in row blocks and never holds the whole
+    40 000 x 4096 matrix |G Z^T| (1.3 GB)."""
+    tracemalloc.start()
+    try:
+        cauchy_surface_identity_check(lp(3, 1), samples=40_000, seed=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
 
 
 def test_psi_reproducibility_across_workers():

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -153,7 +154,7 @@ def _serial_ascent(objective, subgrad, support, normalize, n, restarts, seed,
         step, g = 0.5, None
         for _ in range(steps):
             if g is None:
-                g = subgrad(z)
+                g = subgrad(z, np.array([fz]))
                 gn = float(np.linalg.norm(g))
             if gn < 1e-15:
                 break
@@ -185,10 +186,25 @@ def test_lockstep_ascent_matches_the_serial_one(d):
     def support(G):
         return REGISTRY[d.kind].support_point(d, G)
 
-    _, best, _ = geometry._ball_ascent(objective, subgrad, support, normalize,
-                                       d.n, 6, 4)
+    _, best, _ = geometry._ball_ascent(objective, subgrad, d, 6, 4)
     ref = _serial_ascent(objective, subgrad, support, normalize, d.n, 6, 4)
     assert best == pytest.approx(ref, rel=1e-12)
+
+
+def test_sup_norm_ascent_solves_each_norm_once(monkeypatch):
+    """The ascent hands its gradient the norms it holds, so no moved start's
+    Luxemburg norm is solved a second time."""
+    module = importlib.import_module("normpart.space")
+    rows = []
+    original = module._orlicz_norm_batch
+
+    def counting(beta, m, A):
+        rows.append(len(A))
+        return original(beta, m, A)
+
+    monkeypatch.setattr(module, "_orlicz_norm_batch", counting)
+    best, _ = sepmod._sup_norm_on_sphere(lp(4, 2), orlicz(4, 1.5), 8, 0)
+    assert best == 1.598921834425309 and sum(rows) <= 460
 
 
 def test_sup_norm_on_its_own_sphere_is_one():
