@@ -19,7 +19,7 @@ from . import geometry as geo
 from . import partition as part
 from . import sepmod
 from . import extension as ext
-from .sepmod import SweepRecord, records_to_csv, records_to_json
+from .sepmod import SweepRecord, records_to_csv
 
 
 def _parse_space(text):
@@ -311,6 +311,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "trials", 1) < 1:
+            raise InputError("need at least one trial, got %d" % args.trials)
         records = COMMANDS[args.command][0](args)
     except InputError as exc:
         print("input error: %s" % exc, file=sys.stderr)

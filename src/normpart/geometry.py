@@ -130,7 +130,18 @@ def euclidean_ball_volume(n):
 
 
 def cone_sample(sp, count, seed=0):
-    """Sample the cone (boundary) measure of the unit ball.
+    """Sample the cone (boundary) measure of the unit ball: `_cone_points`
+    drawn from the seed."""
+    s = space(sp)
+    if count < 1:
+        raise InputError("need at least one sample, got %r" % (count,))
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    return ConeSamples(*_cone_points(s, rng, count))
+
+
+def _cone_points(s, rng, m):
+    """m cone-measure points and weights drawn from rng, the one place that
+    picks a cone sampler.
 
     Where the space has a cone sampler (``has_cone_sampler``), this is the
     kind's exact direct sampler, `Kind.cone_sample`, with self-normalized
@@ -139,61 +150,42 @@ def cone_sample(sp, count, seed=0):
     Jacobian weights degenerate), an intersect_ball whose base lacks a cone
     sampler or an exact volume (a Schatten base, say) and block sums holding
     such a ball.  Those, and an intersect_ball whose rejection stalls
-    (`space.RejectionStalled`), fall back to `hit_and_run_sample` followed
-    by radial projection, whose points are only approximately uniform.
+    (`space.RejectionStalled`), fall back to `hit_and_run_sample`, seeded by
+    one draw from rng and pushed radially onto the sphere with unit
+    weights; its points are only approximately uniform.  A chunked Monte
+    Carlo kernel thus stays deterministic given the master seed.
     """
-    s = space(sp)
-    if count < 1:
-        raise InputError("need at least one sample, got %r" % (count,))
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    got = _direct_cone(s, count, rng)
-    pts, w = got if got is not None else _hit_and_run_cone(s, count, seed)
-    return ConeSamples(points=pts, weights=w)
+    if s.has_cone_sampler:
+        try:
+            return REGISTRY[s.kind].cone_sample(s, m, rng)
+        except RejectionStalled:
+            pass
+    pts = hit_and_run_sample(s, m, seed=int(rng.integers(0, 2 ** 63)))
+    return pts / norm_batch(s, pts)[:, None], np.ones(m)
 
 
-def _direct_cone(s, count, rng):
-    """The kind's direct cone sample drawn from rng, or None where the space
-    has no cone sampler or its rejection stalled."""
-    if not s.has_cone_sampler:
-        return None
-    try:
-        return REGISTRY[s.kind].cone_sample(s, count, rng)
-    except RejectionStalled:
-        return None
-
-
-def _hit_and_run_cone(s, count, seed):
-    """Hit-and-run points pushed radially onto the unit sphere, unit
-    weights."""
-    pts = hit_and_run_sample(s, count, seed=seed)
-    return pts / norm_batch(s, pts)[:, None], np.ones(count)
-
-
-def _cone_points(s, rng, m):
-    """m cone-measure points and weights drawn from rng: the kind's direct
-    sampler where `cone_sample` would use it, hit-and-run seeded from rng
-    otherwise, so that a chunked Monte Carlo kernel stays deterministic
-    given the master seed."""
-    got = _direct_cone(s, m, rng)
-    if got is not None:
-        return got
-    return _hit_and_run_cone(s, m, int(rng.integers(0, 2 ** 63)))
+def _ball_points(s, rng, m):
+    """m weighted points uniform in the unit ball drawn from rng: cone
+    points scaled by radii with the law U^{1/n}."""
+    pts, wt = _cone_points(s, rng, m)
+    return pts * (rng.random(m) ** (1.0 / s.dim))[:, None], wt
 
 
 def uniform_ball_sample(sp, count, seed=0):
-    """Weighted points uniform in the unit ball (radius law U^{1/n})."""
+    """Weighted points uniform in the unit ball: `_ball_points` drawn from
+    the seed."""
     s = space(sp)
-    cs = cone_sample(s, count, seed=seed)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5eed)))
-    radius = rng.random(count) ** (1.0 / s.dim)
-    return cs.points * radius[:, None], cs.weights
+    if count < 1:
+        raise InputError("need at least one sample, got %r" % (count,))
+    return _ball_points(s, np.random.default_rng(np.random.SeedSequence(seed)),
+                        count)
 
 
 def hit_and_run_sample(sp, count, seed=0):
     """Approximately uniform samples from the unit ball via hit-and-run.
 
-    `cone_sample` and the Monte Carlo estimates built on it use this only
-    for spaces without a direct cone sampler and where the intersect_ball
+    `_cone_points` uses this, seeded by one draw from its rng, only for
+    spaces without a direct cone sampler and where the intersect_ball
     rejection stalls; it also serves as an independent cross-check of the
     direct samplers.
 
@@ -450,8 +442,11 @@ def _psi_volume(s, w, denom, samples, seed, workers):
 def hyperplane_projection_volume(sp, w, samples=100_000, seed=0, workers=1):
     """vol_{n-1} of the shadow of the unit ball orthogonal to w, which is
     psi(w) vol / |w|_2.  Only the direction of w counts, so both are taken
-    at `_unit_scale(w)`."""
+    at `_unit_scale(w)`; the zero direction, with no hyperplane, raises
+    InputError."""
     w, _ = _unit_scale(np.asarray(w, dtype=float))
+    if not np.any(w):
+        raise InputError("the zero direction has no orthogonal hyperplane")
     return _psi_volume(space(sp), w, math.sqrt(float((w * w).sum())),
                        samples, seed, workers)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .space import REGISTRY, InputError, coord_bound, linf, norm_batch, space
-from .geometry import (MonteCarloEstimate, _cone_points, estimate_mean,
+from .geometry import (MonteCarloEstimate, _ball_points, estimate_mean,
                        exact_estimate, psi)
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -237,12 +237,6 @@ def _overlap_mc(s, w, samples, seed, workers=1):
         return f, wt
 
     return estimate_mean(kernel, samples, seed, workers=workers)
-
-
-def _ball_points(s, rng, m):
-    pts, wt = _cone_points(s, rng, m)
-    radius = rng.random(m) ** (1.0 / s.dim)
-    return pts * radius[:, None], wt
 
 
 def overlap_exact_linf(w):

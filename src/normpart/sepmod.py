@@ -77,7 +77,7 @@ def _sup_norm_on_sphere(sp_dom, sp_val, restarts, seed):
     """sup of the sp_val norm over the unit sphere of sp_dom: exactly 1 when
     the two spaces are equal, a closed form where `Kind.sphere_sup` has one,
     and otherwise the best of `_ball_ascent` (with the domain's support
-    map) and 256 cone samples of the domain."""
+    map) and 256 cone samples of the domain, which lie on its sphere."""
     dom = space(sp_dom)
     val = space(sp_val)
     if dom == val:
@@ -88,11 +88,8 @@ def _sup_norm_on_sphere(sp_dom, sp_val, restarts, seed):
     z, best, _ = _ball_ascent(lambda Z: norm_batch(val, Z),
                               lambda Z, F: gradient_batch(val, Z, F),
                               dom, restarts, seed)
-    cs = cone_sample(dom, 256, seed=seed + 1)
-    cand = cs.points / norm_batch(dom, cs.points)[:, None]
-    vals = norm_batch(val, cand)
-    best = max(best, float(vals.max()))
-    return best, z
+    vals = norm_batch(val, cone_sample(dom, 256, seed=seed + 1).points)
+    return max(best, float(vals.max())), z
 
 
 def sep_upper_two_norm(sp_x, sp_y=None, restarts=16, samples=100_000, seed=0,
@@ -214,16 +211,24 @@ class SweepRecord:
     seed: int = 0
 
     def row(self):
+        """The CSV row: the space's p and beta; for a block sum, beta is its
+        first block's, and q that block's p where the block is lp."""
         d = self.descriptor
-        p, q, beta = REGISTRY[d.kind].row_fields(d)
+        first = d.blocks[0] if d.blocks else d
+        q = first.p if d.blocks and first.kind == "lp" else None
         return {
-            "kind": d.kind, "n": str(self.n), "p": p, "q": q, "beta": beta,
+            "kind": d.kind, "n": str(self.n), "p": _column(d.p),
+            "q": _column(q), "beta": _column(first.beta),
             "quantity": self.quantity, "value": repr(float(self.value)),
-            "stderr": repr(float(self.stderr)),
-            "lower": "" if self.lower is None else repr(float(self.lower)),
-            "upper": "" if self.upper is None else repr(float(self.upper)),
-            "seed": str(self.seed),
+            "stderr": repr(float(self.stderr)), "lower": _column(self.lower),
+            "upper": _column(self.upper), "seed": str(self.seed),
         }
+
+
+def _column(x):
+    """A number column of a CSV row: blank for None, else its shortest repr
+    ("inf" for infinity)."""
+    return "" if x is None else repr(float(x))
 
 
 def records_to_csv(records):

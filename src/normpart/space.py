@@ -411,10 +411,6 @@ def _dual_exponent(p):
     return 1.0 if p == INF else p / (p - 1.0)
 
 
-def _fmt_p(p):
-    return "inf" if p == INF else repr(float(p))
-
-
 def _blocks(d):
     """(block descriptor, its coordinate slice) for each block of d."""
     off = 0
@@ -452,7 +448,9 @@ class Kind:
     coordinate sign changes, where the ball is a polytope with known
     vertices, and ``support_point(d, g)``: a point z of the unit ball
     maximizing <g, z>, which is a gradient of the dual norm at g (the zero
-    vector at g = 0), for each row of a stack g."""
+    vector at g = 0), for each row of a stack g.  A kind holds geometry
+    only: which sampler draws a point is `geometry._cone_points`, and how a
+    sweep record prints a space is `sepmod.SweepRecord.row`."""
 
     def canonically_positioned(self, d):
         return True
@@ -486,14 +484,6 @@ class Kind:
 
     def support_point(self, d, g):
         return None
-
-    def row_fields(self, d):
-        """The p, q and beta columns of a sweep record."""
-        return "", "", ""
-
-    def block_row_fields(self, d):
-        """The q and beta columns of a block_lp record whose blocks are d."""
-        return "", ""
 
 
 class LpKind(Kind):
@@ -615,12 +605,6 @@ class LpKind(Kind):
         p = inf."""
         return gradient_batch(lp(d.n, _dual_exponent(d.p)), g)
 
-    def row_fields(self, d):
-        return _fmt_p(d.p), "", ""
-
-    def block_row_fields(self, d):
-        return _fmt_p(d.p), ""
-
 
 class BlockLpKind(Kind):
     """The l_p sum of the spaces ``d.blocks`` (outer exponent ``d.p``)."""
@@ -726,10 +710,6 @@ class BlockLpKind(Kind):
         return np.concatenate([w[..., j, None] * s
                                for j, s in enumerate(parts)], axis=-1)
 
-    def row_fields(self, d):
-        inner = d.blocks[0]
-        return (_fmt_p(d.p),) + REGISTRY[inner.kind].block_row_fields(inner)
-
 
 class OrliczKind(Kind):
     """The Orlicz space of psi_beta on R^m, m = ``d.n``."""
@@ -806,12 +786,6 @@ class OrliczKind(Kind):
             mu = np.take_along_axis(log_mu, np.maximum(k - 1, 0), -1)
             z = np.sign(g) * np.maximum(0.0, -np.expm1(mu - np.log(a)))
         return np.where(k > 0, z, 0.0)
-
-    def row_fields(self, d):
-        return "", "", repr(float(d.beta))
-
-    def block_row_fields(self, d):
-        return "", repr(float(d.beta))
 
 
 class SchattenKind(Kind):
@@ -896,9 +870,6 @@ class SchattenKind(Kind):
             schatten(math.isqrt(d.n), _dual_exponent(d.p)), rows[live])
         return z.reshape(g.shape)
 
-    def row_fields(self, d):
-        return _fmt_p(d.p), "", ""
-
 
 def _haar_orthogonal(rng, count, k):
     """count Haar-distributed k x k orthogonal matrices: the Q of a Gaussian
@@ -926,8 +897,8 @@ class IntersectBallKind(Kind):
     """The unit ball of ``d.base`` cut by the Euclidean ball of radius
     ``d.r``: the norm max(base norm, ||x||_2 / r).  Its cone sampler is
     exact where the base has a cone sampler and an exact volume; elsewhere,
-    and where that sampler's rejection stalls, `geometry.cone_sample` falls
-    back to hit-and-run."""
+    and where that sampler's rejection stalls, `geometry._cone_points`
+    falls back to hit-and-run."""
 
     fields = ("base", "r")
 

@@ -251,8 +251,17 @@ def test_sep_prob_points_of_the_wrong_length_exit_2(capsys):
     ["meanwidth", "--space", '{"kind":"lp","n":2,"p":2}'],
     ["sep-prob", "--space", '{"kind":"lp","n":2,"p":2}',
      "--u", "0,0", "--v", "1,0"],
-    ["pad-prob", "--space", '{"kind":"lp","n":2,"p":2}']],
-    ids=lambda argv: "%s-%s" % (argv[0], json.loads(argv[2])["kind"]))
+    ["pad-prob", "--space", '{"kind":"lp","n":2,"p":2}'],
+    # closed forms, which read no trial
+    pytest.param(["psi", "--space", '{"kind":"lp","n":3,"p":2}',
+                  "--w", "1,0,0"], id="psi-l2"),
+    pytest.param(["maxproj", "--space", '{"kind":"lp","n":3,"p":2}'],
+                 id="maxproj-l2"),
+    ["sep-bounds", "--space", '{"kind":"lp","n":3,"p":"inf"}'],
+    ["sweep", "--p", "inf", "--dims", "4,8"],
+    ["lw-check"]],
+    ids=lambda argv: "-".join(argv[:1] + re.findall(r'"kind":"(\w+)"',
+                                                     " ".join(argv))))
 def test_trials_below_one_exit_2(argv, capsys):
     for trials in ("0", "-3"):
         code, out, err = run_main(argv + ["--trials", trials], capsys)

@@ -11,7 +11,6 @@ from normpart.space import (REGISTRY, CapabilityError, InputError,
                             gradient_batch, intersect_ball, linf, lp,
                             norm_batch, orlicz, schatten, space)
 from normpart.geometry import (CHUNK, _chord_ends, _cloud_psi,
-                               _hit_and_run_cone,
                                cauchy_surface_identity_check, cone_sample,
                                cone_volume, estimate_mean,
                                euclidean_ball_volume, gaussian_l2_mean,
@@ -310,10 +309,19 @@ def test_stalled_rejection_falls_back_to_hit_and_run(monkeypatch):
     # a floor above every possible acceptance makes each first block stall
     monkeypatch.setattr(importlib.import_module("normpart.space"),
                         "_MIN_ACCEPTANCE", 2.0)
+    seeds = []
+
+    def recording(s, count, seed=0):
+        seeds.append(seed)
+        return hit_and_run_sample(s, count, seed=seed)
+
+    monkeypatch.setattr(importlib.import_module("normpart.geometry"),
+                        "hit_and_run_sample", recording)
     d = intersect_ball(lp(4, 1), 0.4)       # 0.4 B_2^4
     cs = cone_sample(d, 300, seed=26)
-    pts, w = _hit_and_run_cone(d, 300, 26)
-    assert np.array_equal(cs.points, pts) and np.array_equal(cs.weights, w)
+    pts = hit_and_run_sample(d, 300, seed=seeds[0])
+    assert np.array_equal(cs.points, pts / norm_batch(d, pts)[:, None])
+    assert np.array_equal(cs.weights, np.ones(300))
     wv = np.array([0.3, -0.2, 0.5, 0.1])
     shadow = math.exp(oracles.log_euclidean_ball_volume(3)
                       - oracles.log_euclidean_ball_volume(4))
@@ -467,6 +475,12 @@ def test_hyperplane_shadow_of_a_subnormal_direction():
                                         seed=3)
     assert tiny.value == pytest.approx(unit.value, rel=1e-12)
     assert tiny.stderr == pytest.approx(unit.stderr, rel=1e-12)
+
+
+def test_hyperplane_shadow_of_the_zero_direction_raises():
+    # psi(0) is an exact 0, and the shadow used to divide it by |w|_2 = 0
+    with pytest.raises(InputError, match="zero direction"):
+        hyperplane_projection_volume(lp(3, 3), [0.0, 0.0, 0.0])
 
 
 def test_cloud_psi_matches_psi_from_cloud_row_by_row():

@@ -207,6 +207,22 @@ def test_sup_norm_ascent_solves_each_norm_once(monkeypatch):
     assert best == 1.598921834425309 and sum(rows) <= 460
 
 
+def test_sup_norm_takes_cone_samples_as_they_are(monkeypatch):
+    """Cone samples lie on the unit sphere already, so an Orlicz domain
+    solves no Luxemburg norm to put them there."""
+    module = importlib.import_module("normpart.space")
+    rows = []
+    original = module._orlicz_norm_batch
+
+    def counting(beta, m, A):
+        rows.append(len(A))
+        return original(beta, m, A)
+
+    monkeypatch.setattr(module, "_orlicz_norm_batch", counting)
+    best, _ = sepmod._sup_norm_on_sphere(orlicz(4, 1.5), lp(4, 3), 8, 0)
+    assert best == 0.7768698398515701 and sum(rows) <= 50
+
+
 def test_sup_norm_on_its_own_sphere_is_one():
     for d in (lp(5, 3), orlicz(4, 2.0), intersect_ball(lp(3, 1), 0.8)):
         assert sepmod._sup_norm_on_sphere(d, d, restarts=4, seed=0) \
@@ -284,6 +300,22 @@ def test_csv_handles_inf_and_beta():
     rec = SweepRecord(descriptor=orlicz(3, 1.5), n=3, quantity="x", value=2.0)
     row = rows_from_csv(records_to_csv([rec]))[0]
     assert row["beta"] == 1.5
+
+
+@pytest.mark.parametrize("desc, columns", [
+    (block_lp(2, [lp(3, 4), lp(3, 4)]), ("2.0", "4.0", "")),
+    (block_lp(INF, [lp(2, INF)] * 3), ("inf", "inf", "")),
+    (block_lp(3, [orlicz(2, 0.5)] * 2), ("3.0", "", "0.5")),
+    (block_lp(1, [schatten(2, 3)] * 2), ("1.0", "", "")),
+    (block_lp(2, [block_lp(1, [lp(1, 2)] * 2), lp(2, 3)]), ("2.0", "", "")),
+    (block_lp(INF, [block_lp(3, [orlicz(3, 1.0)] * 2), orlicz(1, 0.5)]),
+     ("inf", "", "")),
+    (intersect_ball(lp(3, 1), 0.8), ("", "", "")),
+    (schatten(3, 1.5), ("1.5", "", "")),
+    (orlicz(4, 2), ("", "", "2.0"))])
+def test_sweep_columns_of_composite_spaces(desc, columns):
+    row = SweepRecord(descriptor=desc, n=desc.n, quantity="x", value=1.0).row()
+    assert (row["p"], row["q"], row["beta"]) == columns
 
 
 def test_loglog_slope():
