@@ -465,24 +465,23 @@ def _ball_ascent(objective, subgrad, dom, restarts, seed, steps=200):
     space dom (the maximum over the ball lies on the sphere).
 
     Each step moves z to the support point of a subgradient g at z,
-    `Kind.support_point` of dom: the point of the unit ball that maximizes
-    <g, .>.  For convex f, f(cand) >= f(z) + <g, cand - z> >= f(z), so the
-    update never loses, needs no step size, and a start stops at its first
-    candidate that does not gain; on a sampled psi cloud f is polyhedral,
-    so that happens after finitely many steps.  Where dom has no support
-    point (an intersect_ball, or a block sum holding one), the step is
-    instead a projected subgradient step, halved on every rejection, and a
-    start stops once its step falls below 1e-12.  Points go onto the sphere
-    by dividing by their dom norm; `steps` caps each start.
+    `Kind.support_point` of dom, if that gains, and otherwise stops the
+    start.  Where the support point maximizes <g, .> over the ball, convexity
+    gives f(cand) >= f(z) + <g, cand - z> >= f(z), so no step size is
+    needed; on a sampled psi cloud f is polyhedral, so a start stops after
+    finitely many steps.  An intersect_ball's support point (alone or as a
+    block) need not be the maximizer, so there a start may stop where the
+    maximizer would still gain.  Points go onto the sphere by dividing by
+    their dom norm; `steps` caps each start.
 
     The starts move in lockstep: each step takes the stack Z of live
     starts, shape (k, n), through one call each of ``objective(Z)``
     (-> (k,)), ``subgrad(Z, F)`` (-> (k, n), with F the objective values at
-    Z, only at the starts that moved), the support point and the
-    normalization, and a start leaves the stack when it stops.  A start's
-    path is the one it would take alone, up to the rounding of the stacked
-    products.  Returns the best point, its value and the dispersion of the
-    starts' values, the practical quality diagnostic.
+    Z), the support point and the normalization, and a start leaves the
+    stack when it stops.  A start's path is the one it would take alone,
+    up to the rounding of the stacked products.  Returns the best point,
+    its value and the dispersion of the starts' values, the practical
+    quality diagnostic.
     """
     n = dom.dim
 
@@ -495,30 +494,20 @@ def _ball_ascent(objective, subgrad, dom, restarts, seed, steps=200):
         starts.append(rng.standard_normal(n))
     Z = normalize(np.array(starts, dtype=float))
     F = objective(Z)
-    G, gn = np.empty_like(Z), np.empty(len(Z))
-    step = np.full(len(Z), 0.5)
-    live = moved = np.arange(len(Z))
+    live = np.arange(len(Z))
     for _ in range(steps):
-        if moved.size:     # a rejected step keeps z, so g is unchanged
-            G[moved] = subgrad(Z[moved], F[moved])
-            gn[moved] = np.linalg.norm(G[moved], axis=-1)
-        live = live[gn[live] >= 1e-15]
+        G = subgrad(Z[live], F[live])
+        keep = np.linalg.norm(G, axis=-1) >= 1e-15
+        live, G = live[keep], G[keep]
         if not live.size:
             break
-        top = REGISTRY[dom.kind].support_point(dom, G[live])
-        halving = top is None
-        if halving:
-            top = Z[live] + step[live, None] * G[live] / gn[live, None]
-        cand = normalize(top)
+        cand = normalize(REGISTRY[dom.kind].support_point(dom, G))
         fc = objective(cand)
         gain = fc > F[live]
-        moved = live[gain]
-        Z[moved], F[moved] = cand[gain], fc[gain]
-        if halving:
-            step[live[~gain]] *= 0.5
-            live = live[step[live] >= 1e-12]
-        else:
-            live = moved
+        live = live[gain]
+        Z[live], F[live] = cand[gain], fc[gain]
+        if not live.size:
+            break
     best = int(np.argmax(F))
     return Z[best], float(F[best]), float(np.std(F))
 

@@ -103,10 +103,9 @@ def sep_upper_two_norm(sp_x, sp_y=None, restarts=16, samples=100_000, seed=0,
     1 when Y is X.  Both suprema are heuristic maxima from multi-restart
     ascent (exact where the kinds have closed forms: `Kind.sphere_sup`,
     `Kind.vertex_orbit`), which climbs by support points of the domain ball
-    (`Kind.support_point`), each step at least as high as the last; an
-    intersect_ball domain, with no closed-form support point, takes
-    projected subgradient steps instead.  The returned stderr combines the
-    Monte Carlo error of psi at the argmax with the restart dispersion."""
+    (`Kind.support_point`), each step higher than the last.  The returned
+    stderr combines the Monte Carlo error of psi at the argmax with the
+    restart dispersion."""
     x = space(sp_x)
     y = space(sp_x if sp_y is None else sp_y)
     if x.dim != y.dim:
@@ -143,40 +142,23 @@ def companion_space(sp):
     """An auxiliary space Y with norm equivalent to the given lp space whose
     polar projection profile peaks at the sqrt(n) scale.
 
-    For p <= log(2n) the space is its own companion.  Otherwise (including
-    p = inf, proxied by log(2n)) the lp ball is rounded into Orlicz blocks:
-    pick the largest divisor m of n with max(p_eff, 2) <= m <= e^{p_eff} and
-    return l_p^{n/m}(Omega_beta^m) with beta = (m-1)/2; whole-n divisors give
-    the single rounded body Omega_{(n-1)/2}^n.  With no admissible divisor,
-    n = km + r is patched with an l_inf sum of a small Orlicz block."""
+    For n = 1 or p <= log(2n) the space is its own companion.  Otherwise
+    (including p = inf, proxied by p_eff = log(2n)) the lp ball is rounded
+    into the Orlicz body Omega_beta^n with beta = (n-1)/2: n is then the
+    largest divisor m of n with max(p_eff, 2) <= m <= e^{p_eff}, since
+    e^{p_eff} > 2n.  Where n < max(p_eff, 2) no divisor is admissible and
+    the body is taken as the one-block sum l_p^1(Omega_beta^n)."""
     s = space(sp)
     if s.kind != "lp":
         raise CapabilityError("companion construction applies to lp spaces")
     n = s.dim
-    p_eff = math.log(2.0 * n) if s.p == INF else float(s.p)
-    if s.p != INF and s.p <= math.log(2.0 * n):
+    if n == 1 or (s.p != INF and s.p <= math.log(2.0 * n)):
         return s
-    lo = max(p_eff, 2.0)
-    hi = min(math.exp(p_eff), float(n))
-    p_out = p_eff
-    divisors = [m for m in range(2, n + 1)
-                if n % m == 0 and lo <= m <= hi]
-    if divisors:
-        m = max(divisors)
-        beta = 0.5 * (m - 1)
-        if m == n:
-            return orlicz(n, beta)
-        return block_lp(p_out, [orlicz(m, beta)] * (n // m))
-    m = int(min(hi, n))
-    if m < 2:
-        return lp(n, math.log(2.0 * n))
-    k, r = divmod(n, m)
-    beta = 0.5 * (m - 1)
-    main = block_lp(p_out, [orlicz(m, beta)] * k)
-    if r == 0:
-        return main
-    patch = orlicz(r, max(0.5 * (r - 1), 0.5))
-    return block_lp(INF, [main, patch])
+    p_eff = math.log(2.0 * n) if s.p == INF else float(s.p)
+    body = orlicz(n, 0.5 * (n - 1))
+    if n >= max(p_eff, 2.0):
+        return body
+    return block_lp(p_eff, [body])
 
 
 def companion_sandwich(sp, companion=None, samples=2048, seed=0):

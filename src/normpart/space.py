@@ -385,6 +385,13 @@ def _mend_p_sum(r, A, p):
     return r[()]
 
 
+def _euclidean_norm(X):
+    """|x|_2 of each row, in range for huge and tiny x (`_mend_p_sum`)."""
+    A = np.abs(X)
+    with np.errstate(over="ignore", under="ignore"):
+        return _mend_p_sum(np.sqrt(_row_sum(A * A)), A, 2.0)
+
+
 def _schatten_sv(desc, X):
     d = math.isqrt(desc.n)
     mats = X.reshape(X.shape[:-1] + (d, d))
@@ -446,11 +453,13 @@ class Kind:
     sup of the norm over the unit sphere of ``dom`` ``sphere_sup(d, dom)``,
     ``vertex_orbit(d)``: one vertex of the unit ball per orbit of
     coordinate sign changes, where the ball is a polytope with known
-    vertices, and ``support_point(d, g)``: a point z of the unit ball
-    maximizing <g, z>, which is a gradient of the dual norm at g (the zero
-    vector at g = 0), for each row of a stack g.  A kind holds geometry
-    only: which sampler draws a point is `geometry._cone_points`, and how a
-    sweep record prints a space is `sepmod.SweepRecord.row`."""
+    vertices.  Every kind defines ``support_point(d, g)``: for each row of a
+    stack g, a point z of the unit ball maximizing <g, z>, which is a
+    gradient of the dual norm at g (the zero vector at g = 0); only
+    `intersect_ball`'s is a point of the sphere that need not maximize.  A
+    kind holds geometry only: which sampler draws a point is
+    `geometry._cone_points`, and how a sweep record prints a space is
+    `sepmod.SweepRecord.row`."""
 
     def canonically_positioned(self, d):
         return True
@@ -482,9 +491,6 @@ class Kind:
     def vertex_orbit(self, d):
         return None
 
-    def support_point(self, d, g):
-        return None
-
 
 class LpKind(Kind):
     """l_p^n, 1 <= p <= inf."""
@@ -495,14 +501,13 @@ class LpKind(Kind):
         _check_p(d)
 
     def norm(self, d, X):
+        if d.p == 2.0:
+            return _euclidean_norm(X)
         A = np.abs(X)
         if d.p == INF:
             return _row_max(A)
         if d.p == 1.0:
             return _row_sum(A)
-        if d.p == 2.0:
-            with np.errstate(over="ignore", under="ignore"):
-                return _mend_p_sum(np.sqrt(_row_sum(A * A)), A, 2.0)
         return _scaled_p_sum(A, d.p)
 
     def gradient(self, d, X, nrm):
@@ -698,12 +703,9 @@ class BlockLpKind(Kind):
 
     def support_point(self, d, g):
         """Each block's support point s_i, scaled by the outer l_p support
-        point of the blocks' dual norms <g_i, s_i>; None where a block has
-        no support point."""
+        point of the blocks' dual norms <g_i, s_i>."""
         parts = [REGISTRY[b.kind].support_point(b, g[..., sl])
                  for b, sl in _blocks(d)]
-        if any(s is None for s in parts):
-            return None
         dual = np.stack([(g[..., sl] * s).sum(axis=-1)
                          for (_, sl), s in zip(_blocks(d), parts)], axis=-1)
         w = REGISTRY["lp"].support_point(lp(len(parts), d.p), dual)
@@ -895,7 +897,8 @@ _MIN_ACCEPTANCE = 2.0 ** -10
 
 class IntersectBallKind(Kind):
     """The unit ball of ``d.base`` cut by the Euclidean ball of radius
-    ``d.r``: the norm max(base norm, ||x||_2 / r).  Its cone sampler is
+    ``d.r``: the norm max(base norm, ||x||_2 / r), whose Euclidean piece
+    `_euclidean_norm` neither overflows nor underflows.  Its cone sampler is
     exact where the base has a cone sampler and an exact volume; elsewhere,
     and where that sampler's rejection stalls, `geometry._cone_points`
     falls back to hit-and-run."""
@@ -912,12 +915,12 @@ class IntersectBallKind(Kind):
 
     def norm(self, d, X):
         return np.maximum(norm_batch(d.base, X),
-                          np.sqrt(_row_sum(X * X)) / d.r)
+                          _euclidean_norm(X) / d.r)
 
     def gradient(self, d, X, nrm):
         # nrm is not read: which piece is the larger takes both norms
         base_n = norm_batch(d.base, X)
-        euc = np.sqrt(_row_sum(X * X))
+        euc = _euclidean_norm(X)
         Gb = gradient_batch(d.base, X, base_n)
         with np.errstate(invalid="ignore", divide="ignore"):
             Ge = X / (d.r * euc[..., None])
@@ -930,13 +933,27 @@ class IntersectBallKind(Kind):
         on it, where the base norm is smooth with the gradient of the
         Euclidean piece (a tangency)."""
         b = norm_batch(d.base, x)
-        euc = math.sqrt(float(np.dot(x, x)))
+        euc = float(_euclidean_norm(x))
         e = euc / d.r
         if abs(b - e) > 1e-12 * max(b, e):
             return REGISTRY[d.base.kind].is_smooth(d.base, x) if b > e else True
         return bool(REGISTRY[d.base.kind].is_smooth(d.base, x)
                     and np.allclose(gradient_batch(d.base, x),
                                     x / (d.r * euc), rtol=1e-9, atol=1e-12))
+
+    def support_point(self, d, g):
+        """The better by <g, .> of the base ball's support point and
+        r g / |g|_2, each divided by its norm here so that it lies on the
+        unit sphere; zero rows stay zero.  Both are points of the ball, but
+        where both constraints are active the maximizer lies on the seam
+        between them, and neither is it."""
+        euc = _euclidean_norm(g)
+        cands = [REGISTRY[d.base.kind].support_point(d.base, g),
+                 d.r * g / np.where(euc > 0.0, euc, 1.0)[..., None]]
+        a, b = (z / np.where(euc > 0.0, norm_batch(d, z), 1.0)[..., None]
+                for z in cands)
+        pick = _row_sum(g * a) >= _row_sum(g * b)
+        return np.where(pick[..., None], a, b)
 
     def coord_bound(self, d):
         return min(coord_bound(d.base), d.r)
@@ -1131,11 +1148,16 @@ def loglacunary_decompose(n):
     Returns ``(factors, remainder)``.  For n < 6 no admissible chain fits and
     the degenerate answer ``((), n)`` is returned (empty product contributes
     nothing).  Chains are found by exhaustive enumeration of admissible
-    products below n, which at desk scale is both exact and fast.
+    products up to a cap of 1024 * 8^k >= n.  The 2^25 table took 22 s and
+    1.37 GB at n = 10^7 (2-vCPU x86-64 VM), and the next would be about 8
+    times larger, so n above 2^25 raises CapabilityError before any table.
     """
     if not isinstance(n, (int, np.integer)) or n < 3:
         raise InputError("loglacunary_decompose needs an integer n >= 3")
     n = int(n)
+    if n > 2 ** 25:
+        raise CapabilityError(
+            "loglacunary_decompose supports n <= 2^25 = 33554432, got %d" % n)
     if n < 6:
         return (), n
     cap = 1024

@@ -63,6 +63,17 @@ def test_decompose(capsys):
     assert code == 0 and "factors=6,7" in out and "remainder=0" in out
 
 
+def test_decompose_above_the_table_bound_exit_3(capsys):
+    code, out, err = run_main(["decompose", "--n", "100000000"], capsys)
+    assert code == 3 and "2^25" in err and out == ""
+
+
+def test_sweep_companion_from_dimension_one(capsys):
+    code, out, _ = run_main(["sweep", "--p", "inf", "--dims", "1,2",
+                             "--companion"], capsys)
+    assert code == 0 and "sep_upper" in out
+
+
 def test_psi_closed_form(capsys):
     code, out, _ = run_main(["psi", "--space",
                              '{"kind":"lp","n":4,"p":"inf"}',

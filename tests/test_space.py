@@ -281,11 +281,23 @@ def test_support_point_against_brute_force(desc):
     assert np.array_equal(zero, np.zeros(desc.n))
 
 
-@pytest.mark.parametrize("desc", [
+STACK_SUPPORT_SPACES = [
     lp(6, 1), lp(6, 3), linf(6), orlicz(5, 0.7), orlicz(5, 4.0),
     schatten(3, 1), schatten(2, 2.5), schatten(3, INF),
     block_lp(2.5, [lp(2, 1), orlicz(3, 2.0), schatten(2, 3)]),
-    block_lp(INF, [lp(3, 3), lp(2, 1)])], ids=lambda d: d.to_json())
+    block_lp(INF, [lp(3, 3), lp(2, 1)]),
+    intersect_ball(lp(3, 1), 0.8), intersect_ball(schatten(2, 3), 0.9),
+    block_lp(2, [intersect_ball(lp(2, 1), 0.8), lp(1, 2)])]
+
+
+def test_every_kind_has_a_support_point_case():
+    """A kind added to the registry without a support point fails here,
+    not inside the sphere ascent."""
+    assert {d.kind for d in STACK_SUPPORT_SPACES} == set(REGISTRY)
+
+
+@pytest.mark.parametrize("desc", STACK_SUPPORT_SPACES,
+                         ids=lambda d: d.to_json())
 def test_support_point_of_a_stack_is_row_by_row(desc):
     """A stack of subgradients, zero rows among them, gets the support
     point of each row, and a zero row a zero row."""
@@ -310,12 +322,35 @@ def test_schatten_gradient_outside_the_float_range():
         np.testing.assert_allclose(g, ref, rtol=1e-12, atol=1e-12)
 
 
-def test_support_point_of_a_ball_intersection_is_none():
-    g = np.array([1.0, -0.5, 0.25])
-    assert REGISTRY["intersect_ball"].support_point(
-        intersect_ball(lp(3, 1), 0.8), g) is None
-    assert REGISTRY["block_lp"].support_point(
-        block_lp(2, [intersect_ball(lp(2, 1), 0.8), lp(1, 2)]), g) is None
+@pytest.mark.parametrize("desc", [
+    intersect_ball(lp(3, 1), 0.8), intersect_ball(lp(4, 1), 0.6),
+    intersect_ball(linf(4), 1.5), intersect_ball(orlicz(4, 1.5), 0.7),
+    intersect_ball(schatten(2, 3), 0.9)], ids=lambda d: d.to_json())
+def test_support_point_of_a_ball_intersection(desc):
+    """The point lies on the unit sphere and is at least as good for
+    <g, .> as the base ball's support point and r g / |g|_2, each scaled
+    onto the sphere; it need not be the maximizer."""
+    g = np.random.default_rng(31).standard_normal((64, desc.n))
+    z = REGISTRY[desc.kind].support_point(desc, g)
+    assert np.all(np.abs(norm_batch(desc, z) - 1.0) <= 1e-12)
+    base = REGISTRY[desc.base.kind].support_point(desc.base, g)
+    euclid = desc.r * g / np.linalg.norm(g, axis=1)[:, None]
+    for c in (base, euclid):
+        c = c / norm_batch(desc, c)[:, None]
+        assert np.all((g * z).sum(axis=1) >= (g * c).sum(axis=1))
+
+
+def test_intersect_ball_norm_and_gradient_outside_the_float_range():
+    """The Euclidean piece is the l_2 kernel, so x * 2^600 and x * 2^-600,
+    where sum x^2 overflows and underflows, give the unit-scale norm scaled
+    and the unit-scale gradient, bit for bit."""
+    d = intersect_ball(lp(3, 1), 0.5)
+    x = np.array([3.0, 4.0, 0.0])
+    ref_n, ref_g = norm_eval(d, x), norm_gradient(d, x)
+    assert ref_n == 10.0
+    for scale in (2.0 ** 600, 2.0 ** -600):
+        assert norm_eval(d, x * scale) == ref_n * scale
+        assert np.array_equal(norm_gradient(d, x * scale), ref_g)
 
 
 def test_coord_bound_and_circumradius():
@@ -478,6 +513,14 @@ def test_decompose_chain_constraints():
         assert math.prod(factors) + rem == n
         for a, b in zip(factors, factors[1:]):
             assert a < b <= 2 ** a <= b ** 3
+
+
+def test_decompose_refuses_n_above_its_table_bound():
+    """n above 2^25 would build a product table of about 10 GB
+    (extrapolated from 1.4 GB for the 2^25 table); it raises before
+    building any."""
+    with pytest.raises(CapabilityError, match="2\\^25"):
+        loglacunary_decompose(2 ** 25 + 1)
 
 
 def test_decompose_rejects_bad_input():
