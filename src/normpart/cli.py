@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .space import (CapabilityError, InputError, SpaceDescriptor,
+from .space import (REGISTRY, CapabilityError, InputError, SpaceDescriptor,
                     loglacunary_decompose)
 from . import geometry as geo
 from . import partition as part
@@ -51,14 +51,19 @@ def _record(desc, n, quantity, value, stderr=0.0, lower=None, upper=None,
                        lower=lower, upper=upper, seed=seed)
 
 
+_KIND_WIDTH = max(map(len, REGISTRY))
+
+
 def _print_table(records, seed):
     print("# seed=%d" % seed)
-    header = "%-10s %4s %-18s %16s %12s %12s %12s" % (
-        "kind", "n", "quantity", "value", "stderr", "lower", "upper")
+    header = "%-*s %4s %-18s %16s %12s %12s %12s" % (
+        _KIND_WIDTH, "kind", "n", "quantity", "value", "stderr", "lower",
+        "upper")
     print(header)
     for r in records:
-        print("%-10s %4d %-18s %16.8g %12.4g %12s %12s" % (
-            r.descriptor.kind, r.n, r.quantity, r.value, r.stderr,
+        print("%-*s %4d %-18s %16.8g %12.4g %12s %12s" % (
+            _KIND_WIDTH, r.descriptor.kind, r.n, r.quantity, r.value,
+            r.stderr,
             "" if r.lower is None else "%.6g" % r.lower,
             "" if r.upper is None else "%.6g" % r.upper))
 

@@ -456,7 +456,10 @@ class Kind:
     vertices.  Every kind defines ``support_point(d, g)``: for each row of a
     stack g, a point z of the unit ball maximizing <g, z>, which is a
     gradient of the dual norm at g (the zero vector at g = 0); only
-    `intersect_ball`'s is a point of the sphere that need not maximize.  A
+    `intersect_ball`'s is a point of the sphere that need not maximize.
+    Every kind also defines ``sign_patterns(d, k, rng)``: k rows of +-1 drawn
+    from rng, each a coordinate sign change x -> e * x that keeps the norm
+    (the psi kernel averages over them).  A
     kind holds geometry only: which sampler draws a point is
     `geometry._cone_points`, and how a sweep record prints a space is
     `sepmod.SweepRecord.row`."""
@@ -559,13 +562,28 @@ class LpKind(Kind):
         return super().volume(d)
 
     def cone_sample(self, d, count, rng):
-        """Sign-symmetric p-generalized Gaussians, normalized."""
-        if d.p == INF:
-            x = rng.uniform(-1.0, 1.0, size=(count, d.n))
+        """Rows of i.i.d. coordinates with density proportional to
+        exp(-|t|^p), normalized: unit weights.
+
+        |t|^p has the law Gamma(1/p) = Gamma(1 + 1/p) U^p, so a coordinate is
+        Gamma(1 + 1/p)^{1/p} times a uniform on (-1, 1), which carries the
+        sign; at p = inf the gamma factor is 1.  Gamma(1/p)^{1/p} itself
+        rounds to exact zeros at large p (half of its draws at p = 1000).
+        p = 2 draws standard normals and p = 1 signed Exp(1), the cheaper
+        draws of the same laws up to scale."""
+        size = (count, d.n)
+        if d.p == 2.0:
+            x = rng.standard_normal(size)
+        elif d.p == 1.0:
+            x = _random_signs(rng.standard_exponential(size), rng)
         else:
-            x = rng.standard_gamma(1.0 / d.p, size=(count, d.n)) ** (1.0 / d.p)
-            x *= rng.choice([-1.0, 1.0], size=(count, d.n))
+            x = rng.uniform(-1.0, 1.0, size=size)
+            if d.p != INF:
+                x *= rng.standard_gamma(1.0 + 1.0 / d.p, size) ** (1.0 / d.p)
         return x / norm_batch(d, x)[:, None], np.ones(count)
+
+    def sign_patterns(self, d, k, rng):
+        return _random_signs(np.ones((k, d.n)), rng)
 
     def psi_norm(self, d):
         if d.p == INF:
@@ -687,19 +705,24 @@ class BlockLpKind(Kind):
 
     def cone_sample(self, d, count, rng):
         """Per-block cone samples scaled by radii with the Gamma(m_j/p)^{1/p}
-        law (uniform-ball radii for p = inf), then normalized."""
+        law, then normalized, with the product of the blocks' weights.  The
+        radii are drawn as Gamma(1 + m_j/p)^{1/p} U^{1/m_j}, the same law
+        (Gamma(a) = Gamma(1 + a) U^{1/a}) without its exact zeros at small
+        m_j/p; at p = inf this is the uniform-ball radius U^{1/m_j}."""
         X = np.empty((count, d.n))
         w = np.ones(count)
         for b, sl in _blocks(d):
             pts, bw = REGISTRY[b.kind].cone_sample(b, count, rng)
-            if d.p == INF:
-                radius = rng.random(count) ** (1.0 / b.n)
-            else:
-                radius = rng.standard_gamma(b.n / d.p, size=count) \
-                    ** (1.0 / d.p)
+            radius = (rng.standard_gamma(1.0 + b.n / d.p, size=count)
+                      ** (1.0 / d.p) * rng.random(count) ** (1.0 / b.n))
             X[:, sl] = pts * radius[:, None]
             w *= bw
         return X / norm_batch(d, X)[:, None], w
+
+    def sign_patterns(self, d, k, rng):
+        """Each block's own patterns, side by side."""
+        return np.concatenate([REGISTRY[b.kind].sign_patterns(b, k, rng)
+                               for b in d.blocks], axis=-1)
 
     def support_point(self, d, g):
         """Each block's support point s_i, scaled by the outer l_p support
@@ -762,15 +785,28 @@ class OrliczKind(Kind):
         return d.n * math.log(2.0) + _log_gammainc_int(d.n, d.beta)
 
     def cone_sample(self, d, count, rng):
-        """Push-forward of the l_1 cone measure with self-normalized
-        importance weights."""
+        """Exact cone-measure points with unit weights, on the unit sphere
+        by construction: z_i = +-(1 - exp(-beta tau_i)) for tau on the
+        simplex, whose Luxemburg sum sum_i beta tau_i / beta is 1.
+
+        The map carries the l_1 cone measure (tau = e / sum e, e_i i.i.d.
+        Exp(1)) to the Orlicz cone measure with density proportional to
+        sum_i expm1(beta tau_i) = sum_i sum_{k >= 1} (beta tau_i)^k / k!.
+        Each term is a Dirichlet law (e_i ~ Gamma(1 + k)) times
+        beta^k / Gamma(m + k), so the points are drawn from that mixture:
+        a uniform coordinate i gets Gamma(k) added to its Exp(1), with
+        P(k) proportional to beta^k / Gamma(m + k), k >= 1
+        (`_orlicz_extra_shape`)."""
         m, beta = d.n, d.beta
         e = rng.standard_exponential(size=(count, m))
-        tau = e / e.sum(axis=1)[:, None]
-        tau *= rng.choice([-1.0, 1.0], size=(count, m))
-        z = -np.sign(tau) * np.expm1(-beta * np.abs(tau))
-        w = np.expm1(beta * np.abs(tau)).sum(axis=1)
-        return z, w
+        i = rng.integers(0, m, size=count)
+        e[np.arange(count), i] += rng.standard_gamma(
+            _orlicz_extra_shape(m, beta, count, rng))
+        e *= (-beta / _row_sum(e))[:, None]
+        return _random_signs(np.expm1(e, out=e), rng), np.ones(count)
+
+    def sign_patterns(self, d, k, rng):
+        return _random_signs(np.ones((k, d.n)), rng)
 
     def support_point(self, d, g):
         """Water-filling: |z_i| = max(0, 1 - mu / |g_i|), where
@@ -862,6 +898,13 @@ class SchattenKind(Kind):
         U, V = _haar_orthogonal(rng, count, k), _haar_orthogonal(rng, count, k)
         return np.einsum("cik,ck,cjk->cij", U, sv, V).reshape(count, d.n), w
 
+    def sign_patterns(self, d, k, rng):
+        """r c^T, flattened, for sign vectors r of the rows and c of the
+        columns: D_r X D_c has the singular values of X."""
+        dd = math.isqrt(d.n)
+        r = _random_signs(np.ones((k, dd, 1)), rng)
+        return (r * _random_signs(np.ones((k, 1, dd)), rng)).reshape(k, d.n)
+
     def support_point(self, d, g):
         """U diag(s) V^T for g = U diag(sigma) V^T, where s is the l_p
         support point of sigma: the gradient of the dual Schatten q norm."""
@@ -871,6 +914,36 @@ class SchattenKind(Kind):
         z[live] = gradient_batch(
             schatten(math.isqrt(d.n), _dual_exponent(d.p)), rows[live])
         return z.reshape(g.shape)
+
+
+def _random_signs(x, rng):
+    """x with each entry's sign replaced, in place, by an independent fair
+    sign: the sign of U - 1/2 for a uniform U in [0, 1)."""
+    return np.copysign(x, rng.random(x.shape) - 0.5, out=x)
+
+
+def _orlicz_extra_shape(m, beta, count, rng):
+    """count draws of k >= 1 with P(k) proportional to beta^k / Gamma(m + k),
+    which is J - m + 1 for J ~ Poisson(beta) conditioned on J >= m.
+
+    For beta >= m that condition holds about half the time or more, and J
+    is redrawn until it does.  For beta < m the terms fall from k = 1 by the
+    ratios beta / (m + k), and k is read from their cumulative sums up to
+    the first term below 2^-64 of the first (at m = 48, 80 terms), whose
+    tail is below 1e-19 of the total."""
+    if beta >= m:
+        j = rng.poisson(beta, size=count)
+        short = np.flatnonzero(j < m)
+        while short.size:
+            j[short] = rng.poisson(beta, size=short.size)
+            short = short[j[short] < m]
+        return (j - (m - 1)).astype(float)
+    terms = [1.0]
+    while terms[-1] > 2.0 ** -64:
+        terms.append(terms[-1] * beta / (m + len(terms)))
+    cdf = np.cumsum(terms)
+    return 1.0 + np.searchsorted(cdf, cdf[-1] * rng.random(count),
+                                 side="right")
 
 
 def _haar_orthogonal(rng, count, k):
@@ -954,6 +1027,10 @@ class IntersectBallKind(Kind):
                 for z in cands)
         pick = _row_sum(g * a) >= _row_sum(g * b)
         return np.where(pick[..., None], a, b)
+
+    def sign_patterns(self, d, k, rng):
+        """The base's patterns: every sign change keeps |x|_2."""
+        return REGISTRY[d.base.kind].sign_patterns(d.base, k, rng)
 
     def coord_bound(self, d):
         return min(coord_bound(d.base), d.r)

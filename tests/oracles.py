@@ -9,7 +9,7 @@ import math
 from itertools import combinations
 
 import numpy as np
-from scipy.special import gammainc, gammaln, hyp1f1
+from scipy.special import gammainc, gammaincinv, gammaln, hyp1f1
 
 
 def lens_overlap_fraction_disk(s):
@@ -159,6 +159,26 @@ def log_orlicz_ball_volume(m, beta):
 def orlicz_volume_asymptotic(m, beta):
     """(2 beta)^m / (e^beta m!)."""
     return (2.0 * beta) ** m / (math.exp(beta) * math.factorial(m))
+
+
+def orlicz_cone_points(m, beta, count, seed):
+    """count cone-measure points of the Orlicz ball of psi_beta on R^m: exact
+    uniform points of the ball, pushed radially onto its sphere by
+    `luxemburg_norm_bisect`.
+
+    z_i = sign(u_i) (1 - e^{-|u_i|}) maps {|u|_1 <= beta} onto the ball
+    {sum -log(1 - |z_i|) <= beta} with Jacobian e^{-|u|_1}, so z is uniform
+    when u has density proportional to e^{-|u|_1} there: u = S tau with tau
+    on the l_1 sphere (signed Dirichlet(1, ..., 1)) and S ~ Gamma(m)
+    conditioned on S <= beta, drawn by inverting its distribution function.
+    The radial projection of a uniform point follows the cone measure."""
+    rng = np.random.default_rng(seed)
+    e = rng.standard_exponential((count, m))
+    tau = e / e.sum(axis=1)[:, None] * rng.choice([-1.0, 1.0], (count, m))
+    radius = gammaincinv(m, rng.random(count) * gammainc(m, beta))
+    u = radius[:, None] * tau
+    z = np.sign(u) * -np.expm1(-np.abs(u))
+    return z / luxemburg_norm_bisect(np.abs(z), beta)[:, None]
 
 
 def l1_cone_abs_moment(m, k):

@@ -383,6 +383,20 @@ def test_readme_cli_example(files, argv, tmp_path, monkeypatch, capsys):
     assert code == 0, err
 
 
+def test_table_kind_column_fits_every_kind(capsys):
+    """Every row of the table puts its n under the header's n, the
+    orlicz_beta rows of the companion too: the kind column is as wide as
+    the longest kind name."""
+    code, out, _ = run_main(["sweep", "--p", "inf", "--dims", "1,2",
+                             "--companion"], capsys)
+    assert code == 0
+    header, *rows = [ln for ln in out.splitlines() if not ln.startswith("#")]
+    end = re.match(r"kind +n ", header).end()
+    assert any(row.startswith("orlicz_beta") for row in rows)
+    for row in rows:
+        assert re.match(r"\S+ +\d+ ", row).end() == end, row
+
+
 def test_console_script_entrypoint():
     proc = subprocess.run([sys.executable, "-m", "normpart.cli", "vol",
                            "--space", '{"kind":"lp","n":2,"p":1}'],

@@ -1,5 +1,8 @@
 import importlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -153,11 +156,46 @@ def test_cone_l1_moments():
 
 
 def test_cone_orlicz_consistency():
-    # weighted cone samples must reproduce the surface-ratio identity below;
-    # here check the weights are positive and points sit on the sphere
+    # the Orlicz sampler draws the cone measure itself: unit weights, and
+    # points on the sphere
     cs = cone_sample(orlicz(3, 1.5), 20_000, seed=7)
-    assert np.all(cs.weights > 0)
+    assert np.all(cs.weights == 1.0)
     assert np.allclose(norm_batch(orlicz(3, 1.5), cs.points), 1.0, atol=1e-7)
+
+
+def _mean_and_stderr(f):
+    return float(f.mean()), float(f.std() / math.sqrt(f.size))
+
+
+@pytest.mark.parametrize("m,beta", [(1, 3.0), (2, 0.7), (3, 4.0), (6, 8.0),
+                                    (8, 5.0)])
+def test_orlicz_cone_sampler_matches_the_uniform_ball_oracle(m, beta):
+    """E |z_1|^k, k = 1, 2, 3, and psi at a fixed w, against radially
+    projected exact uniform points of the ball, within 4 sigma of both;
+    beta lies above m (the sampler's Poisson branch) and below it (its
+    table; (8, 5) tells that table from one built with beta / (1 + k))."""
+    d = orlicz(m, beta)
+    pts = cone_sample(d, 60_000, seed=41).points
+    ref = oracles.orlicz_cone_points(m, beta, 60_000, seed=42)
+    for k in (1, 2, 3):
+        (a, sa), (b, sb) = (_mean_and_stderr(np.abs(x[:, 0]) ** k)
+                            for x in (pts, ref))
+        assert abs(a - b) <= 4.0 * max(math.hypot(sa, sb), 1e-12)
+    w = np.linspace(1.0, -0.4, m)
+    est = psi(d, w, samples=60_000, seed=43, closed_form=False)
+    b, sb = _mean_and_stderr(0.5 * m * np.abs(gradient_batch(d, ref) @ w))
+    assert abs(est.value - b) <= 4.0 * max(math.hypot(est.stderr, sb), 1e-12)
+
+
+@pytest.mark.parametrize("p", [500.0, 1000.0])
+@pytest.mark.parametrize("n", [2, 3])
+def test_lp_cone_samples_at_large_p(n, p):
+    """Gamma(1/p)^{1/p} rounds to exact zeros at large p: drawn that way,
+    75% of the rows of lp(3, 1000) held a zero, 11% were 0/0, and iq read
+    5% low.  The l_p ball tends to the cube, whose iq is 2n."""
+    assert np.all(cone_sample(lp(n, p), 20_000, seed=44).points != 0.0)
+    assert iq(lp(n, p), samples=20_000, seed=45).value == pytest.approx(
+        2 * n, rel=0.01)
 
 
 def test_cone_block_on_sphere():
@@ -207,7 +245,7 @@ def test_hit_and_run_inside_ball():
 
 @pytest.mark.parametrize("d", [
     schatten(2, 1),
-    intersect_ball(orlicz(3, 4.0), 1.2),    # drawn from the weighted base
+    intersect_ball(orlicz(3, 4.0), 1.2),    # drawn from the Orlicz base
     intersect_ball(lp(4, 1), 0.6),          # drawn from 0.6 B_2
 ], ids=["schatten", "ib-orlicz-base", "ib-euclidean-source"])
 def test_direct_ball_samples_match_box_rejection(d):
@@ -582,6 +620,40 @@ def test_cauchy_check_holds_its_cloud_in_row_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20
+
+
+_SEEDED_PSI = """
+import hashlib
+import numpy as np
+from normpart.geometry import psi
+from normpart.space import block_lp, lp, orlicz, schatten
+spaces = [orlicz(6, 2.5), lp(5, 3), block_lp(2.5, [lp(2, 1), orlicz(3, 2.0)]),
+          schatten(3, 1.5)]
+out = []
+for workers in (1, 2):
+    for d in spaces:
+        w = np.linspace(1.0, -0.5, d.n)
+        est = psi(d, w, samples=70_000, seed=5, workers=workers,
+                  closed_form=False)
+        out.append(repr((est.value, est.stderr)))
+print(hashlib.sha256(" ".join(out[:4]).encode()).hexdigest(),
+      hashlib.sha256(" ".join(out[4:]).encode()).hexdigest())
+"""
+
+
+def test_seeded_psi_is_the_same_at_one_and_two_blas_threads():
+    """The sign-orbit products of the psi kernel round alike whatever the
+    BLAS thread count and worker count: three chunks of seeded psi on four
+    kinds hash the same at OPENBLAS_NUM_THREADS=1 and 2, each at 1 and 2
+    workers."""
+    hashes = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", _SEEDED_PSI], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        hashes.update(proc.stdout.split())
+    assert len(hashes) == 1
 
 
 def test_psi_reproducibility_across_workers():

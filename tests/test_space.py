@@ -296,6 +296,33 @@ def test_every_kind_has_a_support_point_case():
     assert {d.kind for d in STACK_SUPPORT_SPACES} == set(REGISTRY)
 
 
+SIGN_PATTERN_SPACES = [
+    lp(5, 3), lp(4, 1), linf(4), orlicz(5, 0.7), schatten(3, 1),
+    schatten(2, 2.5), schatten(3, INF),
+    block_lp(2.5, [lp(2, 1), orlicz(3, 2.0), schatten(2, 3)]),
+    intersect_ball(lp(3, 1), 0.8), intersect_ball(schatten(2, 3), 0.9)]
+
+
+def test_every_kind_has_a_sign_pattern_case():
+    """A kind added to the registry without sign patterns fails here, not
+    inside the psi kernel."""
+    assert {d.kind for d in SIGN_PATTERN_SPACES} == set(REGISTRY)
+
+
+@pytest.mark.parametrize("desc", SIGN_PATTERN_SPACES,
+                         ids=lambda d: d.to_json())
+def test_sign_patterns_keep_the_norm_bit_for_bit(desc):
+    """Each pattern e is a row of +-1, and ||e * x|| is ||x||, bit for
+    bit, on a stack of rows."""
+    rng = np.random.default_rng(37)
+    E = REGISTRY[desc.kind].sign_patterns(desc, 16, rng)
+    assert E.shape == (16, desc.n) and np.all(np.abs(E) == 1.0)
+    X = rng.standard_normal((200, desc.n))
+    ref = norm_batch(desc, X)
+    for e in E:
+        assert np.array_equal(norm_batch(desc, e * X), ref)
+
+
 @pytest.mark.parametrize("desc", STACK_SUPPORT_SPACES,
                          ids=lambda d: d.to_json())
 def test_support_point_of_a_stack_is_row_by_row(desc):
