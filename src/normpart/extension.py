@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .space import InputError, norm_batch, space
-from .geometry import psi_gradient_cloud, psi_from_cloud
+from .geometry import _cloud_psi, psi_gradient_cloud
 from .partition import _grid_first_arrivals
 
 # Largest Lipschitz-ratio-vs-profile observed over a frozen corpus of fifty
@@ -165,12 +165,11 @@ def evaluate(op, x):
 
 def separation_profile_cloud(sp, samples=50_000, seed=0):
     """Reusable estimator of the profile 4*psi for many displacements."""
-    s = space(sp)
-    G, wt = psi_gradient_cloud(s, samples=samples, seed=seed)
+    G, wt = psi_gradient_cloud(sp, samples=samples, seed=seed)
 
     def profile(w):
-        val, _ = psi_from_cloud(s, G, wt, np.asarray(w, dtype=float))
-        return 4.0 * val
+        z = np.asarray(w, dtype=float)[None]
+        return 4.0 * float(_cloud_psi(G, wt, z)[0])
 
     return profile
 

@@ -418,13 +418,6 @@ def _weighted_mean(f, w):
     return float(mu), float(np.sqrt((w * w * (f - mu) ** 2).sum()) / sw)
 
 
-def psi_from_cloud(s, G, wt, w):
-    """psi at w and its stderr from a `psi_gradient_cloud` (G, wt)."""
-    half_n = 0.5 * space(s).dim
-    mu, err = _weighted_mean(np.abs(G @ np.asarray(w, dtype=float)), wt)
-    return half_n * mu, half_n * err
-
-
 # Words (8 bytes each) of one (cloud rows) x (directions) matrix of the
 # cloud psi kernels, which take the cloud in blocks of at most this many.
 _PSI_BLOCK_WORDS = 1 << 18
@@ -458,14 +451,15 @@ def _cloud_psi_subgrad(G, wt, Z, F=None):
     return 0.5 * G.shape[1] * out / wt.sum()
 
 
-def _psi_volume(s, w, denom, samples, seed, workers):
-    """psi(w) * vol / denom, with the errors of both combined."""
-    ps = psi(s, w, samples=samples, seed=seed, workers=workers)
-    vol = volume_of(s, seed=seed)
+def _times_volume(s, est, denom, spread=0.0):
+    """The psi estimate est times vol / denom, its error combined with the
+    volume's and with a restart spread of psi."""
+    vol = volume_of(s, seed=est.seed)
     scale = vol.value / denom
-    err = math.hypot(ps.stderr * scale, ps.value * vol.stderr / denom)
-    return MonteCarloEstimate(value=ps.value * scale, stderr=err,
-                              trials=ps.trials, seed=seed)
+    err = math.hypot(est.stderr * scale, est.value * vol.stderr / denom,
+                     spread * scale)
+    return MonteCarloEstimate(value=est.value * scale, stderr=err,
+                              trials=est.trials, seed=est.seed)
 
 
 def hyperplane_projection_volume(sp, w, samples=100_000, seed=0, workers=1):
@@ -476,8 +470,10 @@ def hyperplane_projection_volume(sp, w, samples=100_000, seed=0, workers=1):
     w, _ = _unit_scale(np.asarray(w, dtype=float))
     if not np.any(w):
         raise InputError("the zero direction has no orthogonal hyperplane")
-    return _psi_volume(space(sp), w, math.sqrt(float((w * w).sum())),
-                       samples, seed, workers)
+    s = space(sp)
+    return _times_volume(s, psi(s, w, samples=samples, seed=seed,
+                                workers=workers),
+                         math.sqrt(float((w * w).sum())))
 
 
 # ---------------------------------------------------------------------------
@@ -543,12 +539,12 @@ def _ball_ascent(objective, subgrad, dom, restarts, seed, steps=200):
 
 def _psi_objective(s, samples, seed):
     """psi of s and a subgradient of it on stacks of directions, for
-    `_ball_ascent`, and the gradient cloud behind them: `_cloud_psi` and
-    `_cloud_psi_subgrad` on one `psi_gradient_cloud` (G, weights), or,
-    where psi is c ||.||_q (`Kind.psi_norm`), c times that norm with a
-    forward-difference subgradient and no cloud.  The l_q gradient would
-    stall starts on faces of the ball, where it reads sign(0) = 0: it put
-    the stderr of `maxproj(linf(4))` at 2.5 instead of 0."""
+    `_ball_ascent`: `_cloud_psi` and `_cloud_psi_subgrad` on one
+    `psi_gradient_cloud` (G, weights), or, where psi is c ||.||_q
+    (`Kind.psi_norm`), c times that norm with a forward-difference
+    subgradient.  The l_q gradient would stall starts on faces of the ball,
+    where it reads sign(0) = 0: it put the stderr of `maxproj(linf(4))` at
+    2.5 instead of 0."""
     cq = REGISTRY[s.kind].psi_norm(s)
     if cq is not None:
         unit = lp(s.dim, cq[1])
@@ -564,36 +560,48 @@ def _psi_objective(s, samples, seed):
                 dZ[:, i] += eps
                 g[:, i] = (objective(dZ) - F) / eps
             return g
-        return objective, subgrad, None
+        return objective, subgrad
     G, wt = psi_gradient_cloud(s, samples=samples, seed=seed)
-    return (partial(_cloud_psi, G, wt), partial(_cloud_psi_subgrad, G, wt),
-            (G, wt))
+    return partial(_cloud_psi, G, wt), partial(_cloud_psi_subgrad, G, wt)
+
+
+def _psi_sup(y, dom, restarts, samples, seed, workers=1):
+    """sup of psi_y over the unit sphere of dom: the argmax z, a fresh `psi`
+    at z (not the biased-upwards maximum of the cloud an ascent climbed on)
+    and the restarts' dispersion.  psi_y is convex, so the candidates are
+    dom's vertices where `Kind.vertex_orbit` lists one per sign orbit (exact
+    for sign-invariant y), else the point `_ball_ascent` finds."""
+    candidates = REGISTRY[dom.kind].vertex_orbit(dom)
+    spread = 0.0
+    if candidates is None:
+        z, _, spread = _ball_ascent(*_psi_objective(y, samples, seed), dom,
+                                    restarts, seed)
+        candidates = [z]
+    ests = [psi(y, z, samples=samples, seed=seed, workers=workers)
+            for z in candidates]
+    best = max(range(len(ests)), key=lambda i: ests[i].value)
+    return candidates[best], ests[best], spread
 
 
 def maxproj(sp, restarts=32, samples=100_000, seed=0):
     """Largest hyperplane shadow: direction and its projection volume.
 
     psi is convex and 1-homogeneous, so its sup over directions is its max
-    over the Euclidean ball, found by `_ball_ascent` on lp(n, 2), whose
-    support point is g / |g|_2.  The stderr combines the Monte Carlo error
-    of psi at the argmax, the volume's error and the restarts' dispersion."""
+    over the Euclidean ball, `_psi_sup` on lp(n, 2).  The stderr combines
+    the Monte Carlo error of psi at the argmax, the volume's error and the
+    restarts' dispersion."""
     s = space(sp)
     _check_restarts(restarts)
-    objective, subgrad, cloud = _psi_objective(s, samples, seed)
-    z, val, spread = _ball_ascent(objective, subgrad, lp(s.dim, 2),
-                                  restarts, seed)
-    stderr_psi = 0.0 if cloud is None else psi_from_cloud(s, *cloud, z)[1]
-    vol = volume_of(s, seed=seed)
-    err = math.hypot(stderr_psi * vol.value, val * vol.stderr, spread * vol.value)
-    return z, MonteCarloEstimate(value=val * vol.value, stderr=err,
-                                 trials=samples, seed=seed)
+    z, est, spread = _psi_sup(s, lp(s.dim, 2), restarts, samples, seed)
+    return z, _times_volume(s, est, 1.0, spread)
 
 
 def cone_volume(sp, z, samples=100_000, seed=0, workers=1):
     """Volume of the radial cone over the boundary cap in direction z:
     (1/n) * shadow-volume(z) * ||z||_2 = psi(z) * vol / n."""
     s = space(sp)
-    return _psi_volume(s, z, s.dim, samples, seed, workers)
+    return _times_volume(s, psi(s, z, samples=samples, seed=seed,
+                                workers=workers), s.dim)
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,8 @@ from .space import (INF, REGISTRY, CapabilityError, InputError,
                     SpaceDescriptor, block_lp, circumradius, gradient_batch,
                     lp, norm_batch, orlicz, space)
 from .geometry import (MonteCarloEstimate, _ball_ascent, _check_restarts,
-                       _psi_objective, cone_sample, exact_estimate, iq,
-                       iq_exact, log_euclidean_ball_volume, log_volume_exact,
-                       psi)
+                       _psi_sup, cone_sample, exact_estimate, iq, iq_exact,
+                       log_euclidean_ball_volume, log_volume_exact)
 
 
 def external_volume_ratio(sp):
@@ -102,32 +101,16 @@ def sep_upper_two_norm(sp_x, sp_y=None, restarts=16, samples=100_000, seed=0,
     The first factor rescales Y so its ball sits inside the X ball, and is
     1 when Y is X.  Both suprema are heuristic maxima from multi-restart
     ascent (exact where the kinds have closed forms: `Kind.sphere_sup`,
-    `Kind.vertex_orbit`), which climbs by support points of the domain ball
-    (`Kind.support_point`), each step higher than the last.  The returned
-    stderr combines the Monte Carlo error of psi at the argmax with the
-    restart dispersion."""
+    `Kind.vertex_orbit`); the second is `geometry._psi_sup`.  The stderr
+    combines the Monte Carlo error of psi at the argmax with the restart
+    dispersion."""
     x = space(sp_x)
     y = space(sp_x if sp_y is None else sp_y)
     if x.dim != y.dim:
         raise InputError("spaces must share a dimension")
     _check_restarts(restarts)
     s_factor, _ = _sup_norm_on_sphere(y, x, restarts, seed)
-
-    # psi_Y is a norm, hence convex: its maximum over the X ball sits at an
-    # extreme point.  For sign-invariant Y and a polytope X with known
-    # vertices (cube, cross-polytope) one vertex per sign orbit is exact.
-    candidates = REGISTRY[x.kind].vertex_orbit(x)
-    spread = 0.0
-    if candidates is None:
-        objective, subgrad, _ = _psi_objective(y, samples, seed)
-        z, _, spread = _ball_ascent(objective, subgrad, x, restarts, seed)
-        candidates = [z]
-
-    best = None
-    for z in candidates:
-        est = psi(y, z, samples=samples, seed=seed, workers=workers)
-        if best is None or est.value > best.value:
-            best = est
+    _, best, spread = _psi_sup(y, x, restarts, samples, seed, workers)
     value = 4.0 * s_factor * best.value
     stderr = 4.0 * s_factor * math.hypot(best.stderr, spread)
     return MonteCarloEstimate(value=value, stderr=stderr,

@@ -45,6 +45,15 @@ class RejectionStalled(CapabilityError):
 # descriptors
 
 
+# The JSON type of each descriptor field but base; no bool counts as a
+# number, and p may also be the string "inf".
+_JSON_FIELDS = {
+    "kind": (str, "a string"), "n": (int, "an integer"),
+    "p": ((int, float), "a number or the string 'inf'"),
+    "beta": ((int, float), "a number"), "r": ((int, float), "a number"),
+    "blocks": (list, "a list of descriptors")}
+
+
 @dataclass(frozen=True)
 class SpaceDescriptor:
     kind: str
@@ -91,26 +100,25 @@ class SpaceDescriptor:
     def from_dict(d):
         if not isinstance(d, dict):
             raise InputError("descriptor must be a JSON object, got %r" % (d,))
-        allowed = {"kind", "n", "p", "blocks", "beta", "base", "r"}
-        extra = set(d) - allowed
+        extra = set(d) - set(_JSON_FIELDS) - {"base"}
         if extra:
             raise InputError("unknown descriptor keys: %s" % sorted(extra))
-        p = d.get("p")
-        if p == "inf":
-            p = INF
-        elif p is not None and not isinstance(p, (int, float)):
-            raise InputError("p must be a number or the string 'inf'")
+        for key, (types, what) in _JSON_FIELDS.items():
+            v = d.get(key)
+            if v is None or (key == "p" and v == "inf"):
+                continue
+            if isinstance(v, bool) or not isinstance(v, types):
+                raise InputError("%s must be %s, got %r" % (key, what, v))
+        p = INF if d.get("p") == "inf" else d.get("p")
         blocks = d.get("blocks")
         if blocks is not None:
             blocks = tuple(SpaceDescriptor.from_dict(b) for b in blocks)
         base = d.get("base")
         if base is not None:
             base = SpaceDescriptor.from_dict(base)
-        n = d.get("n")
-        if not isinstance(n, int):
-            raise InputError("n must be an integer")
-        return SpaceDescriptor(kind=d.get("kind"), n=n, p=p, blocks=blocks,
-                               beta=d.get("beta"), base=base, r=d.get("r"))
+        return SpaceDescriptor(kind=d.get("kind"), n=d.get("n"), p=p,
+                               blocks=blocks, beta=d.get("beta"), base=base,
+                               r=d.get("r"))
 
     @staticmethod
     def from_json(s):
@@ -736,14 +744,20 @@ class BlockLpKind(Kind):
                                for j, s in enumerate(parts)], axis=-1)
 
 
+# The largest lam that numpy's Generator.poisson takes: 2^63 - 10 sqrt(2^63).
+_POISSON_LAM_MAX = 2.0 ** 63 - 10.0 * 2.0 ** 31.5
+
+
 class OrliczKind(Kind):
     """The Orlicz space of psi_beta on R^m, m = ``d.n``."""
 
     fields = ("beta",)
 
     def validate(self, d):
-        if d.beta is None or not (d.beta > 0):
-            raise InputError("orlicz_beta needs beta > 0")
+        # the cone sampler draws Poisson(beta) counts for beta >= m
+        if d.beta is None or not (0 < d.beta <= _POISSON_LAM_MAX):
+            raise InputError("orlicz_beta needs a finite beta > 0 and at "
+                             "most %.4g, got %r" % (_POISSON_LAM_MAX, d.beta))
 
     def norm(self, d, X):
         A = np.abs(X)
@@ -754,9 +768,14 @@ class OrliczKind(Kind):
         # Degree-0 homogeneous: evaluate on the boundary representative.
         if nrm is None:
             nrm = norm_batch(d, X)
-        T = np.abs(X) / nrm[..., None]
+        T = np.abs(X)
+        T /= nrm[..., None]
+        # 1 - T is 0 or at least 2^-53; where it rounds to 0 (large beta) the
+        # floor 2^-900 takes the limit +-e_i, shared among tied coordinates
         R = 1.0 - T
-        denom = _row_sum(T / R)
+        np.maximum(R, 2.0 ** -900, out=R)
+        T /= R
+        denom = _row_sum(T)
         G = np.sign(X)
         G /= R
         G /= denom[..., None]

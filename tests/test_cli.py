@@ -81,6 +81,23 @@ def test_psi_closed_form(capsys):
     assert code == 0 and "1.25" in out
 
 
+@pytest.mark.parametrize("desc,field", [
+    ('{"kind":"orlicz_beta","n":3,"beta":"2"}', "beta"),
+    ('{"kind":"orlicz_beta","n":3,"beta":[2]}', "beta"),
+    ('{"kind":"intersect_ball","n":2,"r":"1",'
+     '"base":{"kind":"lp","n":2,"p":1}}', "r"),
+    ('{"kind":"block_lp","n":2,"p":2,"blocks":5}', "blocks"),
+    ('{"kind":["lp"],"n":2,"p":2}', "kind"),
+    ('{"kind":"lp","n":true,"p":2}', "n"),
+    ('{"kind":"block_lp","n":2,"p":2,"blocks":{"a":1}}', "blocks")])
+def test_descriptor_field_of_the_wrong_json_type_exit_2(desc, field, capsys):
+    """Each used to end in a TypeError traceback, or to read true as n = 1,
+    or to blame a block named "a" for not being a JSON object."""
+    code, out, err = run_main(["vol", "--space", desc], capsys)
+    assert code == 2 and out == ""
+    assert "input error: %s must be" % field in err
+
+
 def test_input_error_exit_2(capsys):
     code, _, err = run_main(["vol", "--space", '{"kind":"lp","n":3'], capsys)
     assert code == 2 and "input error" in err

@@ -123,15 +123,14 @@ def test_ascent_objective_calls(monkeypatch):
     original = geometry._psi_objective
 
     def counting(s, samples, seed):
-        objective, subgrad, cloud = original(s, samples, seed)
+        objective, subgrad = original(s, samples, seed)
 
         def counted(Z):
             calls.append(len(Z))
             return objective(Z)
-        return counted, subgrad, cloud
+        return counted, subgrad
 
     monkeypatch.setattr(geometry, "_psi_objective", counting)
-    monkeypatch.setattr(sepmod, "_psi_objective", counting)
     sep_upper_two_norm(lp(32, 3), restarts=8, samples=10_000)
     assert 0 < sum(calls) <= 5117 // 4 and len(calls) <= 64
     calls.clear()
@@ -148,14 +147,14 @@ def test_ball_intersection_ascent_rows(monkeypatch):
     original = geometry._psi_objective
 
     def counting(s, samples, seed):
-        objective, subgrad, cloud = original(s, samples, seed)
+        objective, subgrad = original(s, samples, seed)
 
         def counted(Z):
             rows.append(len(Z))
             return objective(Z)
-        return counted, subgrad, cloud
+        return counted, subgrad
 
-    monkeypatch.setattr(sepmod, "_psi_objective", counting)
+    monkeypatch.setattr(geometry, "_psi_objective", counting)
     sep_upper_two_norm(intersect_ball(lp(3, 1), 0.8), restarts=16,
                        samples=20_000, seed=3)
     assert 0 < sum(rows) <= 1651 // 4
@@ -192,7 +191,7 @@ def _serial_ascent(objective, subgrad, support, normalize, n, restarts, seed,
 def test_lockstep_ascent_matches_the_serial_one(d):
     """The last space's support point need not maximize <g, .>; a start
     there stops at its first jump that does not gain, as elsewhere."""
-    objective, subgrad, _ = geometry._psi_objective(d, 5_000, 4)
+    objective, subgrad = geometry._psi_objective(d, 5_000, 4)
 
     def normalize(Z):
         return Z / norm_batch(d, Z)[:, None]

@@ -65,6 +65,10 @@ def test_descriptor_validation():
         lp(3, 0.5)
     with pytest.raises(InputError):
         orlicz(2, -1.0)
+    # beyond the largest rate numpy's Poisson sampler takes
+    for beta in (math.inf, 1e19, math.nan):
+        with pytest.raises(InputError, match="beta"):
+            orlicz(3, beta)
     with pytest.raises(InputError):
         intersect_ball(lp(2, 1), 0.0)
     with pytest.raises(InputError):
@@ -378,6 +382,17 @@ def test_intersect_ball_norm_and_gradient_outside_the_float_range():
     for scale in (2.0 ** 600, 2.0 ** -600):
         assert norm_eval(d, x * scale) == ref_n * scale
         assert np.array_equal(norm_gradient(d, x * scale), ref_g)
+
+
+def test_orlicz_gradient_where_a_coordinate_rounds_to_the_boundary():
+    """At large beta, 1 - |x_i| / ||x|| rounds to 0 on the largest
+    coordinates; the gradient is then its limit +-e_i, shared among the
+    tied coordinates."""
+    g = gradient_batch(orlicz(3, 1e18), np.array(
+        [[1.0, 0.5, -0.2], [-2.0, 2.0, 0.6], [0.5, 0.2, 0.1]]))
+    np.testing.assert_allclose(
+        g, [[1.0, 0.0, 0.0], [-0.5, 0.5, 0.0], [1.0, 0.0, 0.0]], rtol=0,
+        atol=1e-250)
 
 
 def test_coord_bound_and_circumradius():

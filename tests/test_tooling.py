@@ -17,3 +17,38 @@ def test_module_reads_every_name_it_imports(path):
     loaded = {node.id for node in ast.walk(tree)
               if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     assert sorted(imported - loaded) == []
+
+
+def _defined_names(stmt):
+    """The names a module-level statement binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [
+            stmt.target]
+        return {node.id for target in targets for node in ast.walk(target)
+                if isinstance(node, ast.Name)}
+    return set()
+
+
+def _read_names(stmt):
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_every_private_name_is_read_in_the_package():
+    """A module-level `_name` that no other statement of the package reads
+    is dead code: a helper left behind when its callers went."""
+    defined, read = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            names = _defined_names(stmt)
+            defined += [(path.name, name) for name in names
+                        if name.startswith("_") and not name.endswith("__")]
+            read |= set(_read_names(stmt)) - names
+    assert sorted(d for d in defined if d[1] not in read) == []
