@@ -568,10 +568,12 @@ def _psi_objective(s, samples, seed):
 def _psi_sup(y, dom, restarts, samples, seed, workers=1):
     """sup of psi_y over the unit sphere of dom: the argmax z, a fresh `psi`
     at z (not the biased-upwards maximum of the cloud an ascent climbed on)
-    and the restarts' dispersion.  psi_y is convex, so the candidates are
-    dom's vertices where `Kind.vertex_orbit` lists one per sign orbit (exact
-    for sign-invariant y), else the point `_ball_ascent` finds."""
-    candidates = REGISTRY[dom.kind].vertex_orbit(dom)
+    and the restarts' dispersion.  psi_y is convex, so for a y that every
+    coordinate sign change keeps (`Kind.sign_invariant`) the candidates are
+    dom's vertices where `Kind.vertex_orbit` lists one per sign orbit, and
+    otherwise the point `_ball_ascent` finds."""
+    candidates = (REGISTRY[dom.kind].vertex_orbit(dom)
+                  if REGISTRY[y.kind].sign_invariant(y) else None)
     spread = 0.0
     if candidates is None:
         z, _, spread = _ball_ascent(*_psi_objective(y, samples, seed), dom,

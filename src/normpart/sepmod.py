@@ -80,15 +80,15 @@ def _sup_norm_on_sphere(sp_dom, sp_val, restarts, seed):
     dom = space(sp_dom)
     val = space(sp_val)
     if dom == val:
-        return 1.0, None
+        return 1.0
     closed = REGISTRY[val.kind].sphere_sup(val, dom)
     if closed is not None:
-        return closed, None
-    z, best, _ = _ball_ascent(lambda Z: norm_batch(val, Z),
+        return closed
+    _, best, _ = _ball_ascent(lambda Z: norm_batch(val, Z),
                               lambda Z, F: gradient_batch(val, Z, F),
                               dom, restarts, seed)
     vals = norm_batch(val, cone_sample(dom, 256, seed=seed + 1).points)
-    return max(best, float(vals.max())), z
+    return max(best, float(vals.max()))
 
 
 def sep_upper_two_norm(sp_x, sp_y=None, restarts=16, samples=100_000, seed=0,
@@ -109,7 +109,7 @@ def sep_upper_two_norm(sp_x, sp_y=None, restarts=16, samples=100_000, seed=0,
     if x.dim != y.dim:
         raise InputError("spaces must share a dimension")
     _check_restarts(restarts)
-    s_factor, _ = _sup_norm_on_sphere(y, x, restarts, seed)
+    s_factor = _sup_norm_on_sphere(y, x, restarts, seed)
     _, best, spread = _psi_sup(y, x, restarts, samples, seed, workers)
     value = 4.0 * s_factor * best.value
     stderr = 4.0 * s_factor * math.hypot(best.stderr, spread)

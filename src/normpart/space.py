@@ -371,47 +371,46 @@ def _euclidean_shadow_ratio(n):
                     - log_euclidean_ball_volume(n))
 
 
-def _scaled_p_sum(A, p):
-    """(sum A^p)^{1/p} for A >= 0, scaled by the row maximum so that tiny or
-    huge entries do not underflow/overflow when raised to the power p."""
-    m = _row_max(A)
-    safe = np.where((m > 0.0) & (m < INF), m, 1.0)
-    r = A / safe[..., None]
-    return safe * _row_sum(r ** p) ** (1.0 / p)
+def _p_norm(A, p):
+    """(sum A^p)^{1/p} of rows A >= 0: the row max at p = inf, the row sum
+    at p = 1, the root of the row sum of squares at p = 2 and otherwise the
+    unscaled power sum, with the rows that left the float range mended by
+    `_mend_p_sum`.  lp, block_lp and Schatten norms all take it."""
+    if p == INF:
+        return _row_max(A)
+    if p == 1.0:
+        return _row_sum(A)
+    with np.errstate(over="ignore", under="ignore"):
+        r = (np.sqrt(_row_sum(A * A)) if p == 2.0
+             else _row_sum(A ** p) ** (1.0 / p))
+        return _mend_p_sum(r, A, p)
 
 
 def _mend_p_sum(r, A, p):
     """r = (sum A^p)^{1/p} computed without scaling, with the rows where a
     power left the float range (r not finite, or below tiny^{1/p} so that
-    every power underflowed) recomputed by `_scaled_p_sum`.  The other rows
-    keep their value bit for bit."""
+    every power underflowed) recomputed with A scaled by its row maximum.
+    The other rows keep their value bit for bit."""
     bad = ~(r >= _TINY ** (1.0 / p)) | (r == INF)
     if not bad.any():
         return r
     r = np.array(r)
-    r[bad] = _scaled_p_sum(A[bad], p)
+    B = A[bad]
+    m = _row_max(B)
+    safe = np.where((m > 0.0) & (m < INF), m, 1.0)
+    r[bad] = safe * _row_sum((B / safe[..., None]) ** p) ** (1.0 / p)
     return r[()]
 
 
 def _euclidean_norm(X):
-    """|x|_2 of each row, in range for huge and tiny x (`_mend_p_sum`)."""
-    A = np.abs(X)
-    with np.errstate(over="ignore", under="ignore"):
-        return _mend_p_sum(np.sqrt(_row_sum(A * A)), A, 2.0)
+    """|x|_2 of each row, in range for huge and tiny x (`_p_norm`)."""
+    return _p_norm(np.abs(X), 2.0)
 
 
 def _schatten_sv(desc, X):
     d = math.isqrt(desc.n)
     mats = X.reshape(X.shape[:-1] + (d, d))
     return np.linalg.svd(mats, compute_uv=False)
-
-
-def _schatten_norm(sv, p):
-    """The Schatten p-norm from rows of singular values."""
-    if p == INF:
-        return _row_max(sv)
-    with np.errstate(over="ignore", under="ignore"):
-        return _mend_p_sum(_row_sum(sv ** p) ** (1.0 / p), sv, p)
 
 
 def _check_p(d):
@@ -465,9 +464,10 @@ class Kind:
     stack g, a point z of the unit ball maximizing <g, z>, which is a
     gradient of the dual norm at g (the zero vector at g = 0); only
     `intersect_ball`'s is a point of the sphere that need not maximize.
-    Every kind also defines ``sign_patterns(d, k, rng)``: k rows of +-1 drawn
-    from rng, each a coordinate sign change x -> e * x that keeps the norm
-    (the psi kernel averages over them).  A
+    ``sign_invariant(d)``: whether every coordinate sign change keeps the
+    norm, as by default, and ``sign_patterns(d, k, rng)``: k rows of +-1
+    drawn from rng, each a sign change x -> e * x that keeps the norm (the
+    psi kernel averages over them), by default all of them.  A
     kind holds geometry only: which sampler draws a point is
     `geometry._cone_points`, and how a sweep record prints a space is
     `sepmod.SweepRecord.row`."""
@@ -502,6 +502,12 @@ class Kind:
     def vertex_orbit(self, d):
         return None
 
+    def sign_invariant(self, d):
+        return True
+
+    def sign_patterns(self, d, k, rng):
+        return _random_signs(np.ones((k, d.n)), rng)
+
 
 class LpKind(Kind):
     """l_p^n, 1 <= p <= inf."""
@@ -512,14 +518,7 @@ class LpKind(Kind):
         _check_p(d)
 
     def norm(self, d, X):
-        if d.p == 2.0:
-            return _euclidean_norm(X)
-        A = np.abs(X)
-        if d.p == INF:
-            return _row_max(A)
-        if d.p == 1.0:
-            return _row_sum(A)
-        return _scaled_p_sum(A, d.p)
+        return _p_norm(np.abs(X), d.p)
 
     def gradient(self, d, X, nrm):
         if d.p == INF:
@@ -590,9 +589,6 @@ class LpKind(Kind):
                 x *= rng.standard_gamma(1.0 + 1.0 / d.p, size) ** (1.0 / d.p)
         return x / norm_batch(d, x)[:, None], np.ones(count)
 
-    def sign_patterns(self, d, k, rng):
-        return _random_signs(np.ones((k, d.n)), rng)
-
     def psi_norm(self, d):
         if d.p == INF:
             return 0.5, 1.0
@@ -650,48 +646,30 @@ class BlockLpKind(Kind):
             raise InputError("block dimensions must sum to n")
 
     def norm(self, d, X):
-        B = _block_norms(d, X)
-        if d.p == INF:
-            return _row_max(B)
-        return _scaled_p_sum(B, d.p)
+        return _p_norm(_block_norms(d, X), d.p)
 
     def gradient(self, d, X, nrm):
-        G = np.empty_like(X)
         B = _block_norms(d, X)
-        if d.p == INF:
-            winner = B.argmax(axis=-1)
-        elif nrm is None:     # what `norm` computes from the same B
-            nrm = _scaled_p_sum(B, d.p)
+        w = gradient_batch(lp(len(d.blocks), d.p), B, nrm)  # nrm from B
+        G = np.empty_like(X)
         for j, (b, sl) in enumerate(_blocks(d)):
-            sub = gradient_batch(b, X[..., sl], B[..., j])
-            if d.p == INF:
-                w = (winner == j).astype(float)
-            else:
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    w = (B[..., j] / nrm) ** (d.p - 1.0)
-                w = np.nan_to_num(w)
-            G[..., sl] = sub * w[..., None]
+            G[..., sl] = gradient_batch(b, X[..., sl], B[..., j]) \
+                * w[..., j, None]
         return G
 
     def is_smooth(self, d, x):
         bn = _block_norms(d, x)
-        if not all(REGISTRY[b.kind].is_smooth(b, x[sl])
-                   for (b, sl), nb in zip(_blocks(d), bn) if nb > 0):
-            return False
-        if d.p == INF:
-            return int((bn == bn.max()).sum()) == 1
-        if d.p == 1.0:
-            return not np.any(bn == 0)
-        return True
+        return (all(REGISTRY[b.kind].is_smooth(b, x[sl])
+                    for (b, sl), nb in zip(_blocks(d), bn) if nb > 0)
+                and REGISTRY["lp"].is_smooth(lp(len(d.blocks), d.p), bn))
 
     def coord_bound(self, d):
         return max(coord_bound(b) for b in d.blocks)
 
     def circumradius(self, d):
-        k = len(d.blocks)
-        outer = math.sqrt(k) if d.p == INF else k ** max(0.5 - 1.0 / d.p, 0.0)
         inner = d.blocks[0]
-        return outer * REGISTRY[inner.kind].circumradius(inner)
+        return (REGISTRY["lp"].circumradius(lp(len(d.blocks), d.p))
+                * REGISTRY[inner.kind].circumradius(inner))
 
     def canonically_positioned(self, d):
         inner = d.blocks[0]
@@ -727,6 +705,9 @@ class BlockLpKind(Kind):
             w *= bw
         return X / norm_batch(d, X)[:, None], w
 
+    def sign_invariant(self, d):
+        return all(REGISTRY[b.kind].sign_invariant(b) for b in d.blocks)
+
     def sign_patterns(self, d, k, rng):
         """Each block's own patterns, side by side."""
         return np.concatenate([REGISTRY[b.kind].sign_patterns(b, k, rng)
@@ -739,7 +720,7 @@ class BlockLpKind(Kind):
                  for b, sl in _blocks(d)]
         dual = np.stack([(g[..., sl] * s).sum(axis=-1)
                          for (_, sl), s in zip(_blocks(d), parts)], axis=-1)
-        w = REGISTRY["lp"].support_point(lp(len(parts), d.p), dual)
+        w = REGISTRY["lp"].support_point(lp(len(d.blocks), d.p), dual)
         return np.concatenate([w[..., j, None] * s
                                for j, s in enumerate(parts)], axis=-1)
 
@@ -824,9 +805,6 @@ class OrliczKind(Kind):
         e *= (-beta / _row_sum(e))[:, None]
         return _random_signs(np.expm1(e, out=e), rng), np.ones(count)
 
-    def sign_patterns(self, d, k, rng):
-        return _random_signs(np.ones((k, d.n)), rng)
-
     def support_point(self, d, g):
         """Water-filling: |z_i| = max(0, 1 - mu / |g_i|), where
         k log mu = sum_{top k} log |g_i| - beta over the k largest |g_i|,
@@ -858,20 +836,14 @@ class SchattenKind(Kind):
             raise InputError("schatten needs n = d*d (square matrices)")
 
     def norm(self, d, X):
-        return _schatten_norm(_schatten_sv(d, X), d.p)
+        return _p_norm(_schatten_sv(d, X), d.p)
 
     def gradient(self, d, X, nrm):
         k = math.isqrt(d.n)
         mats = X.reshape(X.shape[:-1] + (k, k))
         U, sv, Vt = np.linalg.svd(mats)
-        if d.p == INF:
-            g = np.einsum("...i,...j->...ij", U[..., :, 0], Vt[..., 0, :])
-        else:
-            if nrm is None:     # from this SVD, not a second one
-                nrm = _schatten_norm(sv, d.p)
-            w = (sv / nrm[..., None]) ** (d.p - 1.0)
-            g = np.einsum("...ik,...k,...kj->...ij", U, w, Vt)
-        return g.reshape(X.shape)
+        w = gradient_batch(lp(k, d.p), sv, nrm)     # nrm from this SVD
+        return np.einsum("...ik,...k,...kj->...ij", U, w, Vt).reshape(X.shape)
 
     def is_smooth(self, d, x):
         """Smooth at every x != 0 for 1 < p < inf; at full rank for p = 1;
@@ -887,7 +859,7 @@ class SchattenKind(Kind):
         return 1.0
 
     def circumradius(self, d):
-        return math.isqrt(d.n) ** max(0.5 - 1.0 / d.p, 0.0)
+        return REGISTRY["lp"].circumradius(lp(math.isqrt(d.n), d.p))
 
     def has_cone_sampler(self, d):
         return math.isqrt(d.n) <= _SCHATTEN_DIRECT_MAX_D
@@ -917,6 +889,9 @@ class SchattenKind(Kind):
         U, V = _haar_orthogonal(rng, count, k), _haar_orthogonal(rng, count, k)
         return np.einsum("cik,ck,cjk->cij", U, sv, V).reshape(count, d.n), w
 
+    def sign_invariant(self, d):
+        return False
+
     def sign_patterns(self, d, k, rng):
         """r c^T, flattened, for sign vectors r of the rows and c of the
         columns: D_r X D_c has the singular values of X."""
@@ -926,13 +901,10 @@ class SchattenKind(Kind):
 
     def support_point(self, d, g):
         """U diag(s) V^T for g = U diag(sigma) V^T, where s is the l_p
-        support point of sigma: the gradient of the dual Schatten q norm."""
-        rows = g.reshape(-1, d.n)
-        z = np.zeros_like(rows)
-        live = rows.any(axis=-1)
-        z[live] = gradient_batch(
-            schatten(math.isqrt(d.n), _dual_exponent(d.p)), rows[live])
-        return z.reshape(g.shape)
+        support point of sigma: the gradient of the dual Schatten q norm,
+        which is 0 at g = 0."""
+        return gradient_batch(
+            schatten(math.isqrt(d.n), _dual_exponent(d.p)), g)
 
 
 def _random_signs(x, rng):
@@ -1047,6 +1019,9 @@ class IntersectBallKind(Kind):
         pick = _row_sum(g * a) >= _row_sum(g * b)
         return np.where(pick[..., None], a, b)
 
+    def sign_invariant(self, d):
+        return REGISTRY[d.base.kind].sign_invariant(d.base)
+
     def sign_patterns(self, d, k, rng):
         """The base's patterns: every sign change keeps |x|_2."""
         return REGISTRY[d.base.kind].sign_patterns(d.base, k, rng)
@@ -1120,6 +1095,10 @@ def norm_batch(sp, X):
     X = np.asarray(X, dtype=float)
     if X.shape[-1] != sp.n:
         raise InputError("vector length %d != dim %d" % (X.shape[-1], sp.n))
+    if X.ndim == 1:
+        # as a one-row stack: numpy takes powers of a 0-d value by another
+        # path than of an array, which would give a vector other bits
+        return REGISTRY[sp.kind].norm(sp, X[None])[0]
     return REGISTRY[sp.kind].norm(sp, X)
 
 
@@ -1149,6 +1128,9 @@ def gradient_batch(sp, X, nrm=None):
     X = np.asarray(X, dtype=float)
     if nrm is not None:
         nrm = np.asarray(nrm, dtype=float)
+    if X.ndim == 1:     # as a one-row stack, as in `norm_batch`
+        return REGISTRY[sp.kind].gradient(
+            sp, X[None], None if nrm is None else nrm[None])[0]
     return REGISTRY[sp.kind].gradient(sp, X, nrm)
 
 
@@ -1160,7 +1142,7 @@ def norm_gradient(sp, x, with_flag=False):
         raise InputError("norm_gradient expects a single vector")
     if not np.any(x):
         raise InputError("gradient undefined at the origin")
-    g = gradient_batch(sp, x[None, :])[0]
+    g = gradient_batch(sp, x)
     if with_flag:
         return g, REGISTRY[sp.kind].is_smooth(sp, x)
     return g

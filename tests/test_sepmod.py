@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import math
 
 import numpy as np
@@ -216,7 +217,7 @@ def test_sup_norm_ascent_solves_each_norm_once(monkeypatch):
         return original(beta, m, A)
 
     monkeypatch.setattr(module, "_orlicz_norm_batch", counting)
-    best, _ = sepmod._sup_norm_on_sphere(lp(4, 2), orlicz(4, 1.5), 8, 0)
+    best = sepmod._sup_norm_on_sphere(lp(4, 2), orlicz(4, 1.5), 8, 0)
     assert best == 1.598921834425309 and sum(rows) <= 460
 
 
@@ -232,14 +233,28 @@ def test_sup_norm_takes_cone_samples_as_they_are(monkeypatch):
         return original(beta, m, A)
 
     monkeypatch.setattr(module, "_orlicz_norm_batch", counting)
-    best, _ = sepmod._sup_norm_on_sphere(orlicz(4, 1.5), lp(4, 3), 8, 0)
+    best = sepmod._sup_norm_on_sphere(orlicz(4, 1.5), lp(4, 3), 8, 0)
     assert best == 0.7768698398515701 and sum(rows) <= 50
 
 
 def test_sup_norm_on_its_own_sphere_is_one():
     for d in (lp(5, 3), orlicz(4, 2.0), intersect_ball(lp(3, 1), 0.8)):
-        assert sepmod._sup_norm_on_sphere(d, d, restarts=4, seed=0) \
-            == (1.0, None)
+        assert sepmod._sup_norm_on_sphere(d, d, restarts=4, seed=0) == 1.0
+
+
+@pytest.mark.parametrize("y", [schatten(2, 4), block_lp(2, [schatten(2, 4)])],
+                         ids=lambda d: d.kind)
+def test_sep_upper_over_a_cube_is_not_read_off_one_vertex(y):
+    """A Schatten ball is not kept by coordinate sign changes, so psi_Y
+    differs between vertices of the cube in different sign orbits; the
+    supremum is at least the best of the vertices (1, +-1, +-1, +-1), which
+    the all-ones vertex alone missed (6.40 against 6.91)."""
+    got = sep_upper_two_norm(linf(4), y, samples=40_000)
+    best = max((geometry.psi(y, np.array((1.0,) + e), samples=40_000)
+                for e in itertools.product((1.0, -1.0), repeat=3)),
+               key=lambda est: est.value)
+    assert got.value >= 4.0 * best.value - 3.0 * math.hypot(
+        got.stderr, 4.0 * best.stderr)
 
 
 def test_sep_upper_dimension_mismatch():

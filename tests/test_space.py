@@ -304,6 +304,7 @@ SIGN_PATTERN_SPACES = [
     lp(5, 3), lp(4, 1), linf(4), orlicz(5, 0.7), schatten(3, 1),
     schatten(2, 2.5), schatten(3, INF),
     block_lp(2.5, [lp(2, 1), orlicz(3, 2.0), schatten(2, 3)]),
+    block_lp(INF, [lp(3, 3), orlicz(2, 1.0)]),
     intersect_ball(lp(3, 1), 0.8), intersect_ball(schatten(2, 3), 0.9)]
 
 
@@ -324,6 +325,21 @@ def test_sign_patterns_keep_the_norm_bit_for_bit(desc):
     X = rng.standard_normal((200, desc.n))
     ref = norm_batch(desc, X)
     for e in E:
+        assert np.array_equal(norm_batch(desc, e * X), ref)
+
+
+@pytest.mark.parametrize("desc", SIGN_PATTERN_SPACES,
+                         ids=lambda d: d.to_json())
+def test_sign_invariant_kinds_keep_the_norm_under_every_sign_change(desc):
+    """A space that calls itself sign-invariant keeps its norm bit for bit
+    under random coordinate sign changes (the vertex shortcut of the psi
+    supremum rests on this answer); "no" is always safe."""
+    if not REGISTRY[desc.kind].sign_invariant(desc):
+        return
+    rng = np.random.default_rng(53)
+    X = rng.standard_normal((200, desc.n))
+    ref = norm_batch(desc, X)
+    for e in np.where(rng.random((16, desc.n)) < 0.5, -1.0, 1.0):
         assert np.array_equal(norm_batch(desc, e * X), ref)
 
 
@@ -416,6 +432,12 @@ def test_norm_batch_matches_eval():
             assert val == pytest.approx(norm_eval(d, row), rel=1e-9)
 
 
+# unit-scale norms of (3, 4, 1) in l_3.5 and of (3, 4, 2) in
+# block_lp(2.5, [lp(2, 3), lp(1, 1)])
+_P35 = (3 ** 3.5 + 4 ** 3.5 + 1) ** (1 / 3.5)
+_BLOCK25 = ((3 ** 3 + 4 ** 3) ** (2.5 / 3) + 2 ** 2.5) ** (1 / 2.5)
+
+
 @pytest.mark.parametrize("desc,x,expected", [
     (lp(3, 2), [3e200, 4e200, 0.0], 5e200),
     (lp(3, 2), [3e-200, 4e-200, 0.0], 5e-200),
@@ -423,9 +445,18 @@ def test_norm_batch_matches_eval():
     (schatten(2, 3), [3e200, 0.0, 0.0, 4e200], (27 + 64) ** (1 / 3) * 1e200),
     (schatten(2, 2), [3e-200, 0.0, 0.0, 4e-200], 5e-200),
     (block_lp(2, [lp(2, 2), lp(1, 1)]), [3e200, 4e200, 12e200], 13e200),
+    (lp(3, 3.5), [3e200, 4e200, 1e200], _P35 * 1e200),
+    (lp(3, 3.5), [3e-200, 4e-200, 1e-200], _P35 * 1e-200),
+    (block_lp(2.5, [lp(2, 3), lp(1, 1)]), [3e200, 4e200, 2e200],
+     _BLOCK25 * 1e200),
+    (block_lp(2.5, [lp(2, 3), lp(1, 1)]), [3e-200, 4e-200, 2e-200],
+     _BLOCK25 * 1e-200),
+    (schatten(2, 2.5), [3e200, 0.0, 0.0, 4e200],
+     (3 ** 2.5 + 4 ** 2.5) ** 0.4 * 1e200),
 ])
 def test_norms_neither_overflow_nor_underflow(desc, x, expected):
-    # the unscaled p = 2 and Schatten sums gave inf, 0.0 and (block_lp) nan
+    # the unscaled power sums gave inf, 0.0 and (block_lp) nan; the rows
+    # where they leave the float range are summed again at unit scale
     assert norm_eval(desc, x) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
@@ -469,20 +500,41 @@ def test_row_reductions_match_numpy_bit_for_bit(n):
                 assert _same_bits(_row_sum(A), A.sum(axis=-1))
 
 
-@pytest.mark.parametrize("desc", [
+STACK_SPACES = [
     lp(4, 1), lp(5, 2), lp(4, 3.5), linf(6), lp(9, 2.5),
     block_lp(2.5, [lp(2, 3), lp(3, 1.5)]), block_lp(INF, [lp(1, 2), lp(2, 1)]),
     orlicz(6, 1.5), schatten(2, 2.5), schatten(2, INF),
-    intersect_ball(lp(4, 1), 1.0)], ids=lambda d: d.to_json())
+    intersect_ball(lp(4, 1), 1.0)]
+
+
+def test_every_kind_has_a_stack_case():
+    assert {d.kind for d in STACK_SPACES} == set(REGISTRY)
+
+
+@pytest.mark.parametrize("desc", STACK_SPACES, ids=lambda d: d.to_json())
 def test_a_row_has_the_same_norm_alone_and_in_a_long_stack(desc):
-    """Norms do not depend on the stack a row is evaluated in, so seeded
-    results do not depend on the chunk size or the worker count."""
+    """Norms and gradients do not depend on the stack a row is evaluated
+    in, nor on whether it is given as a single vector, so seeded results
+    do not depend on the chunk size or the worker count."""
     X = np.random.default_rng(37).standard_normal((32768, desc.n))
     stacked = norm_batch(desc, X)
+    grads = gradient_batch(desc, X)
     assert np.array_equal(norm_batch(desc, X[:100]), stacked[:100])
-    for i in (0, 17, 32767):
+    for i in [*range(512), 32767]:
         assert np.array_equal(norm_batch(desc, X[i]), stacked[i])
         assert np.array_equal(norm_batch(desc, X[i:i + 1]), stacked[i:i + 1])
+        assert np.array_equal(gradient_batch(desc, X[i]), grads[i])
+
+
+@pytest.mark.parametrize("p", [1, 1.5, 2, 3, INF])
+def test_a_sum_of_one_dimensional_blocks_is_lp(p):
+    """block_lp(p, [lp(1, 2)] * 5) is l_p^5: the same norm, gradient and
+    circumradius, bit for bit, from the one l_p evaluator."""
+    d, ref = block_lp(p, [lp(1, 2)] * 5), lp(5, p)
+    X = np.random.default_rng(59).standard_normal((1000, 5))
+    assert np.array_equal(norm_batch(d, X), norm_batch(ref, X))
+    assert np.array_equal(gradient_batch(d, X), gradient_batch(ref, X))
+    assert circumradius(d) == circumradius(ref)
 
 
 def test_gradients_solve_no_norm_they_do_not_read(monkeypatch):
