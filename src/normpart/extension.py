@@ -183,7 +183,7 @@ def lipschitz_ratio_scan(op, pair_count=100, seed=0, profile_samples=50_000,
     for the maximizing pair; the maximum is a sampled, not certified, value.
     """
     s = op.space
-    profile = separation_profile_cloud(s, samples=profile_samples, seed=seed)
+    G, wt = psi_gradient_cloud(s, samples=profile_samples, seed=seed)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x11b)))
     lo = op.anchors.min(axis=0)
     hi = op.anchors.max(axis=0)
@@ -199,15 +199,13 @@ def lipschitz_ratio_scan(op, pair_count=100, seed=0, profile_samples=50_000,
         xs = np.vstack([xs, op.anchors[ai[:, 0]]])
         ys = np.vstack([ys, op.anchors[ai[:, 1]]])
     F = [op.values.T @ w for w in op.weights(np.vstack([xs, ys]))]
+    # the profile 4 psi of every pair's displacement from one cloud pass
+    dens = 4.0 * _cloud_psi(G, wt, xs - ys)
     best, best_pair = 0.0, (xs[0], ys[0])
-    for x, y, fx, fy in zip(xs, ys, F, F[len(xs):]):
-        if np.array_equal(x, y):
+    for x, y, fx, fy, den in zip(xs, ys, F, F[len(xs):], dens):
+        if np.array_equal(x, y) or den <= 0:
             continue
-        num = float(norm_batch(op.target, fx - fy))
-        den = profile(x - y)
-        if den <= 0:
-            continue
-        ratio = num / den
+        ratio = float(norm_batch(op.target, fx - fy)) / float(den)
         if ratio > best:
             best, best_pair = ratio, (x, y)
     return best, best_pair

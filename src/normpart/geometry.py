@@ -39,8 +39,8 @@ class ConeSamples:
     weights, which are 1 except where a Schatten ball's direct sampler drew
     the points (alone, or as a block), and self-normalizing there.  Every
     sampler puts its points on the unit sphere by construction (the Orlicz
-    sampler) or by dividing by their norm, so the kernels below take their
-    norms as 1."""
+    sampler) or by dividing by their norm; the kernels below take the norm's
+    gradients at them from `_cone_normals`."""
     points: np.ndarray  # (count, dim), on the unit sphere of the norm
     weights: np.ndarray  # (count,)
 
@@ -130,19 +130,24 @@ def euclidean_ball_volume(n):
 # samplers
 
 
+def _sample_rng(count, seed):
+    """The rng a sampler draws count >= 1 samples from for the seed."""
+    if count < 1:
+        raise InputError("need at least one sample, got %r" % (count,))
+    return np.random.default_rng(np.random.SeedSequence(seed))
+
+
 def cone_sample(sp, count, seed=0):
     """Sample the cone (boundary) measure of the unit ball: `_cone_points`
     drawn from the seed."""
     s = space(sp)
-    if count < 1:
-        raise InputError("need at least one sample, got %r" % (count,))
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return ConeSamples(*_cone_points(s, rng, count))
+    return ConeSamples(*_cone_points(s, _sample_rng(count, seed), count))
 
 
-def _cone_points(s, rng, m):
+def _cone_points(s, rng, m, normals=False):
     """m cone-measure points and weights drawn from rng, the one place that
-    picks a cone sampler.
+    picks a cone sampler; with ``normals``, the norm's gradients at those
+    points (`Kind.cone_normals`) in their place, as `_cone_normals`.
 
     Where the space has a cone sampler (``has_cone_sampler``), this is the
     kind's exact direct sampler, `Kind.cone_sample`, with unit weights but
@@ -157,12 +162,23 @@ def _cone_points(s, rng, m):
     Carlo kernel thus stays deterministic given the master seed.
     """
     if s.has_cone_sampler:
+        kind = REGISTRY[s.kind]
         try:
-            return REGISTRY[s.kind].cone_sample(s, m, rng)
+            return (kind.cone_normals if normals
+                    else kind.cone_sample)(s, m, rng)
         except RejectionStalled:
             pass
     pts = hit_and_run_sample(s, m, seed=int(rng.integers(0, 2 ** 63)))
-    return pts / norm_batch(s, pts)[:, None], np.ones(m)
+    pts /= norm_batch(s, pts)[:, None]
+    ones = np.ones(m)
+    return (gradient_batch(s, pts, ones) if normals else pts), ones
+
+
+def _cone_normals(s, rng, m):
+    """The norm's gradients (unit normals up to length) at the m points
+    that `_cone_points` draws from rng, and their weights: the one draw the
+    psi and surface-ratio kernels and `psi_gradient_cloud` take."""
+    return _cone_points(s, rng, m, normals=True)
 
 
 def _ball_points(s, rng, m):
@@ -176,10 +192,7 @@ def uniform_ball_sample(sp, count, seed=0):
     """Weighted points uniform in the unit ball: `_ball_points` drawn from
     the seed."""
     s = space(sp)
-    if count < 1:
-        raise InputError("need at least one sample, got %r" % (count,))
-    return _ball_points(s, np.random.default_rng(np.random.SeedSequence(seed)),
-                        count)
+    return _ball_points(s, _sample_rng(count, seed), count)
 
 
 def hit_and_run_sample(sp, count, seed=0):
@@ -201,12 +214,10 @@ def hit_and_run_sample(sp, count, seed=0):
     """
     s = space(sp)
     n = s.dim
-    if count < 1:
-        raise InputError("need at least one sample, got %r" % (count,))
+    rng = _sample_rng(count, seed)
     burn_in, thin = 100 * n, n
     chains = min(64, count)
     per = -(-count // chains)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
     x = np.zeros((chains, n))
     out = np.empty((chains * per, n))
     got = 0
@@ -294,8 +305,7 @@ def surface_ratio(sp, samples=100_000, seed=0, workers=1):
     n = s.dim
 
     def kernel(rng, m):
-        pts, w = _cone_points(s, rng, m)
-        g = gradient_batch(s, pts, np.ones(m))
+        g, w = _cone_normals(s, rng, m)
         return n * np.sqrt((g * g).sum(axis=1)), w
 
     return estimate_mean(kernel, samples, seed, workers=workers)
@@ -386,8 +396,7 @@ def psi(sp, w, samples=100_000, seed=0, workers=1, closed_form=True):
     w, k = _unit_scale(w)
 
     def kernel(rng, m):
-        pts, wt = _cone_points(s, rng, m)
-        g = gradient_batch(s, pts, np.ones(m))
+        g, wt = _cone_normals(s, rng, m)
         W = REGISTRY[s.kind].sign_patterns(s, _SIGN_ORBIT, rng) * w
         return 0.5 * s.dim * _orbit_mean_abs(g, W), wt
 
@@ -404,10 +413,9 @@ def psi(sp, w, samples=100_000, seed=0, workers=1, closed_form=True):
 
 def psi_gradient_cloud(sp, samples=100_000, seed=0):
     """Shared cloud (gradients, weights) so that psi of many directions can
-    be evaluated as (n/2) * weighted-mean |G @ w| with one matmul each."""
-    s = space(sp)
-    cs = cone_sample(s, samples, seed=seed)
-    return gradient_batch(s, cs.points, np.ones(samples)), cs.weights
+    be evaluated as (n/2) * weighted-mean |G @ w| with one matmul each:
+    `_cone_normals` at the points `cone_sample` draws from the seed."""
+    return _cone_normals(space(sp), _sample_rng(samples, seed), samples)
 
 
 def _weighted_mean(f, w):
@@ -418,37 +426,52 @@ def _weighted_mean(f, w):
     return float(mu), float(np.sqrt((w * w * (f - mu) ** 2).sum()) / sw)
 
 
-# Words (8 bytes each) of one (cloud rows) x (directions) matrix of the
-# cloud psi kernels, which take the cloud in blocks of at most this many.
-_PSI_BLOCK_WORDS = 1 << 18
+# Words (8 bytes each) of one (cloud rows) x (k directions) block of the
+# cloud psi kernels: 256 KiB, the size of `_orbit_mean_abs`'s products, but
+# at least `_PSI_MIN_ROWS` rows while that stays within 8 times as many
+# words (2 MiB).  Fresh 2 MiB blocks fault in their pages on every call: 68
+# directions over a 20k-row cloud took 3.0-4.0 ms in 2 MiB blocks and
+# 1.1-1.3 ms in 256 KiB ones, and an ascent step of 25 directions over 10k
+# rows 2.7-2.9 ms and 0.9 ms.  Blocks of a few rows pay a call overhead
+# each: the Cauchy check's 4096 directions over a 40k-row cloud took 735 ms
+# in 8-row blocks and 410-460 ms in 64-row ones (fresh processes, one BLAS
+# thread on a 2-vCPU x86-64 VM).
+_PSI_BLOCK_WORDS = 1 << 15
+_PSI_MIN_ROWS = 64
 
 
 def _cloud_blocks(G, k):
-    rows = max(1, _PSI_BLOCK_WORDS // k)
+    rows = max(1, _PSI_BLOCK_WORDS // k,
+               min(_PSI_MIN_ROWS, 8 * _PSI_BLOCK_WORDS // k))
     return (slice(b, b + rows) for b in range(0, len(G), rows))
 
 
 def _cloud_psi(G, wt, Z):
     """psi at every row of the stack Z from the cloud (G, wt): with
-    P = G Z^T, (n/2) wt |P| / sum(wt).  P is summed over blocks of
-    `_PSI_BLOCK_WORDS` // k cloud rows, so a call holds a few matrices of at
-    most `_PSI_BLOCK_WORDS` words (2 MiB each) whatever the stack size k."""
+    P = G Z^T, (n/2) wt |P| / sum(wt).  P is summed over the row blocks of
+    `_cloud_blocks`, so a call holds one block of at most 2 MiB, or of one
+    row where the stack size k alone exceeds that."""
     out = np.zeros(len(Z))
     for r in _cloud_blocks(G, len(Z)):
-        out += wt[r] @ np.abs(G[r] @ Z.T)
+        P = G[r] @ Z.T
+        out += wt[r] @ np.abs(P, out=P)
     return 0.5 * G.shape[1] * (out / wt.sum())
 
 
-def _cloud_psi_subgrad(G, wt, Z, F=None):
-    """A subgradient of psi at every row of Z, (n/2) (wt sign P)^T G / sum(wt),
-    over the blocks of `_cloud_psi`.  It does not read F, the psi values at
-    Z that `_ball_ascent` passes."""
+def _cloud_psi_subgrad(G, wt, Z):
+    """psi at every row of Z, bit for bit as `_cloud_psi` gives it, and a
+    subgradient of psi there, (n/2) (wt sign P)^T G / sum(wt), both from the
+    one product P = G Z^T per block of `_cloud_psi`."""
+    F = np.zeros(len(Z))
     out = np.zeros(Z.shape)
     for r in _cloud_blocks(G, len(Z)):
-        S = np.sign(G[r] @ Z.T)
+        P = G[r] @ Z.T
+        S = np.sign(P)
+        F += wt[r] @ np.abs(P, out=P)
         S *= wt[r, None]
         out += S.T @ G[r]
-    return 0.5 * G.shape[1] * out / wt.sum()
+    return (0.5 * G.shape[1] * (F / wt.sum()),
+            0.5 * G.shape[1] * out / wt.sum())
 
 
 def _times_volume(s, est, denom, spread=0.0):
@@ -485,7 +508,7 @@ def _check_restarts(restarts):
         raise InputError("restarts must be >= 0, got %r" % (restarts,))
 
 
-def _ball_ascent(objective, subgrad, dom, restarts, seed, steps=200):
+def _ball_ascent(objective, dom, restarts, seed, steps=200):
     """Multi-restart ascent of a convex objective over the unit sphere of the
     space dom (the maximum over the ball lies on the sphere).
 
@@ -499,14 +522,15 @@ def _ball_ascent(objective, subgrad, dom, restarts, seed, steps=200):
     maximizer would still gain.  Points go onto the sphere by dividing by
     their dom norm; `steps` caps each start.
 
-    The starts move in lockstep: each step takes the stack Z of live
-    starts, shape (k, n), through one call each of ``objective(Z)``
-    (-> (k,)), ``subgrad(Z, F)`` (-> (k, n), with F the objective values at
-    Z), the support point and the normalization, and a start leaves the
-    stack when it stops.  A start's path is the one it would take alone,
-    up to the rounding of the stacked products.  Returns the best point,
-    its value and the dispersion of the starts' values, the practical
-    quality diagnostic.
+    The starts move in lockstep: ``objective(Z)`` takes a stack Z of
+    points, shape (k, n), and returns their values (k,) with a subgradient
+    at each (k, n).  Each step takes the support points of the live starts'
+    subgradients, normalizes them and evaluates the objective there in one
+    call; a start keeps the value and subgradient of a candidate it accepts
+    and leaves the stack when it stops.  A start's path is the one it would
+    take alone, up to the rounding of the stacked products.  Returns the
+    best point, its value and the dispersion of the starts' values, the
+    practical quality diagnostic.
     """
     n = dom.dim
 
@@ -518,51 +542,44 @@ def _ball_ascent(objective, subgrad, dom, restarts, seed, steps=200):
     while len(starts) < restarts + n + 1:
         starts.append(rng.standard_normal(n))
     Z = normalize(np.array(starts, dtype=float))
-    F = objective(Z)
+    F, G = objective(Z)
     live = np.arange(len(Z))
     for _ in range(steps):
-        G = subgrad(Z[live], F[live])
-        keep = np.linalg.norm(G, axis=-1) >= 1e-15
-        live, G = live[keep], G[keep]
+        live = live[np.linalg.norm(G[live], axis=-1) >= 1e-15]
         if not live.size:
             break
-        cand = normalize(REGISTRY[dom.kind].support_point(dom, G))
-        fc = objective(cand)
+        cand = normalize(REGISTRY[dom.kind].support_point(dom, G[live]))
+        fc, gc = objective(cand)
         gain = fc > F[live]
         live = live[gain]
-        Z[live], F[live] = cand[gain], fc[gain]
-        if not live.size:
-            break
+        Z[live], F[live], G[live] = cand[gain], fc[gain], gc[gain]
     best = int(np.argmax(F))
     return Z[best], float(F[best]), float(np.std(F))
 
 
 def _psi_objective(s, samples, seed):
     """psi of s and a subgradient of it on stacks of directions, for
-    `_ball_ascent`: `_cloud_psi` and `_cloud_psi_subgrad` on one
-    `psi_gradient_cloud` (G, weights), or, where psi is c ||.||_q
-    (`Kind.psi_norm`), c times that norm with a forward-difference
-    subgradient.  The l_q gradient would stall starts on faces of the ball,
-    where it reads sign(0) = 0: it put the stderr of `maxproj(linf(4))` at
-    2.5 instead of 0."""
+    `_ball_ascent`: `_cloud_psi_subgrad` on one `psi_gradient_cloud`
+    (G, weights), or, where psi is c ||.||_q (`Kind.psi_norm`), c times that
+    norm with a forward-difference subgradient.  The l_q gradient would
+    stall starts on faces of the ball, where it reads sign(0) = 0: it put
+    the stderr of `maxproj(linf(4))` at 2.5 instead of 0."""
     cq = REGISTRY[s.kind].psi_norm(s)
     if cq is not None:
         unit = lp(s.dim, cq[1])
 
         def objective(Z):
-            return cq[0] * norm_batch(unit, Z)
-
-        def subgrad(Z, F):
+            F = cq[0] * norm_batch(unit, Z)
             eps = 1e-6
             g = np.empty_like(Z)
             for i in range(s.dim):
                 dZ = Z.copy()
                 dZ[:, i] += eps
-                g[:, i] = (objective(dZ) - F) / eps
-            return g
-        return objective, subgrad
+                g[:, i] = (cq[0] * norm_batch(unit, dZ) - F) / eps
+            return F, g
+        return objective
     G, wt = psi_gradient_cloud(s, samples=samples, seed=seed)
-    return partial(_cloud_psi, G, wt), partial(_cloud_psi_subgrad, G, wt)
+    return partial(_cloud_psi_subgrad, G, wt)
 
 
 def _psi_sup(y, dom, restarts, samples, seed, workers=1):
@@ -576,7 +593,7 @@ def _psi_sup(y, dom, restarts, samples, seed, workers=1):
                   if REGISTRY[y.kind].sign_invariant(y) else None)
     spread = 0.0
     if candidates is None:
-        z, _, spread = _ball_ascent(*_psi_objective(y, samples, seed), dom,
+        z, _, spread = _ball_ascent(_psi_objective(y, samples, seed), dom,
                                     restarts, seed)
         candidates = [z]
     ests = [psi(y, z, samples=samples, seed=seed, workers=workers)

@@ -84,9 +84,12 @@ def _sup_norm_on_sphere(sp_dom, sp_val, restarts, seed):
     closed = REGISTRY[val.kind].sphere_sup(val, dom)
     if closed is not None:
         return closed
-    _, best, _ = _ball_ascent(lambda Z: norm_batch(val, Z),
-                              lambda Z, F: gradient_batch(val, Z, F),
-                              dom, restarts, seed)
+
+    def objective(Z):
+        F = norm_batch(val, Z)
+        return F, gradient_batch(val, Z, F)
+
+    _, best, _ = _ball_ascent(objective, dom, restarts, seed)
     vals = norm_batch(val, cone_sample(dom, 256, seed=seed + 1).points)
     return max(best, float(vals.max()))
 

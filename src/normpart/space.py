@@ -390,15 +390,17 @@ def _mend_p_sum(r, A, p):
     """r = (sum A^p)^{1/p} computed without scaling, with the rows where a
     power left the float range (r not finite, or below tiny^{1/p} so that
     every power underflowed) recomputed with A scaled by its row maximum.
-    The other rows keep their value bit for bit."""
+    Zero rows, whose r = 0 is their norm, and NaN rows are not recomputed;
+    the other rows keep their value bit for bit."""
     bad = ~(r >= _TINY ** (1.0 / p)) | (r == INF)
     if not bad.any():
         return r
+    m = _row_max(A)
+    bad &= m > 0.0
     r = np.array(r)
-    B = A[bad]
-    m = _row_max(B)
-    safe = np.where((m > 0.0) & (m < INF), m, 1.0)
-    r[bad] = safe * _row_sum((B / safe[..., None]) ** p) ** (1.0 / p)
+    m = m[bad]
+    safe = np.where(m < INF, m, 1.0)
+    r[bad] = safe * _row_sum((A[bad] / safe[..., None]) ** p) ** (1.0 / p)
     return r[()]
 
 
@@ -467,10 +469,14 @@ class Kind:
     ``sign_invariant(d)``: whether every coordinate sign change keeps the
     norm, as by default, and ``sign_patterns(d, k, rng)``: k rows of +-1
     drawn from rng, each a sign change x -> e * x that keeps the norm (the
-    psi kernel averages over them), by default all of them.  A
-    kind holds geometry only: which sampler draws a point is
-    `geometry._cone_points`, and how a sweep record prints a space is
-    `sepmod.SweepRecord.row`."""
+    psi kernel averages over them), by default all of them.  A kind with a
+    cone sampler ``cone_sample(d, count, rng)`` (-> points, weights) answers
+    ``cone_normals(d, count, rng)`` with the norm's gradients at exactly the
+    points that sampler draws from the same rng, and the same weights: by
+    default from `gradient_batch` at the points, and from the draw itself
+    where the kind overrides it.  A kind holds geometry only: which sampler
+    draws a point is `geometry._cone_points`, and how a sweep record prints
+    a space is `sepmod.SweepRecord.row`."""
 
     def canonically_positioned(self, d):
         return True
@@ -507,6 +513,10 @@ class Kind:
 
     def sign_patterns(self, d, k, rng):
         return _random_signs(np.ones((k, d.n)), rng)
+
+    def cone_normals(self, d, count, rng):
+        pts, wt = self.cone_sample(d, count, rng)
+        return gradient_batch(d, pts, np.ones(count)), wt
 
 
 class LpKind(Kind):
@@ -568,9 +578,9 @@ class LpKind(Kind):
             return 2.0 ** d.n     # exact, where exp(n log 2) is off by ulps
         return super().volume(d)
 
-    def cone_sample(self, d, count, rng):
+    def _draw(self, d, count, rng):
         """Rows of i.i.d. coordinates with density proportional to
-        exp(-|t|^p), normalized: unit weights.
+        exp(-|t|^p), whose directions are the cone sample.
 
         |t|^p has the law Gamma(1/p) = Gamma(1 + 1/p) U^p, so a coordinate is
         Gamma(1 + 1/p)^{1/p} times a uniform on (-1, 1), which carries the
@@ -580,14 +590,34 @@ class LpKind(Kind):
         draws of the same laws up to scale."""
         size = (count, d.n)
         if d.p == 2.0:
-            x = rng.standard_normal(size)
-        elif d.p == 1.0:
-            x = _random_signs(rng.standard_exponential(size), rng)
-        else:
-            x = rng.uniform(-1.0, 1.0, size=size)
-            if d.p != INF:
-                x *= rng.standard_gamma(1.0 + 1.0 / d.p, size) ** (1.0 / d.p)
+            return rng.standard_normal(size)
+        if d.p == 1.0:
+            return _random_signs(rng.standard_exponential(size), rng)
+        x = rng.uniform(-1.0, 1.0, size=size)
+        if d.p != INF:
+            x *= rng.standard_gamma(1.0 + 1.0 / d.p, size) ** (1.0 / d.p)
+        return x
+
+    def cone_sample(self, d, count, rng):
+        """The rows of `_draw`, normalized: unit weights."""
+        x = self._draw(d, count, rng)
         return x / norm_batch(d, x)[:, None], np.ones(count)
+
+    def cone_normals(self, d, count, rng):
+        """For 1 < p < inf but 2, sign(x) |x|^{p-1} / ||x||_p^{p-1} at each
+        row x of `_draw`, taken at x / max |x_i| so that no power over- or
+        underflows the whole row at large p; ||x||_p^p is summed as
+        |x|^{p-1} |x|, which saves a power.  p in {1, 2, inf} takes the
+        gradients at the points, which cost no power."""
+        if d.p in (1.0, 2.0, INF):
+            return super().cone_normals(d, count, rng)
+        x = self._draw(d, count, rng)
+        a = np.abs(x)
+        a /= _row_max(a)[:, None]
+        g = a ** (d.p - 1.0)
+        scale = _row_sum(g * a) ** (1.0 - 1.0 / d.p)
+        g /= scale[:, None]
+        return np.copysign(g, x, out=g), np.ones(count)
 
     def psi_norm(self, d):
         if d.p == INF:
@@ -796,14 +826,37 @@ class OrliczKind(Kind):
         beta^k / Gamma(m + k), so the points are drawn from that mixture:
         a uniform coordinate i gets Gamma(k) added to its Exp(1), with
         P(k) proportional to beta^k / Gamma(m + k), k >= 1
-        (`_orlicz_extra_shape`)."""
+        (`_orlicz_extra_shape`).  The points are `_draw`'s -|z| with its
+        signs."""
+        E, signs = self._draw(d, count, rng)
+        return np.copysign(E, signs, out=E), np.ones(count)
+
+    def _draw(self, d, count, rng):
+        """E = -|z| = expm1(-beta tau) for the points z of `cone_sample`,
+        and an array whose signs are theirs (`_random_signs`)."""
         m, beta = d.n, d.beta
         e = rng.standard_exponential(size=(count, m))
         i = rng.integers(0, m, size=count)
         e[np.arange(count), i] += rng.standard_gamma(
             _orlicz_extra_shape(m, beta, count, rng))
         e *= (-beta / _row_sum(e))[:, None]
-        return _random_signs(np.expm1(e, out=e), rng), np.ones(count)
+        return np.expm1(e, out=e), rng.random(e.shape) - 0.5
+
+    def cone_normals(self, d, count, rng):
+        """`gradient` at the points of `cone_sample`, by its float operations
+        at norm 1 on the draw's |z| = -E and signs, so bit for bit the same;
+        a coordinate drawn as 0 keeps sign 0 there."""
+        E, signs = self._draw(d, count, rng)
+        R = 1.0 + E                         # 1 - |z|
+        np.maximum(R, 2.0 ** -900, out=R)
+        T = np.negative(E, out=E)
+        zero = T == 0.0
+        T /= R
+        G = np.reciprocal(R, out=R)
+        G /= _row_sum(T)[:, None]
+        np.copysign(G, signs, out=G)
+        G[zero] = 0.0
+        return G, np.ones(count)
 
     def support_point(self, d, g):
         """Water-filling: |z_i| = max(0, 1 - mu / |g_i|), where
@@ -881,13 +934,28 @@ class SchattenKind(Kind):
         weights are bounded, but their effective sample size falls with k
         (`_SCHATTEN_DIRECT_MAX_D`), so larger k has no cone sampler and
         uses hit-and-run."""
+        U, sv, V, w = self._draw(d, count, rng)
+        return np.einsum("cik,ck,cjk->cij", U, sv, V).reshape(count, d.n), w
+
+    def _draw(self, d, count, rng):
+        """U, sigma, V and the weights of `cone_sample`'s points
+        U diag(sigma) V^T, with signed sigma."""
         k = math.isqrt(d.n)
         sv, _ = REGISTRY["lp"].cone_sample(lp(k, d.p), count, rng)
         sq = sv * sv * k ** (2.0 / d.p)
         i, j = np.triu_indices(k, 1)
         w = np.abs(sq[:, i] - sq[:, j]).prod(axis=1)
         U, V = _haar_orthogonal(rng, count, k), _haar_orthogonal(rng, count, k)
-        return np.einsum("cik,ck,cjk->cij", U, sv, V).reshape(count, d.n), w
+        return U, sv, V, w
+
+    def cone_normals(self, d, count, rng):
+        """U diag(g) V^T with g the l_p gradient at the draw's sigma, which
+        is the gradient at U diag(sigma) V^T without an SVD: the l_p
+        gradient is odd, so the signs of sigma may stay in it rather than
+        in U."""
+        U, sv, V, w = self._draw(d, count, rng)
+        g = gradient_batch(lp(sv.shape[1], d.p), sv, np.ones(count))
+        return np.einsum("cik,ck,cjk->cij", U, g, V).reshape(count, d.n), w
 
     def sign_invariant(self, d):
         return False

@@ -14,6 +14,7 @@ from normpart.space import (REGISTRY, CapabilityError, InputError,
                             gradient_batch, intersect_ball, linf, lp,
                             norm_batch, orlicz, schatten, space)
 from normpart.geometry import (CHUNK, _chord_ends, _cloud_psi,
+                               _cloud_psi_subgrad,
                                cauchy_surface_identity_check, cone_sample,
                                cone_volume, estimate_mean,
                                euclidean_ball_volume, gaussian_l2_mean,
@@ -521,7 +522,7 @@ def test_hyperplane_shadow_of_the_zero_direction_raises():
 
 
 def test_cloud_psi_matches_a_numpy_reference_row_by_row():
-    """300 directions take the cloud in blocks of 873 rows; the reference
+    """300 directions take the cloud in blocks of 109 rows; the reference
     is (n/2) sum(wt |G z|) / sum(wt), one direction at a time."""
     for d in (lp(3, 3), schatten(2, 3)):
         G, wt = psi_gradient_cloud(d, samples=20_000, seed=6)
@@ -529,6 +530,22 @@ def test_cloud_psi_matches_a_numpy_reference_row_by_row():
         for z, v in zip(Z, _cloud_psi(G, wt, Z)):
             ref = 0.5 * d.n * (wt * np.abs(G @ z)).sum() / wt.sum()
             assert v == pytest.approx(ref, rel=1e-12)
+
+
+def test_fused_cloud_psi_subgradient_matches_a_numpy_reference_row_by_row():
+    """The fused kernel's psi is `_cloud_psi`'s bit for bit on the same
+    stack, and its subgradient is (n/2) sum(wt sign(G z) G) / sum(wt), one
+    direction at a time; the stack includes basis vectors, where some
+    products are exact zeros of sign 0."""
+    for d in (lp(3, 3), lp(4, 400), schatten(2, 3)):
+        G, wt = psi_gradient_cloud(d, samples=20_000, seed=6)
+        Z = np.vstack([np.eye(d.n),
+                       np.random.default_rng(7).standard_normal((300, d.n))])
+        F, S = _cloud_psi_subgrad(G, wt, Z)
+        assert np.array_equal(F, _cloud_psi(G, wt, Z))
+        for z, g in zip(Z, S):
+            ref = 0.5 * d.n * ((wt * np.sign(G @ z)) @ G) / wt.sum()
+            assert np.linalg.norm(g - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_psi_mc_matches_closed_forms():

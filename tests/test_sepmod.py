@@ -124,12 +124,12 @@ def test_ascent_objective_calls(monkeypatch):
     original = geometry._psi_objective
 
     def counting(s, samples, seed):
-        objective, subgrad = original(s, samples, seed)
+        objective = original(s, samples, seed)
 
         def counted(Z):
             calls.append(len(Z))
             return objective(Z)
-        return counted, subgrad
+        return counted
 
     monkeypatch.setattr(geometry, "_psi_objective", counting)
     sep_upper_two_norm(lp(32, 3), restarts=8, samples=10_000)
@@ -148,12 +148,12 @@ def test_ball_intersection_ascent_rows(monkeypatch):
     original = geometry._psi_objective
 
     def counting(s, samples, seed):
-        objective, subgrad = original(s, samples, seed)
+        objective = original(s, samples, seed)
 
         def counted(Z):
             rows.append(len(Z))
             return objective(Z)
-        return counted, subgrad
+        return counted
 
     monkeypatch.setattr(geometry, "_psi_objective", counting)
     sep_upper_two_norm(intersect_ball(lp(3, 1), 0.8), restarts=16,
@@ -161,7 +161,7 @@ def test_ball_intersection_ascent_rows(monkeypatch):
     assert 0 < sum(rows) <= 1651 // 4
 
 
-def _serial_ascent(objective, subgrad, support, normalize, n, restarts, seed,
+def _serial_ascent(objective, support, normalize, n, restarts, seed,
                    steps=200):
     """The ascent one start at a time, each call on a stack of one row: the
     reference for the lockstep `_ball_ascent`."""
@@ -172,17 +172,16 @@ def _serial_ascent(objective, subgrad, support, normalize, n, restarts, seed,
     vals = []
     for z0 in starts:
         z = normalize(np.asarray(z0, dtype=float)[None])
-        fz = objective(z)[0]
+        fz, g = objective(z)
         for _ in range(steps):
-            g = subgrad(z, np.array([fz]))
             if np.linalg.norm(g) < 1e-15:
                 break
             cand = normalize(support(g))
-            fc = objective(cand)[0]
-            if not fc > fz:
+            fc, gc = objective(cand)
+            if not fc[0] > fz[0]:
                 break
-            z, fz = cand, fc
-        vals.append(fz)
+            z, fz, g = cand, fc, gc
+        vals.append(fz[0])
     return max(vals)
 
 
@@ -192,7 +191,7 @@ def _serial_ascent(objective, subgrad, support, normalize, n, restarts, seed,
 def test_lockstep_ascent_matches_the_serial_one(d):
     """The last space's support point need not maximize <g, .>; a start
     there stops at its first jump that does not gain, as elsewhere."""
-    objective, subgrad = geometry._psi_objective(d, 5_000, 4)
+    objective = geometry._psi_objective(d, 5_000, 4)
 
     def normalize(Z):
         return Z / norm_batch(d, Z)[:, None]
@@ -200,8 +199,8 @@ def test_lockstep_ascent_matches_the_serial_one(d):
     def support(G):
         return REGISTRY[d.kind].support_point(d, G)
 
-    _, best, _ = geometry._ball_ascent(objective, subgrad, d, 6, 4)
-    ref = _serial_ascent(objective, subgrad, support, normalize, d.n, 6, 4)
+    _, best, _ = geometry._ball_ascent(objective, d, 6, 4)
+    ref = _serial_ascent(objective, support, normalize, d.n, 6, 4)
     assert best == pytest.approx(ref, rel=1e-12)
 
 

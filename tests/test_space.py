@@ -314,6 +314,55 @@ def test_every_kind_has_a_sign_pattern_case():
     assert {d.kind for d in SIGN_PATTERN_SPACES} == set(REGISTRY)
 
 
+# Spaces whose cone normals are taken from the draw by a formula of their
+# own, which rounds apart from `gradient_batch` at the drawn points; every
+# other kind and exponent gives the same bits.
+def _normals_by_formula(d):
+    return d.kind == "schatten" or (d.kind == "lp"
+                                    and d.p not in (1.0, 2.0, INF))
+
+
+CONE_NORMAL_SPACES = [
+    lp(4, 1), lp(4, 2), linf(4), lp(4, 3), lp(5, 1.5), lp(3, 1000),
+    orlicz(5, 0.7), orlicz(12, 5.5), orlicz(3, 1e6), schatten(2, 2.5),
+    schatten(3, 1), schatten(3, INF), schatten(7, 1.5),
+    block_lp(2.5, [lp(2, 3), orlicz(2, 1.0)]),
+    intersect_ball(lp(3, 1), 0.8), intersect_ball(orlicz(3, 1.5), 0.9)]
+
+
+def test_every_kind_has_a_cone_normal_case():
+    """A kind added to the registry fails here until its cone normals are
+    checked against its gradients."""
+    assert {d.kind for d in CONE_NORMAL_SPACES} == set(REGISTRY)
+
+
+@pytest.mark.parametrize("desc", CONE_NORMAL_SPACES,
+                         ids=lambda d: d.to_json())
+def test_cone_normals_are_the_gradients_at_the_cone_points(desc):
+    """From equal rngs, `Kind.cone_normals` gives the weights of
+    `Kind.cone_sample` bit for bit and the gradients at its points: bit for
+    bit where no formula of its own takes them, and otherwise to 1e-12 of
+    the row's length.  A Schatten gradient through an SVD carries an error
+    of order eps / gap at p = inf, with gap the relative distance of the
+    top two singular values, so the bound there is 1e-14 / gap where that
+    is larger (at 2000 points of schatten(3, inf): 5e-12 at gap 8e-5)."""
+    kind = REGISTRY[desc.kind]
+    pts, wt = kind.cone_sample(desc, 2000, np.random.default_rng(61))
+    G, gw = kind.cone_normals(desc, 2000, np.random.default_rng(61))
+    assert gw.tobytes() == wt.tobytes()
+    ref = gradient_batch(desc, pts, np.ones(len(pts)))
+    if not _normals_by_formula(desc):
+        assert G.tobytes() == ref.tobytes()
+        return
+    err = np.linalg.norm(G - ref, axis=1) / np.linalg.norm(ref, axis=1)
+    bound = 1e-12
+    if desc.kind == "schatten":
+        k = math.isqrt(desc.n)
+        sv = np.linalg.svd(pts.reshape(-1, k, k), compute_uv=False)
+        bound = np.maximum(bound, 1e-14 * sv[:, 0] / (sv[:, 0] - sv[:, 1]))
+    assert np.all(err <= bound)
+
+
 @pytest.mark.parametrize("desc", SIGN_PATTERN_SPACES,
                          ids=lambda d: d.to_json())
 def test_sign_patterns_keep_the_norm_bit_for_bit(desc):
@@ -468,6 +517,30 @@ def test_p2_norm_keeps_its_fast_path_values_in_range():
     assert np.array_equal(norm_batch(lp(3, 2), X),
                           np.sqrt((X * X).sum(axis=-1)))
     assert norm_eval(lp(3, 2), [np.inf, 0.0, 0.0]) == np.inf
+
+
+def test_zero_rows_skip_the_p_sum_rescale(monkeypatch):
+    """A zero row's unscaled power sum is 0, which is its norm: it comes out
+    as an exact 0 without a rescale, and the other rows keep the bits they
+    have in a stack without zero rows.  Only the underflowing and the
+    overflowing row reach the rescaled sum."""
+    module = importlib.import_module("normpart.space")
+    X = np.random.default_rng(19).standard_normal((4096, 4))
+    X[::2] = 0.0
+    X[1] *= 1e-300
+    X[3] *= 1e300
+    ref = norm_batch(lp(4, 3), X[1::2])
+    sums = []
+    row_sum = module._row_sum
+
+    def counting(A):
+        sums.append(len(A))
+        return row_sum(A)
+
+    monkeypatch.setattr(module, "_row_sum", counting)
+    out = norm_batch(lp(4, 3), X)
+    assert sums == [4096, 2]
+    assert not out[::2].any() and np.array_equal(out[1::2], ref)
 
 
 def _same_bits(a, b):
