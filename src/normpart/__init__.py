@@ -9,7 +9,7 @@ from .space import (INF, CapabilityError, InputError, SpaceDescriptor,
                     norm_gradient, orlicz, schatten, space)
 from .geometry import (ConeSamples, MonteCarloEstimate, cone_sample,
                        cone_volume, estimate_mean, euclidean_ball_volume,
-                       hit_and_run_sample, iq, iq_exact, maxproj,
+                       hit_and_run_sample, iq, iq_exact, iq_of, maxproj,
                        mean_width_dual, psi, psi_closed_form, surface_ratio,
                        uniform_ball_sample, volume_exact, volume_mc,
                        volume_of)

@@ -100,15 +100,8 @@ def _cmd_vol(args):
 
 def _cmd_iq(args):
     s = _parse_space(args.space)
-    exact = None
-    if not args.mc:
-        try:
-            exact = geo.iq_exact(s)
-        except CapabilityError:
-            exact = None
-    if exact is not None:
-        return [_record(s, s.dim, "iq", exact, 0.0, seed=args.seed)]
-    est = geo.iq(s, samples=args.trials, seed=args.seed, workers=args.workers)
+    est = (geo.iq if args.mc else geo.iq_of)(
+        s, samples=args.trials, seed=args.seed, workers=args.workers)
     return [_record(s, s.dim, "iq", est.value, est.stderr, seed=args.seed)]
 
 

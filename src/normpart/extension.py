@@ -56,6 +56,9 @@ def bump_weights(sp, x, anchors, k):
     """lambda_k(x) = bump(d(x,C)/2^k) / sum_j bump(d(x,C)/2^j); 0 on C."""
     s = space(sp)
     x = np.asarray(x, dtype=float)
+    if x.shape != (s.dim,) or not np.all(np.isfinite(x)):
+        raise InputError("bump_weights needs a finite point of length %d, "
+                         "got %r" % (s.dim, x.tolist()))
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     d = float(norm_batch(s, anchors - x).min())
     if d <= 0.0:

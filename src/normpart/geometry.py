@@ -40,7 +40,7 @@ class ConeSamples:
     the points (alone, or as a block), and self-normalizing there.  Every
     sampler puts its points on the unit sphere by construction (the Orlicz
     sampler) or by dividing by their norm; the kernels below take the norm's
-    gradients at them from `_cone_normals`."""
+    gradients at them from `_cone_points`."""
     points: np.ndarray  # (count, dim), on the unit sphere of the norm
     weights: np.ndarray  # (count,)
 
@@ -103,6 +103,7 @@ def volume_exact(sp):
     CapabilityError when the volume overflows a float or underflows below
     its smallest normal value; `log_volume_exact` is finite there."""
     d = space(sp)
+    log_volume_exact(d)     # raises where the kind has no exact volume
     try:
         vol = REGISTRY[d.kind].volume(d)
     except OverflowError:
@@ -115,11 +116,14 @@ def volume_exact(sp):
 
 
 def log_volume_exact(sp):
-    """Natural log of the exact unit-ball volume.  Finite in every dimension,
-    unlike the volume itself, which under- or overflows a float from a few
-    hundred dimensions on."""
+    """Natural log of the exact unit-ball volume (`Kind.log_volume`), finite
+    in every dimension, unlike the volume itself, which under- or overflows
+    a float from a few hundred dimensions on."""
     d = space(sp)
-    return REGISTRY[d.kind].log_volume(d)
+    logv = REGISTRY[d.kind].log_volume(d)
+    if logv is None:
+        raise CapabilityError("no exact volume for kind %r" % (d.kind,))
+    return logv
 
 
 def euclidean_ball_volume(n):
@@ -147,7 +151,8 @@ def cone_sample(sp, count, seed=0):
 def _cone_points(s, rng, m, normals=False):
     """m cone-measure points and weights drawn from rng, the one place that
     picks a cone sampler; with ``normals``, the norm's gradients at those
-    points (`Kind.cone_normals`) in their place, as `_cone_normals`.
+    points (`Kind.cone_normals`) in their place, the draw of the psi and
+    surface-ratio kernels and `psi_gradient_cloud`.
 
     Where the space has a cone sampler (``has_cone_sampler``), this is the
     kind's exact direct sampler, `Kind.cone_sample`, with unit weights but
@@ -172,13 +177,6 @@ def _cone_points(s, rng, m, normals=False):
     pts /= norm_batch(s, pts)[:, None]
     ones = np.ones(m)
     return (gradient_batch(s, pts, ones) if normals else pts), ones
-
-
-def _cone_normals(s, rng, m):
-    """The norm's gradients (unit normals up to length) at the m points
-    that `_cone_points` draws from rng, and their weights: the one draw the
-    psi and surface-ratio kernels and `psi_gradient_cloud` take."""
-    return _cone_points(s, rng, m, normals=True)
 
 
 def _ball_points(s, rng, m):
@@ -305,7 +303,7 @@ def surface_ratio(sp, samples=100_000, seed=0, workers=1):
     n = s.dim
 
     def kernel(rng, m):
-        g, w = _cone_normals(s, rng, m)
+        g, w = _cone_points(s, rng, m, normals=True)
         return n * np.sqrt((g * g).sum(axis=1)), w
 
     return estimate_mean(kernel, samples, seed, workers=workers)
@@ -328,7 +326,20 @@ def iq(sp, samples=100_000, seed=0, workers=1):
 def iq_exact(sp):
     """Closed-form isoperimetric quotient (cube, Euclidean ball, l_1)."""
     d = space(sp)
-    return REGISTRY[d.kind].iq_exact(d)
+    exact = REGISTRY[d.kind].iq_exact(d)
+    if exact is None:
+        raise CapabilityError("iq_exact supports lp with p in {1, 2, inf}")
+    return exact
+
+
+def iq_of(sp, samples=100_000, seed=0, workers=1):
+    """Exact isoperimetric quotient where `Kind.iq_exact` has one, Monte
+    Carlo `iq` otherwise."""
+    s = space(sp)
+    exact = REGISTRY[s.kind].iq_exact(s)
+    if exact is not None:
+        return exact_estimate(exact, seed=seed)
+    return iq(s, samples=samples, seed=seed, workers=workers)
 
 
 # ---------------------------------------------------------------------------
@@ -350,24 +361,18 @@ def _unit_scale(w):
     return np.ldexp(w, -k), k
 
 
-# Sign patterns per cone point in the psi kernel, and the cone points taken
-# at a time in its products.
+# Sign patterns per cone point in the psi kernel.
 _SIGN_ORBIT = 16
-_ORBIT_ROWS = 2048
 
 
 def _orbit_mean_abs(g, W):
-    """mean_j |<g_i, W_j>| for every row g_i of g: per block of `_ORBIT_ROWS`
-    rows one product with W^T, an in-place abs and a product with the
-    constant vector 1/k, so no temporary reaches 2 MiB: fresh arrays that
-    large fault in their pages on every call.  For 32768 x 4 gradients and
-    16 patterns, one unblocked product took 3.7 ms and the blocks 0.8 ms
-    (one BLAS thread on a 2-vCPU x86-64 VM)."""
+    """mean_j |<g_i, W_j>| for every row g_i of g, from one product with
+    W^T per block of `_cloud_blocks`."""
     out = np.empty(len(g))
     mean = np.full(len(W), 1.0 / len(W))
-    for b in range(0, len(g), _ORBIT_ROWS):
-        P = g[b:b + _ORBIT_ROWS] @ W.T
-        out[b:b + _ORBIT_ROWS] = np.abs(P, out=P) @ mean
+    for r in _cloud_blocks(g, len(W)):
+        P = g[r] @ W.T
+        out[r] = np.abs(P, out=P) @ mean
     return out
 
 
@@ -396,7 +401,7 @@ def psi(sp, w, samples=100_000, seed=0, workers=1, closed_form=True):
     w, k = _unit_scale(w)
 
     def kernel(rng, m):
-        g, wt = _cone_normals(s, rng, m)
+        g, wt = _cone_points(s, rng, m, normals=True)
         W = REGISTRY[s.kind].sign_patterns(s, _SIGN_ORBIT, rng) * w
         return 0.5 * s.dim * _orbit_mean_abs(g, W), wt
 
@@ -414,8 +419,9 @@ def psi(sp, w, samples=100_000, seed=0, workers=1, closed_form=True):
 def psi_gradient_cloud(sp, samples=100_000, seed=0):
     """Shared cloud (gradients, weights) so that psi of many directions can
     be evaluated as (n/2) * weighted-mean |G @ w| with one matmul each:
-    `_cone_normals` at the points `cone_sample` draws from the seed."""
-    return _cone_normals(space(sp), _sample_rng(samples, seed), samples)
+    the gradients at the points `cone_sample` draws from the seed."""
+    return _cone_points(space(sp), _sample_rng(samples, seed), samples,
+                        normals=True)
 
 
 def _weighted_mean(f, w):
@@ -427,15 +433,16 @@ def _weighted_mean(f, w):
 
 
 # Words (8 bytes each) of one (cloud rows) x (k directions) block of the
-# cloud psi kernels: 256 KiB, the size of `_orbit_mean_abs`'s products, but
-# at least `_PSI_MIN_ROWS` rows while that stays within 8 times as many
-# words (2 MiB).  Fresh 2 MiB blocks fault in their pages on every call: 68
-# directions over a 20k-row cloud took 3.0-4.0 ms in 2 MiB blocks and
-# 1.1-1.3 ms in 256 KiB ones, and an ascent step of 25 directions over 10k
-# rows 2.7-2.9 ms and 0.9 ms.  Blocks of a few rows pay a call overhead
-# each: the Cauchy check's 4096 directions over a 40k-row cloud took 735 ms
-# in 8-row blocks and 410-460 ms in 64-row ones (fresh processes, one BLAS
-# thread on a 2-vCPU x86-64 VM).
+# psi kernels' products: 256 KiB, but at least `_PSI_MIN_ROWS` rows while
+# that stays within 8 times as many words (2 MiB).  Fresh 2 MiB blocks
+# fault in their pages on every call: for 32768 x 4 cone normals and 16
+# sign patterns, one unblocked product took 3.7 ms and 2048-row blocks
+# 0.8 ms; 68 directions over a 20k-row cloud took 3.0-4.0 ms in 2 MiB
+# blocks and 1.1-1.3 ms in 256 KiB ones, and an ascent step of 25
+# directions over 10k rows 2.7-2.9 ms and 0.9 ms.  Blocks of a few rows pay
+# a call overhead each: the Cauchy check's 4096 directions over a 40k-row
+# cloud took 735 ms in 8-row blocks and 410-460 ms in 64-row ones (fresh
+# processes, one BLAS thread on a 2-vCPU x86-64 VM).
 _PSI_BLOCK_WORDS = 1 << 15
 _PSI_MIN_ROWS = 64
 

@@ -21,8 +21,8 @@ from .space import (INF, REGISTRY, CapabilityError, InputError,
                     SpaceDescriptor, block_lp, circumradius, gradient_batch,
                     lp, norm_batch, orlicz, space)
 from .geometry import (MonteCarloEstimate, _ball_ascent, _check_restarts,
-                       _psi_sup, cone_sample, exact_estimate, iq, iq_exact,
-                       log_euclidean_ball_volume, log_volume_exact)
+                       _psi_sup, cone_sample, iq_of, log_euclidean_ball_volume,
+                       log_volume_exact)
 
 
 def external_volume_ratio(sp):
@@ -274,14 +274,7 @@ def sweep(family="lp", p=2.0, dims=(4, 8, 16, 32), companion=False,
                 seed=upper_est.seed))
         if "iq" in quantities:
             sub = _derived_seed(seed, idx + 500_000)
-            try:
-                exact = iq_exact(x)
-            except CapabilityError:
-                exact = None
-            if exact is not None:
-                est = exact_estimate(exact, seed=sub)
-            else:
-                est = iq(x, samples=samples, seed=sub, workers=workers)
+            est = iq_of(x, samples=samples, seed=sub, workers=workers)
             records.append(SweepRecord(
                 descriptor=x, n=n, quantity="iq",
                 value=est.value, stderr=est.stderr, seed=sub))

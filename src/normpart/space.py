@@ -335,6 +335,24 @@ def _orlicz_norm_batch(beta, m, A):
     return out
 
 
+def _orlicz_normal(T, signs):
+    """The Orlicz gradient at points with absolute values T on the unit sphere
+    (overwritten) and the signs of ``signs``; 0 where t_i = 0 and on zero
+    rows.  Where 1 - t rounds to 0 (large beta), the floor 2^-900 takes the
+    limit +-e_i, shared among tied coordinates."""
+    R = 1.0 - T
+    np.maximum(R, 2.0 ** -900, out=R)
+    zero = T == 0.0
+    T /= R
+    G = np.reciprocal(R, out=R)
+    denom = _row_sum(T)
+    denom[denom == 0.0] = 1.0       # zero rows: every coordinate is zeroed
+    G /= denom[..., None]
+    np.copysign(G, signs, out=G)
+    G[zero] = 0.0
+    return G
+
+
 def _log_gammainc_int(m, beta):
     """log P(m, beta) for the regularized lower incomplete gamma at integer
     order m >= 1, finite where P itself underflows.
@@ -409,10 +427,10 @@ def _euclidean_norm(X):
     return _p_norm(np.abs(X), 2.0)
 
 
-def _schatten_sv(desc, X):
+def _schatten_svd(desc, X, compute_uv=False):
     d = math.isqrt(desc.n)
     mats = X.reshape(X.shape[:-1] + (d, d))
-    return np.linalg.svd(mats, compute_uv=False)
+    return np.linalg.svd(mats, compute_uv=compute_uv)
 
 
 def _check_p(d):
@@ -452,20 +470,22 @@ class Kind:
     ``norm(d, X)`` and ``gradient(d, X, nrm)`` on batches of rows (``nrm``
     holds the norms of the rows of X where the caller knows them and is None
     otherwise; a gradient that reads the norm computes it then, and one
-    that does not, such as l_1's and l_inf's, computes none),
-    ``is_smooth(d, x)`` at one x != 0,
-    ``coord_bound(d)`` (the l_inf circumradius) and ``circumradius(d)`` (the Euclidean one, for
+    that does not computes none; zero rows get zero rows),
+    ``is_smooth(d, x)`` at one x != 0, ``coord_bound(d)`` (the l_inf
+    circumradius) and ``circumradius(d)`` (the Euclidean one, for
     canonically positioned d).  The methods below answer for a kind without
     the capability or closed form in question; the closed forms, None where
-    unknown, are ``psi_norm(d)``: (c, q) with psi(w) = c ||w||_q, the overlap
-    fraction vol(B intersect (w + B)) / vol(B) ``overlap_exact(d, w)``, the
-    sup of the norm over the unit sphere of ``dom`` ``sphere_sup(d, dom)``,
-    ``vertex_orbit(d)``: one vertex of the unit ball per orbit of
-    coordinate sign changes, where the ball is a polytope with known
-    vertices.  Every kind defines ``support_point(d, g)``: for each row of a
-    stack g, a point z of the unit ball maximizing <g, z>, which is a
-    gradient of the dual norm at g (the zero vector at g = 0); only
-    `intersect_ball`'s is a point of the sphere that need not maximize.
+    unknown, are the log-volume ``log_volume(d)`` (``has_exact_volume``
+    reads it), ``iq_exact(d)``, ``psi_norm(d)``: (c, q) with psi(w) =
+    c ||w||_q, the overlap fraction vol(B intersect (w + B)) / vol(B)
+    ``overlap_exact(d, w)``, the sup of the norm over the unit sphere of
+    ``dom`` ``sphere_sup(d, dom)``, ``vertex_orbit(d)``: one vertex of the
+    unit ball per orbit of coordinate sign changes, where the ball is a
+    polytope with known vertices.  Every kind defines
+    ``support_point(d, g)``: for each row of a stack g, a point z of the
+    unit ball maximizing <g, z>, which is a gradient of the dual norm at g
+    (the zero vector at g = 0); only `intersect_ball`'s is a point of the
+    sphere that need not maximize.
     ``sign_invariant(d)``: whether every coordinate sign change keeps the
     norm, as by default, and ``sign_patterns(d, k, rng)``: k rows of +-1
     drawn from rng, each a sign change x -> e * x that keeps the norm (the
@@ -473,10 +493,11 @@ class Kind:
     cone sampler ``cone_sample(d, count, rng)`` (-> points, weights) answers
     ``cone_normals(d, count, rng)`` with the norm's gradients at exactly the
     points that sampler draws from the same rng, and the same weights: by
-    default from `gradient_batch` at the points, and from the draw itself
-    where the kind overrides it.  A kind holds geometry only: which sampler
-    draws a point is `geometry._cone_points`, and how a sweep record prints
-    a space is `sepmod.SweepRecord.row`."""
+    default from `gradient_batch` at the points, and where the kind
+    overrides it from the draw, by the formula its `gradient` takes.  A kind
+    holds geometry only: which sampler draws a point is
+    `geometry._cone_points`, and how a sweep record prints a space is
+    `sepmod.SweepRecord.row`."""
 
     def canonically_positioned(self, d):
         return True
@@ -485,16 +506,16 @@ class Kind:
         return False
 
     def has_exact_volume(self, d):
-        return False
+        return self.log_volume(d) is not None
 
     def log_volume(self, d):
-        raise CapabilityError("no exact volume for kind %r" % (d.kind,))
+        return None
 
     def volume(self, d):
         return math.exp(self.log_volume(d))
 
     def iq_exact(self, d):
-        raise CapabilityError("iq_exact supports lp with p in {1, 2, inf}")
+        return None
 
     def psi_norm(self, d):
         return None
@@ -539,11 +560,23 @@ class LpKind(Kind):
             return G
         if d.p == 1.0:
             return np.sign(X)
-        if nrm is None:
+        if nrm is None and d.p == 2.0:      # one root, no power
             nrm = norm_batch(d, X)
+        if nrm is not None:
+            with np.errstate(invalid="ignore", divide="ignore"):
+                G = np.sign(X) * (np.abs(X) / nrm[..., None]) ** (d.p - 1.0)
+            return np.nan_to_num(G)
+        # at x / max |x_i|, so that no power leaves the float range, with
+        # ||x||_p^p summed as |x|^{p-1} |x|; zero and non-finite rows give 0
+        a = np.abs(X)
+        top = _row_max(a)
         with np.errstate(invalid="ignore", divide="ignore"):
-            G = np.sign(X) * (np.abs(X) / nrm[..., None]) ** (d.p - 1.0)
-        return np.nan_to_num(G)
+            a /= top[..., None]
+            G = a ** (d.p - 1.0)
+            G /= (_row_sum(G * a) ** (1.0 - 1.0 / d.p))[..., None]
+        np.copysign(G, X, out=G)
+        G[~((top > 0.0) & (top < INF))] = 0.0
+        return G
 
     def is_smooth(self, d, x):
         ax = np.abs(x)
@@ -562,9 +595,6 @@ class LpKind(Kind):
         return d.n ** max(0.5 - 1.0 / d.p, 0.0)
 
     def has_cone_sampler(self, d):
-        return True
-
-    def has_exact_volume(self, d):
         return True
 
     def log_volume(self, d):
@@ -604,20 +634,12 @@ class LpKind(Kind):
         return x / norm_batch(d, x)[:, None], np.ones(count)
 
     def cone_normals(self, d, count, rng):
-        """For 1 < p < inf but 2, sign(x) |x|^{p-1} / ||x||_p^{p-1} at each
-        row x of `_draw`, taken at x / max |x_i| so that no power over- or
-        underflows the whole row at large p; ||x||_p^p is summed as
-        |x|^{p-1} |x|, which saves a power.  p in {1, 2, inf} takes the
-        gradients at the points, which cost no power."""
+        """`gradient` at the rows of `_draw`, which saves their norms, for
+        p not in {1, 2, inf}; those take the gradients at the points."""
         if d.p in (1.0, 2.0, INF):
             return super().cone_normals(d, count, rng)
         x = self._draw(d, count, rng)
-        a = np.abs(x)
-        a /= _row_max(a)[:, None]
-        g = a ** (d.p - 1.0)
-        scale = _row_sum(g * a) ** (1.0 - 1.0 / d.p)
-        g /= scale[:, None]
-        return np.copysign(g, x, out=g), np.ones(count)
+        return self.gradient(d, x, None), np.ones(count)
 
     def psi_norm(self, d):
         if d.p == INF:
@@ -635,7 +657,7 @@ class LpKind(Kind):
                     / math.exp(math.lgamma(1.0 + 0.5 * n) / n))
         if d.p == 1.0:
             return n * math.sqrt(n) * math.exp(self.log_volume(d) / n)
-        return super().iq_exact(d)
+        return None
 
     def overlap_exact(self, d, w):
         if d.p == INF:      # a product of slabs
@@ -709,11 +731,11 @@ class BlockLpKind(Kind):
     def has_cone_sampler(self, d):
         return all(REGISTRY[b.kind].has_cone_sampler(b) for b in d.blocks)
 
-    def has_exact_volume(self, d):
-        return all(REGISTRY[b.kind].has_exact_volume(b) for b in d.blocks)
-
     def log_volume(self, d):
-        logv = math.fsum(REGISTRY[b.kind].log_volume(b) for b in d.blocks)
+        logs = [REGISTRY[b.kind].log_volume(b) for b in d.blocks]
+        if None in logs:
+            return None
+        logv = math.fsum(logs)
         if d.p == INF:
             return logv
         logv += math.fsum(math.lgamma(1.0 + b.n / d.p) for b in d.blocks)
@@ -780,17 +802,8 @@ class OrliczKind(Kind):
         if nrm is None:
             nrm = norm_batch(d, X)
         T = np.abs(X)
-        T /= nrm[..., None]
-        # 1 - T is 0 or at least 2^-53; where it rounds to 0 (large beta) the
-        # floor 2^-900 takes the limit +-e_i, shared among tied coordinates
-        R = 1.0 - T
-        np.maximum(R, 2.0 ** -900, out=R)
-        T /= R
-        denom = _row_sum(T)
-        G = np.sign(X)
-        G /= R
-        G /= denom[..., None]
-        return G
+        T /= np.where(nrm > 0.0, nrm, 1.0)[..., None]     # zero rows stay 0
+        return _orlicz_normal(T, X)
 
     def is_smooth(self, d, x):
         return not np.any(np.abs(x) == 0)
@@ -804,9 +817,6 @@ class OrliczKind(Kind):
                    for j in range(1, d.n + 1))
 
     def has_cone_sampler(self, d):
-        return True
-
-    def has_exact_volume(self, d):
         return True
 
     def log_volume(self, d):
@@ -843,20 +853,10 @@ class OrliczKind(Kind):
         return np.expm1(e, out=e), rng.random(e.shape) - 0.5
 
     def cone_normals(self, d, count, rng):
-        """`gradient` at the points of `cone_sample`, by its float operations
-        at norm 1 on the draw's |z| = -E and signs, so bit for bit the same;
-        a coordinate drawn as 0 keeps sign 0 there."""
+        """`_orlicz_normal` at the draw's |z| = -E and signs: `gradient` at
+        the points of `cone_sample` bit for bit."""
         E, signs = self._draw(d, count, rng)
-        R = 1.0 + E                         # 1 - |z|
-        np.maximum(R, 2.0 ** -900, out=R)
-        T = np.negative(E, out=E)
-        zero = T == 0.0
-        T /= R
-        G = np.reciprocal(R, out=R)
-        G /= _row_sum(T)[:, None]
-        np.copysign(G, signs, out=G)
-        G[zero] = 0.0
-        return G, np.ones(count)
+        return _orlicz_normal(np.negative(E, out=E), signs), np.ones(count)
 
     def support_point(self, d, g):
         """Water-filling: |z_i| = max(0, 1 - mu / |g_i|), where
@@ -889,21 +889,19 @@ class SchattenKind(Kind):
             raise InputError("schatten needs n = d*d (square matrices)")
 
     def norm(self, d, X):
-        return _p_norm(_schatten_sv(d, X), d.p)
+        return _p_norm(_schatten_svd(d, X), d.p)
 
     def gradient(self, d, X, nrm):
-        k = math.isqrt(d.n)
-        mats = X.reshape(X.shape[:-1] + (k, k))
-        U, sv, Vt = np.linalg.svd(mats)
-        w = gradient_batch(lp(k, d.p), sv, nrm)     # nrm from this SVD
-        return np.einsum("...ik,...k,...kj->...ij", U, w, Vt).reshape(X.shape)
+        U, sv, Vt = _schatten_svd(d, X, compute_uv=True)
+        w = gradient_batch(lp(sv.shape[-1], d.p), sv, nrm)  # nrm from this SVD
+        return _usv(U, w, Vt.swapaxes(-1, -2))
 
     def is_smooth(self, d, x):
         """Smooth at every x != 0 for 1 < p < inf; at full rank for p = 1;
         with a gap after the top singular value for p = inf."""
         if d.p != 1.0 and d.p != INF:
             return True
-        sv = _schatten_sv(d, x)             # descending
+        sv = _schatten_svd(d, x)            # descending
         if d.p == 1.0:
             return bool(sv[-1] > 0)
         return bool(sv.shape[0] == 1 or sv[0] - sv[1] > 1e-12 * sv[0])
@@ -935,7 +933,7 @@ class SchattenKind(Kind):
         (`_SCHATTEN_DIRECT_MAX_D`), so larger k has no cone sampler and
         uses hit-and-run."""
         U, sv, V, w = self._draw(d, count, rng)
-        return np.einsum("cik,ck,cjk->cij", U, sv, V).reshape(count, d.n), w
+        return _usv(U, sv, V), w
 
     def _draw(self, d, count, rng):
         """U, sigma, V and the weights of `cone_sample`'s points
@@ -955,7 +953,7 @@ class SchattenKind(Kind):
         in U."""
         U, sv, V, w = self._draw(d, count, rng)
         g = gradient_batch(lp(sv.shape[1], d.p), sv, np.ones(count))
-        return np.einsum("cik,ck,cjk->cij", U, g, V).reshape(count, d.n), w
+        return _usv(U, g, V), w
 
     def sign_invariant(self, d):
         return False
@@ -973,6 +971,12 @@ class SchattenKind(Kind):
         which is 0 at g = 0."""
         return gradient_batch(
             schatten(math.isqrt(d.n), _dual_exponent(d.p)), g)
+
+
+def _usv(U, s, V):
+    """U diag(s) V^T of stacks of k x k U, V and k-vectors s, as rows."""
+    return np.einsum("...ik,...k,...jk->...ij", U, s, V).reshape(
+        s.shape[:-1] + (-1,))
 
 
 def _random_signs(x, rng):
@@ -1104,8 +1108,7 @@ class IntersectBallKind(Kind):
         return REGISTRY[d.base.kind].canonically_positioned(d.base)
 
     def has_cone_sampler(self, d):
-        base = REGISTRY[d.base.kind]
-        return base.has_cone_sampler(d.base) and base.has_exact_volume(d.base)
+        return d.base.has_cone_sampler and d.base.has_exact_volume
 
     def cone_sample(self, d, count, rng):
         """Rejection from whichever of the base ball and r B_2 has the
@@ -1184,9 +1187,9 @@ def gradient_batch(sp, X, nrm=None):
     ``nrm`` holds the norms of the rows (shape (...)) where the caller knows
     them, e.g. ones at points on the unit sphere such as cone samples.
     Otherwise it is None and the kind computes them only if its gradient
-    reads them: none for l_1, l_inf or `intersect_ball`, and for Schatten
-    norms from the singular values of the gradient's own SVD.  So no norm
-    is solved twice, and none is solved to be thrown away.
+    reads them: none for l_p but at p = 2 or for `intersect_ball`, and for
+    Schatten norms from the singular values of the gradient's own SVD.  So
+    no norm is solved twice, and none is solved to be thrown away.
 
     At non-smooth points a fixed measurable subgradient selector is used
     (sign 0 on zero coordinates, first maximal coordinate for l_inf-type

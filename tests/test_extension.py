@@ -304,6 +304,10 @@ def test_bad_points_raise_input_errors():
     assert 0.0 <= value[0] <= 1.0 and w.sum() == 1.0
     with pytest.raises(InputError):
         active_scales(float("inf"))
+    # a 1-vector broadcast against the anchors and gave 0.0
+    for x in ([0.5], [0.5, 0.5, 0.5], [np.nan, 0.5], [0.5, np.inf]):
+        with pytest.raises(InputError, match="point"):
+            bump_weights(lp(2, 2), x, [[0.0, 0.0], [1.0, 1.0]], 0)
 
 
 def test_build_rejects_anchors_and_values_that_are_not_finite():

@@ -13,17 +13,18 @@ from normpart.space import (REGISTRY, CapabilityError, InputError,
                             RejectionStalled, block_lp, coord_bound,
                             gradient_batch, intersect_ball, linf, lp,
                             norm_batch, orlicz, schatten, space)
-from normpart.geometry import (CHUNK, _chord_ends, _cloud_psi,
-                               _cloud_psi_subgrad,
+from normpart.geometry import (CHUNK, MonteCarloEstimate, _chord_ends,
+                               _cloud_psi, _cloud_psi_subgrad,
                                cauchy_surface_identity_check, cone_sample,
                                cone_volume, estimate_mean,
                                euclidean_ball_volume, gaussian_l2_mean,
                                hit_and_run_sample,
                                hyperplane_projection_volume, iq, iq_exact,
-                               log_volume_exact, maxproj, mean_width_dual,
-                               psi, psi_closed_form, psi_gradient_cloud,
-                               surface_ratio, uniform_ball_sample,
-                               volume_exact, volume_mc, volume_of)
+                               iq_of, log_volume_exact, maxproj,
+                               mean_width_dual, psi, psi_closed_form,
+                               psi_gradient_cloud, surface_ratio,
+                               uniform_ball_sample, volume_exact, volume_mc,
+                               volume_of)
 
 import oracles
 
@@ -441,6 +442,22 @@ def test_iq_exact_values():
                 oracles.iq_values(n, p), rel=1e-10)
     with pytest.raises(Exception):
         iq_exact(lp(3, 3))
+
+
+def test_exact_answers_and_capability_errors():
+    """`iq_of` is the closed form where `Kind.iq_exact` has one and Monte
+    Carlo `iq` elsewhere; where `Kind.log_volume` is None, the exact volume
+    functions raise CapabilityError."""
+    assert iq_of(linf(3), seed=7) == MonteCarloEstimate(6.0, 0.0, 1, 7)
+    assert iq_of(lp(3, 3), samples=2000, seed=7) == iq(lp(3, 3),
+                                                       samples=2000, seed=7)
+    for d in (schatten(2, 1), block_lp(2, [lp(2, 1), schatten(2, 1)]),
+              intersect_ball(lp(3, 1), 0.8)):
+        for exact in (volume_exact, log_volume_exact):
+            with pytest.raises(CapabilityError, match="no exact volume"):
+                exact(d)
+    with pytest.raises(CapabilityError, match="iq_exact supports"):
+        iq_exact(schatten(2, 3))
 
 
 def test_iq_mc_matches_exact():
