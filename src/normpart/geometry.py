@@ -103,9 +103,8 @@ def volume_exact(sp):
     CapabilityError when the volume overflows a float or underflows below
     its smallest normal value; `log_volume_exact` is finite there."""
     d = space(sp)
-    log_volume_exact(d)     # raises where the kind has no exact volume
     try:
-        vol = REGISTRY[d.kind].volume(d)
+        vol = REGISTRY[d.kind].volume(d, log_volume_exact(d))
     except OverflowError:
         vol = math.inf
     if not sys.float_info.min <= vol < math.inf:

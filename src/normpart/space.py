@@ -335,14 +335,15 @@ def _orlicz_norm_batch(beta, m, A):
     return out
 
 
-def _orlicz_normal(T, signs):
+def _orlicz_normal(T, signs, zero):
     """The Orlicz gradient at points with absolute values T on the unit sphere
-    (overwritten) and the signs of ``signs``; 0 where t_i = 0 and on zero
-    rows.  Where 1 - t rounds to 0 (large beta), the floor 2^-900 takes the
-    limit +-e_i, shared among tied coordinates."""
+    (overwritten), the signs of ``signs`` and zero coordinates ``zero``; 0
+    there and on zero rows.  A nonzero coordinate whose t_i underflowed to 0
+    keeps its slope +-1 / sum_j t_j / (1 - t_j).  Where 1 - t rounds to 0
+    (large beta), the floor 2^-900 takes the limit +-e_i, shared among tied
+    coordinates."""
     R = 1.0 - T
     np.maximum(R, 2.0 ** -900, out=R)
-    zero = T == 0.0
     T /= R
     G = np.reciprocal(R, out=R)
     denom = _row_sum(T)
@@ -511,8 +512,8 @@ class Kind:
     def log_volume(self, d):
         return None
 
-    def volume(self, d):
-        return math.exp(self.log_volume(d))
+    def volume(self, d, logv):
+        return math.exp(logv)
 
     def iq_exact(self, d):
         return None
@@ -603,10 +604,9 @@ class LpKind(Kind):
         return (d.n * math.log(2.0) + d.n * math.lgamma(1.0 + 1.0 / d.p)
                 - math.lgamma(1.0 + d.n / d.p))
 
-    def volume(self, d):
-        if d.p == INF:
-            return 2.0 ** d.n     # exact, where exp(n log 2) is off by ulps
-        return super().volume(d)
+    def volume(self, d, logv):
+        # 2^n is exact at p = inf, where exp(n log 2) is off by ulps
+        return 2.0 ** d.n if d.p == INF else math.exp(logv)
 
     def _draw(self, d, count, rng):
         """Rows of i.i.d. coordinates with density proportional to
@@ -803,7 +803,7 @@ class OrliczKind(Kind):
             nrm = norm_batch(d, X)
         T = np.abs(X)
         T /= np.where(nrm > 0.0, nrm, 1.0)[..., None]     # zero rows stay 0
-        return _orlicz_normal(T, X)
+        return _orlicz_normal(T, X, X == 0.0)
 
     def is_smooth(self, d, x):
         return not np.any(np.abs(x) == 0)
@@ -856,7 +856,8 @@ class OrliczKind(Kind):
         """`_orlicz_normal` at the draw's |z| = -E and signs: `gradient` at
         the points of `cone_sample` bit for bit."""
         E, signs = self._draw(d, count, rng)
-        return _orlicz_normal(np.negative(E, out=E), signs), np.ones(count)
+        T = np.negative(E, out=E)
+        return _orlicz_normal(T, signs, T == 0.0), np.ones(count)
 
     def support_point(self, d, g):
         """Water-filling: |z_i| = max(0, 1 - mu / |g_i|), where

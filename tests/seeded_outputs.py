@@ -6,13 +6,14 @@ sha256 of the repr of a canonical form (arrays by dtype, shape and the
 sha256 of their bytes).  The hashes freeze no values: a change that moves a
 seeded output lists the names this module prints, and says why.
 
-    python tests/seeded_outputs.py --hash FILE [--workers N]
+    python tests/seeded_outputs.py --hash FILE
     python tests/seeded_outputs.py --diff A B
 
-``--hash`` writes one "name sha256" line per entry, with the package taken
-from the import path (``PYTHONPATH=src``).  ``--diff`` prints the names
-whose hashes differ between two such files, and those only one of them
-holds.  `test_seeded_outputs.py` requires equal hashes at 1 and 2 workers.
+``--hash`` writes one "name sha256" line per entry, computed at one worker
+with the package taken from the import path (``PYTHONPATH=src``).
+``--diff`` prints the names whose hashes differ between two such files, and
+those only one of them holds.  `test_seeded_outputs.py` requires equal
+hashes at 1 and 2 workers.
 """
 
 import argparse
@@ -248,12 +249,11 @@ def _read(path):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--hash", metavar="FILE")
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--diff", nargs=2, metavar=("A", "B"))
     args = parser.parse_args(argv)
     if args.hash:
         with open(args.hash, "w") as fh:
-            for name, digest in hashes(args.workers).items():
+            for name, digest in hashes().items():
                 fh.write("%s %s\n" % (name, digest))
     if args.diff:
         a, b = (_read(p) for p in args.diff)

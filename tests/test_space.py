@@ -495,6 +495,19 @@ def test_orlicz_gradient_where_a_coordinate_rounds_to_the_boundary():
         atol=1e-250)
 
 
+def test_orlicz_gradient_where_a_coordinate_underflows_to_zero():
+    """|x_2| / ||x|| underflows to 0 in the first row but not in the second;
+    psi_beta has slope 1 / beta at 0, so both rows get the gradient of the
+    one-hot point (t_1 = 1 - e^-beta, t_2 = 0) with their signs, and only
+    a zero coordinate gets 0."""
+    g = gradient_batch(orlicz(2, 1.0), np.array(
+        [[1e300, -1e-300], [1.0, -1e-300], [1.0, 0.0]]))
+    t = -math.expm1(-1.0)
+    np.testing.assert_allclose(
+        g, [[1 / t, -(1 - t) / t], [1 / t, -(1 - t) / t], [1 / t, 0.0]],
+        rtol=1e-14, atol=0)
+
+
 def test_coord_bound_and_circumradius():
     assert coord_bound(lp(5, 2)) == 1.0
     assert coord_bound(orlicz(3, 1.0)) == pytest.approx(1 - math.exp(-1))
