@@ -6,7 +6,7 @@ Lipschitz extension operator."""
 from .space import (INF, CapabilityError, InputError, SpaceDescriptor,
                     block_lp, circumradius, coord_bound, intersect_ball, linf,
                     loglacunary_decompose, lp, norm_batch, norm_eval,
-                    norm_gradient, orlicz, schatten, space)
+                    norm_gradient, orlicz, schatten, space, within_batch)
 from .geometry import (ConeSamples, MonteCarloEstimate, cone_sample,
                        cone_volume, estimate_mean, euclidean_ball_volume,
                        hit_and_run_sample, iq, iq_exact, iq_of, maxproj,

@@ -17,7 +17,7 @@ import numpy as np
 from .space import (REGISTRY, CapabilityError, InputError, RejectionStalled,
                     _solve_increasing, coord_bound, gradient_batch,
                     log_euclidean_ball_volume, lp, norm_batch, norm_eval,
-                    space)
+                    space, within_batch)
 
 CHUNK = 1 << 15
 
@@ -277,7 +277,7 @@ def volume_mc(sp, trials=100_000, seed=0, workers=1, force=False):
 
     def kernel(rng, m):
         x = rng.uniform(-c, c, size=(m, n))
-        return (norm_batch(s, x) <= 1.0).astype(float), np.ones(m)
+        return within_batch(s, x, 1.0).astype(float), np.ones(m)
 
     est = estimate_mean(kernel, trials, seed, workers=workers)
     return MonteCarloEstimate(value=est.value * box, stderr=est.stderr * box,

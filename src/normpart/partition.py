@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import REGISTRY, InputError, coord_bound, linf, norm_batch, space
+from .space import (REGISTRY, InputError, coord_bound, linf, norm_batch, space,
+                    within_batch)
 from .geometry import (MonteCarloEstimate, _ball_points, estimate_mean,
                        exact_estimate, psi)
 
@@ -83,8 +84,8 @@ def _first_arrivals(s, x, radius, lo, side, keys):
         centers = (lo[live][:, :, None]
                    + side[live][:, None, None] * u[..., 1:]).reshape(
             live.size, 1, -1, n)
-        tt = np.where(norm_batch(s, centers - x[live][:, :, None])
-                      <= radius[live][:, None, None],
+        tt = np.where(within_batch(s, centers - x[live][:, :, None],
+                                   radius[live][:, None, None]),
                       times.reshape(live.size, 1, -1), np.inf)
         j = tt.argmin(axis=-1)[..., None]
         first = np.take_along_axis(tt, j, -1)[..., 0]
@@ -233,7 +234,7 @@ def _overlap_mc(s, w, samples, seed, workers=1):
 
     def kernel(rng, m):
         pts, wt = _ball_points(s, rng, m)
-        f = (norm_batch(s, pts - w) <= 1.0).astype(float)
+        f = within_batch(s, pts - w, 1.0).astype(float)
         return f, wt
 
     return estimate_mean(kernel, samples, seed, workers=workers)
@@ -290,7 +291,7 @@ def padding_prob_mc(sp, rho, trials=100_000, seed=0, workers=1):
 
     def kernel(rng, m):
         pts, wt = _ball_points(s, rng, m)
-        f = (norm_batch(s, (1.0 + rho) * pts) <= 1.0 - rho).astype(float)
+        f = within_batch(s, (1.0 + rho) * pts, 1.0 - rho).astype(float)
         return f, wt
 
     return estimate_mean(kernel, trials, seed, workers=workers)

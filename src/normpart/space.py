@@ -472,6 +472,9 @@ class Kind:
     holds the norms of the rows of X where the caller knows them and is None
     otherwise; a gradient that reads the norm computes it then, and one
     that does not computes none; zero rows get zero rows),
+    ``within(d, X, r)``: whether ``norm(d, X) <= r``, for rows X (shape
+    (..., n)) and radii r > 0 broadcastable to ``X.shape[:-1]``; by default
+    that comparison, and a test of the kind's own where that needs no norm,
     ``is_smooth(d, x)`` at one x != 0, ``coord_bound(d)`` (the l_inf
     circumradius) and ``circumradius(d)`` (the Euclidean one, for
     canonically positioned d).  The methods below answer for a kind without
@@ -499,6 +502,9 @@ class Kind:
     holds geometry only: which sampler draws a point is
     `geometry._cone_points`, and how a sweep record prints a space is
     `sepmod.SweepRecord.row`."""
+
+    def within(self, d, X, r):
+        return self.norm(d, X) <= r
 
     def canonically_positioned(self, d):
         return True
@@ -796,6 +802,18 @@ class OrliczKind(Kind):
         A = np.abs(X)
         flat = A.reshape(-1, d.n)
         return _orlicz_norm_batch(d.beta, d.n, flat).reshape(A.shape[:-1])
+
+    def within(self, d, X, r):
+        """The modular test sum_i psi_beta(|x_i| / r) <= 1, which solves no
+        root: with t = |x| / r clipped at 1, sum_i log1p(-t_i) >= -beta.  A
+        coordinate at r or beyond gives -inf, so its row is outside, and a
+        NaN row gives a NaN sum, outside as well."""
+        T = np.abs(X)
+        T /= np.asarray(r, dtype=float)[..., None]
+        np.minimum(T, 1.0, out=T)
+        with np.errstate(divide="ignore"):
+            np.log1p(np.negative(T, out=T), out=T)
+        return _row_sum(T) >= -d.beta
 
     def gradient(self, d, X, nrm):
         # Degree-0 homogeneous: evaluate on the boundary representative.
@@ -1135,7 +1153,7 @@ class IntersectBallKind(Kind):
         while got < count:
             x, w = REGISTRY[src.kind].cone_sample(src, _REJECTION_BLOCK, rng)
             x *= src_r * rng.random(_REJECTION_BLOCK)[:, None] ** (1.0 / n)
-            keep = norm_batch(other, x) <= other_r
+            keep = within_batch(other, x, other_r)
             kept = int(keep.sum())
             if first and kept < _MIN_ACCEPTANCE * _REJECTION_BLOCK:
                 raise RejectionStalled(
@@ -1162,16 +1180,32 @@ REGISTRY = {
 # norms, gradients and radii (batched: X has shape (..., n))
 
 
-def norm_batch(sp, X):
-    """Norms of a batch of vectors, X shape (..., dim) -> (...)."""
+def _rows(sp, X):
+    """X as a float stack of rows (shape (..., dim)), and whether it was a
+    single vector, now a one-row stack: numpy takes powers of a 0-d value
+    by another path than of an array, which would give a vector other
+    bits."""
     X = np.asarray(X, dtype=float)
     if X.shape[-1] != sp.n:
         raise InputError("vector length %d != dim %d" % (X.shape[-1], sp.n))
-    if X.ndim == 1:
-        # as a one-row stack: numpy takes powers of a 0-d value by another
-        # path than of an array, which would give a vector other bits
-        return REGISTRY[sp.kind].norm(sp, X[None])[0]
-    return REGISTRY[sp.kind].norm(sp, X)
+    return (X[None], True) if X.ndim == 1 else (X, False)
+
+
+def norm_batch(sp, X):
+    """Norms of a batch of vectors, X shape (..., dim) -> (...)."""
+    X, single = _rows(sp, X)
+    nrm = REGISTRY[sp.kind].norm(sp, X)
+    return nrm[0] if single else nrm
+
+
+def within_batch(sp, X, r):
+    """norm_batch(sp, X) <= r, from `Kind.within`: X shape (..., dim), radii
+    r > 0 broadcastable to X.shape[:-1] -> booleans of that shape."""
+    if not np.all(np.asarray(r) > 0):
+        raise InputError("radii must be positive")
+    X, single = _rows(sp, X)
+    inside = REGISTRY[sp.kind].within(sp, X, r)
+    return inside[0] if single else inside
 
 
 def norm_eval(sp, x):

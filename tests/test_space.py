@@ -1,6 +1,7 @@
 import importlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from normpart.space import (INF, REGISTRY, CapabilityError, InputError,
                             circumradius, coord_bound, gradient_batch,
                             intersect_ball, linf, loglacunary_decompose, lp,
                             norm_batch, norm_eval, norm_gradient, orlicz,
-                            schatten, space)
+                            schatten, space, within_batch)
 from normpart.geometry import cone_sample
 
 import oracles
@@ -396,6 +397,79 @@ def test_zero_rows_get_zero_gradients(desc):
                     gradient_batch(desc, X[rest], nrm[rest]))):
         assert np.array_equal(G[zero], np.zeros((3, desc.n)))
         assert G[rest].tobytes() == ref.tobytes()
+
+
+WITHIN_SPACES = [
+    lp(4, 1), lp(4, 2), linf(4), lp(4, 3), lp(5, 1.5), orlicz(5, 0.7),
+    orlicz(4, 6.0), orlicz(3, 1e6), schatten(2, 3), schatten(2, INF),
+    block_lp(2.5, [lp(2, 3), orlicz(2, 1.0)]),
+    block_lp(INF, [orlicz(3, 1.5), lp(2, 1)]),
+    block_lp(INF, [lp(2, 1), lp(3, 3)]),
+    intersect_ball(orlicz(3, 1.5), 0.9), intersect_ball(lp(3, 1), 0.8)]
+
+
+def test_every_kind_has_a_within_case():
+    """A kind added to the registry fails here until its membership test
+    is checked against its norm."""
+    assert {d.kind for d in WITHIN_SPACES} == set(REGISTRY)
+
+
+@pytest.mark.parametrize("desc", WITHIN_SPACES, ids=lambda d: d.to_json())
+def test_within_agrees_with_the_norm(desc):
+    """`within_batch(d, X, r)` is ``norm_batch(d, X) <= r`` on a (300, 3)
+    stack of rows with norms spread over [0.5 r, 1.5 r], at (1 +- 1e-7) r
+    and at r up to rounding, for a scalar r and for a (300, 1) array of
+    radii: bit for bit for every kind but Orlicz, whose modular test
+    solves no norm, and for Orlicz off the shell |norm / r - 1| <= 1e-9,
+    where the solved norm and an exact test may round apart.  A single row
+    answers as in the stack."""
+    rng = np.random.default_rng(71)
+    Z = rng.standard_normal((300, 3, desc.n))
+    Z /= norm_batch(desc, Z)[..., None]
+    scale = np.choose(rng.integers(0, 4, (300, 3)),
+                      [rng.uniform(0.5, 1.5, (300, 3)),
+                       rng.uniform(0.5, 1.5, (300, 3)), 1.0,
+                       1.0 + rng.choice([-1e-7, 1e-7], (300, 3))])
+    for r in (0.8, rng.uniform(0.5, 1.5, (300, 1))):
+        X = Z * (scale * r)[..., None]
+        nrm = norm_batch(desc, X)
+        got = within_batch(desc, X, r)
+        ref = nrm <= r
+        assert got.dtype == bool and got.shape == (300, 3)
+        assert 0 < got.sum() < got.size
+        if desc.kind != "orlicz_beta":
+            assert got.tobytes() == ref.tobytes()
+        else:
+            off = np.abs(nrm / r - 1.0) > 1e-9
+            assert np.array_equal(got[off], ref[off])
+        r0 = np.broadcast_to(r, (300, 3))[7, 1]
+        assert within_batch(desc, X[7, 1], r0) == got[7, 1]
+
+
+@pytest.mark.parametrize("beta", [1.5, 6.0])
+def test_orlicz_within_at_edge_rows(beta):
+    """The modular test puts a zero row inside and a row with a coordinate
+    at r, or holding +-inf or NaN, outside, as ``norm <= r`` does
+    (psi_beta(1) is infinite), and raises no RuntimeWarning.  A radius
+    that is not positive is refused, where the modular test would answer
+    wrongly."""
+    r = 0.7
+    X = np.zeros((7, 4))
+    X[1, 2] = r
+    X[2, 0] = -r
+    X[3, :2] = [0.1, np.inf]
+    X[4, 3] = -np.inf
+    X[5, 1] = np.nan
+    X[6, :2] = [np.inf, np.nan]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = within_batch(orlicz(4, beta), X, r)
+        assert got.tolist() == [True] + [False] * 6
+        assert got[:3].tolist() == (norm_batch(orlicz(4, beta), X[:3])
+                                    <= r).tolist()
+    for bad in (0.0, -1.0, np.nan, np.array([r, r, r, 0.0, r, r, r])):
+        with pytest.raises(InputError):
+            within_batch(orlicz(4, beta), X, bad)
 
 
 @pytest.mark.parametrize("desc", SIGN_PATTERN_SPACES,

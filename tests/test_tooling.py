@@ -52,3 +52,28 @@ def test_every_private_name_is_read_in_the_package():
                         if name.startswith("_") and not name.endswith("__")]
             read |= set(_read_names(stmt)) - names
     assert sorted(d for d in defined if d[1] not in read) == []
+
+
+def _is_norm_batch_call(node):
+    return isinstance(node, ast.Call) and (
+        getattr(node.func, "id", None) == "norm_batch"
+        or getattr(node.func, "attr", None) == "norm_batch")
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_membership_goes_through_within(path):
+    """``norm_batch(...) <= r`` (or ``<``, or ``r >= norm_batch(...)``)
+    asks whether points lie in a ball, which `space.within_batch` answers,
+    for Orlicz balls without solving a norm."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left, *node.comparators]
+        for a, op, b in zip(operands, node.ops, operands[1:]):
+            if ((isinstance(op, (ast.Lt, ast.LtE)) and _is_norm_batch_call(a))
+                    or (isinstance(op, (ast.Gt, ast.GtE))
+                        and _is_norm_batch_call(b))):
+                found.append(node.lineno)
+    assert found == []
