@@ -11,7 +11,7 @@ by the separation profile 4*psi of the ambient norm.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,9 +36,10 @@ def bump(t):
 def _scales(d):
     """The active dyadic scales of distances d[i] > 0 (shape (P,)): arrays
     (i, k, bump(d[i] / 2^k)) over the k with 2^k in (d[i]/4, d[i]), in order
-    of i, then k ascending."""
+    of i, then k ascending.  d / 2^k is taken as ldexp(d, -k), the same
+    bits where 2^k is finite, so that no scale up to 2^1023 overflows."""
     k = np.floor(np.log2(d))[:, None].astype(int) + np.arange(-2, 2)
-    phi = bump(d[:, None] / 2.0 ** k)
+    phi = bump(np.ldexp(d[:, None], -k))
     i, j = np.nonzero(phi > 0.0)
     return i, k[i, j], phi[i, j]
 
@@ -66,8 +67,8 @@ def bump_weights(sp, x, anchors, k):
     ks = active_scales(d)
     if k not in ks:
         return 0.0
-    total = sum(float(bump(d / 2.0 ** j)) for j in ks)
-    return float(bump(d / 2.0 ** k)) / total
+    total = sum(float(bump(math.ldexp(d, -j))) for j in ks)
+    return float(bump(math.ldexp(d, -k))) / total
 
 
 @dataclass
@@ -78,6 +79,19 @@ class ExtensionOperator:
     target: object
     mc_rounds: int
     seed: int
+    # (seed, mc_rounds, k) -> the keys of the rounds at scale k
+    round_keys: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
+
+    def _keys(self, k):
+        """The keys of the mc_rounds realizations of the partition process
+        at scale k, made once per operator, seed and round count."""
+        at = (self.seed, self.mc_rounds, k)
+        if at not in self.round_keys:
+            self.round_keys[at] = np.random.SeedSequence(
+                [self.seed, k + (1 << 20)]).generate_state(self.mc_rounds,
+                                                            np.uint64)
+        return self.round_keys[at]
 
     def weights(self, x):
         """Convex anchor weights of the extension at one point x (shape (n,))
@@ -108,13 +122,11 @@ class ExtensionOperator:
         off = np.flatnonzero(d > 0.0)
         i, k, phi = _scales(d[off])
         rounds = self.mc_rounds
-        state = {kk: np.random.SeedSequence([self.seed, kk + (1 << 20)])
-                 .generate_state(rounds, np.uint64) for kk in set(k.tolist())}
-        keys = np.array([state[kk] for kk in k.tolist()],
+        keys = np.array([self._keys(kk) for kk in k.tolist()],
                         dtype=np.uint64).ravel()
         _, centers = _grid_first_arrivals(
             self.space, keys, np.repeat(pts[off[i]], rounds, axis=0),
-            np.repeat(2.0 ** (k - 1), rounds))
+            np.repeat(np.ldexp(1.0, k - 1), rounds))
         sel = np.argmin(norm_batch(self.space,
                                    self.anchors - centers[:, None]), axis=1)
         # np.add.at adds in row order: for each point its scales ascending,

@@ -7,9 +7,10 @@ delta/2.  The process is realized on boxes of equal size: arrival a of a box
 has a uniform position in it and an Exp(1) time gap after arrival a - 1, both
 hashed from the box's 64-bit key and a, so a box's arrivals do not depend on
 who asks for them.  `sample_partition` and the extension operator put the
-boxes on a grid of keyed cells, so a query reads only the cells its ball
-meets; `separation_prob_mc` uses one box per trial, large enough to hold both
-balls.  The first arrival in a region is uniform on it, which is all the
+boxes on a grid of keyed cells, so a query reads only the 2^n cells around
+it, and of those, where the norm is sign-invariant, only the cells its ball
+meets; `separation_prob_mc` uses one box per trial, large enough to hold
+both balls.  The first arrival in a region is uniform on it, which is all the
 probability formulas below use.  Internally everything is rescaled to
 delta = 2, ball radius 1.
 """
@@ -27,8 +28,14 @@ from .geometry import (MonteCarloEstimate, _ball_points, estimate_mean,
                        exact_estimate, psi)
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
-# Arrivals per box in one pass grow 1, 2, 4, ... up to this bound on memory.
+# Arrivals per box in one pass: at most this many, a bound on memory.
 _PASS_ARRIVALS = 16
+# Arrivals of one pass over all its boxes: at least this many, where
+# _PASS_ARRIVALS allows.  A pass pays a fixed cost of some 60 numpy calls,
+# so a pass over few boxes draws more of each and fewer passes follow; on
+# the grid calls of `evaluate` at n = 2 and 3 this floor cut 10-16% of the
+# time against none, and 2048 did no better.
+_PASS_FLOOR = 1 << 10
 # Words of one array of one pass of a grid block: the grid hands
 # `_first_arrivals` blocks of rows with rows * 2^n * _PASS_ARRIVALS * (n + 1)
 # <= _PASS_WORDS, and at least one row.
@@ -52,50 +59,96 @@ def _block_rows(boxes, n):
     return max(1, _PASS_WORDS // (boxes * _PASS_ARRIVALS * (n + 1)))
 
 
+def _pass_size(step, streams):
+    """Arrivals each of `streams` streams draws in a pass: `step`, raised
+    to _PASS_FLOOR over all streams, and at most _PASS_ARRIVALS."""
+    return min(max(step, 1, -(-_PASS_FLOOR // max(streams, 1))),
+               _PASS_ARRIVALS)
+
+
 def _first_arrivals(s, x, radius, lo, side, keys):
     """Time and position of the first arrival within radius[i] of each query
     x[i, q] (shape (rows, queries, n)) among the arrivals of the boxes
     lo[i, b] + [0, side[i]] keyed keys[i, b]; side has shape (rows, n) or
-    (rows, 1).  Arrival a of a box hashes the counters a(n+1), ...,
-    a(n+1) + n: an Exp(1) time gap after arrival a - 1, then a uniform
-    position.  A row stops once each of its queries has a hit no later than
-    the last arrival drawn in every box; later arrivals come later still, so
-    the answer is exact, and a row's answer does not depend on the other
-    rows of the call.
+    (rows, 1), and a row's boxes together hold the balls of its queries.
+    Arrival a of a box hashes the counters a(n+1), ..., a(n+1) + n: an
+    Exp(1) time gap after arrival a - 1, then a uniform position.
 
-    One pass holds arrays of rows * boxes * _PASS_ARRIVALS * (n + 1) words
-    (8 bytes each), so the caller bounds memory by the rows it passes: the
-    grid passes blocks of `_block_rows(2^n, n)` rows, `separation_prob_mc`
-    its Monte Carlo chunks of single-box trials."""
-    rows, _, n = x.shape
-    t = np.full(x.shape[:2], np.inf)
-    pos = np.zeros(x.shape)
-    last = np.zeros(keys.shape)
-    live = np.arange(rows)
-    drawn, step = 0, 1
+    Each (row, box) pair is one stream of arrivals.  Where the norm is
+    sign-invariant, and so monotone in each |v_i|, a box whose nearest
+    point to every query of its row lies beyond the radius draws nothing.
+    A stream stops once its last arrival is no earlier than every hit its
+    row holds: later arrivals come later still, so the answer is exact, and
+    a row's answer does not depend on the other rows of the call.  The
+    earliest hit of a row's boxes wins, the lowest box on ties.  All live
+    streams draw the same arrivals in a pass: first the number a box
+    draws, on average, before its ball is hit, vol(box) / vol(ball), then
+    twice as many as in the pass before, each time at least _PASS_FLOOR
+    arrivals over all streams and at most _PASS_ARRIVALS per stream
+    (`_pass_size`).  How a call splits into passes never changes its
+    answer.
+
+    One pass holds arrays of at most rows * boxes * _PASS_ARRIVALS * (n + 1)
+    words (8 bytes each), so the caller bounds memory by the rows it passes:
+    the grid passes blocks of `_block_rows(2^n, n)` rows,
+    `separation_prob_mc` its Monte Carlo chunks of single-box trials."""
+    rows, boxes = keys.shape
+    queries, n = x.shape[1:]
+    kind = REGISTRY[s.kind]
+    side = np.broadcast_to(side, (rows, n))
+    # stream b * rows + i is box b of row i; hit[q, b, i] and at[q, b, i]
+    # are the time and position of its first arrival near query q
+    keys, lo = keys.T.ravel(), lo.swapaxes(0, 1).reshape(-1, n)
+    row = np.tile(np.arange(rows), boxes)
+    hit = np.full((queries, boxes, rows), np.inf)
+    at = np.zeros((queries, boxes, rows, n))
+    flat_hit, flat_at = hit.reshape(queries, -1), at.reshape(queries, -1, n)
+    last = np.zeros(keys.size)
+    live = np.arange(keys.size)
+    if boxes > 1 and kind.sign_invariant(s):
+        xs = x[row]
+        gap = np.minimum(np.maximum(xs, lo[:, None]),
+                         (lo + side[row])[:, None])
+        gap -= xs
+        # shrunk by 2^-20, so that rounding in the norm skips no box that
+        # holds a hit
+        gap *= 1.0 - 2.0 ** -20
+        live = np.flatnonzero(kind.within(s, gap, radius[row, None])
+                              .any(axis=1))
+    step = 1
+    logv = kind.log_volume(s)
+    if logv is not None:
+        ratio = np.log(side.T / radius).sum(axis=0).min() - logv
+        step = round(math.exp(min(ratio, math.log(_PASS_ARRIVALS))))
+    step = _pass_size(step, live.size)
+    drawn = 0
     while live.size:
+        r = row[live]
         words = np.arange(drawn * (n + 1), (drawn + step) * (n + 1),
                           dtype=np.uint64)
-        h = _mix(keys[live][..., None] + words * _GAMMA) >> np.uint64(11)
-        u = h.reshape(live.size, -1, step, n + 1) * 2.0 ** -53
-        times = np.cumsum(np.concatenate(
-            [last[live][..., None], -np.log1p(-u[..., 0])], axis=-1),
-            axis=-1)[..., 1:]
-        centers = (lo[live][:, :, None]
-                   + side[live][:, None, None] * u[..., 1:]).reshape(
-            live.size, 1, -1, n)
-        tt = np.where(within_batch(s, centers - x[live][:, :, None],
-                                   radius[live][:, None, None]),
-                      times.reshape(live.size, 1, -1), np.inf)
-        j = tt.argmin(axis=-1)[..., None]
-        first = np.take_along_axis(tt, j, -1)[..., 0]
-        ri, qi = np.nonzero(first < t[live])
-        t[live[ri], qi] = first[ri, qi]
-        pos[live[ri], qi] = centers[ri, 0, j[ri, qi, 0]]
-        last[live] = times[..., -1]
-        drawn, step = drawn + step, min(2 * step, _PASS_ARRIVALS)
-        live = live[t[live].max(axis=1) > last[live].min(axis=1)]
-    return t, pos
+        h = _mix(keys[live][:, None] + words * _GAMMA) >> np.uint64(11)
+        u = h.reshape(live.size, step, n + 1) * 2.0 ** -53
+        times = -np.log1p(-u[..., 0])
+        times[:, 0] += last[live]
+        np.cumsum(times, axis=1, out=times)
+        centers = lo[live][:, None] + side[r][:, None] * u[..., 1:]
+        tt = np.where(kind.within(s, centers[:, None] - x[r][:, :, None],
+                                  radius[r, None, None]),
+                      times[:, None], np.inf).reshape(-1, step)
+        # each stream's first hit near each query in this pass, kept where
+        # the stream had none there: times only grow along a stream
+        j = tt.argmin(axis=1)
+        first = tt[np.arange(j.size), j].reshape(-1, queries).T
+        qi, li = np.nonzero(first < flat_hit[:, live])
+        si = live[li]
+        flat_hit[qi, si] = first[qi, li]
+        flat_at[qi, si] = centers[li, j[li * queries + qi]]
+        last[live] = times[:, -1]
+        live = live[last[live] < hit.min(axis=1).max(axis=0)[r]]
+        drawn, step = drawn + step, _pass_size(2 * step, live.size)
+    b = hit.argmin(axis=1)[:, None]
+    return (np.take_along_axis(hit, b, 1)[:, 0].T,
+            np.take_along_axis(at, b[..., None], 1)[:, 0].swapaxes(0, 1))
 
 
 def _grid_first_arrivals(s, keys, x, radius):
@@ -107,8 +160,10 @@ def _grid_first_arrivals(s, keys, x, radius):
 
     Rows go through in blocks of `_block_rows(2^n, n)`, so an array of a
     pass holds at most _PASS_WORDS words (8 bytes each) and a pass keeps
-    fewer than eight such arrays alive (about 5.2 at most, measured over the
-    lp(n, 1) norms for n = 4..6).  Beyond its inputs and outputs a call thus
+    fewer than eight such arrays alive (at most 3.5 by tracemalloc's peak,
+    measured over lp(n, p) for n = 3..8 and p = 1, 2, 3, inf, orlicz(n, 1.5)
+    for n = 3..6, schatten(2, 3), an intersect_ball and a block_lp holding
+    an Orlicz block).  Beyond its inputs and outputs a call thus
     holds under 8 _PASS_WORDS words (8 MiB) at a time whatever the number of
     rows, unless a single row needs more.  Raises InputError for a query
     that is not finite or lies more than 2^62 cells from the origin."""

@@ -307,11 +307,13 @@ def _orlicz_norm_batch(beta, m, A):
     largest coordinate alone reaches psi_beta = 1 at u = 1 - exp(-beta), and
     psi_beta(t) >= t / beta.  Both ends are finite, so the first step is
     already a secant step.  The solver returns the inside end u, so
-    s = ||a||_inf / u is the norm or lies just above it.
+    s = ||a||_inf / u is the norm or lies just above it.  A zero row has
+    norm 0, a row holding inf has norm inf, as does a row whose norm lies
+    beyond the float range, and a NaN row has norm NaN.
     """
     top = _row_max(A)
     out = np.array(top, dtype=float, copy=True)
-    mask = top > 0
+    mask = (top > 0) & (top < INF)
     if not mask.any():
         return out
     B = A[mask]                         # a copy: mask is a boolean array
@@ -331,7 +333,8 @@ def _orlicz_norm_batch(beta, m, A):
     lo = np.where(f_hi > 0.0, -math.expm1(-beta / m), hi)
     u = _solve_increasing(excess, lo, hi, excess(lo, np.arange(lo.size)),
                           f_hi)
-    out[mask] /= u
+    with np.errstate(over="ignore"):
+        out[mask] /= u
     return out
 
 

@@ -264,3 +264,74 @@ def set_partitions_max_size(items, max_size):
             remaining = [rest[i] for i in range(len(rest)) if i not in tail]
             for others in set_partitions_max_size(remaining, max_size):
                 yield [block] + others
+
+
+# ---------------------------------------------------------------------------
+# the partition process, drawn densely
+
+
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+
+
+def splitmix64(z):
+    """One splitmix64 step on uint64 words: add the golden gamma, then
+    finalize (Steele, Lea and Flood 2014)."""
+    z = z + _GAMMA
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def box_arrivals(key, count, n):
+    """Times (count,) and uniform [0, 1)^n offsets (count, n) of the first
+    count arrivals of the box keyed `key` in n dimensions: arrival a hashes
+    the words key + (a(n+1) + i) gamma, i = 0..n, into an Exp(1) time gap
+    after arrival a - 1 and n uniforms."""
+    words = np.arange(count * (n + 1), dtype=np.uint64)
+    h = splitmix64(np.uint64(key) + words * _GAMMA) >> np.uint64(11)
+    u = h.reshape(count, n + 1) * 2.0 ** -53
+    return np.cumsum(-np.log1p(-u[:, 0])), u[:, 1:]
+
+
+def dense_first_arrivals(inside, x, radius, lo, side, keys, counts=None):
+    """The first arrival within radius[i] of each query x[i, q] among the
+    boxes lo[i, b] + [0, side[i]] keyed keys[i, b] (the contract of
+    `partition._first_arrivals`), with ``inside(v, r)`` the membership test
+    ||v|| <= r of the norm.  Every box of a live row draws 1, 2, 4, ... up
+    to 16 arrivals per pass, and a row stops once each query has a hit no
+    later than the last arrival of every box.  Returns (t, pos), and
+    appends the arrivals each box drew, shape (rows, boxes), to `counts`
+    when it is a list."""
+    rows, _, n = x.shape
+    t = np.full(x.shape[:2], np.inf)
+    pos = np.zeros(x.shape)
+    last = np.zeros(keys.shape)
+    drawn_by = np.zeros(keys.shape, dtype=int)
+    live = np.arange(rows)
+    drawn, step = 0, 1
+    while live.size:
+        words = np.arange(drawn * (n + 1), (drawn + step) * (n + 1),
+                          dtype=np.uint64)
+        h = splitmix64(keys[live][..., None] + words * _GAMMA) >> np.uint64(11)
+        u = h.reshape(live.size, -1, step, n + 1) * 2.0 ** -53
+        times = np.cumsum(np.concatenate(
+            [last[live][..., None], -np.log1p(-u[..., 0])], axis=-1),
+            axis=-1)[..., 1:]
+        centers = (lo[live][:, :, None]
+                   + side[live][:, None, None] * u[..., 1:]).reshape(
+            live.size, 1, -1, n)
+        tt = np.where(inside(centers - x[live][:, :, None],
+                             radius[live][:, None, None]),
+                      times.reshape(live.size, 1, -1), np.inf)
+        j = tt.argmin(axis=-1)[..., None]
+        first = np.take_along_axis(tt, j, -1)[..., 0]
+        ri, qi = np.nonzero(first < t[live])
+        t[live[ri], qi] = first[ri, qi]
+        pos[live[ri], qi] = centers[ri, 0, j[ri, qi, 0]]
+        last[live] = times[..., -1]
+        drawn_by[live] += step
+        drawn, step = drawn + step, min(2 * step, 16)
+        live = live[t[live].max(axis=1) > last[live].min(axis=1)]
+    if counts is not None:
+        counts.append(drawn_by)
+    return t, pos

@@ -91,6 +91,15 @@ def _extension(workers):
                                  profile_samples=2000))
 
 
+def _extension_6d(workers):
+    """Two points of an l_2^6 operator, whose grid rows skip the cells
+    their balls miss."""
+    rng = np.random.default_rng(32)
+    op = build_extension(lp(6, 2), rng.uniform(-1.0, 1.0, size=(4, 6)),
+                         np.arange(4.0), mc_rounds=4, seed=33)
+    return op.weights(rng.uniform(-1.5, 1.5, size=(2, 6)))
+
+
 def _entries():
     """name -> callable(workers) returning the output to hash."""
     e = {}
@@ -143,6 +152,9 @@ def _entries():
             lp(3, 3), samples=2000, directions=64, seed=17, workers=w),
         "sample_partition/lp3": lambda w: sample_partition(
             lp(2, 3), 1.0, [[0.0, 0.0], [0.3, 0.1], [1.0, -1.0]], seed=18),
+        "sample_partition/lp1_5d": lambda w: sample_partition(
+            lp(5, 1), 1.0, np.linspace(-1.0, 1.0, 30).reshape(6, 5),
+            seed=34),
         "separation_prob_mc/orlicz": lambda w: separation_prob_mc(
             orlicz(2, 1.5), [0.0, 0.0], [0.3, 0.1], 1.0, trials=2000,
             seed=19, workers=w),
@@ -179,6 +191,7 @@ def _entries():
         "bump_weights/lp3": lambda w: bump_weights(
             lp(2, 3), [0.5, 0.5], [[0.0, 0.0], [2.0, 0.0]], 0),
         "extension/lp3": _extension,
+        "extension/lp2_6d": _extension_6d,
         "cli/extend": _cli_extend,
     })
     lp3, linf3 = lp(3, 3).to_json(), linf(3).to_json()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from normpart import partition
-from normpart.space import InputError, linf, lp, norm_batch
+from normpart.space import InputError, linf, lp, norm_batch, orlicz
 from normpart.extension import (CALIBRATED_LIPSCHITZ_BOUND, active_scales,
                                 build_extension, bump, bump_weights, evaluate,
                                 lipschitz_ratio_scan,
@@ -315,3 +315,39 @@ def test_build_rejects_anchors_and_values_that_are_not_finite():
                             ([[0.0, 0.0], [1.0, 0.0]], [np.nan, 1.0])):
         with pytest.raises(InputError, match="finite"):
             build_extension(lp(2, 2), anchors, values)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_scales_of_distances_near_the_top_of_the_float_range():
+    # 2.0 ** k overflowed at k = 1024, so these raised "overflow
+    # encountered in power"
+    assert active_scales(1.7e308) == [1022, 1023]
+    w = bump_weights(lp(2, 2), [1e308, 1e308], [[0.0, 0.0]], 1023)
+    assert w == pytest.approx(0.4019, abs=1e-4)
+    op = build_extension(lp(2, 2), [[0.0, 0.0], [1.0, 0.0]], [0.0, 1.0],
+                         mc_rounds=4, seed=0)
+    # the scales are found; the grid cannot place cells this large
+    with pytest.raises(InputError, match="2\\^62"):
+        evaluate(op, [1e308, 1e308])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_orlicz_distance_that_overflows_raises_an_input_error():
+    # the Luxemburg solve used to warn "overflow encountered in divide"
+    op = build_extension(orlicz(2, 1.5), [[0.0, 0.0], [1.0, 0.0]],
+                         [0.0, 1.0], mc_rounds=4, seed=0)
+    with pytest.raises(InputError, match="distance"):
+        op.weights([1e308, 1e308])
+
+
+def test_round_keys_are_made_once_per_scale(monkeypatch):
+    op = build_extension(lp(2, 2), [[0.0, 0.0], [3.0, 0.0]], [0.0, 1.0],
+                         mc_rounds=16, seed=101)
+    x = np.array([[0.7, 0.4], [0.5, 0.5]])
+    first = op.weights(x)
+    made = []
+    seed_sequence = np.random.SeedSequence
+    monkeypatch.setattr(np.random, "SeedSequence",
+                        lambda *a: made.append(a) or seed_sequence(*a))
+    assert np.array_equal(op.weights(x), first)
+    assert made == []

@@ -1,10 +1,14 @@
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from normpart.space import InputError, linf, lp, norm_batch, orlicz
+from normpart.space import (InputError, block_lp, coord_bound, intersect_ball,
+                            linf, lp, norm_batch, orlicz, schatten,
+                            within_batch)
+from normpart.extension import build_extension
 from normpart import partition
 from normpart.partition import (PartitionSample,
                                 deterministic_partition_bound_check,
@@ -121,6 +125,121 @@ def test_grid_call_memory_is_bounded_by_its_blocks(monkeypatch):
     # in one block the same call holds several times as much
     monkeypatch.setattr(partition, "_PASS_WORDS", 1 << 40)
     assert peak() > 2 * bound
+
+
+def _dense(sp):
+    """`oracles.dense_first_arrivals` in the place of `_first_arrivals`."""
+    def first_arrivals(s, *args, counts=None):
+        return oracles.dense_first_arrivals(
+            lambda v, r: within_batch(sp, v, r), *args, counts=counts)
+    return first_arrivals
+
+
+_ORACLE_SPACES = (
+    [lp(n, p) for n in range(1, 6) for p in (1, 2, 3, math.inf)]
+    + [orlicz(n, 1.5) for n in range(1, 6)]
+    + [schatten(2, 3), intersect_ball(lp(3, 1), 0.8),
+       block_lp(2, [orlicz(2, 1.0), lp(1, 3)])])
+
+
+@pytest.mark.parametrize("sp", _ORACLE_SPACES, ids=lambda sp: sp.to_json())
+def test_first_arrivals_match_the_dense_loop_bit_for_bit(sp, monkeypatch):
+    """The streams skip boxes, stop one by one and size their passes, and
+    still find every first arrival the dense loop finds, in both shapes the
+    package calls: the grid (2^n cells, one query) and separation (one box,
+    two queries)."""
+    keys, x, radius = _grid_case(sp, 40, seed=sp.n)
+    t, pos = partition._grid_first_arrivals(sp, keys, x, radius)
+    monkeypatch.setattr(partition, "_first_arrivals", _dense(sp))
+    ref = partition._grid_first_arrivals(sp, keys, x, radius)
+    assert np.array_equal(t, ref[0]) and np.array_equal(pos, ref[1])
+    rng = np.random.default_rng(sp.n)
+    m = 300
+    q = np.vstack([np.zeros(sp.n), rng.uniform(-1.0, 1.0, sp.n)])
+    lo = q.min(axis=0) - coord_bound(sp)
+    args = (np.broadcast_to(q, (m,) + q.shape), np.ones(m),
+            np.broadcast_to(lo, (m, 1, sp.n)),
+            np.broadcast_to(q.max(axis=0) + coord_bound(sp) - lo, (m, sp.n)),
+            rng.integers(0, 1 << 63, size=(m, 1), dtype=np.uint64))
+    monkeypatch.undo()
+    t, pos = partition._first_arrivals(sp, *args)
+    ref = _dense(sp)(sp, *args)
+    assert np.array_equal(t, ref[0]) and np.array_equal(pos, ref[1])
+
+
+def _hashed_passes(monkeypatch):
+    """The passes `_first_arrivals` hashes, each as (the first word of each
+    stream, the words per stream)."""
+    passes = []
+    mix, first_arrivals = partition._mix, partition._first_arrivals
+
+    def counted(z):
+        passes.append((z[:, 0].tolist(), z.shape[1]))
+        return mix(z)
+
+    def hashing(*args):
+        with monkeypatch.context() as m:
+            m.setattr(partition, "_mix", counted)
+            return first_arrivals(*args)
+
+    monkeypatch.setattr(partition, "_first_arrivals", hashing)
+    return passes
+
+
+def _arrivals_by_key(passes, keys, n):
+    """Arrivals drawn in each box keyed in keys: a pass hashes the words
+    key + w gamma of a box from w = a(n + 1) on, the same a for all."""
+    gamma, drawn = int(partition._GAMMA), dict.fromkeys(keys.tolist(), 0)
+    for words, width in passes:
+        w = next(w for w in range(0, 1 << 20, n + 1)
+                 if (words[0] - w * gamma) % (1 << 64) in drawn)
+        for word in words:
+            drawn[(word - w * gamma) % (1 << 64)] += width // (n + 1)
+    return np.array([drawn[key] for key in keys.tolist()])
+
+
+def test_a_missed_cell_draws_nothing_and_a_stopped_cell_no_more(monkeypatch):
+    """On the 8 grid cells of 30 queries in l_1^3, a cell no ball meets
+    hashes no word, and a cell stops within one pass of its first arrival
+    at or past its row's hit time.  The dense loop drew all 8 cells of a
+    row until the slowest had passed it."""
+    sp, rows, n = lp(3, 1), 30, 3
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-1.0, 1.0, size=(rows, 1, n))
+    # cells of side 1 around balls of radius 1/2, as the grid lays them
+    lo = np.floor(x - 0.5) + np.array(list(itertools.product((0, 1),
+                                                             repeat=n)))
+    keys = rng.integers(0, 1 << 63, size=(rows, 8), dtype=np.uint64)
+    args = (x, np.full(rows, 0.5), lo, np.ones((rows, 1)), keys)
+    passes = _hashed_passes(monkeypatch)
+    t, _ = partition._first_arrivals(sp, *args)
+    drawn = _arrivals_by_key(passes, keys.ravel(), n).reshape(rows, 8)
+    gap = norm_batch(sp, np.clip(x, lo, lo + 1.0) - x)
+    assert (gap > 0.5 + 1e-9).sum() >= 20
+    assert not drawn[gap > 0.5 + 1e-9].any()
+    assert drawn[gap < 0.5 - 1e-9].min() > 0
+    dense = []
+    _dense(sp)(sp, *args, counts=dense)
+    beyond = 0
+    for i, b in zip(*np.nonzero(drawn)):
+        times, _ = oracles.box_arrivals(keys[i, b], max(drawn[i, b],
+                                                        dense[0][i, b]), n)
+        early = int((times < t[i, 0]).sum())
+        assert early < drawn[i, b] <= early + partition._PASS_ARRIVALS
+        beyond += int(dense[0][i, b] > early + partition._PASS_ARRIVALS)
+    assert beyond >= 20
+
+
+def test_one_weights_call_in_eight_dimensions_draws_few_arrivals(monkeypatch):
+    """One point of an l_2^8 operator: 8 rounds at each of its two active
+    scales, 256 cells a row.  The dense loop drew 446,464 arrivals here,
+    and the streams draw 61,120."""
+    rng = np.random.default_rng(3)
+    op = build_extension(lp(8, 2), rng.uniform(-1, 1, size=(5, 8)),
+                         np.arange(5.0), mc_rounds=8, seed=4)
+    passes = _hashed_passes(monkeypatch)
+    op.weights(rng.uniform(-1, 1, size=8))
+    assert sum(len(w) * width for w, width in passes) // 9 <= 80_000
 
 
 def test_nearby_queries_share_cluster():

@@ -472,6 +472,28 @@ def test_orlicz_within_at_edge_rows(beta):
             within_batch(orlicz(4, beta), X, bad)
 
 
+@pytest.mark.parametrize("beta", [1.5, 6.0])
+def test_orlicz_norm_at_edge_rows(beta):
+    """A row holding +-inf, or whose norm passes the float range, has norm
+    inf, as in `lp`; a zero row has norm 0 and a NaN row norm NaN.  None of
+    them raises a RuntimeWarning.  Rows holding inf used to give NaN
+    (inf / inf when scaled by their largest entry), and rows near the top
+    of the float range warned of an overflow."""
+    X = np.zeros((6, 4))
+    X[1, :2] = [np.inf, 0.1]
+    X[2, 3] = -np.inf
+    X[3] = 1.7e308
+    X[4, 1] = np.nan
+    X[5, :2] = [1.0, 0.5]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = norm_batch(orlicz(4, beta), X)
+        assert got[:4].tolist() == [0.0, INF, INF, INF]
+        assert np.isnan(got[4])
+        assert got[5] == norm_batch(orlicz(4, beta), X[5:])[0]
+        assert got[1] == norm_batch(lp(4, 3), X[1])
+
+
 @pytest.mark.parametrize("desc", SIGN_PATTERN_SPACES,
                          ids=lambda d: d.to_json())
 def test_sign_patterns_keep_the_norm_bit_for_bit(desc):
