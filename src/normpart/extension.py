@@ -80,18 +80,18 @@ class ExtensionOperator:
     mc_rounds: int
     seed: int
     # (seed, mc_rounds, k) -> the keys of the rounds at scale k
-    round_keys: dict = field(default_factory=dict, init=False, repr=False,
-                             compare=False)
+    _round_keys: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     def _keys(self, k):
         """The keys of the mc_rounds realizations of the partition process
         at scale k, made once per operator, seed and round count."""
         at = (self.seed, self.mc_rounds, k)
-        if at not in self.round_keys:
-            self.round_keys[at] = np.random.SeedSequence(
+        if at not in self._round_keys:
+            self._round_keys[at] = np.random.SeedSequence(
                 [self.seed, k + (1 << 20)]).generate_state(self.mc_rounds,
                                                             np.uint64)
-        return self.round_keys[at]
+        return self._round_keys[at]
 
     def weights(self, x):
         """Convex anchor weights of the extension at one point x (shape (n,))
