@@ -144,7 +144,7 @@ def _first_arrivals(s, x, radius, lo, side, keys):
         flat_hit[qi, si] = first[qi, li]
         flat_at[qi, si] = centers[li, j[li * queries + qi]]
         last[live] = times[:, -1]
-        live = live[last[live] < hit.min(axis=1).max(axis=0)[r]]
+        live = live[times[:, -1] < hit.min(axis=1).max(axis=0)[r]]
         drawn, step = drawn + step, _pass_size(2 * step, live.size)
     b = hit.argmin(axis=1)[:, None]
     return (np.take_along_axis(hit, b, 1)[:, 0].T,
