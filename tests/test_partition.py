@@ -167,6 +167,17 @@ def test_first_arrivals_match_the_dense_loop_bit_for_bit(sp, monkeypatch):
     assert np.array_equal(t, ref[0]) and np.array_equal(pos, ref[1])
 
 
+def test_equal_times_go_to_the_lowest_box():
+    # two boxes under one key draw the same times: the ball around 1 meets
+    # both, and the dense loop's argmin takes the first box, [0, 1]
+    args = (np.ones((3, 1, 1)), np.ones(3), np.array([[[0.0], [1.0]]] * 3),
+            np.ones((3, 1)), np.array([[7, 7], [8, 8], [9, 9]], np.uint64))
+    t, pos = partition._first_arrivals(lp(1, 2), *args)
+    ref = _dense(lp(1, 2))(lp(1, 2), *args)
+    assert np.array_equal(t, ref[0]) and np.array_equal(pos, ref[1])
+    assert np.all(pos < 1.0)
+
+
 def _hashed_passes(monkeypatch):
     """The passes `_first_arrivals` hashes, each as (the first word of each
     stream, the words per stream)."""
