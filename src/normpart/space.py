@@ -393,6 +393,14 @@ def _euclidean_shadow_ratio(n):
                     - log_euclidean_ball_volume(n))
 
 
+def _section_ratio(kind, section, d):
+    """psi(e_i) = vol(section) / vol(d) for every i, with ``section`` the
+    ball of d cut by any coordinate hyperplane: `Kind.axis_psi` of a kind
+    whose sections all have that ball."""
+    return np.full(d.n, math.exp(kind.log_volume(section)
+                                 - kind.log_volume(d)))
+
+
 def _p_norm(A, p):
     """(sum A^p)^{1/p} of rows A >= 0: the row max at p = inf, the row sum
     at p = 1, the root of the row sum of squares at p = 2 and otherwise the
@@ -484,7 +492,10 @@ class Kind:
     the capability or closed form in question; the closed forms, None where
     unknown, are the log-volume ``log_volume(d)`` (``has_exact_volume``
     reads it), ``iq_exact(d)``, ``psi_norm(d)``: (c, q) with psi(w) =
-    c ||w||_q, the overlap fraction vol(B intersect (w + B)) / vol(B)
+    c ||w||_q, ``axis_psi(d)``: psi(e_i) for every i, the section volume
+    vol(B intersect e_i^perp) / vol(B) of a 1-unconditional ball, where
+    psi is not c ||w||_q (the psi kernel's control variate has it for its
+    mean), the overlap fraction vol(B intersect (w + B)) / vol(B)
     ``overlap_exact(d, w)``, the sup of the norm over the unit sphere of
     ``dom`` ``sphere_sup(d, dom)``, ``vertex_orbit(d)``: one vertex of the
     unit ball per orbit of coordinate sign changes, where the ball is a
@@ -528,6 +539,9 @@ class Kind:
         return None
 
     def psi_norm(self, d):
+        return None
+
+    def axis_psi(self, d):
         return None
 
     def overlap_exact(self, d, w):
@@ -656,6 +670,11 @@ class LpKind(Kind):
         if d.p == 2.0:
             return _euclidean_shadow_ratio(d.n), 2.0
         return None
+
+    def axis_psi(self, d):
+        if d.n == 1 or d.p in (2.0, INF):
+            return None
+        return _section_ratio(self, lp(d.n - 1, d.p), d)
 
     def iq_exact(self, d):
         n = d.n
@@ -822,9 +841,13 @@ class OrliczKind(Kind):
         # Degree-0 homogeneous: evaluate on the boundary representative.
         if nrm is None:
             nrm = norm_batch(d, X)
+        # zero rows, and rows holding +-inf or whose norm passes the float
+        # range, give 0
+        bad = ~((nrm > 0.0) & (nrm < INF))
         T = np.abs(X)
-        T /= np.where(nrm > 0.0, nrm, 1.0)[..., None]     # zero rows stay 0
-        return _orlicz_normal(T, X, X == 0.0)
+        T /= np.where(bad, 1.0, nrm)[..., None]
+        T[bad] = 0.0
+        return _orlicz_normal(T, X, (X == 0.0) | bad[..., None])
 
     def is_smooth(self, d, x):
         return not np.any(np.abs(x) == 0)
@@ -844,6 +867,11 @@ class OrliczKind(Kind):
         # 2^m * P(m, beta), a regularized lower incomplete gamma at integer
         # order m.
         return d.n * math.log(2.0) + _log_gammainc_int(d.n, d.beta)
+
+    def axis_psi(self, d):
+        if d.n == 1:
+            return None
+        return _section_ratio(self, orlicz(d.n - 1, d.beta), d)
 
     def cone_sample(self, d, count, rng):
         """Exact cone-measure points with unit weights, on the unit sphere

@@ -9,6 +9,7 @@ import math
 from itertools import combinations
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.special import gammainc, gammaincinv, gammaln, hyp1f1
 
 
@@ -198,6 +199,79 @@ def psi_l2(n, w):
 def psi_linf(w):
     """Cube shadow orthogonal to w has volume 2^{n-1} ||w||_1 / ||w||_2."""
     return 0.5 * float(np.abs(np.asarray(w, dtype=float)).sum())
+
+
+def psi_l1(w):
+    """The l_1 ball's gradient at a cone point is its sign vector, whose
+    signs are i.i.d. fair: psi(w) = (n/2) 2^-n sum over sign vectors e of
+    |<e, w>|."""
+    w = np.asarray(w, dtype=float)
+    signs = np.array(np.meshgrid(*[[-1.0, 1.0]] * len(w))).reshape(len(w), -1)
+    return 0.5 * len(w) * float(np.abs(w @ signs).mean())
+
+
+def shadow_psi_3d(support, volume, w, grid=1 << 16):
+    """psi(w) = area(shadow orthogonal to w) |w|_2 / volume of a centrally
+    symmetric convex body in R^3, by quadrature of its support function.
+
+    ``support(V)`` gives a point of the body maximizing <v, .> for each row
+    v of V.  In the plane w^perp, with v(theta) = cos theta a + sin theta b
+    for an orthonormal pair a, b, the shadow's support function is
+    h(theta) = <v, z(v)> and, the maximizer z being unique, its derivative
+    h'(theta) = <v', z(v)>; the area is (1/2) times the integral of
+    h^2 - h'^2 over the circle, which central symmetry makes the integral
+    over [0, pi].  The integrand has kinks where z enters or leaves a
+    vertex of the body (an arc of theta over which z stays put: a corner
+    of the shadow) and where z enters or leaves a coordinate plane (an
+    edge of an unconditional body).  Their angles are found on a grid of
+    ``grid`` angles, so that pieces narrower than its spacing are missed,
+    and by bisection, and given to the quadrature as breakpoints."""
+    w = np.asarray(w, dtype=float)
+    a, b = np.linalg.svd(w[None])[2][1:]
+
+    def z(theta):
+        theta = np.atleast_1d(theta)
+        return support(np.cos(theta)[:, None] * a
+                       + np.sin(theta)[:, None] * b)
+
+    def at(p):
+        return lambda q: np.abs(q - p).max(axis=-1) <= 1e-12
+
+    def zeros_as(p):
+        return lambda q: np.array_equal(q == 0.0, p == 0.0)
+
+    theta = np.linspace(0.0, math.pi, grid + 1)
+    Z = z(theta)
+    still = at(Z[:-1])(Z[1:])           # grid steps that stay at one vertex
+    pieces = []
+    for k in np.flatnonzero(still[1:] != still[:-1]):
+        # the vertex Z[k + 1], left or entered within [theta_k, theta_k+2]
+        pieces.append((theta[k], theta[k + 2], at(Z[k + 1]), still[k]))
+    for k in np.flatnonzero(((Z[1:] == 0.0) != (Z[:-1] == 0.0)).any(axis=1)):
+        pieces.append((theta[k], theta[k + 1], zeros_as(Z[k]), True))
+    breaks = []
+    for lo, hi, same, inside_lo in pieces:
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if same(z(mid)[0]) == inside_lo:
+                lo = mid
+            else:
+                hi = mid
+        breaks.append(0.5 * (lo + hi))
+    breaks = sorted(breaks)
+    # a vertex's end and a coordinate plane's are often one angle
+    breaks = [t for i, t in enumerate(breaks)
+              if i == 0 or t - breaks[i - 1] > 1e-9]
+
+    def integrand(t):
+        v = math.cos(t) * a + math.sin(t) * b
+        dv = -math.sin(t) * a + math.cos(t) * b
+        zt = support(v[None])[0]
+        return float(v @ zt) ** 2 - float(dv @ zt) ** 2
+
+    area = quad(integrand, 0.0, math.pi, points=breaks or None, limit=2000,
+                epsabs=1e-11, epsrel=1e-11)[0]
+    return area * float(np.linalg.norm(w)) / volume
 
 
 def iq_values(n, p):

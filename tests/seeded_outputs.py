@@ -123,6 +123,9 @@ def _entries():
         "psi/lp3/two_chunks": lambda w: psi(
             lp(4, 3), _direction(lp(4, 3)), samples=TWO_CHUNKS, seed=6,
             workers=w),
+        "psi/orlicz48/two_chunks": lambda w: psi(
+            orlicz(48, 23.5), np.ones(48), samples=TWO_CHUNKS, seed=35,
+            workers=w),
         "surface_ratio/lp1.5/two_chunks": lambda w: surface_ratio(
             lp(3, 1.5), samples=TWO_CHUNKS, seed=7, workers=w),
         "volume_mc/lp1.5/two_chunks": lambda w: volume_mc(

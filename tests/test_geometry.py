@@ -13,8 +13,9 @@ from normpart.space import (REGISTRY, CapabilityError, InputError,
                             RejectionStalled, block_lp, coord_bound,
                             gradient_batch, intersect_ball, linf, lp,
                             norm_batch, orlicz, schatten, space)
-from normpart.geometry import (CHUNK, MonteCarloEstimate, _chord_ends,
-                               _cloud_psi, _cloud_psi_subgrad,
+from normpart.geometry import (_SIGN_ORBIT, CHUNK, MonteCarloEstimate,
+                               _chord_ends, _cloud_psi, _cloud_psi_subgrad,
+                               _cone_points, _orbit_mean_abs, _unit_scale,
                                cauchy_surface_identity_check, cone_sample,
                                cone_volume, estimate_mean,
                                euclidean_ball_volume, gaussian_l2_mean,
@@ -639,6 +640,93 @@ def test_psi_of_an_orlicz_ball_near_the_cube(beta):
     est = psi(orlicz(3, beta), np.ones(3))
     assert math.isfinite(est.value)
     assert abs(est.value - 1.5) <= 1e-9 + 3.0 * est.stderr
+
+
+# psi's control variate, and the shadow oracle
+
+
+def _plain_psi_terms(d, w, m, rng):
+    """The psi kernel's values at m points drawn from rng, without the
+    control variate: (n/2) times the sign-orbit mean of |<w, g>|."""
+    ws, k = _unit_scale(np.asarray(w, dtype=float))
+    g, _ = _cone_points(d, rng, m, normals=True)
+    W = REGISTRY[d.kind].sign_patterns(d, _SIGN_ORBIT, rng) * ws
+    return np.ldexp(0.5 * d.n * _orbit_mean_abs(g, W), k)
+
+
+@pytest.mark.parametrize("d, log_volume", [
+    (lp(4, 3), oracles.log_lp_ball_volume),
+    (orlicz(6, 2.5), oracles.log_orlicz_ball_volume),
+    (lp(4, 1), oracles.log_lp_ball_volume)],
+    ids=["lp(4, 3)", "orlicz(6, 2.5)", "lp(4, 1)"])
+def test_psi_on_an_axis_is_the_section_volume_ratio(d, log_volume):
+    """At w = e_2 the kernel's value is its control variate, so the
+    residual is constant and psi(e_2) = vol(section) / vol(ball) comes out
+    to rounding, with a stderr of rounding.  On the cross-polytope every
+    gradient entry is +-1, so the variate is constant, Var(c) = 0, and its
+    coefficient must be 0 rather than NaN."""
+    par = d.beta if d.kind == "orlicz_beta" else d.p
+    exact = math.exp(log_volume(d.n - 1, par) - log_volume(d.n, par))
+    est = psi(d, np.eye(d.n)[1], samples=20_000, seed=3)
+    assert est.value == pytest.approx(exact, rel=1e-12)
+    assert est.stderr <= 1e-12 * est.value
+    if d == lp(4, 3):
+        assert est.value == pytest.approx(2.0 / 3.0, rel=1e-12)
+
+
+def test_control_variate_cuts_the_stderr_at_the_companion_vertex():
+    """orlicz(48, 23.5) at the all-ones vector, the companion sweep's n = 48
+    row: the stderr is at most 0.75 times the plain one of the same 20k
+    draws (measured 0.0113-0.0118 against 0.0167-0.0175)."""
+    d, w, m, seed = orlicz(48, 23.5), np.ones(48), 20_000, 4
+    est = psi(d, w, samples=m, seed=seed)
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    f = _plain_psi_terms(d, w, m, rng)
+    plain = f.std() / math.sqrt(m)
+    assert est.stderr <= 0.75 * plain
+    assert abs(est.value - f.mean()) <= 4.0 * plain
+
+
+@pytest.mark.parametrize("d", [lp(6, 3), orlicz(12, 5.5)],
+                         ids=lambda d: d.to_json())
+def test_psi_with_its_control_variate_agrees_with_a_plain_estimate(d):
+    """At the all-ones vector, within 4 combined stderr of a plain estimate
+    from 400k other points."""
+    w = np.ones(d.n)
+    est = psi(d, w, samples=100_000, seed=5)
+    rng = np.random.default_rng(np.random.SeedSequence((5, 0x9a1)))
+    f = np.concatenate([_plain_psi_terms(d, w, 100_000, rng)
+                        for _ in range(4)])
+    plain = f.std() / math.sqrt(f.size)
+    assert abs(est.value - f.mean()) <= 4.0 * math.hypot(est.stderr, plain)
+
+
+def _support(d):
+    return lambda g: REGISTRY[d.kind].support_point(d, g)
+
+
+@pytest.mark.parametrize("w", [[1.0, 1.0, 1.0], [1.0, 0.5, -0.25],
+                               [0.3, -1.2, 0.7]])
+def test_shadow_oracle_matches_closed_forms(w):
+    """The quadrature of `oracles.shadow_psi_3d` on the octahedron, the
+    Euclidean ball and the cube, whose psi are closed forms."""
+    cases = [(lp(3, 1), oracles.psi_l1(w)), (lp(3, 2), oracles.psi_l2(3, w)),
+             (linf(3), oracles.psi_linf(w))]
+    for d, exact in cases:
+        got = oracles.shadow_psi_3d(_support(d), oracles.lp_ball_volume(3, d.p),
+                                    w)
+        assert got == pytest.approx(exact, rel=1e-9)
+
+
+@pytest.mark.parametrize("beta", [2.0, 5.0, 10.0])
+@pytest.mark.parametrize("w", [[1.0, 1.0, 1.0], [1.0, 0.5, -0.25]])
+def test_psi_of_a_three_dimensional_orlicz_ball_matches_the_shadow_oracle(
+        beta, w):
+    d = orlicz(3, beta)
+    exact = oracles.shadow_psi_3d(_support(d),
+                                  oracles.orlicz_ball_volume(3, beta), w)
+    est = psi(d, w)
+    assert abs(est.value - exact) <= 4.0 * est.stderr
 
 
 @pytest.mark.parametrize("d", [lp(6, 3), orlicz(5, 2.0)],

@@ -494,6 +494,25 @@ def test_orlicz_norm_at_edge_rows(beta):
         assert got[1] == norm_batch(lp(4, 3), X[1])
 
 
+@pytest.mark.parametrize("desc, row", [
+    (orlicz(4, 1.5), [INF, 0.1, 0.0, 0.0]),
+    (block_lp(2, [lp(2, 3), orlicz(2, 1.0)]), [0.1, 0.0, INF, 0.0]),
+    (intersect_ball(orlicz(4, 1.5), 0.8), [INF, 0.1, 0.0, 0.0])],
+    ids=["orlicz", "block_lp", "intersect_ball"])
+def test_orlicz_gradient_at_edge_rows(desc, row):
+    """A row holding +inf or -inf gets the zero gradient, as in `lp` at
+    1 < p < inf, and so does a zero row; a finite row in the same stack
+    gets its gradient alone.  None of them raises a RuntimeWarning; the
+    Orlicz gradient used to divide such a row by its norm, inf / inf."""
+    finite = np.array([1.0, 0.5, -0.2, 0.0])
+    X = np.array([row, np.negative(row), np.zeros(4), finite])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        G = gradient_batch(desc, X)
+        assert np.array_equal(G[:3], np.zeros((3, 4)))
+        assert np.array_equal(G[3], gradient_batch(desc, finite))
+
+
 @pytest.mark.parametrize("desc", SIGN_PATTERN_SPACES,
                          ids=lambda d: d.to_json())
 def test_sign_patterns_keep_the_norm_bit_for_bit(desc):
