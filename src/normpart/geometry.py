@@ -87,9 +87,10 @@ def estimate_mean(kernel, trials, seed, workers=1, chunk=CHUNK,
 
     def one(i):
         rng = np.random.default_rng(streams[i])
-        f, w = kernel(rng, sizes[i])
+        out = kernel(rng, sizes[i])
         if control is not None:
-            return _half_moments(f, w)
+            return _half_moments(*out)
+        f, w = out
         f = np.asarray(f, dtype=float)
         w = np.asarray(w, dtype=float)
         wf = w * f
@@ -144,8 +145,8 @@ def _half_moments(f, c):
 
 def _merge(a, b):
     """The moments of two row sets from theirs (Chan, Golub and LeVeque)."""
-    if not b[0]:
-        return a
+    if not (a[0] and b[0]):
+        return a if a[0] else b
     k = a[0] + b[0]
     de, dc = b[1] - a[1], b[2] - a[2]
     w = a[0] * b[0] / k
@@ -467,7 +468,7 @@ def psi(sp, w, samples=100_000, seed=0, workers=1, closed_form=True):
     the cone measure is invariant under those sign changes and the gradient
     at e * theta is e * (the gradient at theta).
 
-    Where the kind knows psi on the axes (`Kind.axis_psi`: lp but at
+    Where the kind knows psi on the axes (`Kind.axis_psi`: lp except at
     p in {2, inf}, where psi is a closed form, and Orlicz balls), each point
     also gives the control variate c = (n/2) sum_i |w_i| |g_i|, whose mean
     is sum_i |w_i| psi(e_i), and `estimate_mean` corrects f by it with

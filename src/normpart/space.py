@@ -393,10 +393,11 @@ def _euclidean_shadow_ratio(n):
                     - log_euclidean_ball_volume(n))
 
 
-def _section_ratio(kind, section, d):
+def _section_ratio(section, d):
     """psi(e_i) = vol(section) / vol(d) for every i, with ``section`` the
     ball of d cut by any coordinate hyperplane: `Kind.axis_psi` of a kind
     whose sections all have that ball."""
+    kind = REGISTRY[d.kind]
     return np.full(d.n, math.exp(kind.log_volume(section)
                                  - kind.log_volume(d)))
 
@@ -674,7 +675,7 @@ class LpKind(Kind):
     def axis_psi(self, d):
         if d.n == 1 or d.p in (2.0, INF):
             return None
-        return _section_ratio(self, lp(d.n - 1, d.p), d)
+        return _section_ratio(lp(d.n - 1, d.p), d)
 
     def iq_exact(self, d):
         n = d.n
@@ -871,7 +872,7 @@ class OrliczKind(Kind):
     def axis_psi(self, d):
         if d.n == 1:
             return None
-        return _section_ratio(self, orlicz(d.n - 1, d.beta), d)
+        return _section_ratio(orlicz(d.n - 1, d.beta), d)
 
     def cone_sample(self, d, count, rng):
         """Exact cone-measure points with unit weights, on the unit sphere

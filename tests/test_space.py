@@ -501,16 +501,18 @@ def test_orlicz_norm_at_edge_rows(beta):
     ids=["orlicz", "block_lp", "intersect_ball"])
 def test_orlicz_gradient_at_edge_rows(desc, row):
     """A row holding +inf or -inf gets the zero gradient, as in `lp` at
-    1 < p < inf, and so does a zero row; a finite row in the same stack
-    gets its gradient alone.  None of them raises a RuntimeWarning; the
-    Orlicz gradient used to divide such a row by its norm, inf / inf."""
+    1 < p < inf, and so do a zero row and a row whose Orlicz norm passes
+    the float range (its norm is inf); a finite row in the same stack gets
+    its gradient alone.  None of them raises a RuntimeWarning; the Orlicz
+    gradient used to divide a row holding inf by its norm, inf / inf."""
     finite = np.array([1.0, 0.5, -0.2, 0.0])
-    X = np.array([row, np.negative(row), np.zeros(4), finite])
+    X = np.array([row, np.negative(row), np.zeros(4), np.full(4, 1.7e308),
+                  finite])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         G = gradient_batch(desc, X)
-        assert np.array_equal(G[:3], np.zeros((3, 4)))
-        assert np.array_equal(G[3], gradient_batch(desc, finite))
+        assert np.array_equal(G[:4], np.zeros((4, 4)))
+        assert np.array_equal(G[4], gradient_batch(desc, finite))
 
 
 @pytest.mark.parametrize("desc", SIGN_PATTERN_SPACES,
