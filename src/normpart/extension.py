@@ -189,13 +189,16 @@ def separation_profile_cloud(sp, samples=50_000, seed=0):
     return profile
 
 
-def lipschitz_ratio_scan(op, pair_count=100, seed=0, profile_samples=50_000,
-                         box_scale=1.5):
+_PAIR_BOX_SCALE = 1.5
+
+
+def lipschitz_ratio_scan(op, pair_count=100, seed=0, profile_samples=50_000):
     """Max over random pairs of ||F(x) - F(y)||_Z / (4 psi(x - y)).
 
     Pairs are drawn uniformly from the anchor bounding box inflated by
-    box_scale; anchor-anchor pairs are included.  Returns (ratio, (x, y))
-    for the maximizing pair; the maximum is a sampled, not certified, value.
+    `_PAIR_BOX_SCALE`; anchor-anchor pairs are included.  Returns (ratio,
+    (x, y)) for the maximizing pair; the maximum is a sampled, not
+    certified, value.
     """
     s = op.space
     G, wt = psi_gradient_cloud(s, samples=profile_samples, seed=seed)
@@ -203,8 +206,8 @@ def lipschitz_ratio_scan(op, pair_count=100, seed=0, profile_samples=50_000,
     lo = op.anchors.min(axis=0)
     hi = op.anchors.max(axis=0)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo) + 1e-3
-    lo = mid - box_scale * half
-    hi = mid + box_scale * half
+    lo = mid - _PAIR_BOX_SCALE * half
+    hi = mid + _PAIR_BOX_SCALE * half
     xs = lo + (hi - lo) * rng.random((pair_count, s.dim))
     ys = lo + (hi - lo) * rng.random((pair_count, s.dim))
     na = op.anchors.shape[0]

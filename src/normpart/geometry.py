@@ -614,7 +614,10 @@ def _check_restarts(restarts):
         raise InputError("restarts must be >= 0, got %r" % (restarts,))
 
 
-def _ball_ascent(objective, dom, restarts, seed, steps=200):
+_ASCENT_STEPS = 200
+
+
+def _ball_ascent(objective, dom, restarts, seed):
     """Multi-restart ascent of a convex objective over the unit sphere of the
     space dom (the maximum over the ball lies on the sphere).
 
@@ -626,7 +629,7 @@ def _ball_ascent(objective, dom, restarts, seed, steps=200):
     finitely many steps.  An intersect_ball's support point (alone or as a
     block) need not be the maximizer, so there a start may stop where the
     maximizer would still gain.  Points go onto the sphere by dividing by
-    their dom norm; `steps` caps each start.
+    their dom norm; `_ASCENT_STEPS` caps each start.
 
     The starts move in lockstep: ``objective(Z)`` takes a stack Z of
     points, shape (k, n), and returns their values (k,) with a subgradient
@@ -650,7 +653,7 @@ def _ball_ascent(objective, dom, restarts, seed, steps=200):
     Z = normalize(np.array(starts, dtype=float))
     F, G = objective(Z)
     live = np.arange(len(Z))
-    for _ in range(steps):
+    for _ in range(_ASCENT_STEPS):
         live = live[np.linalg.norm(G[live], axis=-1) >= 1e-15]
         if not live.size:
             break

@@ -440,6 +440,22 @@ def _euclidean_norm(X):
     return _p_norm(np.abs(X), 2.0)
 
 
+def _nonfinite_rows(X):
+    """None where every entry of X is finite, at the cost of one check, and
+    otherwise whether each row holds +-inf or NaN (shape X.shape[:-1])."""
+    if np.isfinite(X).all():
+        return None
+    return ~np.isfinite(X).all(axis=-1)
+
+
+def _zero_nonfinite_rows(G, X):
+    """G, with the zero gradient in the rows where X holds +-inf or NaN."""
+    bad = _nonfinite_rows(X)
+    if bad is not None:
+        G[bad] = 0.0
+    return G
+
+
 def _schatten_svd(desc, X, compute_uv=False):
     d = math.isqrt(desc.n)
     mats = X.reshape(X.shape[:-1] + (d, d))
@@ -487,18 +503,19 @@ class Kind:
     ``within(d, X, r)``: whether ``norm(d, X) <= r``, for rows X (shape
     (..., n)) and radii r > 0 broadcastable to ``X.shape[:-1]``; by default
     that comparison, and a test of the kind's own where that needs no norm,
-    ``is_smooth(d, x)`` at one x != 0, ``coord_bound(d)`` (the l_inf
-    circumradius) and ``circumradius(d)`` (the Euclidean one, for
-    canonically positioned d).  The methods below answer for a kind without
-    the capability or closed form in question; the closed forms, None where
-    unknown, are the log-volume ``log_volume(d)`` (``has_exact_volume``
-    reads it), ``iq_exact(d)``, ``psi_norm(d)``: (c, q) with psi(w) =
-    c ||w||_q, ``axis_psi(d)``: psi(e_i) for every i, the section volume
-    vol(B intersect e_i^perp) / vol(B) of a 1-unconditional ball, where
-    psi is not c ||w||_q (the psi kernel's control variate has it for its
-    mean), the overlap fraction vol(B intersect (w + B)) / vol(B)
-    ``overlap_exact(d, w)``, the sup of the norm over the unit sphere of
-    ``dom`` ``sphere_sup(d, dom)``, ``vertex_orbit(d)``: one vertex of the
+    ``coord_bound(d)`` (the l_inf circumradius) and ``circumradius(d)``
+    (the Euclidean one, for canonically positioned d).  In every kind a row
+    holding +-inf has norm inf, a row holding NaN has norm NaN, neither is
+    within any radius, and both get the zero gradient.  The methods below
+    answer for a kind without the capability or closed form in question;
+    the closed forms, None where unknown, are the log-volume
+    ``log_volume(d)`` (``has_exact_volume`` reads it), ``iq_exact(d)``,
+    ``psi_norm(d)``: (c, q) with psi(w) = c ||w||_q, ``axis_psi(d)``: psi(e_i)
+    for every i, the section volume vol(B intersect e_i^perp) / vol(B) of a
+    1-unconditional ball, where psi is not c ||w||_q (the psi kernel's control
+    variate has it for its mean), the overlap fraction vol(B intersect (w + B))
+    / vol(B) ``overlap_exact(d, w)``, the sup of the norm over the unit sphere
+    of ``dom`` ``sphere_sup(d, dom)``, ``vertex_orbit(d)``: one vertex of the
     unit ball per orbit of coordinate sign changes, where the ball is a
     polytope with known vertices.  Every kind defines
     ``support_point(d, g)``: for each row of a stack g, a point z of the
@@ -582,9 +599,9 @@ class LpKind(Kind):
             G = np.zeros_like(X)
             top = np.take_along_axis(X, idx[..., None], -1)
             np.put_along_axis(G, idx[..., None], np.sign(top), -1)
-            return G
+            return _zero_nonfinite_rows(G, X)
         if d.p == 1.0:
-            return np.sign(X)
+            return _zero_nonfinite_rows(np.sign(X), X)
         if nrm is None and d.p == 2.0:      # one root, no power
             nrm = norm_batch(d, X)
         if nrm is not None:
@@ -602,14 +619,6 @@ class LpKind(Kind):
         np.copysign(G, X, out=G)
         G[~((top > 0.0) & (top < INF))] = 0.0
         return G
-
-    def is_smooth(self, d, x):
-        ax = np.abs(x)
-        if d.p == INF:
-            return int((ax == ax.max()).sum()) == 1
-        if d.p == 1.0:
-            return not np.any(ax == 0)
-        return True
 
     def coord_bound(self, d):
         return 1.0
@@ -738,12 +747,6 @@ class BlockLpKind(Kind):
                 * w[..., j, None]
         return G
 
-    def is_smooth(self, d, x):
-        bn = _block_norms(d, x)
-        return (all(REGISTRY[b.kind].is_smooth(b, x[sl])
-                    for (b, sl), nb in zip(_blocks(d), bn) if nb > 0)
-                and REGISTRY["lp"].is_smooth(lp(len(d.blocks), d.p), bn))
-
     def coord_bound(self, d):
         return max(coord_bound(b) for b in d.blocks)
 
@@ -850,9 +853,6 @@ class OrliczKind(Kind):
         T[bad] = 0.0
         return _orlicz_normal(T, X, (X == 0.0) | bad[..., None])
 
-    def is_smooth(self, d, x):
-        return not np.any(np.abs(x) == 0)
-
     def coord_bound(self, d):
         return -math.expm1(-d.beta)
 
@@ -939,23 +939,26 @@ class SchattenKind(Kind):
         if k * k != d.n:
             raise InputError("schatten needs n = d*d (square matrices)")
 
+    # The SVD takes finite rows only: at a row holding NaN it raises, and
+    # with compute_uv at a 3 x 3 or larger row holding inf it never returns.
     def norm(self, d, X):
-        return _p_norm(_schatten_svd(d, X), d.p)
+        bad = _nonfinite_rows(X)
+        if bad is None:
+            return _p_norm(_schatten_svd(d, X), d.p)
+        out = np.where(np.isnan(X).any(axis=-1), np.nan, INF)
+        out[~bad] = self.norm(d, X[~bad])
+        return out
 
     def gradient(self, d, X, nrm):
+        bad = _nonfinite_rows(X)
+        if bad is not None:
+            G = np.zeros_like(X)
+            G[~bad] = self.gradient(d, X[~bad],
+                                    None if nrm is None else nrm[~bad])
+            return G
         U, sv, Vt = _schatten_svd(d, X, compute_uv=True)
         w = gradient_batch(lp(sv.shape[-1], d.p), sv, nrm)  # nrm from this SVD
         return _usv(U, w, Vt.swapaxes(-1, -2))
-
-    def is_smooth(self, d, x):
-        """Smooth at every x != 0 for 1 < p < inf; at full rank for p = 1;
-        with a gap after the top singular value for p = inf."""
-        if d.p != 1.0 and d.p != INF:
-            return True
-        sv = _schatten_svd(d, x)            # descending
-        if d.p == 1.0:
-            return bool(sv[-1] > 0)
-        return bool(sv.shape[0] == 1 or sv[0] - sv[1] > 1e-12 * sv[0])
 
     def coord_bound(self, d):
         return 1.0
@@ -1027,7 +1030,7 @@ class SchattenKind(Kind):
 def _usv(U, s, V):
     """U diag(s) V^T of stacks of k x k U, V and k-vectors s, as rows."""
     return np.einsum("...ik,...k,...jk->...ij", U, s, V).reshape(
-        s.shape[:-1] + (-1,))
+        s.shape[:-1] + (s.shape[-1] ** 2,))
 
 
 def _random_signs(x, rng):
@@ -1114,19 +1117,6 @@ class IntersectBallKind(Kind):
         Ge = np.nan_to_num(Ge)
         pick = (base_n >= euc / d.r)[..., None]
         return np.where(pick, Gb, Ge)
-
-    def is_smooth(self, d, x):
-        """Off the seam base norm = ||x||_2 / r, where the larger piece is;
-        on it, where the base norm is smooth with the gradient of the
-        Euclidean piece (a tangency)."""
-        b = norm_batch(d.base, x)
-        euc = float(_euclidean_norm(x))
-        e = euc / d.r
-        if abs(b - e) > 1e-12 * max(b, e):
-            return REGISTRY[d.base.kind].is_smooth(d.base, x) if b > e else True
-        return bool(REGISTRY[d.base.kind].is_smooth(d.base, x)
-                    and np.allclose(gradient_batch(d.base, x),
-                                    x / (d.r * euc), rtol=1e-9, atol=1e-12))
 
     def support_point(self, d, g):
         """The better by <g, .> of the base ball's support point and
@@ -1272,18 +1262,15 @@ def gradient_batch(sp, X, nrm=None):
     return REGISTRY[sp.kind].gradient(sp, X, nrm)
 
 
-def norm_gradient(sp, x, with_flag=False):
-    """Gradient (or a flagged subgradient) of the norm at x != 0; with
-    ``with_flag`` also whether the norm is differentiable at x."""
+def norm_gradient(sp, x):
+    """Gradient (or a subgradient, as in `gradient_batch`) of the norm at
+    x != 0."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise InputError("norm_gradient expects a single vector")
     if not np.any(x):
         raise InputError("gradient undefined at the origin")
-    g = gradient_batch(sp, x)
-    if with_flag:
-        return g, REGISTRY[sp.kind].is_smooth(sp, x)
-    return g
+    return gradient_batch(sp, x)
 
 
 def coord_bound(sp):

@@ -4,12 +4,14 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from normpart.cli import main
+from normpart.cli import COMMANDS, main
 from normpart.sepmod import rows_from_csv
+from normpart.space import block_lp, intersect_ball, lp, orlicz, schatten
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -412,6 +414,78 @@ def test_table_kind_column_fits_every_kind(capsys):
     assert any(row.startswith("orlicz_beta") for row in rows)
     for row in rows:
         assert re.match(r"\S+ +\d+ ", row).end() == end, row
+
+
+def _smoke_runs(desc, anchors):
+    """Every command that reads a space, in each of its forms, on desc at
+    small counts."""
+    sp = ["--space", desc.to_json()]
+    run = ["--trials", "200", "--seed", "3"]
+    u, v = ",".join(["0"] * desc.n), ",".join(["0.3"] * desc.n)
+    return [
+        ["vol", *sp, *run], ["vol", *sp, "--mc", *run],
+        ["iq", *sp, *run], ["iq", *sp, "--mc", *run],
+        ["psi", *sp, "--w", v, *run], ["psi", *sp, "--w", v, "--mc", *run],
+        ["maxproj", *sp, "--restarts", "2", *run],
+        ["cone", *sp, *run],
+        ["meanwidth", *sp, *run],
+        ["sep-prob", *sp, "--u", u, "--v", v, *run],
+        ["sep-prob", *sp, "--u", u, "--v", v, "--exact", *run],
+        ["pad-prob", *sp, *run], ["pad-prob", *sp, "--exact", *run],
+        ["sep-bounds", *sp, "--restarts", "2", *run],
+        ["extend", *sp, "--anchors", anchors, "--point", v,
+         "--mc-rounds", "2", "--seed", "3"]]
+
+
+SPACE_FREE_RUNS = [
+    ["sweep", "--p", "3", "--dims", "2,3", "--restarts", "2",
+     "--trials", "200"],
+    ["sweep", "--p", "inf", "--dims", "2,3", "--companion",
+     "--restarts", "2", "--trials", "200"],
+    ["lw-check", "--trials", "5"],
+    ["decompose", "--n", "42"]]
+
+
+def _check_smoke_run(argv, capsys, lacks_capability=False):
+    """The run exits 0, or 3 with a capability error where the space lacks
+    what the command needs, and raises no RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, _, err = run_main(argv, capsys)
+    if lacks_capability:
+        assert code == 3 and err.startswith("capability error"), (argv, err)
+    else:
+        assert code == 0, (argv, code, err)
+
+
+def test_the_smoke_runs_cover_every_command():
+    runs = _smoke_runs(lp(1, 2), "anchors.json") + SPACE_FREE_RUNS
+    assert {argv[0] for argv in runs} == set(COMMANDS)
+
+
+@pytest.mark.parametrize("desc", [
+    lp(3, 3), block_lp(2, [lp(2, 1), orlicz(2, 1.5)]), orlicz(3, 1.5),
+    schatten(2, 3), intersect_ball(lp(3, 1), 0.8)],
+    ids=lambda d: d.kind)
+def test_every_command_runs_on_a_small_space_of_each_kind(desc, tmp_path,
+                                                          capsys):
+    """`sep-bounds` exits 3 where its lower bound lacks an exact volume or
+    a canonical position (the block sum of unequal blocks, the Schatten and
+    the intersect_ball space); every other run exits 0."""
+    anchors = tmp_path / "anchors.json"
+    anchors.write_text(json.dumps({
+        "anchors": [[0.0] * desc.n, [0.5] + [0.0] * (desc.n - 1)],
+        "values": [[0.0], [1.0]]}))
+    bounded = desc.has_exact_volume and desc.is_canonically_positioned
+    for argv in _smoke_runs(desc, str(anchors)):
+        _check_smoke_run(argv, capsys,
+                         lacks_capability=argv[0] == "sep-bounds"
+                         and not bounded)
+
+
+@pytest.mark.parametrize("argv", SPACE_FREE_RUNS, ids=" ".join)
+def test_every_space_free_command_runs(argv, capsys):
+    _check_smoke_run(argv, capsys)
 
 
 def test_console_script_entrypoint():

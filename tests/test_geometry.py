@@ -28,6 +28,7 @@ from normpart.geometry import (_SIGN_ORBIT, CHUNK, MonteCarloEstimate,
                                volume_of)
 
 import oracles
+from kinds import over_the_table
 
 
 def within_sigma(est, truth, k=3.0, floor=1e-12):
@@ -301,20 +302,16 @@ def test_fallback_cone_samples_match_the_euclidean_ball():
     assert within_sigma(est, np.linalg.norm(wv) * shadow / 0.5, k=4.0)
 
 
-@pytest.mark.parametrize("d", [
-    lp(5, 3), lp(4, 1.5), linf(4), lp(4, 1), orlicz(4, 1.5), schatten(2, 3),
-    schatten(3, 1), block_lp(2, [lp(2, 3)] * 2),
-    block_lp(2.5, [lp(2, 1), orlicz(3, 2.0), schatten(2, 3)]),
-    intersect_ball(lp(3, 1), 0.8), intersect_ball(schatten(2, 3), 0.9)],
-    ids=lambda d: d.to_json())
-def test_cone_points_have_unit_norm_for_the_gradient(d):
+@over_the_table()
+def test_cone_points_have_unit_norm_for_the_gradient(desc):
     """Cone samples lie on the unit sphere, so the gradient the psi kernels
     take there with norms of ones is the one `gradient_batch` gets from
-    solving the norms; the last space takes the hit-and-run fallback."""
-    pts = cone_sample(d, 300, seed=31).points
+    solving the norms; spaces without a cone sampler take the hit-and-run
+    fallback."""
+    pts = cone_sample(desc, 300, seed=31).points
     np.testing.assert_allclose(
-        REGISTRY[d.kind].gradient(d, pts, np.ones(len(pts))),
-        gradient_batch(d, pts), rtol=1e-12, atol=1e-12)
+        REGISTRY[desc.kind].gradient(desc, pts, np.ones(len(pts))),
+        gradient_batch(desc, pts), rtol=1e-12, atol=1e-12)
 
 
 def test_orlicz_psi_solves_no_norm(monkeypatch):

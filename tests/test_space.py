@@ -13,9 +13,10 @@ from normpart.space import (INF, REGISTRY, CapabilityError, InputError,
                             intersect_ball, linf, loglacunary_decompose, lp,
                             norm_batch, norm_eval, norm_gradient, orlicz,
                             schatten, space, within_batch)
-from normpart.geometry import cone_sample
+from normpart.geometry import cone_sample, log_volume_exact, volume_mc
 
 import oracles
+from kinds import SPACES, over_the_table
 
 
 def random_descriptor(rng, max_dim=8):
@@ -94,6 +95,17 @@ def test_descriptor_rejects_fields_its_kind_does_not_use():
         SpaceDescriptor(kind="lp", n=2, p=2.0, beta=1.0)
 
 
+def test_the_table_has_every_kind_and_both_answers_of_each_capability():
+    """A kind added to the registry fails here until the table, and so
+    every contract test, holds a space of it."""
+    assert len(set(SPACES)) == len(SPACES)
+    assert {d.kind for d in SPACES} == set(REGISTRY)
+    for answer in (lambda d: d.has_cone_sampler,
+                   lambda d: d.has_exact_volume,
+                   lambda d: REGISTRY[d.kind].sign_invariant(d)):
+        assert {answer(d) for d in SPACES} == {True, False}
+
+
 def test_capabilities():
     assert space(lp(3, 1)).has_exact_volume
     assert space(orlicz(3, 1.0)).has_exact_volume
@@ -114,6 +126,19 @@ def test_capabilities():
     assert space(block_lp(2, [lp(2, 3), lp(2, 3)])).is_canonically_positioned
 
 
+@over_the_table(lambda d: d.has_exact_volume and d.n <= 8)
+def test_log_volume_agrees_with_hit_or_miss(desc):
+    """exp(log_volume) lies within 4 stderr of a 100k-trial `volume_mc`,
+    plus 4 trials' share of the bounding box: a ball that misses less than
+    about one trial in 100k of its box (the cube, orlicz(3, 1e6) and
+    lp(3, 1000), at 5e-6) may be hit by every trial, and its stderr is
+    then 0."""
+    exact = math.exp(log_volume_exact(desc))
+    est = volume_mc(desc, trials=100_000, seed=89)
+    box = (2.0 * coord_bound(desc)) ** desc.n
+    assert abs(est.value - exact) <= 4 * est.stderr + 4e-5 * box
+
+
 # ---------------------------------------------------------------------------
 # norms
 
@@ -132,6 +157,21 @@ def test_norm_axioms_lp(n, p, xs, ys, scale):
     assert norm_eval(d, scale * x) == pytest.approx(abs(scale) * nx,
                                                     rel=1e-9, abs=1e-12)
     assert (nx == 0.0) == bool(np.all(x == 0.0))
+
+
+@over_the_table()
+def test_norm_is_homogeneous_and_subadditive(desc):
+    """||t x|| = |t| ||x|| to 1e-13 relative for t of both signs spread
+    over six decades, ||x + y|| <= ||x|| + ||y|| up to 1e-14 relative, and
+    ||0|| = 0."""
+    rng = np.random.default_rng(5)
+    X, Y = rng.standard_normal((2, 200, desc.n))
+    t = rng.standard_normal(200) * 10.0 ** rng.uniform(-3, 3, 200)
+    nx, ny = norm_batch(desc, X), norm_batch(desc, Y)
+    assert np.all(np.abs(norm_batch(desc, t[:, None] * X) - np.abs(t) * nx)
+                  <= 1e-13 * np.abs(t) * nx)
+    assert np.all(norm_batch(desc, X + Y) <= (nx + ny) * (1.0 + 1e-14))
+    assert norm_batch(desc, np.zeros(desc.n)) == 0.0
 
 
 def test_norm_values():
@@ -198,64 +238,46 @@ def test_gradient_euler_identity():
         assert float(g @ x) == pytest.approx(norm_eval(d, x), rel=1e-6)
 
 
-def test_gradient_finite_difference():
-    rng = np.random.default_rng(11)
-    for d in [lp(4, 3), lp(3, 1.5), orlicz(4, 1.0), schatten(2, 2.5),
-              block_lp(2.5, [lp(2, 3), lp(2, 1.5)])]:
-        x = rng.standard_normal(space(d).dim)
-        g = norm_gradient(d, x)
-        eps = 1e-6
-        for i in range(len(x)):
-            dx = x.copy()
-            dx[i] += eps
-            fd = (norm_eval(d, dx) - norm_eval(d, x)) / eps
-            assert g[i] == pytest.approx(fd, abs=5e-5)
-
-
-# intersect_ball(l_1^2, r) meets its Euclidean cap at (1, 0.5), where the two
-# pieces have different gradients
-SEAM_R = math.sqrt(1.25) / 1.5
-
-
-@pytest.mark.parametrize("desc,x,smooth", [
-    (linf(3), [1.0, 0.5, -0.2], True),
-    (linf(3), [1.0, -1.0, 0.2], False),
-    (lp(3, 1), [1.0, 0.5, -0.2], True),
-    (lp(3, 1), [1.0, 0.0, -0.2], False),
-    (block_lp(INF, [lp(2, 2), lp(2, 2)]), [1.0, 0.0, 0.3, 0.2], True),
-    (block_lp(INF, [lp(2, 2), lp(2, 2)]), [0.6, 0.8, 0.0, 1.0], False),
-    (orlicz(3, 1.0), [0.5, 0.2, -0.1], True),
-    (orlicz(3, 1.0), [0.5, 0.0, -0.1], False),
-    (intersect_ball(lp(2, 1), 0.5), [1.0, 0.5], True),
-    (intersect_ball(lp(2, 1), 2.0), [1.0, 0.5], True),
-    (intersect_ball(lp(2, 1), SEAM_R), [1.0, 0.5], False),
-    (schatten(2, 2), [1.0, 0.0, 0.0, 1.0], True),
-    (schatten(2, 2), [1.0, 0.0, 0.0, 0.0], True),
-    (schatten(2, 3), [1.0, 0.0, 0.0, 1.0], True),
-    (schatten(2, 3), [1.0, 0.0, 0.0, 0.0], True),
-    (schatten(2, 1), [1.0, 0.0, 0.0, 1.0], True),
-    (schatten(2, 1), [1.0, 0.0, 0.0, 0.0], False),
-    (schatten(2, INF), [2.0, 0.0, 0.0, 1.0], True),
-    (schatten(2, INF), [1.0, 0.0, 0.0, 1.0], False),
-    # a tangency seam: both pieces have gradient (1, 1) at (0.6, 0.6)
-    (intersect_ball(lp(2, 1), math.sqrt(2) / 2), [0.6, 0.6], True),
-    # a zero Orlicz block: the outer l_2 norm is smooth there
-    (block_lp(2, [orlicz(2, 1.0), lp(2, 3)]), [0.0, 0.0, 1.0, 1.0], True),
-])
-def test_norm_gradient_smoothness_flag(desc, x, smooth):
-    """The flag holds exactly where the norm is differentiable: there the
-    gradient matches central differences, elsewhere some coordinate line
-    through x has a kink."""
-    x = np.asarray(x, dtype=float)
-    g, flag = norm_gradient(desc, x, with_flag=True)
-    assert flag == smooth
+def _check_central_differences(desc, x):
+    g = norm_gradient(desc, x)
     h = 1e-6
     E = h * np.eye(x.size)
     plus, minus = norm_batch(desc, x + E), norm_batch(desc, x - E)
-    if smooth:
-        assert np.allclose((plus - minus) / (2 * h), g, atol=1e-6)
-    else:
-        assert ((plus + minus - 2 * norm_eval(desc, x)) / h).max() > 0.1
+    assert np.allclose((plus - minus) / (2 * h), g, atol=1e-6)
+
+
+@over_the_table()
+def test_gradient_matches_central_differences(desc):
+    """At a seeded random point, where every norm of the table is
+    differentiable, the gradient is the central difference quotient of the
+    norm with h = 1e-6."""
+    x = np.random.default_rng(11).standard_normal(desc.n)
+    _check_central_differences(desc, x)
+
+
+@pytest.mark.parametrize("desc,x", [
+    (linf(3), [1.0, 0.5, -0.2]),
+    (lp(3, 1), [1.0, 0.5, -0.2]),
+    (block_lp(INF, [lp(2, 2), lp(2, 2)]), [1.0, 0.0, 0.3, 0.2]),
+    (orlicz(3, 1.0), [0.5, 0.2, -0.1]),
+    (intersect_ball(lp(2, 1), 0.5), [1.0, 0.5]),
+    (intersect_ball(lp(2, 1), 2.0), [1.0, 0.5]),
+    # low rank, and repeated singular values
+    (schatten(2, 2), [1.0, 0.0, 0.0, 1.0]),
+    (schatten(2, 2), [1.0, 0.0, 0.0, 0.0]),
+    (schatten(2, 3), [1.0, 0.0, 0.0, 1.0]),
+    (schatten(2, 3), [1.0, 0.0, 0.0, 0.0]),
+    (schatten(2, 1), [1.0, 0.0, 0.0, 1.0]),
+    (schatten(2, INF), [2.0, 0.0, 0.0, 1.0]),
+    # a tangency seam: both pieces have gradient (1, 1) at (0.6, 0.6)
+    (intersect_ball(lp(2, 1), math.sqrt(2) / 2), [0.6, 0.6]),
+    # a zero Orlicz block: the outer l_2 norm is smooth there
+    (block_lp(2, [orlicz(2, 1.0), lp(2, 3)]), [0.0, 0.0, 1.0, 1.0]),
+])
+def test_gradient_matches_central_differences_off_random_points(desc, x):
+    """Points of differentiability that seeded random points never reach:
+    zero coordinates, ties, seams, zero blocks and special matrices."""
+    _check_central_differences(desc, np.asarray(x, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -267,15 +289,18 @@ def _dual_lp(d):
     return lp(d.n, q)
 
 
-@pytest.mark.parametrize("desc", [
-    lp(6, 1), lp(6, 1.5), lp(6, 3), linf(6), orlicz(5, 0.7), orlicz(5, 4.0),
-    schatten(3, 1), schatten(2, 2.5), schatten(3, INF),
-    block_lp(2.5, [lp(2, 1), orlicz(3, 2.0), schatten(2, 3)]),
-    block_lp(INF, [lp(3, 3), lp(2, 1)]),
-    block_lp(1, [orlicz(2, 1.0), linf(3)])], ids=lambda d: d.to_json())
+def _holds_an_intersect_ball(d):
+    return (d.kind == "intersect_ball"
+            or any(map(_holds_an_intersect_ball, d.blocks or ()))
+            or (d.base is not None and _holds_an_intersect_ball(d.base)))
+
+
+@over_the_table(lambda d: not _holds_an_intersect_ball(d))
 def test_support_point_against_brute_force(desc):
     """The support point lies on the unit sphere, beats every one of 4096
-    cone samples, and for lp attains the dual norm ||g||_q."""
+    cone samples, and for lp attains the dual norm ||g||_q.  An
+    intersect_ball's support point, alone or in a block, need not maximize
+    (`test_support_point_of_a_ball_intersection`)."""
     rng = np.random.default_rng(23)
     pts = cone_sample(desc, 4096, seed=24).points
     for _ in range(8):
@@ -290,35 +315,6 @@ def test_support_point_against_brute_force(desc):
     assert np.array_equal(zero, np.zeros(desc.n))
 
 
-STACK_SUPPORT_SPACES = [
-    lp(6, 1), lp(6, 3), linf(6), orlicz(5, 0.7), orlicz(5, 4.0),
-    schatten(3, 1), schatten(2, 2.5), schatten(3, INF),
-    block_lp(2.5, [lp(2, 1), orlicz(3, 2.0), schatten(2, 3)]),
-    block_lp(INF, [lp(3, 3), lp(2, 1)]),
-    intersect_ball(lp(3, 1), 0.8), intersect_ball(schatten(2, 3), 0.9),
-    block_lp(2, [intersect_ball(lp(2, 1), 0.8), lp(1, 2)])]
-
-
-def test_every_kind_has_a_support_point_case():
-    """A kind added to the registry without a support point fails here,
-    not inside the sphere ascent."""
-    assert {d.kind for d in STACK_SUPPORT_SPACES} == set(REGISTRY)
-
-
-SIGN_PATTERN_SPACES = [
-    lp(5, 3), lp(4, 1), linf(4), orlicz(5, 0.7), schatten(3, 1),
-    schatten(2, 2.5), schatten(3, INF),
-    block_lp(2.5, [lp(2, 1), orlicz(3, 2.0), schatten(2, 3)]),
-    block_lp(INF, [lp(3, 3), orlicz(2, 1.0)]),
-    intersect_ball(lp(3, 1), 0.8), intersect_ball(schatten(2, 3), 0.9)]
-
-
-def test_every_kind_has_a_sign_pattern_case():
-    """A kind added to the registry without sign patterns fails here, not
-    inside the psi kernel."""
-    assert {d.kind for d in SIGN_PATTERN_SPACES} == set(REGISTRY)
-
-
 # Spaces whose cone normals are taken from the draw by a formula of their
 # own, which rounds apart from `gradient_batch` at the drawn points; every
 # other kind and exponent gives the same bits.
@@ -327,22 +323,7 @@ def _normals_by_formula(d):
                                     and d.p not in (1.0, 2.0, INF))
 
 
-CONE_NORMAL_SPACES = [
-    lp(4, 1), lp(4, 2), linf(4), lp(4, 3), lp(5, 1.5), lp(3, 1000),
-    orlicz(5, 0.7), orlicz(12, 5.5), orlicz(3, 1e6), schatten(2, 2.5),
-    schatten(3, 1), schatten(3, INF), schatten(7, 1.5),
-    block_lp(2.5, [lp(2, 3), orlicz(2, 1.0)]),
-    intersect_ball(lp(3, 1), 0.8), intersect_ball(orlicz(3, 1.5), 0.9)]
-
-
-def test_every_kind_has_a_cone_normal_case():
-    """A kind added to the registry fails here until its cone normals are
-    checked against its gradients."""
-    assert {d.kind for d in CONE_NORMAL_SPACES} == set(REGISTRY)
-
-
-@pytest.mark.parametrize("desc", CONE_NORMAL_SPACES,
-                         ids=lambda d: d.to_json())
+@over_the_table(lambda d: d.has_cone_sampler)
 def test_cone_normals_are_the_gradients_at_the_cone_points(desc):
     """From equal rngs, `Kind.cone_normals` gives the weights of
     `Kind.cone_sample` bit for bit and the gradients at its points: bit for
@@ -368,21 +349,7 @@ def test_cone_normals_are_the_gradients_at_the_cone_points(desc):
     assert np.all(err <= bound)
 
 
-ZERO_ROW_SPACES = [
-    lp(4, 1), lp(4, 2), linf(4), lp(4, 3), lp(5, 1.5), lp(3, 1000),
-    orlicz(3, 1.0), orlicz(5, 0.7), schatten(2, 3), schatten(2, 1),
-    schatten(2, INF), block_lp(2, [orlicz(2, 1.0), lp(2, 3)]),
-    block_lp(INF, [lp(2, 1), schatten(2, 2.5)]),
-    intersect_ball(orlicz(3, 1.0), 0.5), intersect_ball(lp(3, 3), 0.8)]
-
-
-def test_every_kind_has_a_zero_row_case():
-    """A kind added to the registry fails here until its gradient is
-    checked at zero rows."""
-    assert {d.kind for d in ZERO_ROW_SPACES} == set(REGISTRY)
-
-
-@pytest.mark.parametrize("desc", ZERO_ROW_SPACES, ids=lambda d: d.to_json())
+@over_the_table()
 def test_zero_rows_get_zero_gradients(desc):
     """On a stack with zero rows, with and without their norms, the
     gradient is 0 in those rows and the other rows keep the bits they have
@@ -399,22 +366,7 @@ def test_zero_rows_get_zero_gradients(desc):
         assert G[rest].tobytes() == ref.tobytes()
 
 
-WITHIN_SPACES = [
-    lp(4, 1), lp(4, 2), linf(4), lp(4, 3), lp(5, 1.5), orlicz(5, 0.7),
-    orlicz(4, 6.0), orlicz(3, 1e6), schatten(2, 3), schatten(2, INF),
-    block_lp(2.5, [lp(2, 3), orlicz(2, 1.0)]),
-    block_lp(INF, [orlicz(3, 1.5), lp(2, 1)]),
-    block_lp(INF, [lp(2, 1), lp(3, 3)]),
-    intersect_ball(orlicz(3, 1.5), 0.9), intersect_ball(lp(3, 1), 0.8)]
-
-
-def test_every_kind_has_a_within_case():
-    """A kind added to the registry fails here until its membership test
-    is checked against its norm."""
-    assert {d.kind for d in WITHIN_SPACES} == set(REGISTRY)
-
-
-@pytest.mark.parametrize("desc", WITHIN_SPACES, ids=lambda d: d.to_json())
+@over_the_table()
 def test_within_agrees_with_the_norm(desc):
     """`within_batch(d, X, r)` is ``norm_batch(d, X) <= r`` on a (300, 3)
     stack of rows with norms spread over [0.5 r, 1.5 r], at (1 +- 1e-7) r
@@ -444,6 +396,49 @@ def test_within_agrees_with_the_norm(desc):
             assert np.array_equal(got[off], ref[off])
         r0 = np.broadcast_to(r, (300, 3))[7, 1]
         assert within_batch(desc, X[7, 1], r0) == got[7, 1]
+
+
+@over_the_table()
+def test_edge_rows_get_their_stated_answers(desc):
+    """A seeded row x, stacked with x * 2^996 (entries near 1e300),
+    x * 2^-996 (near 1e-300), x * 2^-1064 rounded to subnormal entries, and
+    x holding +inf, -inf, NaN, and both +inf and NaN:
+    * the scaled rows have the norm of x scaled, to 1e-13 relative, and its
+      gradient, to 1e-12; the subnormal row has the norm of its unit-scale
+      copy (x * 2^-1064 * 2^1064, exact) scaled, to 2 units of the smallest
+      subnormal, and its gradient to 2^-8, the 10 bits its entries keep;
+    * a row holding +-inf has norm inf and one holding NaN norm NaN; both
+      get the zero gradient and are within no radius (`Kind`);
+    * the finite rows are within twice their norm and not within half of it;
+    * every row gets the bits it has alone, and no warning is raised."""
+    x = np.random.default_rng(83).standard_normal(desc.n)
+    tiny = x * 2.0 ** -1000 * 2.0 ** -64
+    X = np.array([x, x * 2.0 ** 996, x * 2.0 ** -996, tiny, x, x, x, x])
+    X[4, 0] = INF
+    X[5, -1] = -INF
+    X[6, desc.n // 2] = np.nan
+    X[7, [0, -1]] = [INF, np.nan]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nrm, G = norm_batch(desc, X), gradient_batch(desc, X)
+        r = np.concatenate([nrm[:4], np.ones(4)])
+        inside = within_batch(desc, X, 2.0 * r)
+        assert not within_batch(desc, X, 0.5 * r).any()
+        unit = tiny * 2.0 ** 1000 * 2.0 ** 64
+        unit_norm = norm_eval(desc, unit) * 2.0 ** -1000 * 2.0 ** -64
+        unit_grad = gradient_batch(desc, unit)
+        for row, n_i, g_i, r_i, in_i in zip(X, nrm, G, r, inside):
+            assert np.array_equal(norm_batch(desc, row), n_i, equal_nan=True)
+            assert np.array_equal(gradient_batch(desc, row), g_i)
+            assert within_batch(desc, row, 2.0 * r_i) == in_i
+    scale = np.array([2.0 ** 996, 2.0 ** -996])
+    assert np.all(np.abs(nrm[1:3] / scale - nrm[0]) <= 1e-13 * nrm[0])
+    assert np.all(np.abs(G[1:3] - G[0]) <= 1e-12)
+    assert abs(nrm[3] - unit_norm) <= 2 * 2.0 ** -1074
+    assert np.all(np.abs(G[3] - unit_grad) <= 2.0 ** -8)
+    assert nrm[4:6].tolist() == [INF, INF] and np.isnan(nrm[6:]).all()
+    assert not G[4:].any()
+    assert inside.tolist() == [True] * 4 + [False] * 4
 
 
 @pytest.mark.parametrize("beta", [1.5, 6.0])
@@ -515,8 +510,7 @@ def test_orlicz_gradient_at_edge_rows(desc, row):
         assert np.array_equal(G[4], gradient_batch(desc, finite))
 
 
-@pytest.mark.parametrize("desc", SIGN_PATTERN_SPACES,
-                         ids=lambda d: d.to_json())
+@over_the_table()
 def test_sign_patterns_keep_the_norm_bit_for_bit(desc):
     """Each pattern e is a row of +-1, and ||e * x|| is ||x||, bit for
     bit, on a stack of rows."""
@@ -529,14 +523,11 @@ def test_sign_patterns_keep_the_norm_bit_for_bit(desc):
         assert np.array_equal(norm_batch(desc, e * X), ref)
 
 
-@pytest.mark.parametrize("desc", SIGN_PATTERN_SPACES,
-                         ids=lambda d: d.to_json())
+@over_the_table(lambda d: REGISTRY[d.kind].sign_invariant(d))
 def test_sign_invariant_kinds_keep_the_norm_under_every_sign_change(desc):
     """A space that calls itself sign-invariant keeps its norm bit for bit
     under random coordinate sign changes (the vertex shortcut of the psi
     supremum rests on this answer); "no" is always safe."""
-    if not REGISTRY[desc.kind].sign_invariant(desc):
-        return
     rng = np.random.default_rng(53)
     X = rng.standard_normal((200, desc.n))
     ref = norm_batch(desc, X)
@@ -544,8 +535,7 @@ def test_sign_invariant_kinds_keep_the_norm_under_every_sign_change(desc):
         assert np.array_equal(norm_batch(desc, e * X), ref)
 
 
-@pytest.mark.parametrize("desc", STACK_SUPPORT_SPACES,
-                         ids=lambda d: d.to_json())
+@over_the_table()
 def test_support_point_of_a_stack_is_row_by_row(desc):
     """A stack of subgradients, zero rows among them, gets the support
     point of each row, and a zero row a zero row."""
@@ -738,18 +728,7 @@ def test_row_reductions_match_numpy_bit_for_bit(n):
                 assert _same_bits(_row_sum(A), A.sum(axis=-1))
 
 
-STACK_SPACES = [
-    lp(4, 1), lp(5, 2), lp(4, 3.5), linf(6), lp(9, 2.5),
-    block_lp(2.5, [lp(2, 3), lp(3, 1.5)]), block_lp(INF, [lp(1, 2), lp(2, 1)]),
-    orlicz(6, 1.5), schatten(2, 2.5), schatten(2, INF),
-    intersect_ball(lp(4, 1), 1.0)]
-
-
-def test_every_kind_has_a_stack_case():
-    assert {d.kind for d in STACK_SPACES} == set(REGISTRY)
-
-
-@pytest.mark.parametrize("desc", STACK_SPACES, ids=lambda d: d.to_json())
+@over_the_table()
 def test_a_row_has_the_same_norm_alone_and_in_a_long_stack(desc):
     """Norms and gradients do not depend on the stack a row is evaluated
     in, nor on whether it is given as a single vector, so seeded results
