@@ -38,9 +38,9 @@ class ConeSamples:
     """A batch of cone-measure samples: boundary points with importance
     weights, which are 1 except where a Schatten ball's direct sampler drew
     the points (alone, or as a block), and self-normalizing there.  Every
-    sampler puts its points on the unit sphere by construction (the Orlicz
-    sampler) or by dividing by their norm; the kernels below take the norm's
-    gradients at them from `_cone_points`."""
+    sampler puts its points on the unit sphere by construction (Orlicz), by
+    dividing by their norm or, for `block_lp`, by the l_p norm of the drawn
+    block radii; the kernels below take the gradients from `_cone_points`."""
     points: np.ndarray  # (count, dim), on the unit sphere of the norm
     weights: np.ndarray  # (count,)
 
@@ -345,7 +345,9 @@ def _chord_ends(s, x, d):
 
 
 def volume_mc(sp, trials=100_000, seed=0, workers=1, force=False):
-    """Hit-or-miss volume over the l_inf bounding box of the unit ball."""
+    """Hit-or-miss volume over the l_inf bounding box of the unit ball.
+    Where all N trials hit, or none, the stderr is that of one trial on
+    the other side, box sqrt(N - 1) / N^{3/2}, rather than 0."""
     s = space(sp)
     n = s.dim
     if n > 20 and not force:
@@ -359,7 +361,9 @@ def volume_mc(sp, trials=100_000, seed=0, workers=1, force=False):
         return within_batch(s, x, 1.0).astype(float), np.ones(m)
 
     est = estimate_mean(kernel, trials, seed, workers=workers)
-    return MonteCarloEstimate(value=est.value * box, stderr=est.stderr * box,
+    stderr = (est.stderr if 0.0 < est.value < 1.0
+              else math.sqrt(trials - 1) / trials ** 1.5)
+    return MonteCarloEstimate(value=est.value * box, stderr=stderr * box,
                               trials=trials, seed=seed)
 
 

@@ -773,21 +773,38 @@ class BlockLpKind(Kind):
         logv += math.fsum(math.lgamma(1.0 + b.n / d.p) for b in d.blocks)
         return logv - math.lgamma(1.0 + d.n / d.p)
 
-    def cone_sample(self, d, count, rng):
-        """Per-block cone samples scaled by radii with the Gamma(m_j/p)^{1/p}
-        law, then normalized, with the product of the blocks' weights.  The
-        radii are drawn as Gamma(1 + m_j/p)^{1/p} U^{1/m_j}, the same law
+    def _draw(self, d, count, rng, normals):
+        """`cone_sample`'s points, or with ``normals`` the gradients there,
+        and the product of the blocks' weights.  Block j gives its cone points
+        (or normals, from the same draw) and a radius R_j of the
+        Gamma(m_j/p)^{1/p} law, drawn as Gamma(1 + m_j/p)^{1/p} U^{1/m_j}
         (Gamma(a) = Gamma(1 + a) U^{1/a}) without its exact zeros at small
-        m_j/p; at p = inf this is the uniform-ball radius U^{1/m_j}."""
-        X = np.empty((count, d.n))
-        w = np.ones(count)
-        for b, sl in _blocks(d):
-            pts, bw = REGISTRY[b.kind].cone_sample(b, count, rng)
-            radius = (rng.standard_gamma(1.0 + b.n / d.p, size=count)
-                      ** (1.0 / d.p) * rng.random(count) ** (1.0 / b.n))
-            X[:, sl] = pts * radius[:, None]
+        m_j/p, at p = inf U^{1/m_j}.  The point's block norms are then
+        R / ||R||_p, so no norm is solved."""
+        parts, R, w = [], np.empty((count, len(d.blocks))), np.ones(count)
+        for j, b in enumerate(d.blocks):
+            kind = REGISTRY[b.kind]
+            pts, bw = (kind.cone_normals if normals
+                       else kind.cone_sample)(b, count, rng)
+            R[:, j] = (rng.standard_gamma(1.0 + b.n / d.p, size=count)
+                       ** (1.0 / d.p) * rng.random(count) ** (1.0 / b.n))
+            parts.append(pts)
             w *= bw
-        return X / norm_batch(d, X)[:, None], w
+        nrm = _p_norm(R, d.p)     # the norm of the scaled points
+        S = (gradient_batch(lp(len(d.blocks), d.p), R, nrm) if normals
+             else R / nrm[:, None])
+        return np.concatenate([x * S[:, j, None] for j, x in enumerate(parts)],
+                              axis=1), w
+
+    def cone_sample(self, d, count, rng):
+        """Per-block cone points scaled by their radii R (`_draw`), divided
+        by ||R||_p, with the product of the blocks' weights."""
+        return self._draw(d, count, rng, False)
+
+    def cone_normals(self, d, count, rng):
+        """`gradient` at `cone_sample`'s points: each block's cone normal
+        times the l_p^k gradient at the radii R in place of the block norms."""
+        return self._draw(d, count, rng, True)
 
     def sign_invariant(self, d):
         return all(REGISTRY[b.kind].sign_invariant(b) for b in d.blocks)

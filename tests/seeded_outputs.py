@@ -132,6 +132,11 @@ def _entries():
             lp(3, 1.5), trials=TWO_CHUNKS, seed=8, workers=w),
         "uniform_ball_sample/orlicz": lambda w: uniform_ball_sample(
             orlicz(3, 2.0), 500, seed=9),
+        "uniform_ball_sample/block": lambda w: uniform_ball_sample(
+            SPACES["block"], 500, seed=36),
+        "psi/block_weighted": lambda w, s=block_lp(
+            2, [schatten(2, 3), lp(2, 1.5)]): psi(
+                s, _direction(s), samples=2000, seed=37, workers=w),
         "hit_and_run_sample/lp1": lambda w: hit_and_run_sample(
             lp(3, 1), 64, seed=10),
         "psi_gradient_cloud/schatten": lambda w: psi_gradient_cloud(

@@ -139,6 +139,19 @@ def test_volume_of_prefers_exact():
     assert est.stderr == 0.0 and est.value == pytest.approx(4.0 / 3.0)
 
 
+def test_volume_mc_stderr_where_every_trial_hits_or_misses():
+    """A ball that every trial hits, or none, gets the binomial stderr of
+    one trial on the other side, box sqrt(N - 1) / N^{3/2}, not 0: lp(3,
+    1000) misses 5e-6 of its box and 100k trials all hit it, and lp(8, 1)
+    fills 1/8! of its box and 10 trials all miss it."""
+    for d, n, hits in ((lp(3, 1000), 100_000, True), (lp(8, 1), 10, False)):
+        est = volume_mc(d, trials=n, seed=89)
+        box = (2.0 * coord_bound(d)) ** d.n
+        assert est.value == (box if hits else 0.0)
+        assert est.stderr == box * math.sqrt(n - 1) / n ** 1.5
+        assert abs(est.value - volume_exact(d)) <= 4 * est.stderr
+
+
 def test_volume_mc_dimension_guard():
     with pytest.raises(Exception):
         volume_mc(lp(25, 2), trials=10)
@@ -328,6 +341,27 @@ def test_orlicz_psi_solves_no_norm(monkeypatch):
     monkeypatch.setattr(module, "_orlicz_norm_batch", counting)
     est = psi(orlicz(48, 23.5), np.ones(48), samples=20_000)
     assert est.value > 0 and not calls
+
+
+def test_block_psi_solves_no_norm(monkeypatch):
+    """A block sum's cone draw gives every block norm as a drawn radius:
+    psi on it solves no norm, and its uniform ball points solve none of
+    the block sum (the l_p block's own sampler normalizes its draw)."""
+    calls = []
+    for name in ("normpart.space", "normpart.geometry"):
+        module = importlib.import_module(name)
+
+        def counting(sp, X, original=module.norm_batch):
+            calls.append(sp)
+            return original(sp, X)
+
+        monkeypatch.setattr(module, "norm_batch", counting)
+    d = block_lp(2.5, [lp(2, 3), orlicz(3, 1.5)])
+    est = psi(d, np.ones(5), samples=20_000)
+    assert est.value > 0 and not calls
+    pts, _ = uniform_ball_sample(d, 2000, seed=3)
+    assert calls == [lp(2, 3)]
+    assert np.all(norm_batch(d, pts) <= 1.0 + 1e-12)
 
 
 def test_intersect_ball_rejection_stalls_in_high_dimension():

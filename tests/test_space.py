@@ -132,7 +132,7 @@ def test_log_volume_agrees_with_hit_or_miss(desc):
     plus 4 trials' share of the bounding box: a ball that misses less than
     about one trial in 100k of its box (the cube, orlicz(3, 1e6) and
     lp(3, 1000), at 5e-6) may be hit by every trial, and its stderr is
-    then 0."""
+    then that of one miss."""
     exact = math.exp(log_volume_exact(desc))
     est = volume_mc(desc, trials=100_000, seed=89)
     box = (2.0 * coord_bound(desc)) ** desc.n
@@ -319,8 +319,8 @@ def test_support_point_against_brute_force(desc):
 # own, which rounds apart from `gradient_batch` at the drawn points; every
 # other kind and exponent gives the same bits.
 def _normals_by_formula(d):
-    return d.kind == "schatten" or (d.kind == "lp"
-                                    and d.p not in (1.0, 2.0, INF))
+    return d.kind in ("schatten", "block_lp") or (
+        d.kind == "lp" and d.p not in (1.0, 2.0, INF))
 
 
 @over_the_table(lambda d: d.has_cone_sampler)
