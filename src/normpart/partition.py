@@ -10,9 +10,10 @@ who asks for them.  `sample_partition` and the extension operator put the
 boxes on a grid of keyed cells, so a query reads only the 2^n cells around
 it, and of those, where the norm is sign-invariant, only the cells its ball
 meets; `separation_prob_mc` uses one box per trial, large enough to hold
-both balls.  The first arrival in a region is uniform on it, which is all the
-probability formulas below use.  Internally everything is rescaled to
-delta = 2, ball radius 1.
+both balls, given once for all trials, and reads hit times only.  A pass
+runs along its streams of arrivals (`_first_arrivals`).  The first arrival
+in a region is uniform on it, which is all the probability formulas below
+use.  Internally everything is rescaled to delta = 2, ball radius 1.
 """
 
 import itertools
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import (REGISTRY, InputError, coord_bound, linf, norm_batch, space,
-                    within_batch)
+from .space import (_SHORT_ROW_MAX, REGISTRY, InputError, coord_bound, linf,
+                    norm_batch, space, within_batch)
 from .geometry import (MonteCarloEstimate, _ball_points, estimate_mean,
                        exact_estimate, psi)
 
@@ -66,13 +67,30 @@ def _pass_size(step, streams):
                _PASS_ARRIVALS)
 
 
-def _first_arrivals(s, x, radius, lo, side, keys):
+def _at_rows(a, r):
+    """a[..., r], the rows r of a that holds rows last, or a itself where
+    it holds one row, which all rows share."""
+    return a if a.shape[-1] == 1 else a[..., r]
+
+
+def _within(kind, s, v, r):
+    """`kind.within` at the vectors along the next-to-last axis of v, copied
+    where numpy sums them pairwise, at 8 or more entries, to keep the bits."""
+    v = v.swapaxes(-2, -1)
+    if v.shape[-1] > _SHORT_ROW_MAX:
+        v = np.ascontiguousarray(v)
+    return kind.within(s, v, r)
+
+
+def _first_arrivals(s, x, radius, lo, side, keys, positions=True):
     """Time and position of the first arrival within radius[i] of each query
     x[i, q] (shape (rows, queries, n)) among the arrivals of the boxes
     lo[i, b] + [0, side[i]] keyed keys[i, b]; side has shape (rows, n) or
     (rows, 1), and a row's boxes together hold the balls of its queries.
-    Arrival a of a box hashes the counters a(n+1), ..., a(n+1) + n: an
-    Exp(1) time gap after arrival a - 1, then a uniform position.
+    x, radius and side may hold one row, and lo one row of one box, that all
+    rows share.  Arrival a of a box hashes the counters a(n+1), ...,
+    a(n+1) + n: an Exp(1) time gap after arrival a - 1, then a uniform
+    position.  With ``positions`` False no pass tracks them: they are None.
 
     Each (row, box) pair is one stream of arrivals.  Where the norm is
     sign-invariant, and so monotone in each |v_i|, a box whose nearest
@@ -88,37 +106,39 @@ def _first_arrivals(s, x, radius, lo, side, keys):
     (`_pass_size`).  How a call splits into passes never changes its
     answer.
 
-    One pass holds arrays of at most rows * boxes * _PASS_ARRIVALS * (n + 1)
-    words (8 bytes each), so the caller bounds memory by the rows it passes:
-    the grid passes blocks of `_block_rows(2^n, n)` rows,
-    `separation_prob_mc` its Monte Carlo chunks of single-box trials."""
+    A pass holds the live streams last, so that numpy runs along them: words
+    (step (n + 1), streams), centers (step, n, streams), hit times (queries,
+    step, streams).  Its arrays hold at most rows * boxes * queries *
+    _PASS_ARRIVALS * (n + 1) words (8 bytes each), so the caller bounds
+    memory by the rows it passes: the grid passes blocks of
+    `_block_rows(2^n, n)` rows of one query, `separation_prob_mc` its Monte
+    Carlo chunks of single-box trials of two queries."""
     rows, boxes = keys.shape
     queries, n = x.shape[1:]
     kind = REGISTRY[s.kind]
-    side = np.broadcast_to(side, (rows, n))
-    # stream b * rows + i is box b of row i; hit[q, b, i] and at[q, b, i]
-    # are the time and position of its first arrival near query q
-    keys, lo = keys.T.ravel(), lo.swapaxes(0, 1).reshape(-1, n)
-    row = np.tile(np.arange(rows), boxes)
-    hit = np.full((queries, boxes, rows), np.inf)
-    at = np.zeros((queries, boxes, rows, n))
-    flat_hit, flat_at = hit.reshape(queries, -1), at.reshape(queries, -1, n)
+    # stream b * rows + i is box b of row i, and hit[q, stream], at[q,
+    # stream] its first arrival near query q; x, side and lo go rows last
+    keys, row = keys.T.ravel(), np.tile(np.arange(rows), boxes)
+    x, side = x.transpose(1, 2, 0), side.T
+    lo = lo.swapaxes(0, 1).reshape(-1, n).T
+    hit = np.full((queries, keys.size), np.inf)
+    at = np.zeros((queries, keys.size, n)) if positions else None
     last = np.zeros(keys.size)
     live = np.arange(keys.size)
     if boxes > 1 and kind.sign_invariant(s):
-        xs = x[row]
-        gap = np.minimum(np.maximum(xs, lo[:, None]),
-                         (lo + side[row])[:, None])
+        xs = _at_rows(x, row)
+        gap = np.minimum(np.maximum(xs, lo), lo + _at_rows(side, row))
         gap -= xs
         # shrunk by 2^-20, so that rounding in the norm skips no box that
         # holds a hit
         gap *= 1.0 - 2.0 ** -20
-        live = np.flatnonzero(kind.within(s, gap, radius[row, None])
-                              .any(axis=1))
+        live = np.flatnonzero(_within(kind, s, gap, _at_rows(radius, row))
+                              .any(axis=0))
     step = 1
     logv = kind.log_volume(s)
     if logv is not None:
-        ratio = np.log(side.T / radius).sum(axis=0).min() - logv
+        ratio = (np.log(np.broadcast_to(side, (n, side.shape[1])) / radius)
+                 .sum(axis=0).min() - logv)
         step = round(math.exp(min(ratio, math.log(_PASS_ARRIVALS))))
     step = _pass_size(step, live.size)
     drawn = 0
@@ -126,29 +146,38 @@ def _first_arrivals(s, x, radius, lo, side, keys):
         r = row[live]
         words = np.arange(drawn * (n + 1), (drawn + step) * (n + 1),
                           dtype=np.uint64)
-        h = _mix(keys[live][:, None] + words * _GAMMA) >> np.uint64(11)
-        u = h.reshape(live.size, step, n + 1) * 2.0 ** -53
-        times = -np.log1p(-u[..., 0])
-        times[:, 0] += last[live]
-        np.cumsum(times, axis=1, out=times)
-        centers = lo[live][:, None] + side[r][:, None] * u[..., 1:]
-        tt = np.where(kind.within(s, centers[:, None] - x[r][:, :, None],
-                                  radius[r, None, None]),
-                      times[:, None], np.inf).reshape(-1, step)
+        h = _mix(words[:, None] * _GAMMA + keys[live]) >> np.uint64(11)
+        u = h.reshape(step, n + 1, live.size) * 2.0 ** -53
+        times = -np.log1p(-u[:, 0])
+        times[0] += last[live]
+        np.cumsum(times, axis=0, out=times)
+        centers = _at_rows(lo, live) + _at_rows(side, r) * u[:, 1:]
+        tt = np.where(_within(kind, s, centers - _at_rows(x, r)[:, None],
+                              _at_rows(radius, r)),
+                      times, np.inf)
         # each stream's first hit near each query in this pass, kept where
-        # the stream had none there: times only grow along a stream
-        j = tt.argmin(axis=1)
-        first = tt[np.arange(j.size), j].reshape(-1, queries).T
-        qi, li = np.nonzero(first < flat_hit[:, live])
-        si = live[li]
-        flat_hit[qi, si] = first[qi, li]
-        flat_at[qi, si] = centers[li, j[li * queries + qi]]
-        last[live] = times[:, -1]
-        live = live[times[:, -1] < hit.min(axis=1).max(axis=0)[r]]
+        # the stream had none there: times only grow along a stream, so
+        # the least time is the first
+        first = tt.min(axis=1)
+        if positions:
+            qi, li = np.nonzero(first < hit[:, live])
+            # the step of each new hit: the first at its time, as argmin
+            j = (tt[qi, :, li] == first[qi, li, None]).argmax(axis=1)
+            hit[qi, live[li]] = first[qi, li]
+            at[qi, live[li]] = centers[j, :, li]
+        else:
+            hit[:, live] = np.minimum(hit[:, live], first)
+        last[live] = times[-1]
+        live = live[times[-1] < hit.reshape(queries, boxes, rows)
+                    .min(axis=1).max(axis=0)[r]]
         drawn, step = drawn + step, _pass_size(2 * step, live.size)
+    hit = hit.reshape(queries, boxes, rows)
+    if not positions:
+        return hit.min(axis=1).T, None
     b = hit.argmin(axis=1)[:, None]
     return (np.take_along_axis(hit, b, 1)[:, 0].T,
-            np.take_along_axis(at, b[..., None], 1)[:, 0].swapaxes(0, 1))
+            np.take_along_axis(at.reshape(queries, boxes, rows, n),
+                               b[..., None], 1)[:, 0].swapaxes(0, 1))
 
 
 def _grid_first_arrivals(s, keys, x, radius):
@@ -162,11 +191,13 @@ def _grid_first_arrivals(s, keys, x, radius):
     pass holds at most _PASS_WORDS words (8 bytes each) and a pass keeps
     fewer than eight such arrays alive (at most 3.5 by tracemalloc's peak,
     measured over lp(n, p) for n = 3..8 and p = 1, 2, 3, inf, orlicz(n, 1.5)
-    for n = 3..6, schatten(2, 3), an intersect_ball and a block_lp holding
-    an Orlicz block).  Beyond its inputs and outputs a call thus
-    holds under 8 _PASS_WORDS words (8 MiB) at a time whatever the number of
-    rows, unless a single row needs more.  Raises InputError for a query
-    that is not finite or lies more than 2^62 cells from the origin."""
+    for n = 3..6, schatten(2, 3), intersect_ball(lp(3, 1), 0.8) and
+    block_lp(2, [orlicz(2, 1), lp(1, 3)]): 3.42 at lp(7, 2); 4.07 at
+    block_lp(2, [orlicz(2, 1), lp(2, 3)])).  Beyond its inputs and outputs
+    a call thus holds under 8 _PASS_WORDS words (8 MiB) at a time whatever
+    the number of rows, unless a single row needs more.  Raises InputError
+    for a query that is not finite or lies more than 2^62 cells from the
+    origin."""
     rows, n = x.shape
     side = 2.0 * coord_bound(s) * radius
     with np.errstate(over="ignore", invalid="ignore"):
@@ -276,9 +307,8 @@ def separation_prob_mc(sp, u, v, delta, trials=10_000, seed=0, workers=1):
 
     def kernel(rng, m):
         keys = rng.integers(0, 1 << 64, size=(m, 1), dtype=np.uint64)
-        t, _ = _first_arrivals(s, np.broadcast_to(q, (m,) + q.shape),
-                               np.ones(m), np.broadcast_to(lo, (m, 1, lo.size)),
-                               np.broadcast_to(span, (m, lo.size)), keys)
+        t, _ = _first_arrivals(s, q[None], np.ones(1), lo[None, None],
+                               span[None], keys, positions=False)
         return (t[:, 0] != t[:, 1]).astype(float), np.ones(m)
 
     return estimate_mean(kernel, trials, seed, workers=workers, chunk=1 << 13)

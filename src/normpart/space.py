@@ -1270,13 +1270,17 @@ def gradient_batch(sp, X, nrm=None):
     maxima); the selected value only matters on measure-zero sets for the
     Monte Carlo integrals this feeds.
     """
-    X = np.asarray(X, dtype=float)
+    X, single = _rows(sp, X)
     if nrm is not None:
-        nrm = np.asarray(nrm, dtype=float)
-    if X.ndim == 1:     # as a one-row stack, as in `norm_batch`
-        return REGISTRY[sp.kind].gradient(
-            sp, X[None], None if nrm is None else nrm[None])[0]
-    return REGISTRY[sp.kind].gradient(sp, X, nrm)
+        nrm = np.asarray(nrm, dtype=float).reshape(X.shape[:-1])
+    # degree 0 homogeneous: a row of subnormal size is read at 2^969 times
+    # its size, so that no kind divides by a norm rounded to a subnormal
+    small = _row_max(np.abs(X)) < 2.0 ** -969
+    if np.count_nonzero(small):
+        up = np.where(small, 2.0 ** 969, 1.0)
+        X, nrm = X * up[..., None], None if nrm is None else nrm * up
+    G = REGISTRY[sp.kind].gradient(sp, X, nrm)
+    return G[0] if single else G
 
 
 def norm_gradient(sp, x):

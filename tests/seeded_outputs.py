@@ -59,6 +59,8 @@ FALLBACK = intersect_ball(schatten(2, 1), 0.5)
 
 # Two chunks of the Monte Carlo engine, so that a second worker has work.
 TWO_CHUNKS = 40_000
+# Two chunks of `separation_prob_mc`, which draws 8192 trials at a time.
+TWO_SEPARATION_CHUNKS = 1 << 14
 
 
 def _direction(s):
@@ -166,6 +168,12 @@ def _entries():
         "separation_prob_mc/orlicz": lambda w: separation_prob_mc(
             orlicz(2, 1.5), [0.0, 0.0], [0.3, 0.1], 1.0, trials=2000,
             seed=19, workers=w),
+        "separation_prob_mc/linf3": lambda w: separation_prob_mc(
+            linf(3), np.zeros(3), [1.0, 0.5, 0.25], 2.0,
+            trials=TWO_SEPARATION_CHUNKS, seed=38, workers=w),
+        "separation_prob_mc/lp1_5d": lambda w: separation_prob_mc(
+            lp(5, 1), np.zeros(5), np.full(5, 0.15), 2.0,
+            trials=TWO_SEPARATION_CHUNKS, seed=39, workers=w),
         "separation_prob_exact/lp3": lambda w: separation_prob_exact(
             lp(2, 3), [0.0, 0.0], [0.3, 0.1], 1.0, trials=2000, seed=20,
             workers=w),

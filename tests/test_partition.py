@@ -128,10 +128,15 @@ def test_grid_call_memory_is_bounded_by_its_blocks(monkeypatch):
 
 
 def _dense(sp):
-    """`oracles.dense_first_arrivals` in the place of `_first_arrivals`."""
-    def first_arrivals(s, *args, counts=None):
+    """`oracles.dense_first_arrivals` in the place of `_first_arrivals`,
+    with inputs of one row given to every row of the keys, and the
+    positions returned whether asked for or not."""
+    def first_arrivals(s, *args, positions=True, counts=None):
+        *args, keys = args
+        args = [np.broadcast_to(a, keys.shape[:1] + a.shape[1:])
+                for a in args]
         return oracles.dense_first_arrivals(
-            lambda v, r: within_batch(sp, v, r), *args, counts=counts)
+            lambda v, r: within_batch(sp, v, r), *args, keys, counts=counts)
     return first_arrivals
 
 
@@ -147,7 +152,9 @@ def test_first_arrivals_match_the_dense_loop_bit_for_bit(sp, monkeypatch):
     """The streams skip boxes, stop one by one and size their passes, and
     still find every first arrival the dense loop finds, in both shapes the
     package calls: the grid (2^n cells, one query) and separation (one box,
-    two queries)."""
+    two queries), the latter with inputs of every row and, as
+    `separation_prob_mc` passes them, of one row shared by all, with and
+    without positions."""
     keys, x, radius = _grid_case(sp, 40, seed=sp.n)
     t, pos = partition._grid_first_arrivals(sp, keys, x, radius)
     monkeypatch.setattr(partition, "_first_arrivals", _dense(sp))
@@ -165,6 +172,38 @@ def test_first_arrivals_match_the_dense_loop_bit_for_bit(sp, monkeypatch):
     t, pos = partition._first_arrivals(sp, *args)
     ref = _dense(sp)(sp, *args)
     assert np.array_equal(t, ref[0]) and np.array_equal(pos, ref[1])
+    shared = tuple(a[:1] for a in args[:4]) + args[4:]
+    t, pos = partition._first_arrivals(sp, *shared)
+    assert np.array_equal(t, ref[0]) and np.array_equal(pos, ref[1])
+    t, pos = partition._first_arrivals(sp, *shared, positions=False)
+    assert np.array_equal(t, ref[0]) and pos is None
+
+
+@pytest.mark.parametrize("sp", [linf(3), lp(2, 2), lp(5, 1), orlicz(3, 1.5)],
+                         ids=["linf_3", "l2_2", "l1_5", "orlicz_3"])
+def test_separation_mc_matches_the_dense_loop_bit_for_bit(sp, monkeypatch):
+    """`separation_prob_mc` hands `_first_arrivals` one row of geometry for
+    all its trials and asks for no positions; with the dense loop in its
+    place it gives the same bits."""
+    v = np.linspace(0.2, 0.7, sp.n)
+    v *= 0.8 / norm_batch(sp, v)
+    est = separation_prob_mc(sp, np.zeros(sp.n), v, 2.0, trials=2000, seed=7)
+    monkeypatch.setattr(partition, "_first_arrivals", _dense(sp))
+    ref = separation_prob_mc(sp, np.zeros(sp.n), v, 2.0, trials=2000, seed=7)
+    assert est == ref and 0.0 < est.value < 1.0
+
+
+def test_pass_membership_keeps_the_bits_of_rows_of_eight():
+    """A pass holds its offsets with the coordinates on the next-to-last
+    axis.  numpy sums a row of 8 or more entries pairwise only where the
+    row is contiguous, and `_within` answers as the contiguous rows do."""
+    sp = lp(8, 1)
+    v = np.random.default_rng(1).uniform(0.0, 1.0, size=(4096, 8))
+    r = v.sum(axis=-1)
+    w = np.ascontiguousarray(v.T)
+    assert (w.sum(axis=0) > r).any()
+    kind = partition.REGISTRY[sp.kind]
+    assert partition._within(kind, sp, w, r).all()
 
 
 def test_equal_times_go_to_the_lowest_box():
@@ -180,12 +219,13 @@ def test_equal_times_go_to_the_lowest_box():
 
 def _hashed_passes(monkeypatch):
     """The passes `_first_arrivals` hashes, each as (the first word of each
-    stream, the words per stream)."""
+    stream, the words per stream); a pass hands `_mix` its words as
+    (words, streams)."""
     passes = []
     mix, first_arrivals = partition._mix, partition._first_arrivals
 
     def counted(z):
-        passes.append((z[:, 0].tolist(), z.shape[1]))
+        passes.append((z[0].tolist(), z.shape[0]))
         return mix(z)
 
     def hashing(*args):

@@ -406,7 +406,8 @@ def test_edge_rows_get_their_stated_answers(desc):
     * the scaled rows have the norm of x scaled, to 1e-13 relative, and its
       gradient, to 1e-12; the subnormal row has the norm of its unit-scale
       copy (x * 2^-1064 * 2^1064, exact) scaled, to 2 units of the smallest
-      subnormal, and its gradient to 2^-8, the 10 bits its entries keep;
+      subnormal, and its gradient to 1e-12 (`gradient_batch` reads a row
+      of subnormal size at 2^969 times its size);
     * a row holding +-inf has norm inf and one holding NaN norm NaN; both
       get the zero gradient and are within no radius (`Kind`);
     * the finite rows are within twice their norm and not within half of it;
@@ -435,7 +436,7 @@ def test_edge_rows_get_their_stated_answers(desc):
     assert np.all(np.abs(nrm[1:3] / scale - nrm[0]) <= 1e-13 * nrm[0])
     assert np.all(np.abs(G[1:3] - G[0]) <= 1e-12)
     assert abs(nrm[3] - unit_norm) <= 2 * 2.0 ** -1074
-    assert np.all(np.abs(G[3] - unit_grad) <= 2.0 ** -8)
+    assert np.all(np.abs(G[3] - unit_grad) <= 1e-12)
     assert nrm[4:6].tolist() == [INF, INF] and np.isnan(nrm[6:]).all()
     assert not G[4:].any()
     assert inside.tolist() == [True] * 4 + [False] * 4
