@@ -193,10 +193,9 @@ def _cmd_sep_bounds(args):
 def _cmd_sweep(args):
     dims = tuple(int(t) for t in args.dims.split(","))
     p = float("inf") if args.p == "inf" else float(args.p)
-    records = sepmod.sweep(family="lp", p=p, dims=dims,
-                           companion=args.companion, samples=args.trials,
-                           restarts=args.restarts, seed=args.seed,
-                           workers=args.workers)
+    records = sepmod.sweep(p=p, dims=dims, companion=args.companion,
+                           samples=args.trials, restarts=args.restarts,
+                           seed=args.seed, workers=args.workers)
     slopes = sepmod.sweep_slopes(records)
     for q in sorted(slopes):
         records.append(_record(records[0].descriptor, 0, "slope_" + q,

@@ -200,6 +200,9 @@ def lipschitz_ratio_scan(op, pair_count=100, seed=0, profile_samples=50_000):
     (x, y)) for the maximizing pair; the maximum is a sampled, not
     certified, value.
     """
+    if not isinstance(pair_count, (int, np.integer)) or pair_count < 1:
+        raise InputError("pair_count must be an integer >= 1, got %r"
+                         % (pair_count,))
     s = op.space
     G, wt = psi_gradient_cloud(s, samples=profile_samples, seed=seed)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x11b)))

@@ -421,7 +421,10 @@ def separation_profile(sp, u, v, samples=100_000, seed=0):
 
 def product_partition(sample_a, sample_b, s=2.0):
     """Product of two partition samples over the product query set, with the
-    combined diameter bound (delta_a^s + delta_b^s)^{1/s} of the l_s sum."""
+    combined diameter bound (delta_a^s + delta_b^s)^{1/s} of the l_s sum,
+    1 <= s <= inf."""
+    if not s >= 1:
+        raise InputError("product_partition needs s >= 1, got %r" % (s,))
     na = sample_a.centers.shape[0]
     keys_a = sorted(sample_a.assignment)
     keys_b = sorted(sample_b.assignment)

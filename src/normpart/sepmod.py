@@ -239,16 +239,13 @@ def _derived_seed(master, index):
                .generate_state(1)[0])
 
 
-def sweep(family="lp", p=2.0, dims=(4, 8, 16, 32), companion=False,
+def sweep(p=2.0, dims=(4, 8, 16, 32), companion=False,
           quantities=("sep_lower", "sep_upper", "iq"), samples=100_000,
           restarts=8, seed=0, workers=1):
-    """Per-dimension separation bounds and geometric quantities.
+    """Per-dimension separation bounds and geometric quantities of l_p^n.
 
     Returns a list of SweepRecord in config order; rows carry derived seeds
-    so any single row can be reproduced in isolation.  The only family is
-    "lp"."""
-    if family != "lp":
-        raise InputError("unknown sweep family %r (only 'lp')" % (family,))
+    so any single row can be reproduced in isolation."""
     records = []
     idx = 0
     for n in dims:

@@ -308,12 +308,11 @@ def _orlicz_norm_batch(beta, m, A):
     psi_beta(t) >= t / beta.  Both ends are finite, so the first step is
     already a secant step.  The solver returns the inside end u, so
     s = ||a||_inf / u is the norm or lies just above it.  A zero row has
-    norm 0, a row holding inf has norm inf, as does a row whose norm lies
-    beyond the float range, and a NaN row has norm NaN.
+    norm 0, and a row whose norm lies beyond the float range has norm inf.
     """
     top = _row_max(A)
     out = np.array(top, dtype=float, copy=True)
-    mask = (top > 0) & (top < INF)
+    mask = top > 0
     if not mask.any():
         return out
     B = A[mask]                         # a copy: mask is a boolean array
@@ -440,22 +439,6 @@ def _euclidean_norm(X):
     return _p_norm(np.abs(X), 2.0)
 
 
-def _nonfinite_rows(X):
-    """None where every entry of X is finite, at the cost of one check, and
-    otherwise whether each row holds +-inf or NaN (shape X.shape[:-1])."""
-    if np.isfinite(X).all():
-        return None
-    return ~np.isfinite(X).all(axis=-1)
-
-
-def _zero_nonfinite_rows(G, X):
-    """G, with the zero gradient in the rows where X holds +-inf or NaN."""
-    bad = _nonfinite_rows(X)
-    if bad is not None:
-        G[bad] = 0.0
-    return G
-
-
 def _schatten_svd(desc, X, compute_uv=False):
     d = math.isqrt(desc.n)
     mats = X.reshape(X.shape[:-1] + (d, d))
@@ -499,14 +482,14 @@ class Kind:
     ``norm(d, X)`` and ``gradient(d, X, nrm)`` on batches of rows (``nrm``
     holds the norms of the rows of X where the caller knows them and is None
     otherwise; a gradient that reads the norm computes it then, and one
-    that does not computes none; zero rows get zero rows),
+    that does not computes none),
     ``within(d, X, r)``: whether ``norm(d, X) <= r``, for rows X (shape
     (..., n)) and radii r > 0 broadcastable to ``X.shape[:-1]``; by default
     that comparison, and a test of the kind's own where that needs no norm,
     ``coord_bound(d)`` (the l_inf circumradius) and ``circumradius(d)``
-    (the Euclidean one, for canonically positioned d).  In every kind a row
-    holding +-inf has norm inf, a row holding NaN has norm NaN, neither is
-    within any radius, and both get the zero gradient.  The methods below
+    (the Euclidean one, for canonically positioned d).  These see finite
+    rows only, and ``gradient`` nonzero ones: `norm_batch`, `within_batch`
+    and `gradient_batch` answer the others.  The methods below
     answer for a kind without the capability or closed form in question;
     the closed forms, None where unknown, are the log-volume
     ``log_volume(d)`` (``has_exact_volume`` reads it), ``iq_exact(d)``,
@@ -599,26 +582,20 @@ class LpKind(Kind):
             G = np.zeros_like(X)
             top = np.take_along_axis(X, idx[..., None], -1)
             np.put_along_axis(G, idx[..., None], np.sign(top), -1)
-            return _zero_nonfinite_rows(G, X)
+            return G
         if d.p == 1.0:
-            return _zero_nonfinite_rows(np.sign(X), X)
+            return np.sign(X)
         if nrm is None and d.p == 2.0:      # one root, no power
             nrm = norm_batch(d, X)
         if nrm is not None:
-            with np.errstate(invalid="ignore", divide="ignore"):
-                G = np.sign(X) * (np.abs(X) / nrm[..., None]) ** (d.p - 1.0)
-            return np.nan_to_num(G)
+            return np.sign(X) * (np.abs(X) / nrm[..., None]) ** (d.p - 1.0)
         # at x / max |x_i|, so that no power leaves the float range, with
-        # ||x||_p^p summed as |x|^{p-1} |x|; zero and non-finite rows give 0
+        # ||x||_p^p summed as |x|^{p-1} |x|
         a = np.abs(X)
-        top = _row_max(a)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            a /= top[..., None]
-            G = a ** (d.p - 1.0)
-            G /= (_row_sum(G * a) ** (1.0 - 1.0 / d.p))[..., None]
-        np.copysign(G, X, out=G)
-        G[~((top > 0.0) & (top < INF))] = 0.0
-        return G
+        a /= _row_max(a)[..., None]
+        G = a ** (d.p - 1.0)
+        G /= (_row_sum(G * a) ** (1.0 - 1.0 / d.p))[..., None]
+        return np.copysign(G, X, out=G)
 
     def coord_bound(self, d):
         return 1.0
@@ -849,8 +826,7 @@ class OrliczKind(Kind):
     def within(self, d, X, r):
         """The modular test sum_i psi_beta(|x_i| / r) <= 1, which solves no
         root: with t = |x| / r clipped at 1, sum_i log1p(-t_i) >= -beta.  A
-        coordinate at r or beyond gives -inf, so its row is outside, and a
-        NaN row gives a NaN sum, outside as well."""
+        coordinate at r or beyond gives -inf, so its row is outside."""
         T = np.abs(X)
         T /= np.asarray(r, dtype=float)[..., None]
         np.minimum(T, 1.0, out=T)
@@ -862,9 +838,8 @@ class OrliczKind(Kind):
         # Degree-0 homogeneous: evaluate on the boundary representative.
         if nrm is None:
             nrm = norm_batch(d, X)
-        # zero rows, and rows holding +-inf or whose norm passes the float
-        # range, give 0
-        bad = ~((nrm > 0.0) & (nrm < INF))
+        # rows whose norm passes the float range give 0
+        bad = nrm == INF
         T = np.abs(X)
         T /= np.where(bad, 1.0, nrm)[..., None]
         T[bad] = 0.0
@@ -956,23 +931,10 @@ class SchattenKind(Kind):
         if k * k != d.n:
             raise InputError("schatten needs n = d*d (square matrices)")
 
-    # The SVD takes finite rows only: at a row holding NaN it raises, and
-    # with compute_uv at a 3 x 3 or larger row holding inf it never returns.
     def norm(self, d, X):
-        bad = _nonfinite_rows(X)
-        if bad is None:
-            return _p_norm(_schatten_svd(d, X), d.p)
-        out = np.where(np.isnan(X).any(axis=-1), np.nan, INF)
-        out[~bad] = self.norm(d, X[~bad])
-        return out
+        return _p_norm(_schatten_svd(d, X), d.p)
 
     def gradient(self, d, X, nrm):
-        bad = _nonfinite_rows(X)
-        if bad is not None:
-            G = np.zeros_like(X)
-            G[~bad] = self.gradient(d, X[~bad],
-                                    None if nrm is None else nrm[~bad])
-            return G
         U, sv, Vt = _schatten_svd(d, X, compute_uv=True)
         w = gradient_batch(lp(sv.shape[-1], d.p), sv, nrm)  # nrm from this SVD
         return _usv(U, w, Vt.swapaxes(-1, -2))
@@ -1129,9 +1091,7 @@ class IntersectBallKind(Kind):
         base_n = norm_batch(d.base, X)
         euc = _euclidean_norm(X)
         Gb = gradient_batch(d.base, X, base_n)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            Ge = X / (d.r * euc[..., None])
-        Ge = np.nan_to_num(Ge)
+        Ge = X / (d.r * euc[..., None])
         pick = (base_n >= euc / d.r)[..., None]
         return np.where(pick, Gb, Ge)
 
@@ -1230,20 +1190,42 @@ def _rows(sp, X):
     return (X[None], True) if X.ndim == 1 else (X, False)
 
 
+def _nonfinite_rows(X):
+    """None where every entry of X is finite, at the cost of one check, and
+    otherwise whether each row holds +-inf or NaN (shape X.shape[:-1])."""
+    if np.isfinite(X).all():
+        return None
+    return ~np.isfinite(X).all(axis=-1)
+
+
 def norm_batch(sp, X):
-    """Norms of a batch of vectors, X shape (..., dim) -> (...)."""
+    """Norms of a batch of vectors, X shape (..., dim) -> (...): inf for a
+    row holding +-inf, NaN for one holding NaN, and `Kind.norm` of the
+    finite rows."""
     X, single = _rows(sp, X)
-    nrm = REGISTRY[sp.kind].norm(sp, X)
+    bad = _nonfinite_rows(X)
+    if bad is None:
+        nrm = REGISTRY[sp.kind].norm(sp, X)
+    else:
+        nrm = np.where(np.isnan(X).any(axis=-1), np.nan, INF)
+        nrm[~bad] = REGISTRY[sp.kind].norm(sp, X[~bad])
     return nrm[0] if single else nrm
 
 
 def within_batch(sp, X, r):
     """norm_batch(sp, X) <= r, from `Kind.within`: X shape (..., dim), radii
-    r > 0 broadcastable to X.shape[:-1] -> booleans of that shape."""
+    r > 0 broadcastable to X.shape[:-1] -> booleans of that shape.  A row
+    holding +-inf or NaN is within no radius."""
     if not np.all(np.asarray(r) > 0):
         raise InputError("radii must be positive")
     X, single = _rows(sp, X)
-    inside = REGISTRY[sp.kind].within(sp, X, r)
+    bad = _nonfinite_rows(X)
+    if bad is None:
+        inside = REGISTRY[sp.kind].within(sp, X, r)
+    else:
+        inside = np.zeros(bad.shape, dtype=bool)
+        inside[~bad] = REGISTRY[sp.kind].within(
+            sp, X[~bad], np.broadcast_to(r, bad.shape)[~bad])
     return inside[0] if single else inside
 
 
@@ -1268,18 +1250,27 @@ def gradient_batch(sp, X, nrm=None):
     At non-smooth points a fixed measurable subgradient selector is used
     (sign 0 on zero coordinates, first maximal coordinate for l_inf-type
     maxima); the selected value only matters on measure-zero sets for the
-    Monte Carlo integrals this feeds.
+    Monte Carlo integrals this feeds.  Zero rows and rows holding +-inf or
+    NaN get the zero gradient, and `Kind.gradient` the others.
     """
     X, single = _rows(sp, X)
     if nrm is not None:
         nrm = np.asarray(nrm, dtype=float).reshape(X.shape[:-1])
     # degree 0 homogeneous: a row of subnormal size is read at 2^969 times
-    # its size, so that no kind divides by a norm rounded to a subnormal
-    small = _row_max(np.abs(X)) < 2.0 ** -969
+    # its size, so that no kind divides by a norm rounded to a subnormal;
+    # the row max is 0, inf or NaN at the rows that get 0
+    top = _row_max(np.abs(X))
+    small = top < 2.0 ** -969
     if np.count_nonzero(small):
         up = np.where(small, 2.0 ** 969, 1.0)
         X, nrm = X * up[..., None], None if nrm is None else nrm * up
-    G = REGISTRY[sp.kind].gradient(sp, X, nrm)
+    ok = (top > 0.0) & (top < INF)
+    if ok.all():
+        G = REGISTRY[sp.kind].gradient(sp, X, nrm)
+    else:
+        G = np.zeros_like(X)
+        G[ok] = REGISTRY[sp.kind].gradient(
+            sp, X[ok], None if nrm is None else nrm[ok])
     return G[0] if single else G
 
 

@@ -234,12 +234,12 @@ def test_max_projection_growth_rates():
 
 def test_cube_sweep_growth_rates():
     dims = (6, 12, 24, 42, 48)
-    companion = sweep("lp", math.inf, dims, companion=True,
+    companion = sweep(math.inf, dims, companion=True,
                       quantities=("sep_upper",), samples=120_000,
                       restarts=8, seed=11, workers=2)
     slope_c = sweep_slopes(companion)["sep_upper"]
     assert abs(slope_c - 0.5) <= 0.1, slope_c
-    self_target = sweep("lp", math.inf, dims, companion=False,
+    self_target = sweep(math.inf, dims, companion=False,
                         quantities=("sep_upper",), samples=120_000,
                         restarts=8, seed=11, workers=2)
     slope_s = sweep_slopes(self_target)["sep_upper"]
@@ -279,7 +279,7 @@ def test_euclidean_lower_bound_reaches_limit_constant():
 
 def test_sweep_bounds_never_cross():
     for family_p in (1.0, 2.0, math.inf):
-        recs = sweep("lp", family_p, (2, 4, 8, 16),
+        recs = sweep(family_p, (2, 4, 8, 16),
                      quantities=("sep_lower", "sep_upper"),
                      samples=60_000, restarts=6, seed=21, workers=2)
         for r in recs:

@@ -102,6 +102,14 @@ def test_build_rejects_mc_rounds_that_are_not_positive_integers():
             build_extension(lp(2, 2), [[0.0, 0.0]], [1.0], mc_rounds=rounds)
 
 
+def test_scan_rejects_pair_counts_that_are_not_positive_integers():
+    # -1 used to fail inside numpy, and 0 with one anchor divided by zero
+    op = build_extension(lp(2, 2), [[0.0, 0.0]], [1.0], mc_rounds=4)
+    for count in (0, -1, 2.5):
+        with pytest.raises(InputError, match="pair_count"):
+            lipschitz_ratio_scan(op, pair_count=count, profile_samples=100)
+
+
 def test_evaluation_deterministic():
     rng = np.random.default_rng(7)
     anchors = rng.uniform(-1, 1, size=(5, 2))

@@ -460,6 +460,15 @@ def test_product_partition_delta_and_assignment():
     assert inf_prod.delta == 2.0
 
 
+@pytest.mark.parametrize("s", [0.0, -1.0, 0.5, float("nan")])
+def test_product_partition_refuses_s_below_one(s):
+    # s = 0 divided by zero, s = -1 gave delta 0.5 for two delta-1
+    # partitions and NaN a NaN delta
+    pa = sample_partition(lp(1, 2), 1.0, [[0.0]], seed=5)
+    with pytest.raises(InputError):
+        product_partition(pa, pa, s=s)
+
+
 # ---------------------------------------------------------------------------
 # discrete boundary inequalities
 

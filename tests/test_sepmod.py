@@ -283,7 +283,7 @@ def test_a_line_is_its_own_companion():
     # log(2n) < 1 at n = 1, so no lp(1, p) has an exponent to round
     for d in (lp(1, 1), lp(1, 2), linf(1)):
         assert companion_space(d) == d
-    recs = sweep(family="lp", p=INF, dims=(1, 2), companion=True,
+    recs = sweep(p=INF, dims=(1, 2), companion=True,
                  samples=2_000, seed=0)
     assert {r.n for r in recs if r.quantity == "sep_upper"} == {1, 2}
 
@@ -299,7 +299,7 @@ def test_companion_sandwich_orlicz():
 
 
 def test_sweep_records_and_slopes():
-    recs = sweep(family="lp", p=2.0, dims=(4, 8), samples=20_000, seed=5)
+    recs = sweep(p=2.0, dims=(4, 8), samples=20_000, seed=5)
     slopes = sweep_slopes(recs)
     assert set(slopes) == {"sep_lower", "sep_upper", "iq"}
     # every row respects lower <= value <= upper where present
@@ -314,7 +314,7 @@ def test_sweep_records_and_slopes():
 
 
 def test_csv_roundtrip_lossless():
-    recs = sweep(family="lp", p=1.0, dims=(3, 5), samples=10_000, seed=7)
+    recs = sweep(p=1.0, dims=(3, 5), samples=10_000, seed=7)
     text = records_to_csv(recs)
     rows = rows_from_csv(text)
     assert len(rows) == len(recs)
@@ -362,12 +362,6 @@ def test_loglog_slope():
 
 
 def test_sweep_reproducible():
-    a = sweep(family="lp", p=2.0, dims=(4,), samples=15_000, seed=11)
-    b = sweep(family="lp", p=2.0, dims=(4,), samples=15_000, seed=11)
+    a = sweep(p=2.0, dims=(4,), samples=15_000, seed=11)
+    b = sweep(p=2.0, dims=(4,), samples=15_000, seed=11)
     assert records_to_csv(a) == records_to_csv(b)
-
-
-def test_sweep_rejects_unknown_family():
-    # any family but "lp" used to fall back to l_inf without a word
-    with pytest.raises(InputError, match="family"):
-        sweep(family="orlicz", dims=(4,), samples=1_000)

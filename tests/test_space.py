@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from normpart.space import (INF, REGISTRY, CapabilityError, InputError,
-                            SpaceDescriptor, _row_max, _row_sum, block_lp,
+                            Kind, SpaceDescriptor, _row_max, _row_sum, block_lp,
                             circumradius, coord_bound, gradient_batch,
                             intersect_ball, linf, loglacunary_decompose, lp,
                             norm_batch, norm_eval, norm_gradient, orlicz,
@@ -398,8 +398,23 @@ def test_within_agrees_with_the_norm(desc):
         assert within_batch(desc, X[7, 1], r0) == got[7, 1]
 
 
+def _spy_on_kinds(monkeypatch):
+    """Wrap `norm`, `within` and `gradient` of every `Kind` subclass.  The
+    list returned gets, per call, the method's name, whether every row it
+    was given is finite, and whether every row is nonzero."""
+    calls = []
+    for cls in Kind.__subclasses__():
+        for name in ("norm", "within", "gradient"):
+            def spy(self, d, X, *args, _name=name, _method=getattr(cls, name)):
+                calls.append((_name, bool(np.isfinite(X).all()),
+                              bool(np.abs(X).max(axis=-1).all())))
+                return _method(self, d, X, *args)
+            monkeypatch.setattr(cls, name, spy)
+    return calls
+
+
 @over_the_table()
-def test_edge_rows_get_their_stated_answers(desc):
+def test_edge_rows_get_their_stated_answers(desc, monkeypatch):
     """A seeded row x, stacked with x * 2^996 (entries near 1e300),
     x * 2^-996 (near 1e-300), x * 2^-1064 rounded to subnormal entries, and
     x holding +inf, -inf, NaN, and both +inf and NaN:
@@ -411,7 +426,12 @@ def test_edge_rows_get_their_stated_answers(desc):
     * a row holding +-inf has norm inf and one holding NaN norm NaN; both
       get the zero gradient and are within no radius (`Kind`);
     * the finite rows are within twice their norm and not within half of it;
-    * every row gets the bits it has alone, and no warning is raised."""
+    * every row gets the bits it has alone, and the stack reshaped to
+      (2, 4, n) the answers of the flat one; no warning is raised;
+    * `Kind.norm`, `Kind.within` and `Kind.gradient` are given finite rows
+      only, and `gradient` nonzero rows only: the entry points answer the
+      others."""
+    calls = _spy_on_kinds(monkeypatch)
     x = np.random.default_rng(83).standard_normal(desc.n)
     tiny = x * 2.0 ** -1000 * 2.0 ** -64
     X = np.array([x, x * 2.0 ** 996, x * 2.0 ** -996, tiny, x, x, x, x])
@@ -432,6 +452,14 @@ def test_edge_rows_get_their_stated_answers(desc):
             assert np.array_equal(norm_batch(desc, row), n_i, equal_nan=True)
             assert np.array_equal(gradient_batch(desc, row), g_i)
             assert within_batch(desc, row, 2.0 * r_i) == in_i
+        X3, r3 = X.reshape(2, 4, desc.n), r.reshape(2, 4)
+        assert np.array_equal(norm_batch(desc, X3), nrm.reshape(2, 4),
+                              equal_nan=True)
+        assert np.array_equal(gradient_batch(desc, X3), G.reshape(X3.shape))
+        assert np.array_equal(within_batch(desc, X3, 2.0 * r3),
+                              inside.reshape(2, 4))
+    assert calls and [c for c in calls
+                      if not c[1] or (c[0] == "gradient" and not c[2])] == []
     scale = np.array([2.0 ** 996, 2.0 ** -996])
     assert np.all(np.abs(nrm[1:3] / scale - nrm[0]) <= 1e-13 * nrm[0])
     assert np.all(np.abs(G[1:3] - G[0]) <= 1e-12)

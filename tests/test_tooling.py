@@ -77,3 +77,25 @@ def test_membership_goes_through_within(path):
                         and _is_norm_batch_call(b))):
                 found.append(node.lineno)
     assert found == []
+
+
+_EDGE_ROW_CHECKS = {"isfinite", "isnan", "nan_to_num"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_kinds_leave_edge_rows_to_the_entry_points(path):
+    """`space.norm_batch`, `within_batch` and `gradient_batch` answer rows
+    holding +-inf or NaN, so no method of a `Kind` subclass tests for them
+    (``np.isfinite``, ``np.isnan``) or mends what they give
+    (``np.nan_to_num``)."""
+    found = []
+    for cls in ast.walk(ast.parse(path.read_text())):
+        if not (isinstance(cls, ast.ClassDef)
+                and any(getattr(b, "id", None) == "Kind" for b in cls.bases)):
+            continue
+        for node in ast.walk(cls):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", None) in _EDGE_ROW_CHECKS):
+                found.append((cls.name, node.lineno))
+    assert found == []
