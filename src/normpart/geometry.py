@@ -357,7 +357,9 @@ def volume_mc(sp, trials=100_000, seed=0, workers=1, force=False):
     box = (2.0 * c) ** n
 
     def kernel(rng, m):
-        x = rng.uniform(-c, c, size=(m, n))
+        x = rng.random((m, n))      # rng.uniform(-c, c) bit for bit
+        x *= 2.0 * c
+        x -= c
         return within_batch(s, x, 1.0).astype(float), np.ones(m)
 
     est = estimate_mean(kernel, trials, seed, workers=workers)

@@ -565,6 +565,101 @@ class Kind:
         return gradient_batch(d, pts, np.ones(count)), wt
 
 
+# The raw words `LpKind._draw` takes at a time: a block holds 3 temporaries
+# of 256 KiB, reused, where those of a whole large draw fault in pages.
+_ZIGGURAT_BLOCK = 1 << 15
+
+
+def _lp_tail_area(p, s):
+    """Gamma(1/p, s) / p, the integral of exp(-t^p) over t^p > s, by
+    Lentz's continued fraction, which converges fast at the s of
+    `_lp_ziggurat` (5.5 to 7.7 at every p > 1)."""
+    a, b = 1.0 / p, s + 1.0 - 1.0 / p
+    c, d, h = INF, 1.0 / b, 1.0 / b
+    for i in range(1, 1000):
+        b += 2.0
+        d = 1.0 / (b - i * (i - a) * d)
+        c = b - i * (i - a) / c
+        h *= c * d
+        if abs(c * d - 1.0) < 1e-16:
+            break
+    return math.exp(a * math.log(s) - s) * h * a
+
+
+@lru_cache(maxsize=16)
+def _lp_ziggurat(p):
+    """(p, s, scale, edge, F): the ziggurat of Marsaglia and Tsang (J. Stat.
+    Softw. 5(8), 2000) for f(t) = exp(-t^p), t >= 0, in 256 layers of area v:
+    the base [0, r] x [0, f(r)] with the tail beyond r = s^{1/p}, and for
+    i >= 1 [0, x_i] x [f(x_i), f(x_{i+1})], x_1 = r, f(x_{i+1}) = f(x_i) +
+    v / x_i, with s bisected so that the top layer ends at f = 1.  For widths
+    X_i (the base's v / f(r)) and X_256 = 0: scale = X_i 2^-53, edge = X_{i+1}
+    and F = f(X_i), 1 on top.  Only t^p is formed, in range at any p."""
+    def layers(s):
+        x, f = [s ** (1.0 / p)], [math.exp(-s)]
+        v = x[0] * f[0] + _lp_tail_area(p, s)
+        while len(x) < 256:
+            f.append(f[-1] + v / x[-1])
+            if f[-1] >= 1.0:        # too tall: r is too small
+                break
+            x.append((-math.log(f[-1])) ** (1.0 / p))
+        return v, x, f
+
+    lo, hi = 0.5, 700.0
+    for _ in range(60):
+        s = 0.5 * (lo + hi)
+        lo, hi = (s, hi) if layers(s)[2][-1] >= 1.0 else (lo, s)
+    v, x, f = layers(hi)
+    X = np.array([v / f[0]] + x[:255] + [0.0])
+    tables = (X[:-1] * 2.0 ** -53, X[1:], np.array(f[:1] + f[:255] + [1.0]))
+    for a in tables:
+        a.flags.writeable = False
+    return (p, hi) + tables
+
+
+def _ziggurat_fill(z, out, rng):
+    """out, filled with draws of density proportional to exp(-|t|^p) from
+    the ziggurat z.  Of a raw word, the low 8 bits pick a layer i, and bits 10
+    to 63 times 2^-53 a signed uniform u in [-1, 1).  u X_i is kept when
+    |u X_i| < X_{i+1}; otherwise the base layer takes a tail draw with its
+    sign, and layer i >= 1 keeps it when a uniform between F_i and F_{i+1}
+    lies below f(u X_i), else draws afresh."""
+    p, s, scale, edge, F = z
+    w = rng.bit_generator.random_raw(out.size)
+    i = (w & 0xFF).view(np.int64)
+    w = w.view(np.int64)
+    w >>= 10
+    t = scale.take(i)
+    np.multiply(w, t, out=out)
+    a = np.abs(out, out=w.view(float))
+    miss = np.flatnonzero(a >= edge.take(i, out=t, mode="clip"))
+    i, x = i[miss], out[miss]
+    tail = i == 0
+    x[tail] = np.copysign(_lp_tail(p, s, np.count_nonzero(tail), rng),
+                          x[tail])
+    wedge = np.flatnonzero(~tail)
+    j = i[wedge]
+    y = F[j] + rng.random(wedge.size) * (F[j + 1] - F[j])
+    redo = wedge[y >= np.exp(-np.abs(x[wedge]) ** p)]
+    if redo.size:
+        x[redo] = _ziggurat_fill(z, np.empty(redo.size), rng)
+    out[miss] = x
+    return out
+
+
+def _lp_tail(p, s, count, rng):
+    """count draws of density proportional to exp(-t^p) on t^p > s: s + E,
+    E ~ Exp(1), is t^p with probability (s / (s + E))^{1 - 1/p}, else drawn
+    again from the tail (a restart from the whole ziggurat thins it)."""
+    t, todo = np.empty(count), np.arange(count)
+    while todo.size:
+        tp = s + rng.standard_exponential(todo.size)
+        ok = rng.random(todo.size) < (s / tp) ** (1.0 - 1.0 / p)
+        t[todo[ok]] = tp[ok] ** (1.0 / p)
+        todo = todo[~ok]
+    return t
+
+
 class LpKind(Kind):
     """l_p^n, 1 <= p <= inf."""
 
@@ -622,20 +717,24 @@ class LpKind(Kind):
         """Rows of i.i.d. coordinates with density proportional to
         exp(-|t|^p), whose directions are the cone sample.
 
-        |t|^p has the law Gamma(1/p) = Gamma(1 + 1/p) U^p, so a coordinate is
-        Gamma(1 + 1/p)^{1/p} times a uniform on (-1, 1), which carries the
-        sign; at p = inf the gamma factor is 1.  Gamma(1/p)^{1/p} itself
-        rounds to exact zeros at large p (half of its draws at p = 1000).
-        p = 2 draws standard normals and p = 1 signed Exp(1), the cheaper
-        draws of the same laws up to scale."""
+        For 1 < p < inf, p != 2, they come from the ziggurat of
+        `_lp_ziggurat` block by block: one raw word per candidate, almost
+        every one accepted at once, the rest by the wedge test or from the
+        exact tail (`_ziggurat_fill`).  p = 2 draws standard normals, p = 1
+        signed Exp(1) and p = inf uniforms on [-1, 1): cheaper draws of the
+        same laws up to scale, which keep the outputs they always gave."""
         size = (count, d.n)
         if d.p == 2.0:
             return rng.standard_normal(size)
         if d.p == 1.0:
             return _random_signs(rng.standard_exponential(size), rng)
-        x = rng.uniform(-1.0, 1.0, size=size)
-        if d.p != INF:
-            x *= rng.standard_gamma(1.0 + 1.0 / d.p, size) ** (1.0 / d.p)
+        if d.p == INF:      # rng.uniform(-1, 1) bit for bit, at less cost
+            x = rng.random(size) * 2.0
+            return np.subtract(x, 1.0, out=x)
+        x = np.empty(size)
+        flat, z = x.reshape(-1), _lp_ziggurat(d.p)
+        for b in range(0, flat.size, _ZIGGURAT_BLOCK):
+            _ziggurat_fill(z, flat[b:b + _ZIGGURAT_BLOCK], rng)
         return x
 
     def cone_sample(self, d, count, rng):

@@ -10,7 +10,8 @@ from itertools import combinations
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammainc, gammaincinv, gammaln, hyp1f1
+from scipy.special import (chdtri, gammainc, gammaincc, gammaincinv, gammaln,
+                           hyp1f1)
 
 
 def lens_overlap_fraction_disk(s):
@@ -180,6 +181,33 @@ def orlicz_cone_points(m, beta, count, seed):
     u = radius[:, None] * tau
     z = np.sign(u) * -np.expm1(-np.abs(u))
     return z / luxemburg_norm_bisect(np.abs(z), beta)[:, None]
+
+
+def lp_coordinate_bins(p, bins):
+    """The inner edges of `bins` bins of equal probability for |t| under the
+    density proportional to exp(-|t|^p), whose |t|^p has the law Gamma(1/p):
+    P^{-1}(1/p, k / bins)^{1/p}."""
+    return gammaincinv(1.0 / p, np.arange(1, bins) / bins) ** (1.0 / p)
+
+
+def lp_coordinate_tail(p, s):
+    """P(|t|^p > s) = Q(1/p, s) for that density, and the mean excess
+    E(|t|^p - s | |t|^p > s) = a Q(a + 1, s) / Q(a, s) - s, a = 1/p."""
+    a = 1.0 / p
+    q = float(gammaincc(a, s))
+    return q, a * float(gammaincc(a + 1.0, s)) / q - s
+
+
+def lp_tail_area(p, s):
+    """The integral of exp(-t^p) over t^p > s: Q(1/p, s) Gamma(1/p) / p."""
+    return float(gammaincc(1.0 / p, s)) * math.exp(gammaln(1.0 / p)
+                                                   - math.log(p))
+
+
+def chi_square_bound(dof, alpha):
+    """The upper alpha quantile of the chi-square law with dof degrees of
+    freedom."""
+    return float(chdtri(dof, alpha))
 
 
 def l1_cone_abs_moment(m, k):

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from normpart.space import (INF, REGISTRY, CapabilityError, InputError,
-                            Kind, SpaceDescriptor, _row_max, _row_sum, block_lp,
+                            Kind, SpaceDescriptor, _lp_tail, _lp_tail_area,
+                            _lp_ziggurat, _row_max, _row_sum, block_lp,
                             circumradius, coord_bound, gradient_batch,
                             intersect_ball, linf, loglacunary_decompose, lp,
                             norm_batch, norm_eval, norm_gradient, orlicz,
@@ -826,6 +827,85 @@ def test_schatten_support_points_take_one_svd(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # decomposition
+
+
+# Every z-score of the l_p coordinate law checks lies within this bound.
+_LAW_Z = 4.0
+
+
+@pytest.mark.parametrize("p", [1.06, 3.0, 10.0])
+def test_lp_coordinates_follow_their_law(p):
+    """2^24 coordinates of density proportional to exp(-|t|^p) from
+    `LpKind._draw`, in chunks of 2^21, against the Gamma(1/p) law of |t|^p:
+    - the body: the chi-square of |t| over 64 bins of equal probability,
+      on the first 2^22 draws, below its upper 1e-6 quantile;
+    - the signs: the count of t < 0 within `_LAW_Z` sigma of half;
+    - the tail count: the count of |t| > r = s^{1/p}, the ziggurat's base
+      edge, within `_LAW_Z` sigma of n Q(1/p, s);
+    - the tail shape: the mean of |t|^p - s beyond r, and over 2^18 draws
+      of `_lp_tail` itself, within `_LAW_Z` standard errors of its exact
+      value.
+    The tail holds about 2e-4 of the draws at p = 3, so it takes 2^24 of
+    them to see it thinned by a tenth (rejected tail draws started again
+    from the whole ziggurat) at about 5.5 sigma."""
+    s = _lp_ziggurat(p)[1]
+    r = s ** (1.0 / p)
+    q, excess = oracles.lp_coordinate_tail(p, s)
+    edges = oracles.lp_coordinate_bins(p, 64)
+    total, chunk, body = 1 << 24, 1 << 21, 1 << 22
+    hist, negative, tail = np.zeros(64), 0, []
+    rng = np.random.default_rng(61)
+    for start in range(0, total, chunk):
+        t = REGISTRY["lp"]._draw(lp(8, p), chunk // 8, rng).reshape(-1)
+        negative += np.count_nonzero(t < 0.0)
+        t = np.abs(t, out=t)
+        if start < body:
+            hist += np.bincount(np.searchsorted(edges, t), minlength=64)
+        tail.append(t[t > r] ** p - s)
+    expected = body / 64
+    assert (((hist - expected) ** 2).sum() / expected
+            <= oracles.chi_square_bound(63, 1e-6))
+    assert abs(negative - total / 2) <= _LAW_Z * math.sqrt(total / 4)
+    tail = np.concatenate(tail)
+    assert (abs(tail.size - total * q)
+            <= _LAW_Z * math.sqrt(total * q * (1.0 - q)))
+    for x in (tail, _lp_tail(p, s, 1 << 18, rng) ** p - s):
+        assert abs(x.mean() - excess) <= _LAW_Z * x.std() / math.sqrt(x.size)
+
+
+@pytest.mark.parametrize("p", [1.0 + 1e-12, 1.06, 3.0, 10.0, 1e6, 1e300])
+def test_lp_tail_area_matches_the_incomplete_gamma_function(p):
+    """The continued fraction of `_lp_tail_area` against scipy's Q(1/p, s)
+    Gamma(1/p) / p to 1e-13 relative, over the s that the tables take
+    (5.5 to 7.7) and at each table's own."""
+    for s in (5.5, 6.3, 7.7, _lp_ziggurat(p)[1]):
+        assert _lp_tail_area(p, s) == pytest.approx(
+            oracles.lp_tail_area(p, s), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("p", [1.0 + 1e-12, 2.0 - 1e-13, 1e6, 1e300])
+def test_lp_ziggurat_builds_and_draws_at_extreme_p(p):
+    """Next to p = 1 and 2 and at huge p, where t^{1/p} rounds to 1, the
+    tables build, with every warning an error, into widths that never grow
+    and values of f that never fall, and the draws are finite."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, s, scale, edge, F = _lp_ziggurat.__wrapped__(p)
+        x = REGISTRY["lp"]._draw(lp(4, p), 1 << 15, np.random.default_rng(62))
+    widths = scale * 2.0 ** 53
+    assert 5.5 <= s <= 7.7
+    assert np.array_equal(widths[1:], edge[:-1]) and edge[-1] == 0.0
+    assert np.all(np.diff(widths) <= 0.0) and np.all(np.diff(F) >= 0.0)
+    assert 0.0 < F[0] and F[-1] == 1.0
+    assert np.isfinite(x).all() and np.abs(x).max() > 0.0
+
+
+def test_linf_coordinates_are_numpy_uniforms_bit_for_bit():
+    """p = inf scales rng.random in place, which gives rng.uniform(-1, 1)
+    bit for bit."""
+    x = REGISTRY["lp"]._draw(linf(7), 1000, np.random.default_rng(63))
+    assert np.array_equal(
+        x, np.random.default_rng(63).uniform(-1.0, 1.0, (1000, 7)))
 
 
 def test_decompose_examples():
