@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .space import InputError, norm_batch, space
-from .geometry import _cloud_psi, psi_gradient_cloud
+from .geometry import _check_count, _cloud_psi, psi_gradient_cloud
 from .partition import _grid_first_arrivals
 
 # Largest Lipschitz-ratio-vs-profile observed over a frozen corpus of fifty
@@ -141,18 +141,26 @@ class ExtensionOperator:
         return value
 
 
+def _numbers(x, what):
+    """x as a float array; InputError naming ``what`` where it is not an
+    array of numbers (a JSON object, say)."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError("%s must be an array of numbers: %s"
+                         % (what, exc)) from None
+
+
 def build_extension(sp, anchors, values, target=None, mc_rounds=64, seed=0):
     """Assemble the extension operator for anchors C and values f(C)."""
     s = space(sp)
-    if not isinstance(mc_rounds, (int, np.integer)) or mc_rounds < 1:
-        raise InputError("mc_rounds must be an integer >= 1, got %r"
-                         % (mc_rounds,))
-    anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
+    _check_count(mc_rounds, "mc_rounds", 1)
+    anchors = np.atleast_2d(_numbers(anchors, "anchors"))
     if anchors.size == 0:
         raise InputError("anchors must be nonempty")
     if anchors.shape[1] != s.dim:
         raise InputError("anchor dimension mismatch")
-    values = np.asarray(values, dtype=float)
+    values = _numbers(values, "values")
     if values.ndim == 1:
         values = values[:, None]
     if values.shape[0] != anchors.shape[0]:
@@ -200,9 +208,7 @@ def lipschitz_ratio_scan(op, pair_count=100, seed=0, profile_samples=50_000):
     (x, y)) for the maximizing pair; the maximum is a sampled, not
     certified, value.
     """
-    if not isinstance(pair_count, (int, np.integer)) or pair_count < 1:
-        raise InputError("pair_count must be an integer >= 1, got %r"
-                         % (pair_count,))
+    _check_count(pair_count, "pair_count", 1)
     s = op.space
     G, wt = psi_gradient_cloud(s, samples=profile_samples, seed=seed)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x11b)))

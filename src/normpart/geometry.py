@@ -15,7 +15,7 @@ from functools import partial, reduce
 import numpy as np
 
 from .space import (REGISTRY, CapabilityError, InputError, RejectionStalled,
-                    _solve_increasing, coord_bound, gradient_batch,
+                    _at_points, _solve_increasing, coord_bound,
                     log_euclidean_ball_volume, lp, norm_batch, norm_eval,
                     space, within_batch)
 
@@ -60,6 +60,15 @@ def _chunk_sizes(trials, chunk=CHUNK):
     return sizes
 
 
+def _check_count(value, what, least):
+    """Raise InputError naming ``what`` unless value is an integer, Python
+    or numpy but not a bool, of at least ``least``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < least):
+        raise InputError("%s must be an integer >= %d, got %r"
+                         % (what, least, value))
+
+
 def estimate_mean(kernel, trials, seed, workers=1, chunk=CHUNK,
                   control=None):
     """Self-normalized weighted mean of kernel outputs.
@@ -80,8 +89,7 @@ def estimate_mean(kernel, trials, seed, workers=1, chunk=CHUNK,
     Each chunk gives the moments of its two halves (`_half_moments`), which
     are merged in chunk order, so the result does not depend on ``workers``.
     """
-    if trials < 1:
-        raise InputError("need at least one trial, got %r" % (trials,))
+    _check_count(trials, "trials", 1)
     sizes = _chunk_sizes(trials, chunk)
     streams = np.random.SeedSequence(seed).spawn(len(sizes))
 
@@ -214,8 +222,7 @@ def euclidean_ball_volume(n):
 
 def _sample_rng(count, seed):
     """The rng a sampler draws count >= 1 samples from for the seed."""
-    if count < 1:
-        raise InputError("need at least one sample, got %r" % (count,))
+    _check_count(count, "sample count", 1)
     return np.random.default_rng(np.random.SeedSequence(seed))
 
 
@@ -229,8 +236,8 @@ def cone_sample(sp, count, seed=0):
 def _cone_points(s, rng, m, normals=False):
     """m cone-measure points and weights drawn from rng, the one place that
     picks a cone sampler; with ``normals``, the norm's gradients at those
-    points (`Kind.cone_normals`) in their place, the draw of the psi and
-    surface-ratio kernels and `psi_gradient_cloud`.
+    points in their place (``Kind.cone_sample(..., normals=True)``), the
+    draw of the psi and surface-ratio kernels and `psi_gradient_cloud`.
 
     Where the space has a cone sampler (``has_cone_sampler``), this is the
     kind's exact direct sampler, `Kind.cone_sample`, with unit weights but
@@ -245,16 +252,13 @@ def _cone_points(s, rng, m, normals=False):
     Carlo kernel thus stays deterministic given the master seed.
     """
     if s.has_cone_sampler:
-        kind = REGISTRY[s.kind]
         try:
-            return (kind.cone_normals if normals
-                    else kind.cone_sample)(s, m, rng)
+            return REGISTRY[s.kind].cone_sample(s, m, rng, normals)
         except RejectionStalled:
             pass
     pts = hit_and_run_sample(s, m, seed=int(rng.integers(0, 2 ** 63)))
     pts /= norm_batch(s, pts)[:, None]
-    ones = np.ones(m)
-    return (gradient_batch(s, pts, ones) if normals else pts), ones
+    return _at_points(s, pts, np.ones(m), normals)
 
 
 def _ball_points(s, rng, m):
@@ -615,11 +619,6 @@ def hyperplane_projection_volume(sp, w, samples=100_000, seed=0, workers=1):
 # maximization over directions
 
 
-def _check_restarts(restarts):
-    if restarts < 0:
-        raise InputError("restarts must be >= 0, got %r" % (restarts,))
-
-
 _ASCENT_STEPS = 200
 
 
@@ -725,7 +724,7 @@ def maxproj(sp, restarts=32, samples=100_000, seed=0):
     the Monte Carlo error of psi at the argmax, the volume's error and the
     restarts' dispersion."""
     s = space(sp)
-    _check_restarts(restarts)
+    _check_count(restarts, "restarts", 0)
     z, est, spread = _psi_sup(s, lp(s.dim, 2), restarts, samples, seed)
     return z, _times_volume(s, est, 1.0, spread)
 

@@ -20,7 +20,7 @@ import numpy as np
 from .space import (INF, REGISTRY, CapabilityError, InputError,
                     SpaceDescriptor, block_lp, circumradius, gradient_batch,
                     lp, norm_batch, orlicz, space)
-from .geometry import (MonteCarloEstimate, _ball_ascent, _check_restarts,
+from .geometry import (MonteCarloEstimate, _ball_ascent, _check_count,
                        _psi_sup, cone_sample, iq_of, log_euclidean_ball_volume,
                        log_volume_exact)
 
@@ -111,7 +111,7 @@ def sep_upper_two_norm(sp_x, sp_y=None, restarts=16, samples=100_000, seed=0,
     y = space(sp_x if sp_y is None else sp_y)
     if x.dim != y.dim:
         raise InputError("spaces must share a dimension")
-    _check_restarts(restarts)
+    _check_count(restarts, "restarts", 0)
     s_factor = _sup_norm_on_sphere(y, x, restarts, seed)
     _, best, spread = _psi_sup(y, x, restarts, samples, seed, workers)
     value = 4.0 * s_factor * best.value

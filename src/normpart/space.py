@@ -140,7 +140,7 @@ class SpaceDescriptor:
 
     @property
     def has_exact_volume(self):
-        return REGISTRY[self.kind].has_exact_volume(self)
+        return REGISTRY[self.kind].log_volume(self) is not None
 
     @property
     def is_canonically_positioned(self):
@@ -509,12 +509,12 @@ class Kind:
     norm, as by default, and ``sign_patterns(d, k, rng)``: k rows of +-1
     drawn from rng, each a sign change x -> e * x that keeps the norm (the
     psi kernel averages over them), by default all of them.  A kind with a
-    cone sampler ``cone_sample(d, count, rng)`` (-> points, weights) answers
-    ``cone_normals(d, count, rng)`` with the norm's gradients at exactly the
-    points that sampler draws from the same rng, and the same weights: by
-    default from `gradient_batch` at the points, and where the kind
-    overrides it from the draw, by the formula its `gradient` takes.  A kind
-    holds geometry only: which sampler draws a point is
+    cone sampler ``cone_sample(d, count, rng, normals=False)`` (-> points,
+    weights) draws its points once; with ``normals`` it returns the norm's
+    gradients at exactly those points in their place, from the same rng
+    stream and with the same weights: from `gradient_batch` at the points
+    (`_at_points`), or from the draw by the formula its `gradient` takes.
+    A kind holds geometry only: which sampler draws a point is
     `geometry._cone_points`, and how a sweep record prints a space is
     `sepmod.SweepRecord.row`."""
 
@@ -526,9 +526,6 @@ class Kind:
 
     def has_cone_sampler(self, d):
         return False
-
-    def has_exact_volume(self, d):
-        return self.log_volume(d) is not None
 
     def log_volume(self, d):
         return None
@@ -560,9 +557,11 @@ class Kind:
     def sign_patterns(self, d, k, rng):
         return _random_signs(np.ones((k, d.n)), rng)
 
-    def cone_normals(self, d, count, rng):
-        pts, wt = self.cone_sample(d, count, rng)
-        return gradient_batch(d, pts, np.ones(count)), wt
+
+def _at_points(d, pts, wt, normals):
+    """Cone points ``pts`` of d and their weights, or with ``normals`` the
+    norm's gradients at those points of the unit sphere in their place."""
+    return (gradient_batch(d, pts, np.ones(len(pts))) if normals else pts), wt
 
 
 # The raw words `LpKind._draw` takes at a time: a block holds 3 temporaries
@@ -737,18 +736,15 @@ class LpKind(Kind):
             _ziggurat_fill(z, flat[b:b + _ZIGGURAT_BLOCK], rng)
         return x
 
-    def cone_sample(self, d, count, rng):
-        """The rows of `_draw`, normalized: unit weights."""
+    def cone_sample(self, d, count, rng, normals=False):
+        """The rows of `_draw`, normalized: unit weights.  Their normals are
+        `gradient` at the rows, which saves their norms, for p not in
+        {1, 2, inf}; those take the gradients at the points."""
         x = self._draw(d, count, rng)
-        return x / norm_batch(d, x)[:, None], np.ones(count)
-
-    def cone_normals(self, d, count, rng):
-        """`gradient` at the rows of `_draw`, which saves their norms, for
-        p not in {1, 2, inf}; those take the gradients at the points."""
-        if d.p in (1.0, 2.0, INF):
-            return super().cone_normals(d, count, rng)
-        x = self._draw(d, count, rng)
-        return self.gradient(d, x, None), np.ones(count)
+        if normals and d.p not in (1.0, 2.0, INF):
+            return self.gradient(d, x, None), np.ones(count)
+        return _at_points(d, x / norm_batch(d, x)[:, None], np.ones(count),
+                          normals)
 
     def psi_norm(self, d):
         if d.p == INF:
@@ -849,19 +845,18 @@ class BlockLpKind(Kind):
         logv += math.fsum(math.lgamma(1.0 + b.n / d.p) for b in d.blocks)
         return logv - math.lgamma(1.0 + d.n / d.p)
 
-    def _draw(self, d, count, rng, normals):
-        """`cone_sample`'s points, or with ``normals`` the gradients there,
-        and the product of the blocks' weights.  Block j gives its cone points
-        (or normals, from the same draw) and a radius R_j of the
+    def cone_sample(self, d, count, rng, normals=False):
+        """Per-block cone points scaled by their radii R, divided by
+        ||R||_p, with the product of the blocks' weights.  Block j gives its
+        cone points (or normals, from the same draw) and a radius R_j of the
         Gamma(m_j/p)^{1/p} law, drawn as Gamma(1 + m_j/p)^{1/p} U^{1/m_j}
         (Gamma(a) = Gamma(1 + a) U^{1/a}) without its exact zeros at small
         m_j/p, at p = inf U^{1/m_j}.  The point's block norms are then
-        R / ||R||_p, so no norm is solved."""
+        R / ||R||_p, so no norm is solved; its normal is each block's normal
+        times the l_p^k gradient at R in place of the block norms."""
         parts, R, w = [], np.empty((count, len(d.blocks))), np.ones(count)
         for j, b in enumerate(d.blocks):
-            kind = REGISTRY[b.kind]
-            pts, bw = (kind.cone_normals if normals
-                       else kind.cone_sample)(b, count, rng)
+            pts, bw = REGISTRY[b.kind].cone_sample(b, count, rng, normals)
             R[:, j] = (rng.standard_gamma(1.0 + b.n / d.p, size=count)
                        ** (1.0 / d.p) * rng.random(count) ** (1.0 / b.n))
             parts.append(pts)
@@ -871,16 +866,6 @@ class BlockLpKind(Kind):
              else R / nrm[:, None])
         return np.concatenate([x * S[:, j, None] for j, x in enumerate(parts)],
                               axis=1), w
-
-    def cone_sample(self, d, count, rng):
-        """Per-block cone points scaled by their radii R (`_draw`), divided
-        by ||R||_p, with the product of the blocks' weights."""
-        return self._draw(d, count, rng, False)
-
-    def cone_normals(self, d, count, rng):
-        """`gradient` at `cone_sample`'s points: each block's cone normal
-        times the l_p^k gradient at the radii R in place of the block norms."""
-        return self._draw(d, count, rng, True)
 
     def sign_invariant(self, d):
         return all(REGISTRY[b.kind].sign_invariant(b) for b in d.blocks)
@@ -965,7 +950,7 @@ class OrliczKind(Kind):
             return None
         return _section_ratio(orlicz(d.n - 1, d.beta), d)
 
-    def cone_sample(self, d, count, rng):
+    def cone_sample(self, d, count, rng, normals=False):
         """Exact cone-measure points with unit weights, on the unit sphere
         by construction: z_i = +-(1 - exp(-beta tau_i)) for tau on the
         simplex, whose Luxemburg sum sum_i beta tau_i / beta is 1.
@@ -977,28 +962,22 @@ class OrliczKind(Kind):
         beta^k / Gamma(m + k), so the points are drawn from that mixture:
         a uniform coordinate i gets Gamma(k) added to its Exp(1), with
         P(k) proportional to beta^k / Gamma(m + k), k >= 1
-        (`_orlicz_extra_shape`).  The points are `_draw`'s -|z| with its
-        signs."""
-        E, signs = self._draw(d, count, rng)
-        return np.copysign(E, signs, out=E), np.ones(count)
-
-    def _draw(self, d, count, rng):
-        """E = -|z| = expm1(-beta tau) for the points z of `cone_sample`,
-        and an array whose signs are theirs (`_random_signs`)."""
+        (`_orlicz_extra_shape`).  The points are |z| = -expm1(-beta tau)
+        with the signs of U - 1/2 for uniforms U (`_random_signs`), and
+        their normals `_orlicz_normal` at |z| and those signs: `gradient`
+        at the points bit for bit."""
         m, beta = d.n, d.beta
         e = rng.standard_exponential(size=(count, m))
         i = rng.integers(0, m, size=count)
         e[np.arange(count), i] += rng.standard_gamma(
             _orlicz_extra_shape(m, beta, count, rng))
         e *= (-beta / _row_sum(e))[:, None]
-        return np.expm1(e, out=e), rng.random(e.shape) - 0.5
-
-    def cone_normals(self, d, count, rng):
-        """`_orlicz_normal` at the draw's |z| = -E and signs: `gradient` at
-        the points of `cone_sample` bit for bit."""
-        E, signs = self._draw(d, count, rng)
-        T = np.negative(E, out=E)
-        return _orlicz_normal(T, signs, T == 0.0), np.ones(count)
+        E = np.expm1(e, out=e)      # -|z|
+        signs = rng.random(e.shape) - 0.5
+        if normals:
+            T = np.negative(E, out=E)
+            return _orlicz_normal(T, signs, T == 0.0), np.ones(count)
+        return np.copysign(E, signs, out=E), np.ones(count)
 
     def support_point(self, d, g):
         """Water-filling: |z_i| = max(0, 1 - mu / |g_i|), where
@@ -1047,7 +1026,7 @@ class SchattenKind(Kind):
     def has_cone_sampler(self, d):
         return math.isqrt(d.n) <= _SCHATTEN_DIRECT_MAX_D
 
-    def cone_sample(self, d, count, rng):
+    def cone_sample(self, d, count, rng, normals=False):
         """U diag(sigma) V^T with sigma from the l_p^k cone measure weighted
         by prod_{i<j} |sigma_i^2 - sigma_j^2| (self-normalized) and U, V
         Haar on O(k), k = sqrt(n).
@@ -1063,29 +1042,21 @@ class SchattenKind(Kind):
         that a typical factor is of order 1 rather than k^{-2/p}.  The
         weights are bounded, but their effective sample size falls with k
         (`_SCHATTEN_DIRECT_MAX_D`), so larger k has no cone sampler and
-        uses hit-and-run."""
-        U, sv, V, w = self._draw(d, count, rng)
-        return _usv(U, sv, V), w
+        uses hit-and-run.
 
-    def _draw(self, d, count, rng):
-        """U, sigma, V and the weights of `cone_sample`'s points
-        U diag(sigma) V^T, with signed sigma."""
+        The normal is U diag(g) V^T with g the l_p gradient at the signed
+        sigma, which is the gradient at the point without an SVD: the l_p
+        gradient is odd, so the signs of sigma may stay in it rather than
+        in U."""
         k = math.isqrt(d.n)
         sv, _ = REGISTRY["lp"].cone_sample(lp(k, d.p), count, rng)
         sq = sv * sv * k ** (2.0 / d.p)
         i, j = np.triu_indices(k, 1)
         w = np.abs(sq[:, i] - sq[:, j]).prod(axis=1)
         U, V = _haar_orthogonal(rng, count, k), _haar_orthogonal(rng, count, k)
-        return U, sv, V, w
-
-    def cone_normals(self, d, count, rng):
-        """U diag(g) V^T with g the l_p gradient at the draw's sigma, which
-        is the gradient at U diag(sigma) V^T without an SVD: the l_p
-        gradient is odd, so the signs of sigma may stay in it rather than
-        in U."""
-        U, sv, V, w = self._draw(d, count, rng)
-        g = gradient_batch(lp(sv.shape[1], d.p), sv, np.ones(count))
-        return _usv(U, g, V), w
+        if normals:
+            sv = gradient_batch(lp(k, d.p), sv, np.ones(count))
+        return _usv(U, sv, V), w
 
     def sign_invariant(self, d):
         return False
@@ -1227,7 +1198,7 @@ class IntersectBallKind(Kind):
     def has_cone_sampler(self, d):
         return d.base.has_cone_sampler and d.base.has_exact_volume
 
-    def cone_sample(self, d, count, rng):
+    def cone_sample(self, d, count, rng, normals=False):
         """Rejection from whichever of the base ball and r B_2 has the
         smaller exact volume, then radial projection.
 
@@ -1262,7 +1233,7 @@ class IntersectBallKind(Kind):
             pts[got:got + take] = x[keep][:take]
             wts[got:got + take] = w[keep][:take]
             got += take
-        return pts / norm_batch(d, pts)[:, None], wts
+        return _at_points(d, pts / norm_batch(d, pts)[:, None], wts, normals)
 
 
 REGISTRY = {

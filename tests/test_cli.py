@@ -215,7 +215,10 @@ GOOD_ANCHORS = {"anchors": [[0.0, 0.0], [1.0, 0.0]], "values": [0.0, 1.0]}
      "finite"),
     ({"anchors": [[0.0, 0.0], [1.0, 0.0]], "values": ["nan", 1.0]}, "0.5,0",
      "finite"),
-], ids=["inf point", "nan point", "long point", "inf anchor", "nan value"])
+    ({"anchors": {"x": 1}, "values": [[0]]}, "0.5,0", "anchors"),
+    ({"anchors": [[0.0, 0.0]], "values": {"x": 1}}, "0.5,0", "values"),
+], ids=["inf point", "nan point", "long point", "inf anchor", "nan value",
+        "object anchors", "object values"])
 def test_extend_bad_input_exit_2(payload, point, message, tmp_path, capsys):
     # these crashed with a traceback, failed inside numpy, or printed a
     # value of 1.0 or nan and exited 0

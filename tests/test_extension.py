@@ -97,7 +97,7 @@ def test_build_validation():
 def test_build_rejects_mc_rounds_that_are_not_positive_integers():
     # 0 and -2 used to fail inside numpy only once evaluated, and 2.5 was
     # silently truncated to 2
-    for rounds in (0, -2, 2.5):
+    for rounds in (0, -2, 2.5, 4.0, True):
         with pytest.raises(InputError, match="mc_rounds"):
             build_extension(lp(2, 2), [[0.0, 0.0]], [1.0], mc_rounds=rounds)
 
@@ -105,7 +105,7 @@ def test_build_rejects_mc_rounds_that_are_not_positive_integers():
 def test_scan_rejects_pair_counts_that_are_not_positive_integers():
     # -1 used to fail inside numpy, and 0 with one anchor divided by zero
     op = build_extension(lp(2, 2), [[0.0, 0.0]], [1.0], mc_rounds=4)
-    for count in (0, -1, 2.5):
+    for count in (0, -1, 2.5, 4.0, True):
         with pytest.raises(InputError, match="pair_count"):
             lipschitz_ratio_scan(op, pair_count=count, profile_samples=100)
 

@@ -26,6 +26,7 @@ from normpart.geometry import (_SIGN_ORBIT, CHUNK, MonteCarloEstimate,
                                psi_gradient_cloud, surface_ratio,
                                uniform_ball_sample, volume_exact, volume_mc,
                                volume_of)
+from normpart.partition import separation_prob_mc
 
 import oracles
 from kinds import over_the_table
@@ -64,12 +65,20 @@ def test_estimate_mean_weighted():
 
 
 def test_sample_counts_below_one_raise():
+    # a float count raised TypeError inside numpy, and True counted as one
     def kernel(rng, m):
         return np.ones(m), np.ones(m)
 
-    for count in (0, -3):
+    for count in (0, -3, 10.0, 1e4, True):
         with pytest.raises(InputError, match="trial"):
             estimate_mean(kernel, count, seed=0)
+        with pytest.raises(InputError, match="trial"):
+            psi(lp(3, 3), [1.0, 2.0, 3.0], samples=count)
+        with pytest.raises(InputError, match="trial"):
+            volume_mc(lp(2, 3), trials=count)
+        with pytest.raises(InputError, match="trial"):
+            separation_prob_mc(lp(2, 2), [0.0, 0.0], [0.5, 0.0], 1.0,
+                               trials=count)
         for d in (lp(2, 2), schatten(2, 2)):
             with pytest.raises(InputError, match="sample"):
                 cone_sample(d, count)
@@ -655,8 +664,9 @@ def test_maxproj_euclidean():
 
 
 def test_maxproj_restarts_below_zero_raise():
-    with pytest.raises(InputError, match="restarts"):
-        maxproj(lp(3, 3), restarts=-1, samples=1000)
+    for restarts in (-1, 2.5, True):
+        with pytest.raises(InputError, match="restarts"):
+            maxproj(lp(3, 3), restarts=restarts, samples=1000)
     z, est = maxproj(lp(3, 3), restarts=0, samples=1000)
     assert est.value > 0
 
@@ -667,7 +677,12 @@ def test_psi_of_an_orlicz_ball_near_the_cube(beta):
     all-ones vector is 3/2.  Cone points where 1 - |x_i| rounds to 0 take
     the limit gradient +-e_i.  At beta = 40 a
     few cone points have two coordinates within 1e-7 of 1, where the ball
-    is not the cube, so the estimate may differ from 3/2 by 3 stderr."""
+    is not the cube, so the estimate may differ from 3/2 by 3 stderr.
+
+    The true psi(orlicz(3, 40), 1) is 3/2 - 1.235e-8 (a 40-digit
+    quadrature of the shadow): the ball's edges are rounded.  The check
+    against 3/2 passes because the estimate rarely reaches the cone points
+    on those rounded edges, which carry the gap; it does not resolve it."""
     est = psi(orlicz(3, beta), np.ones(3))
     assert math.isfinite(est.value)
     assert abs(est.value - 1.5) <= 1e-9 + 3.0 * est.stderr

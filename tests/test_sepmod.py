@@ -263,8 +263,9 @@ def test_sep_upper_dimension_mismatch():
 
 def test_sep_upper_restarts_below_zero_raise():
     for d in (lp(3, 3), linf(3)):
-        with pytest.raises(InputError, match="restarts"):
-            sep_upper_two_norm(d, restarts=-1, samples=1000)
+        for restarts in (-1, 2.5):
+            with pytest.raises(InputError, match="restarts"):
+                sep_upper_two_norm(d, restarts=restarts, samples=1000)
     assert sep_upper_two_norm(lp(3, 3), restarts=0, samples=1000).value > 0
 
 

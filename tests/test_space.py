@@ -326,8 +326,8 @@ def _normals_by_formula(d):
 
 @over_the_table(lambda d: d.has_cone_sampler)
 def test_cone_normals_are_the_gradients_at_the_cone_points(desc):
-    """From equal rngs, `Kind.cone_normals` gives the weights of
-    `Kind.cone_sample` bit for bit and the gradients at its points: bit for
+    """From equal rngs, `Kind.cone_sample` with ``normals`` gives the weights
+    of its plain draw bit for bit and the gradients at its points: bit for
     bit where no formula of its own takes them, and otherwise to 1e-12 of
     the row's length.  A Schatten gradient through an SVD carries an error
     of order eps / gap at p = inf, with gap the relative distance of the
@@ -335,7 +335,8 @@ def test_cone_normals_are_the_gradients_at_the_cone_points(desc):
     is larger (at 2000 points of schatten(3, inf): 5e-12 at gap 8e-5)."""
     kind = REGISTRY[desc.kind]
     pts, wt = kind.cone_sample(desc, 2000, np.random.default_rng(61))
-    G, gw = kind.cone_normals(desc, 2000, np.random.default_rng(61))
+    G, gw = kind.cone_sample(desc, 2000, np.random.default_rng(61),
+                             normals=True)
     assert gw.tobytes() == wt.tobytes()
     ref = gradient_batch(desc, pts, np.ones(len(pts)))
     if not _normals_by_formula(desc):

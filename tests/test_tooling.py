@@ -1,5 +1,8 @@
 import ast
+import importlib
+import inspect
 import pathlib
+import re
 
 import pytest
 
@@ -99,3 +102,58 @@ def test_kinds_leave_edge_rows_to_the_entry_points(path):
                     and getattr(node.func, "attr", None) in _EDGE_ROW_CHECKS):
                 found.append((cls.name, node.lineno))
     assert found == []
+
+
+_MODULES = ("space", "geometry", "partition", "sepmod", "extension", "cli")
+
+
+def _package_classes():
+    return {name: obj for module in _MODULES
+            for name, obj in vars(importlib.import_module(
+                "normpart." + module)).items()
+            if inspect.isclass(obj) and obj.__module__.startswith("normpart")}
+
+
+def _family(cls):
+    """cls and every subclass of it."""
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _family(sub)
+
+
+def _resolves(name, classes):
+    """Whether a dotted name resolves: ``Kind.x`` when `Kind` or any of its
+    subclasses defines x, as a method, attribute or dataclass field."""
+    head, *rest = name.split(".")
+    obj = (importlib.import_module("normpart." + head) if head in _MODULES
+           else classes[head])
+    for attr in rest:
+        if inspect.isclass(obj):
+            owner = next((c for c in _family(obj) if attr in vars(c)
+                          or attr in getattr(c, "__dataclass_fields__", ())),
+                         None)
+            if owner is None:
+                return False
+            obj = getattr(owner, attr, None)
+        elif hasattr(obj, attr):
+            obj = getattr(obj, attr)
+        else:
+            return False
+    return True
+
+
+def test_backticked_names_in_the_docs_resolve():
+    """A backticked dotted name in README.md or a module of the package,
+    such as `geometry._cone_points` or ``Kind.cone_sample(...)``, whose head
+    is a package module or class, names something that exists: a name left
+    behind when what it named went is a stale doc."""
+    classes = _package_classes()
+    stale = []
+    for path in [SRC.parent.parent / "README.md", *sorted(SRC.glob("*.py"))]:
+        for quoted in re.finditer(r"`+([^`\n]+)`+", path.read_text()):
+            name = re.match(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+", quoted[1])
+            if (name and not name[0].endswith(".py")
+                    and name[0].split(".")[0] in {*_MODULES, *classes}
+                    and not _resolves(name[0], classes)):
+                stale.append((path.name, name[0]))
+    assert stale == []
