@@ -220,9 +220,10 @@ def euclidean_ball_volume(n):
 # samplers
 
 
-def _sample_rng(count, seed):
-    """The rng a sampler draws count >= 1 samples from for the seed."""
-    _check_count(count, "sample count", 1)
+def _sample_rng(count, seed, what="sample count"):
+    """The rng a sampler draws count >= 1 samples from for the seed; a bad
+    count raises InputError naming ``what``."""
+    _check_count(count, what, 1)
     return np.random.default_rng(np.random.SeedSequence(seed))
 
 
@@ -389,6 +390,7 @@ def surface_ratio(sp, samples=100_000, seed=0, workers=1):
     """vol_{n-1}(boundary)/vol(ball) = n * E_cone ||grad norm||_2."""
     s = space(sp)
     n = s.dim
+    _check_count(samples, "samples", 1)
 
     def kernel(rng, m):
         g, w = _cone_points(s, rng, m, normals=True)
@@ -412,17 +414,18 @@ def iq(sp, samples=100_000, seed=0, workers=1):
 
 
 def iq_exact(sp):
-    """Closed-form isoperimetric quotient (cube, Euclidean ball, l_1)."""
+    """Exact isoperimetric quotient of an l_p ball (`LpKind.iq_exact`:
+    closed forms at p in {1, 2, inf}, a 1-D quadrature elsewhere)."""
     d = space(sp)
     exact = REGISTRY[d.kind].iq_exact(d)
     if exact is None:
-        raise CapabilityError("iq_exact supports lp with p in {1, 2, inf}")
+        raise CapabilityError("iq_exact supports lp balls")
     return exact
 
 
 def iq_of(sp, samples=100_000, seed=0, workers=1):
-    """Exact isoperimetric quotient where `Kind.iq_exact` has one, Monte
-    Carlo `iq` otherwise."""
+    """Exact isoperimetric quotient where `Kind.iq_exact` has one (every l_p
+    ball), Monte Carlo `iq` otherwise."""
     s = space(sp)
     exact = REGISTRY[s.kind].iq_exact(s)
     if exact is not None:
@@ -486,6 +489,7 @@ def psi(sp, w, samples=100_000, seed=0, workers=1, closed_form=True):
     cut the stderr of 20k points from 0.0167-0.0175 to 0.0113-0.0118.
     """
     s = space(sp)
+    _check_count(samples, "samples", 1)
     w = np.asarray(w, dtype=float)
     if w.shape != (s.dim,):
         raise InputError("direction length mismatch")
@@ -529,8 +533,8 @@ def psi_gradient_cloud(sp, samples=100_000, seed=0):
     """Shared cloud (gradients, weights) so that psi of many directions can
     be evaluated as (n/2) * weighted-mean |G @ w| with one matmul each:
     the gradients at the points `cone_sample` draws from the seed."""
-    return _cone_points(space(sp), _sample_rng(samples, seed), samples,
-                        normals=True)
+    return _cone_points(space(sp), _sample_rng(samples, seed, "samples"),
+                        samples, normals=True)
 
 
 def _weighted_mean(f, w):
@@ -556,38 +560,38 @@ _PSI_BLOCK_WORDS = 1 << 15
 _PSI_MIN_ROWS = 64
 
 
-def _cloud_blocks(G, k):
-    rows = max(1, _PSI_BLOCK_WORDS // k,
+def _cloud_rows(k):
+    return max(1, _PSI_BLOCK_WORDS // k,
                min(_PSI_MIN_ROWS, 8 * _PSI_BLOCK_WORDS // k))
+
+
+def _cloud_blocks(G, k):
+    rows = _cloud_rows(k)
     return (slice(b, b + rows) for b in range(0, len(G), rows))
 
 
-def _cloud_psi(G, wt, Z):
+def _cloud_psi(G, wt, Z, subgrad=False):
     """psi at every row of the stack Z from the cloud (G, wt): with
-    P = G Z^T, (n/2) wt |P| / sum(wt).  P is summed over the row blocks of
-    `_cloud_blocks`, so a call holds one block of at most 2 MiB, or of one
-    row where the stack size k alone exceeds that."""
-    out = np.zeros(len(Z))
-    for r in _cloud_blocks(G, len(Z)):
-        P = G[r] @ Z.T
-        out += wt[r] @ np.abs(P, out=P)
-    return 0.5 * G.shape[1] * (out / wt.sum())
-
-
-def _cloud_psi_subgrad(G, wt, Z):
-    """psi at every row of Z, bit for bit as `_cloud_psi` gives it, and a
-    subgradient of psi there, (n/2) (wt sign P)^T G / sum(wt), both from the
-    one product P = G Z^T per block of `_cloud_psi`."""
-    F = np.zeros(len(Z))
-    out = np.zeros(Z.shape)
-    for r in _cloud_blocks(G, len(Z)):
-        P = G[r] @ Z.T
-        S = np.sign(P)
+    P = G Z^T, (n/2) wt |P| / sum(wt); with ``subgrad``, also a subgradient
+    of psi there from the same P, (n/2) (wt sign P)^T G / sum(wt), taking
+    wt sign P only where a weight is not 1 (wt G once would move bits: a
+    BLAS product with fused multiply-adds rounds wt G, but not wt sign P).
+    P is summed over the row blocks of `_cloud_blocks` in one buffer of at
+    most 2 MiB, or of one row where the stack size k alone exceeds that."""
+    k = len(Z)
+    F, out = np.zeros(k), np.zeros(Z.shape)
+    buf = np.empty((1 + subgrad, min(_cloud_rows(k), len(G)), k))
+    weighted = subgrad and not np.all(wt == 1.0)
+    for r in _cloud_blocks(G, k):
+        P = np.matmul(G[r], Z.T, out=buf[0, :len(G[r])])
+        if subgrad:
+            S = np.sign(P, out=buf[1, :len(P)])
+            if weighted:
+                S *= wt[r, None]
+            out += S.T @ G[r]
         F += wt[r] @ np.abs(P, out=P)
-        S *= wt[r, None]
-        out += S.T @ G[r]
-    return (0.5 * G.shape[1] * (F / wt.sum()),
-            0.5 * G.shape[1] * out / wt.sum())
+    F = 0.5 * G.shape[1] * (F / wt.sum())
+    return (F, 0.5 * G.shape[1] * out / wt.sum()) if subgrad else F
 
 
 def _times_volume(s, est, denom, spread=0.0):
@@ -673,9 +677,10 @@ def _ball_ascent(objective, dom, restarts, seed):
 
 def _psi_objective(s, samples, seed):
     """psi of s and a subgradient of it on stacks of directions, for
-    `_ball_ascent`: `_cloud_psi_subgrad` on one `psi_gradient_cloud`
-    (G, weights), or, where psi is c ||.||_q (`Kind.psi_norm`), c times that
-    norm with a forward-difference subgradient.  The l_q gradient would
+    `_ball_ascent`: `_cloud_psi` with ``subgrad`` on one
+    `psi_gradient_cloud` (G, weights), or, where psi is c ||.||_q
+    (`Kind.psi_norm`), c times that norm with a forward-difference
+    subgradient.  The l_q gradient would
     stall starts on faces of the ball, where it reads sign(0) = 0: it put
     the stderr of `maxproj(linf(4))` at 2.5 instead of 0."""
     cq = REGISTRY[s.kind].psi_norm(s)
@@ -693,7 +698,7 @@ def _psi_objective(s, samples, seed):
             return F, g
         return objective
     G, wt = psi_gradient_cloud(s, samples=samples, seed=seed)
-    return partial(_cloud_psi_subgrad, G, wt)
+    return partial(_cloud_psi, G, wt, subgrad=True)
 
 
 def _psi_sup(y, dom, restarts, samples, seed, workers=1):
@@ -725,6 +730,7 @@ def maxproj(sp, restarts=32, samples=100_000, seed=0):
     restarts' dispersion."""
     s = space(sp)
     _check_count(restarts, "restarts", 0)
+    _check_count(samples, "samples", 1)
     z, est, spread = _psi_sup(s, lp(s.dim, 2), restarts, samples, seed)
     return z, _times_volume(s, est, 1.0, spread)
 

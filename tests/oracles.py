@@ -313,6 +313,34 @@ def iq_values(n, p):
     return None
 
 
+def lp_root_mean(p, n, epsrel=1e-13):
+    """E (sum_i |G_i|^{2(p-1)})^{1/2} over n <= 3 i.i.d. G_i of density
+    exp(-g^p) / Gamma(1 + 1/p) on g >= 0, by nested adaptive quadrature of
+    the n-fold integral (cut at g^p = 40, where the density is e^-40)."""
+    c, top = 1.0 / math.gamma(1.0 + 1.0 / p), 40.0 ** (1.0 / p)
+
+    def inner(k, acc):
+        if k == 0:
+            return math.sqrt(acc)
+        return quad(lambda g: c * math.exp(-g ** p)
+                    * inner(k - 1, acc + g ** (2.0 * p - 2.0)),
+                    0.0, top, epsabs=0.0, epsrel=epsrel, limit=200)[0]
+
+    assert 1 <= n <= 3
+    return inner(n, 0.0)
+
+
+def lp_iq(p, n, epsrel=1e-13):
+    """The isoperimetric quotient of l_p^n, n <= 3: n E|grad|_2 vol^{1/n},
+    where the gradient at the cone point G / ||G||_p is Y / ||G||_p^{p-1},
+    Y_i = sgn(G_i) |G_i|^{p-1}, and ||G||_p is independent of the point, so
+    E|grad|_2 = E|Y|_2 / E||G||_p^{p-1} = `lp_root_mean` Gamma(n/p) /
+    Gamma((n+p-1)/p)."""
+    return n * lp_root_mean(p, n, epsrel) * math.exp(
+        gammaln(n / p) - gammaln((n + p - 1.0) / p)
+        + log_lp_ball_volume(n, p) / n)
+
+
 # ---------------------------------------------------------------------------
 # brute-force enumerations
 

@@ -145,6 +145,7 @@ def _entries():
             schatten(2, 1.5), samples=500, seed=11),
         "iq/lp3": lambda w: iq(lp(3, 3), samples=2000, seed=12, workers=w),
         "iq_exact/lp1": lambda w: iq_exact(lp(5, 1)),
+        "iq_exact/lp3": lambda w: iq_exact(lp(5, 3)),
         "iq_of/linf": lambda w: iq_of(linf(4), samples=2000, seed=12,
                                       workers=w),
         "iq_of/lp3": lambda w: iq_of(lp(3, 3), samples=2000, seed=12,

@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 from normpart.space import (REGISTRY, CapabilityError, InputError,
-                            RejectionStalled, block_lp, coord_bound,
-                            gradient_batch, intersect_ball, linf, lp,
-                            norm_batch, orlicz, schatten, space)
+                            RejectionStalled, _lp_root_mean, block_lp,
+                            coord_bound, gradient_batch, intersect_ball,
+                            linf, lp, norm_batch, orlicz, schatten, space)
 from normpart.geometry import (_SIGN_ORBIT, CHUNK, MonteCarloEstimate,
-                               _chord_ends, _cloud_psi, _cloud_psi_subgrad,
-                               _cone_points, _orbit_mean_abs, _unit_scale,
+                               _chord_ends, _cloud_psi, _cone_points,
+                               _orbit_mean_abs, _unit_scale,
                                cauchy_surface_identity_check, cone_sample,
                                cone_volume, estimate_mean,
                                euclidean_ball_volume, gaussian_l2_mean,
@@ -73,8 +73,6 @@ def test_sample_counts_below_one_raise():
         with pytest.raises(InputError, match="trial"):
             estimate_mean(kernel, count, seed=0)
         with pytest.raises(InputError, match="trial"):
-            psi(lp(3, 3), [1.0, 2.0, 3.0], samples=count)
-        with pytest.raises(InputError, match="trial"):
             volume_mc(lp(2, 3), trials=count)
         with pytest.raises(InputError, match="trial"):
             separation_prob_mc(lp(2, 2), [0.0, 0.0], [0.5, 0.0], 1.0,
@@ -84,6 +82,23 @@ def test_sample_counts_below_one_raise():
                 cone_sample(d, count)
         with pytest.raises(InputError, match="sample"):
             hit_and_run_sample(schatten(2, 2), count)
+
+
+@pytest.mark.parametrize("call", [
+    lambda c: psi(lp(3, 3), [1.0, 2.0, 3.0], samples=c),
+    lambda c: iq(lp(3, 3), samples=c),
+    lambda c: surface_ratio(lp(3, 3), samples=c),
+    lambda c: cone_volume(lp(3, 3), [1.0, 0.0, 1.0], samples=c),
+    lambda c: hyperplane_projection_volume(lp(3, 3), [1.0, 2.0, 3.0],
+                                           samples=c),
+    lambda c: maxproj(lp(3, 3), restarts=2, samples=c),
+    lambda c: psi_gradient_cloud(lp(3, 3), samples=c),
+], ids=["psi", "iq", "surface_ratio", "cone_volume",
+        "hyperplane_projection_volume", "maxproj", "psi_gradient_cloud"])
+def test_a_bad_sample_count_names_the_samples_parameter(call):
+    for count in (2.5, 0, True):
+        with pytest.raises(InputError, match="^samples must be an integer"):
+            call(count)
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +496,35 @@ def test_iq_exact_values():
         for p in (1.0, 2.0, float("inf")):
             assert iq_exact(lp(n, p)) == pytest.approx(
                 oracles.iq_values(n, p), rel=1e-10)
-    with pytest.raises(Exception):
-        iq_exact(lp(3, 3))
+    # the quadrature at 1 < p < inf, p != 2, against the nested-quad oracle
+    for n, p, epsrel in ((1, 3.0, 1e-13), (2, 1.06, 1e-13), (2, 1.5, 1e-13),
+                         (2, 3.0, 1e-13), (2, 10.0, 1e-13), (3, 3.0, 1e-11)):
+        assert iq_exact(lp(n, p)) == pytest.approx(
+            oracles.lp_iq(p, n, epsrel), rel=1e-10)
+    for p in (1.06, 1.5, 3.0, 10.0, 1e3):       # the segment [-1, 1]
+        assert iq_exact(lp(1, p)) == pytest.approx(2.0, rel=1e-13)
+
+
+def test_lp_iq_quadrature_at_p_2_and_at_twice_the_step():
+    """At p = 2 the quadrature's E|Y|_2 is E|G|_2 of n normals of variance
+    1/2, Gamma((n+1)/2) / Gamma(n/2); every other node, the rule of twice
+    the step, agrees with the full rule to 1e-12."""
+    for n in (1, 2, 3, 5, 8, 32, 100):
+        assert _lp_root_mean(2.0, n) == pytest.approx(
+            math.exp(math.lgamma(0.5 * n + 0.5) - math.lgamma(0.5 * n)),
+            rel=1e-13)
+    for p in (1.0 + 1e-6, 1.06, 1.5, 3.0, 10.0, 100.0, 1e3):
+        for n in (1, 2, 8, 32, 1000):
+            assert _lp_root_mean(p, n, 2) == pytest.approx(
+                _lp_root_mean(p, n), rel=1e-12), (p, n)
+
+
+def test_lp_iq_quadrature_matches_monte_carlo():
+    for p in (1.06, 1.5, 3.0, 10.0):
+        for n in (3, 8, 32):
+            est = iq(lp(n, p), samples=400_000, seed=41)
+            assert abs(est.value - iq_exact(lp(n, p))) <= 4 * est.stderr, (
+                p, n, est)
 
 
 def test_exact_answers_and_capability_errors():
@@ -490,8 +532,8 @@ def test_exact_answers_and_capability_errors():
     Carlo `iq` elsewhere; where `Kind.log_volume` is None, the exact volume
     functions raise CapabilityError."""
     assert iq_of(linf(3), seed=7) == MonteCarloEstimate(6.0, 0.0, 1, 7)
-    assert iq_of(lp(3, 3), samples=2000, seed=7) == iq(lp(3, 3),
-                                                       samples=2000, seed=7)
+    assert iq_of(orlicz(3, 1.5), samples=2000, seed=7) == iq(
+        orlicz(3, 1.5), samples=2000, seed=7)
     for d in (schatten(2, 1), block_lp(2, [lp(2, 1), schatten(2, 1)]),
               intersect_ball(lp(3, 1), 0.8)):
         for exact in (volume_exact, log_volume_exact):
@@ -599,7 +641,7 @@ def test_fused_cloud_psi_subgradient_matches_a_numpy_reference_row_by_row():
         G, wt = psi_gradient_cloud(d, samples=20_000, seed=6)
         Z = np.vstack([np.eye(d.n),
                        np.random.default_rng(7).standard_normal((300, d.n))])
-        F, S = _cloud_psi_subgrad(G, wt, Z)
+        F, S = _cloud_psi(G, wt, Z, subgrad=True)
         assert np.array_equal(F, _cloud_psi(G, wt, Z))
         for z, g in zip(Z, S):
             ref = 0.5 * d.n * ((wt * np.sign(G @ z)) @ G) / wt.sum()
