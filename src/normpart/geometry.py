@@ -1,16 +1,20 @@
 """Volumes, cone-measure sampling, surface ratios, projection-body norms.
 
 All stochastic operations return a `MonteCarloEstimate` and are driven by a
-single integer seed.  Trials are split into fixed-size independently seeded
-substreams and merged by exact (fsum) summation, so results are bit-identical
-for a given (inputs, seed, trials) regardless of worker count.
+single integer seed.  Trials are split into independently seeded substreams
+(chunks) and merged by exact (fsum) summation, so results are bit-identical
+for a given (inputs, seed, trials) regardless of worker count.  A chunk's
+size depends on the space alone (`_chunk_rows`): 2^15 rows up to dimension
+8, and 2^16 words (512 KiB) per (rows x n) array beyond, so that an
+estimate's memory does not grow with its trial count or, for a space with a
+direct cone sampler, with n.
 """
 
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 
@@ -20,6 +24,13 @@ from .space import (REGISTRY, CapabilityError, InputError, RejectionStalled,
                     space, within_batch)
 
 CHUNK = 1 << 15
+# Words (8 bytes each) of one (rows x n) array of a chunk in dimension
+# n > 8, where CHUNK rows would exceed 2 MiB: 512 KiB.  Larger chunks cost
+# more page faults than they save calls: 2 MiB ones tripled the minor faults
+# of the n = 48 companion sweep and slowed it by 16-19%, and chunks of 2^16
+# or 2^17 words at every n slowed dimensions 5-8 by 5-10% (one BLAS thread,
+# 2-vCPU x86-64 VM).
+_CHUNK_WORDS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -60,6 +71,29 @@ def _chunk_sizes(trials, chunk=CHUNK):
     return sizes
 
 
+def _chunk_rows(s):
+    """Rows of one Monte Carlo chunk on the space s: CHUNK up to dimension
+    n = 8 (2 MiB per (rows x n) array), and `_CHUNK_WORDS` // n beyond.  A
+    space that samples by `hit_and_run_sample`, which pays a burn-in of
+    100 n steps per chunk, keeps CHUNK rows: one without a direct cone
+    sampler, or whose rejection stalls (`_rejection_stalls`)."""
+    if s.dim <= 8 or not s.has_cone_sampler or _rejection_stalls(s):
+        return CHUNK
+    return max(1, _CHUNK_WORDS // s.dim)
+
+
+@lru_cache(maxsize=64)
+def _rejection_stalls(s):
+    """Whether the direct cone sampler of s raises `RejectionStalled` on a
+    draw from a fixed seed, as an intersect_ball of about its base's volume
+    does in high dimension."""
+    try:
+        REGISTRY[s.kind].cone_sample(s, 1, np.random.default_rng(0))
+    except RejectionStalled:
+        return True
+    return False
+
+
 def _check_count(value, what, least):
     """Raise InputError naming ``what`` unless value is an integer, Python
     or numpy but not a bool, of at least ``least``."""
@@ -73,7 +107,10 @@ def estimate_mean(kernel, trials, seed, workers=1, chunk=CHUNK,
                   control=None):
     """Self-normalized weighted mean of kernel outputs.
 
-    ``kernel(rng, m)`` must return arrays ``(f, w)`` of length m.  The
+    ``kernel(rng, m)`` must return arrays ``(f, w)`` of length m, for m at
+    most ``chunk``; the callers on a space s pass `_chunk_rows(s)`, so that
+    a kernel's (m x n) arrays hold at most 512 KiB where n > 8 (2 MiB at
+    n <= 8; 2^15 rows on a hit-and-run space), whatever the trial count.  The
     estimate is sum(w*f)/sum(w) with a delta-method standard error; for unit
     weights this is the ordinary sample mean and stderr.
 
@@ -251,10 +288,22 @@ def _cone_points(s, rng, m, normals=False):
     one draw from rng and pushed radially onto the sphere with unit
     weights; its points are only approximately uniform.  A chunked Monte
     Carlo kernel thus stays deterministic given the master seed.
+
+    A direct draw of more than `_chunk_rows(s)` rows, where those are fewer
+    than CHUNK (n > 8), is filled block by block of that many rows from rng
+    into one output, so that its temporaries are those of one chunk.
     """
     if s.has_cone_sampler:
+        draw = partial(REGISTRY[s.kind].cone_sample, s, rng=rng,
+                       normals=normals)
+        rows = _chunk_rows(s)
         try:
-            return REGISTRY[s.kind].cone_sample(s, m, rng, normals)
+            if rows == CHUNK or m <= rows:
+                return draw(m)
+            pts, wt = np.empty((m, s.dim)), np.empty(m)
+            for b in range(0, m, rows):
+                pts[b:b + rows], wt[b:b + rows] = draw(min(rows, m - b))
+            return pts, wt
         except RejectionStalled:
             pass
     pts = hit_and_run_sample(s, m, seed=int(rng.integers(0, 2 ** 63)))
@@ -266,7 +315,8 @@ def _ball_points(s, rng, m):
     """m weighted points uniform in the unit ball drawn from rng: cone
     points scaled by radii with the law U^{1/n}."""
     pts, wt = _cone_points(s, rng, m)
-    return pts * (rng.random(m) ** (1.0 / s.dim))[:, None], wt
+    pts *= (rng.random(m) ** (1.0 / s.dim))[:, None]
+    return pts, wt
 
 
 def uniform_ball_sample(sp, count, seed=0):
@@ -367,7 +417,8 @@ def volume_mc(sp, trials=100_000, seed=0, workers=1, force=False):
         x -= c
         return within_batch(s, x, 1.0).astype(float), np.ones(m)
 
-    est = estimate_mean(kernel, trials, seed, workers=workers)
+    est = estimate_mean(kernel, trials, seed, workers=workers,
+                        chunk=_chunk_rows(s))
     stderr = (est.stderr if 0.0 < est.value < 1.0
               else math.sqrt(trials - 1) / trials ** 1.5)
     return MonteCarloEstimate(value=est.value * box, stderr=stderr * box,
@@ -377,6 +428,7 @@ def volume_mc(sp, trials=100_000, seed=0, workers=1, force=False):
 def volume_of(sp, trials=200_000, seed=0):
     """Exact volume when available, Monte Carlo otherwise."""
     s = space(sp)
+    _check_count(trials, "trials", 1)
     if s.has_exact_volume:
         return exact_estimate(volume_exact(s), seed=seed)
     return volume_mc(s, trials=trials, seed=seed)
@@ -396,7 +448,8 @@ def surface_ratio(sp, samples=100_000, seed=0, workers=1):
         g, w = _cone_points(s, rng, m, normals=True)
         return n * np.sqrt((g * g).sum(axis=1)), w
 
-    return estimate_mean(kernel, samples, seed, workers=workers)
+    return estimate_mean(kernel, samples, seed, workers=workers,
+                         chunk=_chunk_rows(s))
 
 
 def iq(sp, samples=100_000, seed=0, workers=1):
@@ -427,6 +480,7 @@ def iq_of(sp, samples=100_000, seed=0, workers=1):
     """Exact isoperimetric quotient where `Kind.iq_exact` has one (every l_p
     ball), Monte Carlo `iq` otherwise."""
     s = space(sp)
+    _check_count(samples, "samples", 1)
     exact = REGISTRY[s.kind].iq_exact(s)
     if exact is not None:
         return exact_estimate(exact, seed=seed)
@@ -520,6 +574,7 @@ def psi(sp, w, samples=100_000, seed=0, workers=1, closed_form=True):
         est = exact_estimate(cf, seed=seed)
     else:
         est = estimate_mean(kernel, samples, seed, workers=workers,
+                            chunk=_chunk_rows(s),
                             control=None if axis is None else mu)
     try:
         return replace(est, value=math.ldexp(est.value, k),
@@ -761,7 +816,8 @@ def mean_width_dual(sp, samples=100_000, seed=0, workers=1):
         g = rng.standard_normal((m, s.dim))
         return norm_batch(s, g) / denom, np.ones(m)
 
-    return estimate_mean(kernel, samples, seed, workers=workers)
+    return estimate_mean(kernel, samples, seed, workers=workers,
+                         chunk=_chunk_rows(s))
 
 
 @dataclass(frozen=True)

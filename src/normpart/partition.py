@@ -25,8 +25,8 @@ import numpy as np
 
 from .space import (_SHORT_ROW_MAX, REGISTRY, InputError, coord_bound, linf,
                     norm_batch, space, within_batch)
-from .geometry import (MonteCarloEstimate, _ball_points, estimate_mean,
-                       exact_estimate, psi)
+from .geometry import (MonteCarloEstimate, _ball_points, _check_count,
+                       _chunk_rows, estimate_mean, exact_estimate, psi)
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 # Arrivals per box in one pass: at most this many, a bound on memory.
@@ -322,7 +322,8 @@ def _overlap_mc(s, w, samples, seed, workers=1):
         f = within_batch(s, pts - w, 1.0).astype(float)
         return f, wt
 
-    return estimate_mean(kernel, samples, seed, workers=workers)
+    return estimate_mean(kernel, samples, seed, workers=workers,
+                         chunk=_chunk_rows(s))
 
 
 def overlap_exact_linf(w):
@@ -336,6 +337,7 @@ def separation_prob_exact(sp, u, v, delta, trials=100_000, seed=0, workers=1):
     the rescaled offset; exact where the kind has t in closed form (l_inf),
     one Monte Carlo estimate of t otherwise."""
     s = space(sp)
+    _check_count(trials, "trials", 1)
     u, v = _separation_args(s, u, v, delta)
     if np.array_equal(u, v):
         return exact_estimate(0.0, seed=seed)
@@ -379,7 +381,8 @@ def padding_prob_mc(sp, rho, trials=100_000, seed=0, workers=1):
         f = within_batch(s, (1.0 + rho) * pts, 1.0 - rho).astype(float)
         return f, wt
 
-    return estimate_mean(kernel, trials, seed, workers=workers)
+    return estimate_mean(kernel, trials, seed, workers=workers,
+                         chunk=_chunk_rows(s))
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,9 @@ SPACES = {
 # sampler: its cone points come from hit-and-run.
 FALLBACK = intersect_ball(schatten(2, 1), 0.5)
 
-# Two chunks of the Monte Carlo engine, so that a second worker has work.
+# Two chunks of the Monte Carlo engine up to dimension 8, so that a second
+# worker has work; wider spaces take chunks of 2^16 words, so that
+# `psi/orlicz48/two_chunks` spans 30 of them.
 TWO_CHUNKS = 40_000
 # Two chunks of `separation_prob_mc`, which draws 8192 trials at a time.
 TWO_SEPARATION_CHUNKS = 1 << 14

@@ -14,7 +14,8 @@ from normpart.space import (REGISTRY, CapabilityError, InputError,
                             coord_bound, gradient_batch, intersect_ball,
                             linf, lp, norm_batch, orlicz, schatten, space)
 from normpart.geometry import (_SIGN_ORBIT, CHUNK, MonteCarloEstimate,
-                               _chord_ends, _cloud_psi, _cone_points,
+                               _chord_ends, _chunk_rows, _cloud_psi,
+                               _cone_points,
                                _orbit_mean_abs, _unit_scale,
                                cauchy_surface_identity_check, cone_sample,
                                cone_volume, estimate_mean,
@@ -26,7 +27,8 @@ from normpart.geometry import (_SIGN_ORBIT, CHUNK, MonteCarloEstimate,
                                psi_gradient_cloud, surface_ratio,
                                uniform_ball_sample, volume_exact, volume_mc,
                                volume_of)
-from normpart.partition import separation_prob_mc
+from normpart.partition import (padding_prob_mc, schmuckenschlager_bracket,
+                                separation_prob_exact, separation_prob_mc)
 
 import oracles
 from kinds import over_the_table
@@ -99,6 +101,97 @@ def test_a_bad_sample_count_names_the_samples_parameter(call):
     for count in (2.5, 0, True):
         with pytest.raises(InputError, match="^samples must be an integer"):
             call(count)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: iq_of(lp(3, 3), samples=2.5),
+    lambda: iq_of(linf(3), samples=0),
+    lambda: volume_of(lp(3, 3), trials=0),
+    lambda: separation_prob_exact(linf(2), np.zeros(2), np.full(2, 0.1), 2.0,
+                                  trials=2.5),
+], ids=["iq_of-lp3", "iq_of-linf", "volume_of", "separation_prob_exact"])
+def test_a_bad_count_raises_where_the_answer_is_exact(call):
+    # each returned its exact value without looking at the count
+    with pytest.raises(InputError, match="^(samples|trials) must be an "
+                                         "integer"):
+        call()
+
+
+# ---------------------------------------------------------------------------
+# chunk sizes
+
+
+def _traced_peak(call):
+    """The peak of traced memory (bytes) while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+_WIDE = [lp(256, 3), orlicz(256, 127.5)]
+
+
+@pytest.mark.parametrize("d", _WIDE, ids=["lp", "orlicz"])
+@pytest.mark.parametrize("call", [
+    lambda d, w: psi(d, w, samples=4096, seed=1),
+    lambda d, w: surface_ratio(d, samples=4096, seed=2),
+    lambda d, w: mean_width_dual(d, samples=4096, seed=3),
+    lambda d, w: schmuckenschlager_bracket(d, 0.5 * w, samples=4096, seed=4),
+    lambda d, w: padding_prob_mc(d, 0.25, trials=4096, seed=5),
+], ids=["psi", "surface_ratio", "mean_width_dual",
+        "schmuckenschlager_bracket", "padding_prob_mc"])
+def test_wide_spaces_estimate_in_bounded_memory(d, call):
+    """Chunks of 2^16 words keep every (rows x n) array of a kernel at
+    512 KiB at n = 256, where 4096 rows took 8 MiB an array."""
+    w = np.ones(d.dim) / float(norm_batch(d, np.ones(d.dim)))
+    assert _traced_peak(lambda: call(d, w)) < 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("d", _WIDE, ids=["lp", "orlicz"])
+def test_a_wide_gradient_cloud_holds_its_output_and_one_chunk(d):
+    """A one-shot draw larger than a chunk is filled chunk by chunk into
+    one output, so its temporaries do not grow with the sample count."""
+    G, wt = psi_gradient_cloud(d, samples=8192, seed=6)
+    assert _traced_peak(lambda: psi_gradient_cloud(d, samples=8192, seed=6)) \
+        < G.nbytes + wt.nbytes + 8 * 2 ** 20
+
+
+def test_chunk_rows_and_a_draw_filled_chunk_by_chunk():
+    # n <= 8 keeps chunks of 2^15 rows and one-shot draws in one piece;
+    # from n = 9 on both are cut at 2^16 // n rows, and a draw's first block
+    # is what the kind's sampler draws first from the same rng
+    assert _chunk_rows(lp(8, 3)) == CHUNK
+    assert _chunk_rows(schatten(3, 1.5)) == (1 << 16) // 9
+    assert _chunk_rows(lp(1 << 17, 3)) == 1
+    rng = np.random.default_rng(7)
+    pts, wt = _cone_points(lp(9, 3), rng, 20_000)
+    rng = np.random.default_rng(7)
+    first, _ = REGISTRY["lp"].cone_sample(lp(9, 3), (1 << 16) // 9, rng)
+    assert np.array_equal(pts[:len(first)], first)
+    assert np.allclose(norm_batch(lp(9, 3), pts), 1.0)
+    assert np.array_equal(wt, np.ones(20_000))
+
+
+def test_hit_and_run_spaces_keep_chunks_of_2_15_rows(monkeypatch):
+    """Each chunk of a space without a direct cone sampler is one
+    hit-and-run run with a burn-in of 100 n steps, so its chunks keep CHUNK
+    rows: 40 000 samples at n = 9 are 2 runs, not the 6 of chunks of 2^16
+    words."""
+    runs = []
+
+    def stub(s, count, seed=0):
+        runs.append(count)
+        return np.random.default_rng(seed).standard_normal((count, s.dim))
+
+    monkeypatch.setattr(importlib.import_module("normpart.geometry"),
+                        "hit_and_run_sample", stub)
+    d = intersect_ball(schatten(3, 1.5), 0.8)
+    assert not d.has_cone_sampler
+    psi(d, np.ones(9), samples=40_000, seed=3)
+    assert runs == [CHUNK, 40_000 - CHUNK]
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +491,10 @@ def test_intersect_ball_rejection_stalls_in_high_dimension():
     assert d.has_cone_sampler
     with pytest.raises(RejectionStalled):
         REGISTRY["intersect_ball"].cone_sample(d, 10, np.random.default_rng(0))
+    # its cone points come from hit-and-run, so its chunks keep 2^15 rows,
+    # where the same cut at r = 1, a Euclidean ball, takes 2^16 // n
+    assert _chunk_rows(d) == CHUNK
+    assert _chunk_rows(intersect_ball(linf(n), 1.0)) == (1 << 16) // n
 
 
 def test_stalled_rejection_falls_back_to_hit_and_run(monkeypatch):
@@ -442,7 +539,8 @@ def test_intersect_ball_at_the_circumradius_is_its_base():
 
 
 def test_schatten_psi_identical_across_workers():
-    # two chunks of the Monte Carlo engine, drawn in either order
+    # six chunks of the Monte Carlo engine (2^16 // 9 rows each), drawn in
+    # any order
     w = np.arange(1.0, 10.0)
     a = psi(schatten(3, 1.5), w, samples=CHUNK + 5_000, seed=21, workers=1)
     b = psi(schatten(3, 1.5), w, samples=CHUNK + 5_000, seed=21, workers=2)
@@ -886,9 +984,9 @@ print(hashlib.sha256(" ".join(out[:4]).encode()).hexdigest(),
 
 def test_seeded_psi_is_the_same_at_one_and_two_blas_threads():
     """The sign-orbit products of the psi kernel round alike whatever the
-    BLAS thread count and worker count: three chunks of seeded psi on four
-    kinds hash the same at OPENBLAS_NUM_THREADS=1 and 2, each at 1 and 2
-    workers."""
+    BLAS thread count and worker count: seeded psi on four kinds, in three
+    chunks (ten on the 3 x 3 Schatten ball), hashes the same at
+    OPENBLAS_NUM_THREADS=1 and 2, each at 1 and 2 workers."""
     hashes = set()
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
