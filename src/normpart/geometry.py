@@ -56,11 +56,6 @@ class ConeSamples:
     weights: np.ndarray  # (count,)
 
 
-def exact_estimate(value, seed=0):
-    return MonteCarloEstimate(value=float(value), stderr=0.0, trials=1,
-                              seed=seed)
-
-
 # ---------------------------------------------------------------------------
 # substream Monte Carlo engine
 
@@ -101,6 +96,17 @@ def _check_count(value, what, least):
             or value < least):
         raise InputError("%s must be an integer >= %d, got %r"
                          % (what, least, value))
+
+
+def _exact_or(count, what, seed, exact, estimate):
+    """Once the count named ``what`` is an integer >= 1, exact() with stderr
+    0 from one trial, or estimate() where exact() is None."""
+    _check_count(count, what, 1)
+    value = exact()
+    if value is None:
+        return estimate()
+    return MonteCarloEstimate(value=float(value), stderr=0.0, trials=1,
+                              seed=seed)
 
 
 def estimate_mean(kernel, trials, seed, workers=1, chunk=CHUNK,
@@ -421,17 +427,15 @@ def volume_mc(sp, trials=100_000, seed=0, workers=1, force=False):
                         chunk=_chunk_rows(s))
     stderr = (est.stderr if 0.0 < est.value < 1.0
               else math.sqrt(trials - 1) / trials ** 1.5)
-    return MonteCarloEstimate(value=est.value * box, stderr=stderr * box,
-                              trials=trials, seed=seed)
+    return replace(est, value=est.value * box, stderr=stderr * box)
 
 
 def volume_of(sp, trials=200_000, seed=0):
     """Exact volume when available, Monte Carlo otherwise."""
     s = space(sp)
-    _check_count(trials, "trials", 1)
-    if s.has_exact_volume:
-        return exact_estimate(volume_exact(s), seed=seed)
-    return volume_mc(s, trials=trials, seed=seed)
+    return _exact_or(trials, "trials", seed,
+                     lambda: volume_exact(s) if s.has_exact_volume else None,
+                     lambda: volume_mc(s, trials=trials, seed=seed))
 
 
 # ---------------------------------------------------------------------------
@@ -458,12 +462,9 @@ def iq(sp, samples=100_000, seed=0, workers=1):
     sr = surface_ratio(s, samples=samples, seed=seed, workers=workers)
     vol = volume_of(s, seed=seed)
     root = vol.value ** (1.0 / s.dim)
-    err = sr.stderr * root
-    if vol.stderr > 0:
-        err = math.hypot(err, sr.value * root * vol.stderr
-                         / (s.dim * vol.value))
-    return MonteCarloEstimate(value=sr.value * root, stderr=err,
-                              trials=samples, seed=seed)
+    return replace(sr, value=sr.value * root,
+                   stderr=math.hypot(sr.stderr * root, sr.value * root
+                                     * vol.stderr / (s.dim * vol.value)))
 
 
 def iq_exact(sp):
@@ -480,11 +481,10 @@ def iq_of(sp, samples=100_000, seed=0, workers=1):
     """Exact isoperimetric quotient where `Kind.iq_exact` has one (every l_p
     ball), Monte Carlo `iq` otherwise."""
     s = space(sp)
-    _check_count(samples, "samples", 1)
-    exact = REGISTRY[s.kind].iq_exact(s)
-    if exact is not None:
-        return exact_estimate(exact, seed=seed)
-    return iq(s, samples=samples, seed=seed, workers=workers)
+    return _exact_or(samples, "samples", seed,
+                     lambda: REGISTRY[s.kind].iq_exact(s),
+                     lambda: iq(s, samples=samples, seed=seed,
+                                workers=workers))
 
 
 # ---------------------------------------------------------------------------
@@ -543,20 +543,16 @@ def psi(sp, w, samples=100_000, seed=0, workers=1, closed_form=True):
     cut the stderr of 20k points from 0.0167-0.0175 to 0.0113-0.0118.
     """
     s = space(sp)
-    _check_count(samples, "samples", 1)
     w = np.asarray(w, dtype=float)
     if w.shape != (s.dim,):
         raise InputError("direction length mismatch")
     if not np.all(np.isfinite(w)):
         raise InputError("direction is not finite")
-    if not np.any(w):
-        return exact_estimate(0.0, seed=seed)
     w, k = _unit_scale(w)
     kind = REGISTRY[s.kind]
     axis = kind.axis_psi(s)
-    if axis is not None:
-        scale = 0.5 * s.dim * np.abs(w)
-        mu = math.fsum(np.abs(w) * axis)
+    scale = 0.5 * s.dim * np.abs(w)
+    mu = None if axis is None else math.fsum(np.abs(w) * axis)
 
     def kernel(rng, m):
         g, wt = _cone_points(s, rng, m, normals=True)
@@ -569,13 +565,12 @@ def psi(sp, w, samples=100_000, seed=0, workers=1, closed_form=True):
         # count
         return f, np.einsum("ij,j->i", np.abs(g, out=g), scale)
 
-    cf = psi_closed_form(s, w) if closed_form else None
-    if cf is not None:
-        est = exact_estimate(cf, seed=seed)
-    else:
-        est = estimate_mean(kernel, samples, seed, workers=workers,
-                            chunk=_chunk_rows(s),
-                            control=None if axis is None else mu)
+    est = _exact_or(samples, "samples", seed,
+                    lambda: (0.0 if not np.any(w) else
+                             psi_closed_form(s, w) if closed_form else None),
+                    lambda: estimate_mean(kernel, samples, seed,
+                                          workers=workers,
+                                          chunk=_chunk_rows(s), control=mu))
     try:
         return replace(est, value=math.ldexp(est.value, k),
                        stderr=math.ldexp(est.stderr, k))
@@ -656,8 +651,7 @@ def _times_volume(s, est, denom, spread=0.0):
     scale = vol.value / denom
     err = math.hypot(est.stderr * scale, est.value * vol.stderr / denom,
                      spread * scale)
-    return MonteCarloEstimate(value=est.value * scale, stderr=err,
-                              trials=est.trials, seed=est.seed)
+    return replace(est, value=est.value * scale, stderr=err)
 
 
 def hyperplane_projection_volume(sp, w, samples=100_000, seed=0, workers=1):
@@ -810,6 +804,7 @@ def gaussian_l2_mean(n):
 def mean_width_dual(sp, samples=100_000, seed=0, workers=1):
     """Spherical mean of the norm, M = E ||G||_X / E ||G||_2 over Gaussians."""
     s = space(sp)
+    _check_count(samples, "samples", 1)
     denom = gaussian_l2_mean(s.dim)
 
     def kernel(rng, m):
@@ -838,6 +833,7 @@ def cauchy_surface_identity_check(sp, samples=100_000, directions=4096,
     """
     s = space(sp)
     n = s.dim
+    _check_count(directions, "directions", 1)
     lhs = surface_ratio(s, samples=samples, seed=seed, workers=workers)
     c_n = 2.0 * math.sqrt(math.pi) * math.exp(math.lgamma(0.5 * (n + 1))
                                               - math.lgamma(0.5 * n))

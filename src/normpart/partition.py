@@ -19,14 +19,14 @@ use.  Internally everything is rescaled to delta = 2, ball radius 1.
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .space import (_SHORT_ROW_MAX, REGISTRY, InputError, coord_bound, linf,
                     norm_batch, space, within_batch)
-from .geometry import (MonteCarloEstimate, _ball_points, _check_count,
-                       _chunk_rows, estimate_mean, exact_estimate, psi)
+from .geometry import (_ball_points, _chunk_rows, _exact_or, estimate_mean,
+                       psi)
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 # Arrivals per box in one pass: at most this many, a bound on memory.
@@ -240,8 +240,10 @@ class PartitionSample:
 
 
 def _check_delta(delta):
-    if not delta > 0:
-        raise InputError("delta must be positive, got %r" % (delta,))
+    """Raise InputError unless delta > 0 and the scale 2/delta is finite."""
+    if not (delta > 0 and math.isfinite(2.0 / float(delta))):
+        raise InputError("delta must be positive, with 2/delta finite, got "
+                         "%r" % (delta,))
 
 
 def _separation_args(s, u, v, delta):
@@ -294,15 +296,13 @@ def separation_prob_mc(sp, u, v, delta, trials=10_000, seed=0, workers=1):
     separates when the first arrivals near u and near v differ."""
     s = space(sp)
     u, v = _separation_args(s, u, v, delta)
-    if np.array_equal(u, v):
-        return exact_estimate(0.0, seed=seed)
     scale = 2.0 / delta
     c = coord_bound(s)
-    with np.errstate(over="ignore"):    # rejected below
+    with np.errstate(over="ignore", invalid="ignore"):    # rejected below
         q = np.vstack([u, v]) * scale
         lo, hi = q.min(axis=0) - c, q.max(axis=0) + c
         span = hi - lo
-    if not np.all(np.isfinite(span)):
+    if not (np.array_equal(u, v) or np.all(np.isfinite(span))):
         raise InputError("u and v scaled by 2/delta must be finite")
 
     def kernel(rng, m):
@@ -311,7 +311,10 @@ def separation_prob_mc(sp, u, v, delta, trials=10_000, seed=0, workers=1):
                                span[None], keys, positions=False)
         return (t[:, 0] != t[:, 1]).astype(float), np.ones(m)
 
-    return estimate_mean(kernel, trials, seed, workers=workers, chunk=1 << 13)
+    return _exact_or(trials, "trials", seed,
+                     lambda: 0.0 if np.array_equal(u, v) else None,
+                     lambda: estimate_mean(kernel, trials, seed,
+                                           workers=workers, chunk=1 << 13))
 
 
 def _overlap_mc(s, w, samples, seed, workers=1):
@@ -337,21 +340,24 @@ def separation_prob_exact(sp, u, v, delta, trials=100_000, seed=0, workers=1):
     the rescaled offset; exact where the kind has t in closed form (l_inf),
     one Monte Carlo estimate of t otherwise."""
     s = space(sp)
-    _check_count(trials, "trials", 1)
     u, v = _separation_args(s, u, v, delta)
-    if np.array_equal(u, v):
-        return exact_estimate(0.0, seed=seed)
     with np.errstate(over="ignore"):    # an infinite offset separates
         w = (2.0 / delta) * (v - u)
-    if float(norm_batch(s, w)) >= 2.0:
-        return exact_estimate(1.0, seed=seed)
-    t = REGISTRY[s.kind].overlap_exact(s, w)
-    if t is not None:
-        return exact_estimate((2.0 - 2.0 * t) / (2.0 - t), seed=seed)
-    t = _overlap_mc(s, w, trials, seed, workers=workers)
-    val = (2.0 - 2.0 * t.value) / (2.0 - t.value)
-    err = 2.0 / (2.0 - t.value) ** 2 * t.stderr
-    return MonteCarloEstimate(value=val, stderr=err, trials=trials, seed=seed)
+
+    def exact():
+        if np.array_equal(u, v):
+            return 0.0
+        if float(norm_batch(s, w)) >= 2.0:
+            return 1.0
+        t = REGISTRY[s.kind].overlap_exact(s, w)
+        return None if t is None else (2.0 - 2.0 * t) / (2.0 - t)
+
+    def estimate():
+        t = _overlap_mc(s, w, trials, seed, workers=workers)
+        return replace(t, value=(2.0 - 2.0 * t.value) / (2.0 - t.value),
+                       stderr=2.0 / (2.0 - t.value) ** 2 * t.stderr)
+
+    return _exact_or(trials, "trials", seed, exact, estimate)
 
 
 # ---------------------------------------------------------------------------

@@ -13,16 +13,15 @@ import io
 import json
 import math
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .space import (INF, REGISTRY, CapabilityError, InputError,
                     SpaceDescriptor, block_lp, circumradius, gradient_batch,
                     lp, norm_batch, orlicz, space)
-from .geometry import (MonteCarloEstimate, _ball_ascent, _check_count,
-                       _psi_sup, cone_sample, iq_of, log_euclidean_ball_volume,
-                       log_volume_exact)
+from .geometry import (_ball_ascent, _check_count, _psi_sup, cone_sample,
+                       iq_of, log_euclidean_ball_volume, log_volume_exact)
 
 
 def external_volume_ratio(sp):
@@ -114,10 +113,8 @@ def sep_upper_two_norm(sp_x, sp_y=None, restarts=16, samples=100_000, seed=0,
     _check_count(restarts, "restarts", 0)
     s_factor = _sup_norm_on_sphere(y, x, restarts, seed)
     _, best, spread = _psi_sup(y, x, restarts, samples, seed, workers)
-    value = 4.0 * s_factor * best.value
-    stderr = 4.0 * s_factor * math.hypot(best.stderr, spread)
-    return MonteCarloEstimate(value=value, stderr=stderr,
-                              trials=best.trials, seed=seed)
+    return replace(best, value=4.0 * s_factor * best.value,
+                   stderr=4.0 * s_factor * math.hypot(best.stderr, spread))
 
 
 # ---------------------------------------------------------------------------

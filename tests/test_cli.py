@@ -251,7 +251,8 @@ def test_lw_check_command(capsys):
 def test_sep_prob_nonpositive_delta_exit_2(capsys):
     base = ["sep-prob", "--space", '{"kind":"lp","n":2,"p":2}',
             "--u", "0,0", "--v", "1,0", "--trials", "100"]
-    for delta in ("0", "-2"):
+    # at 1e-320, 2/delta overflows: --exact warned, printed 1 and exited 0
+    for delta in ("0", "-2", "1e-320"):
         for extra in ([], ["--exact"]):
             code, _, err = run_main(base + ["--delta", delta] + extra, capsys)
             assert code == 2 and "delta" in err

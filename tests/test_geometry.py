@@ -95,26 +95,59 @@ def test_sample_counts_below_one_raise():
                                            samples=c),
     lambda c: maxproj(lp(3, 3), restarts=2, samples=c),
     lambda c: psi_gradient_cloud(lp(3, 3), samples=c),
+    lambda c: mean_width_dual(lp(3, 3), samples=c),
 ], ids=["psi", "iq", "surface_ratio", "cone_volume",
-        "hyperplane_projection_volume", "maxproj", "psi_gradient_cloud"])
+        "hyperplane_projection_volume", "maxproj", "psi_gradient_cloud",
+        "mean_width_dual"])
 def test_a_bad_sample_count_names_the_samples_parameter(call):
     for count in (2.5, 0, True):
         with pytest.raises(InputError, match="^samples must be an integer"):
             call(count)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: iq_of(lp(3, 3), samples=2.5),
-    lambda: iq_of(linf(3), samples=0),
-    lambda: volume_of(lp(3, 3), trials=0),
-    lambda: separation_prob_exact(linf(2), np.zeros(2), np.full(2, 0.1), 2.0,
-                                  trials=2.5),
-], ids=["iq_of-lp3", "iq_of-linf", "volume_of", "separation_prob_exact"])
-def test_a_bad_count_raises_where_the_answer_is_exact(call):
-    # each returned its exact value without looking at the count
+def test_cauchy_check_rejects_a_bad_direction_count():
+    # 0 divided by zero, and 2.5 raised TypeError inside numpy
+    for count in (0, 2.5):
+        with pytest.raises(InputError, match="^directions must be an integer"):
+            cauchy_surface_identity_check(lp(3, 3), samples=100,
+                                          directions=count)
+
+
+# Each call that gives an exact answer where it can and an estimate
+# otherwise, on an input of each path.
+_EXACT_OR_ESTIMATE = {
+    "iq_of-lp3": lambda c: iq_of(lp(3, 3), samples=c),
+    "iq_of-linf": lambda c: iq_of(linf(3), samples=c),
+    "iq_of-mc": lambda c: iq_of(orlicz(3, 1.5), samples=c),
+    "volume_of": lambda c: volume_of(lp(3, 3), trials=c),
+    "volume_of-mc": lambda c: volume_of(
+        intersect_ball(schatten(2, 1), 0.5), trials=c),
+    "psi-zero": lambda c: psi(lp(3, 3), np.zeros(3), samples=c),
+    "psi-closed-form": lambda c: psi(lp(3, 2), [1.0, 2.0, 3.0], samples=c),
+    "psi-mc": lambda c: psi(lp(3, 3), [1.0, 2.0, 3.0], samples=c),
+    "separation_prob_exact": lambda c: separation_prob_exact(
+        linf(2), np.zeros(2), np.full(2, 0.1), 2.0, trials=c),
+    "separation_prob_exact-equal": lambda c: separation_prob_exact(
+        lp(2, 3), np.zeros(2), np.zeros(2), 2.0, trials=c),
+    "separation_prob_exact-far": lambda c: separation_prob_exact(
+        lp(2, 3), np.zeros(2), [3.0, 0.0], 2.0, trials=c),
+    "separation_prob_exact-mc": lambda c: separation_prob_exact(
+        lp(2, 3), np.zeros(2), [0.5, 0.0], 2.0, trials=c),
+    "separation_prob_mc-equal": lambda c: separation_prob_mc(
+        lp(2, 2), np.zeros(2), np.zeros(2), 2.0, trials=c),
+    "separation_prob_mc": lambda c: separation_prob_mc(
+        lp(2, 2), np.zeros(2), [0.5, 0.0], 2.0, trials=c),
+}
+
+
+@pytest.mark.parametrize("count", [2.5, 0, True])
+@pytest.mark.parametrize("call", list(_EXACT_OR_ESTIMATE.values()),
+                         ids=list(_EXACT_OR_ESTIMATE))
+def test_a_bad_count_raises_on_the_exact_and_the_estimated_path(call, count):
+    # the exact paths returned their value without looking at the count
     with pytest.raises(InputError, match="^(samples|trials) must be an "
                                          "integer"):
-        call()
+        call(count)
 
 
 # ---------------------------------------------------------------------------

@@ -343,6 +343,9 @@ def test_separation_edge_cases():
     assert separation_prob_exact(lp(2, 2), [0, 0], [3, 0], 2.0).value == 1.0
     assert separation_prob_mc(lp(2, 2), [1, 1], [1, 1], 2.0,
                               trials=10).value == 0.0
+    # u = v needs no box, so one that overflows is no error
+    est = separation_prob_mc(lp(2, 2), [1e308, 1e308], [1e308, 1e308], 1e-10)
+    assert (est.value, est.stderr, est.trials) == (0.0, 0.0, 1)
 
 
 def test_separation_rejects_nonpositive_delta():
@@ -351,6 +354,21 @@ def test_separation_rejects_nonpositive_delta():
         for fn in (separation_prob_exact, separation_prob_mc):
             with pytest.raises(InputError, match="delta"):
                 fn(lp(2, 2), [0, 0], [1, 0], delta, trials=10)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("call", [
+    lambda: separation_prob_exact(linf(2), [0, 0], [1, 0], 1e-320),
+    lambda: separation_prob_exact(lp(2, 2), [0, 0], [1, 0], 1e-320),
+    lambda: separation_prob_mc(lp(2, 2), [0, 0], [1, 0], 1e-320, trials=10),
+    lambda: sample_partition(lp(2, 2), 1e-320, [[0, 0]]),
+], ids=["separation_prob_exact-linf", "separation_prob_exact-lp2",
+        "separation_prob_mc", "sample_partition"])
+def test_a_delta_whose_scale_overflows_raises(call):
+    # 2/delta overflowed: separation_prob_exact gave NaN on linf(2) and 1.0
+    # on lp(2, 2), and the other two warned before raising
+    with pytest.raises(InputError, match="2/delta finite"):
+        call()
 
 
 def test_separation_rejects_points_of_the_wrong_length():
@@ -368,6 +386,10 @@ def test_separation_mc_rejects_points_that_are_not_finite():
                      ([1e300, 0], 1e-10)):
         with pytest.raises(InputError, match="finite"):
             separation_prob_mc(lp(2, 2), u, [0, 0], delta, trials=10)
+    # a box of side inf - inf warned before it raised
+    with pytest.raises(InputError, match="finite"):
+        separation_prob_mc(lp(2, 2), [1e308, 1e308], [-1e308, 1e308], 1e-10,
+                           trials=10)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

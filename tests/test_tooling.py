@@ -104,6 +104,41 @@ def test_kinds_leave_edge_rows_to_the_entry_points(path):
     assert found == []
 
 
+def _literal_zero(node):
+    return isinstance(node, ast.Constant) and node.value == 0
+
+
+def _exact_builds(tree):
+    """The module-level definitions of tree that define `exact_estimate` or
+    build an estimate of literal stderr 0: a `MonteCarloEstimate(...)` or
+    ``replace(...)`` call passing 0 as its stderr."""
+    for stmt in tree.body:
+        for node in ast.walk(stmt):
+            if (isinstance(node, ast.FunctionDef)
+                    and node.name == "exact_estimate"):
+                yield node.name
+            if not isinstance(node, ast.Call):
+                continue
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            stderr = [kw.value for kw in node.keywords if kw.arg == "stderr"]
+            if callee == "MonteCarloEstimate":
+                stderr += node.args[1:2]
+            if (callee in ("MonteCarloEstimate", "replace")
+                    and any(map(_literal_zero, stderr))):
+                yield getattr(stmt, "name", stmt.lineno)
+
+
+def test_exact_estimates_are_built_in_one_place():
+    """`geometry._exact_or` checks a call's count before it gives an exact
+    answer, so it alone builds an estimate of stderr 0 in the source trees,
+    and no `exact_estimate` comes back to give one without that check."""
+    found = [(path.name, name)
+             for tree in (SRC, SRC.parent.parent / "bench")
+             for path in sorted(tree.rglob("*.py"))
+             for name in _exact_builds(ast.parse(path.read_text()))]
+    assert found == [("geometry.py", "_exact_or")]
+
+
 _MODULES = ("space", "geometry", "partition", "sepmod", "extension", "cli")
 
 
