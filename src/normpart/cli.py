@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .space import (REGISTRY, CapabilityError, InputError, SpaceDescriptor,
-                    loglacunary_decompose)
+                    _numbers, loglacunary_decompose)
 from . import geometry as geo
 from . import partition as part
 from . import sepmod
@@ -31,11 +31,7 @@ def _parse_space(text):
 def _parse_vector(text, name):
     if text is None:
         raise InputError("--%s is required for this command" % name)
-    try:
-        return np.array([float(t) for t in text.split(",")], dtype=float)
-    except ValueError:
-        raise InputError("could not parse --%s as comma-separated floats"
-                         % name)
+    return _numbers(text.split(","), "--" + name)
 
 
 def _floats(values):

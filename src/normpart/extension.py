@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .space import InputError, norm_batch, space
+from .space import InputError, _numbers, _points, norm_batch, space
 from .geometry import _check_count, _cloud_psi, psi_gradient_cloud
 from .partition import _grid_first_arrivals
 
@@ -29,7 +29,7 @@ CALIBRATED_LIPSCHITZ_BOUND = 1.722
 
 def bump(t):
     """Piecewise-linear 1-Lipschitz bump: 0 outside [1, 4], 1 on [2, 3]."""
-    t = np.asarray(t, dtype=float)
+    t = _numbers(t, "t")
     return np.clip(np.minimum(t - 1.0, 4.0 - t), 0.0, 1.0)
 
 
@@ -56,12 +56,9 @@ def active_scales(d):
 def bump_weights(sp, x, anchors, k):
     """lambda_k(x) = bump(d(x,C)/2^k) / sum_j bump(d(x,C)/2^j); 0 on C."""
     s = space(sp)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (s.dim,) or not np.all(np.isfinite(x)):
-        raise InputError("bump_weights needs a finite point of length %d, "
-                         "got %r" % (s.dim, x.tolist()))
-    anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
-    d = float(norm_batch(s, anchors - x).min())
+    x = _points(x, s.dim, "point")
+    anchors = _points(anchors, s.dim, "anchors", stack=True)
+    d = float(norm_batch(s, anchors - x).min(initial=math.inf))
     if d <= 0.0:
         return 0.0
     ks = active_scales(d)
@@ -103,14 +100,8 @@ class ExtensionOperator:
         8 * partition._PASS_WORDS words (8 MiB) at a time whatever their
         number (see `partition._grid_first_arrivals`); beyond that, each row
         takes about (anchors + 2)(n + 1) words."""
-        x = np.asarray(x, dtype=float)
-        n = self.anchors.shape[1]
-        if x.ndim not in (1, 2) or x.shape[-1] != n:
-            raise InputError("points must have shape (%d,) or (P, %d), got "
-                             "%s" % (n, n, x.shape))
-        pts = x.reshape(-1, n)
-        if not np.all(np.isfinite(pts)):
-            raise InputError("points must be finite")
+        x = _points(x, self.space.dim, "points", stack=True)
+        pts = x.reshape(-1, self.space.dim)
         dists = norm_batch(self.space, self.anchors - pts[:, None])
         d = dists.min(axis=1)
         if not np.all(np.isfinite(d)):
@@ -141,32 +132,20 @@ class ExtensionOperator:
         return value
 
 
-def _numbers(x, what):
-    """x as a float array; InputError naming ``what`` where it is not an
-    array of numbers (a JSON object, say)."""
-    try:
-        return np.asarray(x, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError("%s must be an array of numbers: %s"
-                         % (what, exc)) from None
-
-
 def build_extension(sp, anchors, values, target=None, mc_rounds=64, seed=0):
     """Assemble the extension operator for anchors C and values f(C)."""
     s = space(sp)
     _check_count(mc_rounds, "mc_rounds", 1)
-    anchors = np.atleast_2d(_numbers(anchors, "anchors"))
+    anchors = np.atleast_2d(_points(anchors, s.dim, "anchors", stack=True))
     if anchors.size == 0:
         raise InputError("anchors must be nonempty")
-    if anchors.shape[1] != s.dim:
-        raise InputError("anchor dimension mismatch")
     values = _numbers(values, "values")
     if values.ndim == 1:
         values = values[:, None]
     if values.shape[0] != anchors.shape[0]:
         raise InputError("one value per anchor required")
-    if not (np.all(np.isfinite(anchors)) and np.all(np.isfinite(values))):
-        raise InputError("anchors and values must be finite")
+    if not np.all(np.isfinite(values)):
+        raise InputError("values must be finite")
     _, keep = np.unique(anchors, axis=0, return_index=True)
     if keep.size < anchors.shape[0]:
         warnings.warn("duplicate anchors removed")
@@ -181,9 +160,9 @@ def build_extension(sp, anchors, values, target=None, mc_rounds=64, seed=0):
 
 
 def evaluate(op, x):
-    """F(x) = sum_i w_i f(c_i) together with the convex weights w."""
+    """F(x) = sum_i w_i f(c_i) and the weights w, at x or each row of x."""
     w = op.weights(x)
-    return op.values.T @ w, w
+    return (op.values.T @ w.T).T, w
 
 
 def separation_profile_cloud(sp, samples=50_000, seed=0):
@@ -191,7 +170,7 @@ def separation_profile_cloud(sp, samples=50_000, seed=0):
     G, wt = psi_gradient_cloud(sp, samples=samples, seed=seed)
 
     def profile(w):
-        z = np.asarray(w, dtype=float)[None]
+        z = _points(w, G.shape[1], "direction")[None]
         return 4.0 * float(_cloud_psi(G, wt, z)[0])
 
     return profile

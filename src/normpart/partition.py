@@ -23,8 +23,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .space import (_SHORT_ROW_MAX, REGISTRY, InputError, coord_bound, linf,
-                    norm_batch, space, within_batch)
+from .space import (_SHORT_ROW_MAX, REGISTRY, InputError, _numbers, _points,
+                    coord_bound, linf, norm_batch, space, within_batch)
 from .geometry import (_ball_points, _chunk_rows, _exact_or, estimate_mean,
                        psi)
 
@@ -246,20 +246,6 @@ def _check_delta(delta):
                          "%r" % (delta,))
 
 
-def _separation_args(s, u, v, delta):
-    """u and v as finite float vectors of the dimension of s, once
-    delta > 0."""
-    _check_delta(delta)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != (s.dim,) or v.shape != (s.dim,):
-        raise InputError("u and v must have length %d, got shapes %s and %s"
-                         % (s.dim, u.shape, v.shape))
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-        raise InputError("u and v must be finite")
-    return u, v
-
-
 def sample_partition(sp, delta, queries, seed=0):
     """One realization of the iterative ball partition for a query set.  The
     realization is fixed by the seed alone: a query's center does not depend
@@ -267,14 +253,14 @@ def sample_partition(sp, delta, queries, seed=0):
     order of arrival."""
     s = space(sp)
     _check_delta(delta)
-    qpts = np.atleast_2d(np.asarray(queries, dtype=float))
-    if qpts.shape[0] == 0:
+    if delta == math.inf:
+        raise InputError("a partition needs a finite delta")
+    qpts = np.atleast_2d(_points(queries, s.dim, "queries", stack=True))
+    rows = qpts.shape[0]
+    if rows == 0:
         raise InputError("queries must be nonempty")
-    if qpts.shape[1] != s.dim:
-        raise InputError("query dimension mismatch")
     scale = 2.0 / delta
     key = np.random.SeedSequence(seed).generate_state(1, np.uint64)
-    rows = qpts.shape[0]
     with np.errstate(over="ignore"):    # the grid rejects what overflows
         scaled = qpts * scale
     t, pos = _grid_first_arrivals(s, np.repeat(key, rows), scaled,
@@ -295,7 +281,8 @@ def separation_prob_mc(sp, u, v, delta, trials=10_000, seed=0, workers=1):
     one box holding both balls, keyed from the chunk's generator, and
     separates when the first arrivals near u and near v differ."""
     s = space(sp)
-    u, v = _separation_args(s, u, v, delta)
+    _check_delta(delta)
+    u, v = _points(u, s.dim, "u"), _points(v, s.dim, "v")
     scale = 2.0 / delta
     c = coord_bound(s)
     with np.errstate(over="ignore", invalid="ignore"):    # rejected below
@@ -331,7 +318,7 @@ def _overlap_mc(s, w, samples, seed, workers=1):
 
 def overlap_exact_linf(w):
     """Exact overlap fraction of two unit cubes offset by w (slab product)."""
-    w = np.asarray(w, dtype=float)
+    w = _numbers(w, "w")
     return REGISTRY["lp"].overlap_exact(linf(w.size), w)
 
 
@@ -340,7 +327,8 @@ def separation_prob_exact(sp, u, v, delta, trials=100_000, seed=0, workers=1):
     the rescaled offset; exact where the kind has t in closed form (l_inf),
     one Monte Carlo estimate of t otherwise."""
     s = space(sp)
-    u, v = _separation_args(s, u, v, delta)
+    _check_delta(delta)
+    u, v = _points(u, s.dim, "u"), _points(v, s.dim, "v")
     with np.errstate(over="ignore"):    # an infinite offset separates
         w = (2.0 / delta) * (v - u)
 
@@ -409,7 +397,7 @@ def schmuckenschlager_bracket(sp, w, samples=100_000, seed=0, workers=1):
     """Estimate the overlap fraction t at offset w together with the bracket
     1 - psi(w) <= t <= exp(-psi(w))."""
     s = space(sp)
-    w = np.asarray(w, dtype=float)
+    w = _points(w, s.dim, "direction")
     ps = psi(s, w, samples=samples, seed=seed, workers=workers)
     t = _overlap_mc(s, w, samples, seed + 1, workers=workers)
     return OverlapBracket(psi=ps.value, psi_stderr=ps.stderr,
@@ -419,9 +407,9 @@ def schmuckenschlager_bracket(sp, w, samples=100_000, seed=0, workers=1):
 
 def separation_profile(sp, u, v, samples=100_000, seed=0):
     """The metric 4*psi(u - v) dominating delta * Pr_delta[separation]."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return 4.0 * psi(space(sp), u - v, samples=samples, seed=seed).value
+    s = space(sp)
+    u, v = _points(u, s.dim, "u"), _points(v, s.dim, "v")
+    return 4.0 * psi(s, u - v, samples=samples, seed=seed).value
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +447,14 @@ def product_partition(sample_a, sample_b, s=2.0):
 
 
 def _as_point_set(points):
-    pts = np.atleast_2d(np.asarray(points, dtype=np.int64))
+    """points as a nonempty int64 stack of rows, each coordinate an integer
+    of size at most 2^53 (exact in a float), and the set of its rows."""
+    pts = np.atleast_2d(_numbers(points, "points"))
+    if not (pts.size and pts.ndim == 2 and np.all(
+            (np.abs(pts) <= 2.0 ** 53) & (pts == np.round(pts)))):
+        raise InputError("points must be a nonempty set of points with "
+                         "integer coordinates of size at most 2^53")
+    pts = pts.astype(np.int64)
     return pts, {tuple(p) for p in pts}
 
 
@@ -492,6 +487,8 @@ def deterministic_partition_bound_check(omega, labels, M):
     ``labels`` maps each point (tuple) to its part id.  Returns the pair
     (lhs, rhs); the inequality asserts lhs >= rhs.
     """
+    if not M >= 1:
+        raise InputError("M must be at least 1, got %r" % (M,))
     pts, members = _as_point_set(omega)
     n = pts.shape[1]
     cut = 0

@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .space import (INF, REGISTRY, CapabilityError, InputError,
-                    SpaceDescriptor, block_lp, circumradius, gradient_batch,
-                    lp, norm_batch, orlicz, space)
+                    SpaceDescriptor, _numbers, block_lp, circumradius,
+                    gradient_batch, lp, norm_batch, orlicz, space)
 from .geometry import (_ball_ascent, _check_count, _psi_sup, cone_sample,
                        iq_of, log_euclidean_ball_volume, log_volume_exact)
 
@@ -278,9 +278,12 @@ def sweep(p=2.0, dims=(4, 8, 16, 32), companion=False,
 
 def loglog_slope(dims, values):
     """Least-squares slope of log(value) against log(dim)."""
-    x = np.log(np.asarray(dims, dtype=float))
-    y = np.log(np.asarray(values, dtype=float))
-    return float(np.polyfit(x, y, 1)[0])
+    x, y = _numbers(dims, "dims"), _numbers(values, "values")
+    if not (x.ndim == 1 and x.shape == y.shape and np.unique(x).size > 1
+            and np.all((x > 0) & (x < INF) & (y > 0) & (y < INF))):
+        raise InputError("loglog_slope needs positive finite values at two "
+                         "or more distinct positive finite dims")
+    return float(np.polyfit(np.log(x), np.log(y), 1)[0])
 
 
 def sweep_slopes(records):

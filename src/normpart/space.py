@@ -1284,14 +1284,38 @@ REGISTRY = {
 # norms, gradients and radii (batched: X has shape (..., n))
 
 
+def _numbers(x, what):
+    """x as a float array; InputError naming ``what`` where it is not an
+    array of numbers (a JSON object, a string or a ragged list, say)."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError("%s must be an array of numbers: %s"
+                         % (what, exc)) from None
+
+
+def _points(x, n, what, stack=False):
+    """x as a finite float vector of length n, or with ``stack`` also a
+    stack of them (shape (P, n), P >= 0), or InputError naming ``what``: the
+    gate of every point, direction, query and anchor argument."""
+    x = _numbers(x, what)
+    if x.shape[-1:] != (n,) or x.ndim > 1 + stack:
+        raise InputError("%s must be a vector%s of length %d, got shape %s"
+                         % (what, " or a stack of rows" * stack, n, x.shape))
+    if not np.isfinite(x).all():
+        raise InputError("an entry of %s is not finite" % (what,))
+    return x
+
+
 def _rows(sp, X):
     """X as a float stack of rows (shape (..., dim)), and whether it was a
     single vector, now a one-row stack: numpy takes powers of a 0-d value
     by another path than of an array, which would give a vector other
     bits."""
-    X = np.asarray(X, dtype=float)
-    if X.shape[-1] != sp.n:
-        raise InputError("vector length %d != dim %d" % (X.shape[-1], sp.n))
+    X = _numbers(X, "vectors")
+    if X.shape[-1:] != (sp.n,):
+        raise InputError("vectors must have length %d, got shape %s"
+                         % (sp.n, X.shape))
     return (X[None], True) if X.ndim == 1 else (X, False)
 
 
@@ -1321,7 +1345,7 @@ def within_batch(sp, X, r):
     """norm_batch(sp, X) <= r, from `Kind.within`: X shape (..., dim), radii
     r > 0 broadcastable to X.shape[:-1] -> booleans of that shape.  A row
     holding +-inf or NaN is within no radius."""
-    if not np.all(np.asarray(r) > 0):
+    if not np.all(_numbers(r, "radii") > 0):
         raise InputError("radii must be positive")
     X, single = _rows(sp, X)
     bad = _nonfinite_rows(X)
@@ -1336,7 +1360,7 @@ def within_batch(sp, X, r):
 
 def norm_eval(sp, x):
     """The norm of a single vector."""
-    x = np.asarray(x, dtype=float)
+    x = _numbers(x, "vector")
     if x.ndim != 1:
         raise InputError("norm_eval expects a single vector")
     return float(norm_batch(sp, x))
@@ -1382,7 +1406,7 @@ def gradient_batch(sp, X, nrm=None):
 def norm_gradient(sp, x):
     """Gradient (or a subgradient, as in `gradient_batch`) of the norm at
     x != 0."""
-    x = np.asarray(x, dtype=float)
+    x = _numbers(x, "vector")
     if x.ndim != 1:
         raise InputError("norm_gradient expects a single vector")
     if not np.any(x):

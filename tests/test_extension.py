@@ -316,6 +316,10 @@ def test_bad_points_raise_input_errors():
     for x in ([0.5], [0.5, 0.5, 0.5], [np.nan, 0.5], [0.5, np.inf]):
         with pytest.raises(InputError, match="point"):
             bump_weights(lp(2, 2), x, [[0.0, 0.0], [1.0, 1.0]], 0)
+    # no anchor lies at a finite distance: the minimum of no distances
+    # raised numpy's ValueError
+    with pytest.raises(InputError, match="distance inf"):
+        bump_weights(lp(2, 2), [0.5, 0.5], np.zeros((0, 2)), 0)
 
 
 def test_build_rejects_anchors_and_values_that_are_not_finite():

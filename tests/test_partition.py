@@ -71,11 +71,27 @@ def test_sample_partition_validation():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_queries_the_grid_cannot_place_raise():
     # each of these used to hang: its cells were not finite or overflowed
-    # int64, so no arrival ever came within the radius
-    for delta, q in ((1.0, [np.inf, 0.0]), (1.0, [np.nan, 0.0]),
-                     (1e-300, [1e10, 0.0]), (1e-30, [1.0, 0.0])):
-        with pytest.raises(InputError, match="2\\^62"):
+    # int64, so no arrival ever came within the radius.  The queries that
+    # are not finite meet the input gate before the grid.
+    for delta, q, match in ((1.0, [np.inf, 0.0], "finite"),
+                            (1.0, [np.nan, 0.0], "finite"),
+                            (1e-300, [1e10, 0.0], "2\\^62"),
+                            (1e-30, [1.0, 0.0], "2\\^62")):
+        with pytest.raises(InputError, match=match):
             sample_partition(lp(2, 2), delta, [q])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_partition_needs_a_finite_delta():
+    # the centers were divided by the scale 2/delta = 0: a "divide by zero"
+    # warning and centers (-inf, -inf)
+    with pytest.raises(InputError, match="finite delta"):
+        sample_partition(lp(2, 2), float("inf"), [[0, 0], [1, 0]])
+    # at delta = inf no two points are separated, which both formulas keep
+    for sp in (lp(2, 2), linf(2)):
+        for fn in (separation_prob_exact, separation_prob_mc):
+            assert fn(sp, [0, 0], [1, 0], float("inf"),
+                      trials=100).value == 0.0
 
 
 def _grid_case(sp, rows, seed=0):
@@ -509,6 +525,30 @@ def test_loomis_whitney_random_subsets():
         pts = {tuple(p) for p in rng.integers(0, 4, size=(rng.integers(1, 15), n))}
         avg, floor = loomis_whitney_boundary(sorted(pts))
         assert avg >= floor - 1e-9
+
+
+@pytest.mark.parametrize("call", [
+    lambda: loomis_whitney_boundary([]),
+    lambda: loomis_whitney_boundary([[0.5, 0.5], [1.0, 0.0]]),
+    lambda: loomis_whitney_boundary([[np.nan, 0.0]]),
+    lambda: loomis_whitney_boundary([[np.inf, 0.0]]),
+    lambda: loomis_whitney_boundary([[2.0 ** 60, 0.0]]),
+    lambda: loomis_whitney_boundary({"a": 1}),
+    lambda: deterministic_partition_bound_check([], {}, 2),
+    lambda: deterministic_partition_bound_check([[0.5, 0.0]], {}, 2),
+    lambda: deterministic_partition_bound_check([[0, 0]], {(0, 0): 0}, 0),
+    lambda: deterministic_partition_bound_check([[0, 0]], {(0, 0): 0}, 0.5),
+    lambda: deterministic_partition_bound_check([[0, 0]], {(0, 0): 0},
+                                                float("nan")),
+], ids=["lw-empty", "lw-fractional", "lw-nan", "lw-inf", "lw-beyond-2^53",
+        "lw-dict", "bound-empty", "bound-fractional", "bound-M0",
+        "bound-M-half", "bound-M-nan"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_lattice_sets_must_be_nonempty_integer_points(call):
+    # the empty set and M = 0 raised ZeroDivisionError; fractional points
+    # were truncated, so {(0.5, 0.5), (1, 0)} was read as {(0, 0), (1, 0)}
+    with pytest.raises(InputError):
+        call()
 
 
 def test_deterministic_partition_bound():

@@ -360,6 +360,24 @@ def test_loglog_slope():
     assert loglog_slope(dims, [math.sqrt(d) for d in dims]) == \
         pytest.approx(0.5)
     assert loglog_slope(dims, [3.0 * d for d in dims]) == pytest.approx(1.0)
+    # a dim may repeat, as long as two are distinct
+    assert loglog_slope([2, 2, 4], [1.0, 1.0, 2.0]) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("dims, values", [
+    ([4], [1.0]), ([4, 4], [1.0, 2.0]), ([1, 2], [1.0, -1.0]),
+    ([0, 2], [1.0, 2.0]), ([1, 2], [1.0, 0.0]), ([1, 2], [1.0, np.inf]),
+    ([1, np.nan], [1.0, 2.0]), ([1, 2, 4], [1.0, 2.0]), ([], []),
+    ("ab", [1.0, 2.0]), ([1, 2], {"a": 1}),
+], ids=["one-dim", "one-distinct-dim", "negative-value", "zero-dim",
+        "zero-value", "inf-value", "nan-dim", "unequal-lengths", "empty",
+        "string", "dict"])
+@pytest.mark.filterwarnings("error")
+def test_loglog_slope_rejects_what_has_no_slope(dims, values):
+    # one dim gave -0.0 after a RankWarning, a negative value a
+    # RuntimeWarning from log
+    with pytest.raises(InputError):
+        loglog_slope(dims, values)
 
 
 def test_sweep_reproducible():

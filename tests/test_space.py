@@ -14,7 +14,14 @@ from normpart.space import (INF, REGISTRY, CapabilityError, InputError,
                             intersect_ball, linf, loglacunary_decompose, lp,
                             norm_batch, norm_eval, norm_gradient, orlicz,
                             schatten, space, within_batch)
-from normpart.geometry import cone_sample, log_volume_exact, volume_mc
+from normpart.geometry import (cone_sample, cone_volume,
+                               hyperplane_projection_volume, log_volume_exact,
+                               psi, volume_mc)
+from normpart.partition import (sample_partition, schmuckenschlager_bracket,
+                                separation_prob_exact, separation_prob_mc,
+                                separation_profile)
+from normpart.extension import (build_extension, bump_weights, evaluate,
+                                separation_profile_cloud)
 
 import oracles
 from kinds import SPACES, over_the_table
@@ -947,3 +954,85 @@ def test_decompose_rejects_bad_input():
         loglacunary_decompose(2)
     with pytest.raises(InputError):
         loglacunary_decompose(2.5)
+
+
+# ---------------------------------------------------------------------------
+# the input gate: every point, direction, query and anchor argument
+
+
+_L2 = lp(2, 2)
+_OP = build_extension(_L2, [[0.0, 0.0], [1.0, 1.0]], [0.0, 1.0], mc_rounds=2)
+_PROFILE = separation_profile_cloud(_L2, samples=64)
+_MALFORMED = {"dict": {"a": 1}, "string": "ab", "ragged": [[0.0, 0.0], [0.0]],
+              "length": [0.0, 0.0, 0.0], "nan": [np.nan, 0.0],
+              "3d": np.zeros((2, 2, 2)), "scalar": 3.0}
+# entry point -> a call of it at the malformed argument, and the malformed
+# kinds it accepts: norm_batch and within_batch take stacks of any depth,
+# and they, norm_eval and norm_gradient answer rows that are not finite;
+# a radius may be a scalar, and radii of zeros or NaN are not positive
+_ENTRY_POINTS = {
+    "psi": (lambda b: psi(_L2, b, samples=16), ()),
+    "hyperplane_projection_volume": (
+        lambda b: hyperplane_projection_volume(_L2, b, samples=16), ()),
+    "cone_volume": (lambda b: cone_volume(_L2, b, samples=16), ()),
+    "schmuckenschlager_bracket": (
+        lambda b: schmuckenschlager_bracket(_L2, b, samples=16), ()),
+    "separation_prob_mc-u": (
+        lambda b: separation_prob_mc(_L2, b, [0, 0], 2.0, trials=16), ()),
+    "separation_prob_mc-v": (
+        lambda b: separation_prob_mc(_L2, [0, 0], b, 2.0, trials=16), ()),
+    "separation_prob_exact-u": (
+        lambda b: separation_prob_exact(_L2, b, [0, 0], 2.0, trials=16), ()),
+    "separation_prob_exact-v": (
+        lambda b: separation_prob_exact(_L2, [0, 0], b, 2.0, trials=16), ()),
+    "separation_profile-u": (
+        lambda b: separation_profile(_L2, b, [0, 0], samples=16), ()),
+    "separation_profile-v": (
+        lambda b: separation_profile(_L2, [0, 0], b, samples=16), ()),
+    "sample_partition": (lambda b: sample_partition(_L2, 1.0, b), ()),
+    "bump_weights-point": (
+        lambda b: bump_weights(_L2, b, [[0, 0], [1, 1]], 0), ()),
+    "bump_weights-anchors": (
+        lambda b: bump_weights(_L2, [0.5, 0.5], b, 0), ()),
+    "build_extension": (lambda b: build_extension(_L2, b, [0.0, 1.0]), ()),
+    "weights": (_OP.weights, ()),
+    "evaluate": (lambda b: evaluate(_OP, b), ()),
+    "separation_profile_cloud": (_PROFILE, ()),
+    "norm_eval": (lambda b: norm_eval(_L2, b), ("nan",)),
+    "norm_gradient": (lambda b: norm_gradient(_L2, b), ("nan",)),
+    "norm_batch": (lambda b: norm_batch(_L2, b), ("nan", "3d")),
+    "within_batch": (lambda b: within_batch(_L2, b, 1.0), ("nan", "3d")),
+    "within_batch-radii": (lambda b: within_batch(_L2, [0, 0], b),
+                           ("scalar",)),
+}
+
+
+@pytest.mark.parametrize("entry, bad", [
+    (entry, bad) for entry, (_, valid) in _ENTRY_POINTS.items()
+    for bad in _MALFORMED if bad not in valid])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_malformed_arrays_raise_input_error(entry, bad):
+    # a dict or a string raised TypeError or ValueError from numpy, a stack
+    # of the wrong depth or length a broadcast or unpacking error
+    call, _ = _ENTRY_POINTS[entry]
+    with pytest.raises(InputError):
+        call(_MALFORMED[bad])
+
+
+def test_the_weights_of_an_empty_stack_are_an_empty_stack():
+    assert _OP.weights(np.zeros((0, 2))).shape == (0, 2)
+
+
+def test_evaluate_takes_a_stack_row_by_row():
+    # F was values.T @ w, which a stack of P != A points failed to multiply
+    # and a stack of P = A points multiplied into a wrong (m, A) array
+    value, w = evaluate(_OP, np.zeros((0, 2)))
+    assert value.shape == (0, 1) and w.shape == (0, 2)
+    for rows in (2, 3):
+        X = np.random.default_rng(rows).uniform(-1, 2, size=(rows, 2))
+        value, w = evaluate(_OP, X)
+        assert value.shape == (rows, 1) and w.shape == (rows, 2)
+        for x, v, wx in zip(X, value, w):
+            v1, w1 = evaluate(_OP, x)
+            assert np.array_equal(w1, wx)
+            assert v1 == pytest.approx(v, rel=1e-15, abs=0.0)

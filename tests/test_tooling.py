@@ -139,6 +139,40 @@ def test_exact_estimates_are_built_in_one_place():
     assert found == [("geometry.py", "_exact_or")]
 
 
+def _public_functions(tree):
+    """The public module-level functions of tree and the public methods of
+    its classes."""
+    for stmt in tree.body:
+        body = stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]
+        yield from (f for f in body if isinstance(f, ast.FunctionDef)
+                    and not f.name.startswith("_"))
+
+
+@pytest.mark.parametrize("module",
+                         ["geometry", "partition", "extension", "sepmod"])
+def test_outside_arrays_go_through_the_gate(module):
+    """No public function or method converts one of its own parameters (or
+    those of a function nested in it) with ``np.asarray`` or
+    ``np.atleast_2d``: outside arrays go through `space._numbers` or
+    `space._points`, which raise InputError on what is not a finite array
+    of the right shape, so a new entry point cannot skip that gate."""
+    found = []
+    tree = ast.parse((SRC / (module + ".py")).read_text())
+    for fn in _public_functions(tree):
+        params = {arg.arg for node in ast.walk(fn)
+                  if isinstance(node, (ast.FunctionDef, ast.Lambda))
+                  for arg in ast.walk(node.args) if isinstance(arg, ast.arg)}
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and getattr(node.func.value, "id", None) == "np"
+                    and node.func.attr in ("asarray", "atleast_2d")
+                    and node.args and isinstance(node.args[0], ast.Name)
+                    and node.args[0].id in params):
+                found.append((fn.name, node.lineno))
+    assert found == []
+
+
 _MODULES = ("space", "geometry", "partition", "sepmod", "extension", "cli")
 
 
