@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .space import (REGISTRY, CapabilityError, InputError, SpaceDescriptor,
-                    _numbers, loglacunary_decompose)
+                    _numbers, _seeds, loglacunary_decompose)
 from . import geometry as geo
 from . import partition as part
 from . import sepmod
@@ -219,7 +219,7 @@ def _cmd_extend(args):
 
 
 def _cmd_lw_check(args):
-    rng = np.random.default_rng(np.random.SeedSequence(args.seed))
+    rng = np.random.default_rng(_seeds(args.seed))
     records = []
     holds = True
     for i in range(args.trials):
@@ -304,8 +304,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "trials", 1) < 1:
-            raise InputError("need at least one trial, got %d" % args.trials)
+        for count in ("trials", "workers"):
+            if getattr(args, count, 1) < 1:
+                raise InputError("--%s must be at least 1" % count)
         records = COMMANDS[args.command][0](args)
     except InputError as exc:
         print("input error: %s" % exc, file=sys.stderr)

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .space import InputError, _numbers, _points, norm_batch, space
-from .geometry import _check_count, _cloud_psi, psi_gradient_cloud
+from .space import (InputError, _check_count, _number, _numbers, _points,
+                    _seeds, lp, norm_batch, space)
+from .geometry import _cloud_psi, psi_gradient_cloud
 from .partition import _grid_first_arrivals
 
 # Largest Lipschitz-ratio-vs-profile observed over a frozen corpus of fifty
@@ -46,11 +47,12 @@ def _scales(d):
 
 def active_scales(d):
     """Dyadic scales k with bump(d / 2^k) > 0, i.e. 2^k in (d/4, d)."""
+    d = _number(d, "distance")
     if not math.isfinite(d):
         raise InputError("distance %r is not finite" % (d,))
     if d <= 0.0:
         return []
-    return _scales(np.array([float(d)]))[1].tolist()
+    return _scales(np.array([d]))[1].tolist()
 
 
 def bump_weights(sp, x, anchors, k):
@@ -58,14 +60,13 @@ def bump_weights(sp, x, anchors, k):
     s = space(sp)
     x = _points(x, s.dim, "point")
     anchors = _points(anchors, s.dim, "anchors", stack=True)
-    d = float(norm_batch(s, anchors - x).min(initial=math.inf))
+    d = norm_batch(s, anchors - x).min(initial=math.inf)
+    if not math.isfinite(d):
+        raise InputError("distance %r is not finite" % (float(d),))
     if d <= 0.0:
         return 0.0
-    ks = active_scales(d)
-    if k not in ks:
-        return 0.0
-    total = sum(float(bump(math.ldexp(d, -j))) for j in ks)
-    return float(bump(math.ldexp(d, -k))) / total
+    _, ks, phi = _scales(np.array([d]))
+    return float(phi[ks == k].sum() / phi.sum())
 
 
 @dataclass
@@ -85,9 +86,9 @@ class ExtensionOperator:
         at scale k, made once per operator, seed and round count."""
         at = (self.seed, self.mc_rounds, k)
         if at not in self._round_keys:
-            self._round_keys[at] = np.random.SeedSequence(
-                [self.seed, k + (1 << 20)]).generate_state(self.mc_rounds,
-                                                            np.uint64)
+            self._round_keys[at] = _seeds(
+                self.seed, k + (1 << 20)).generate_state(self.mc_rounds,
+                                                         np.uint64)
         return self._round_keys[at]
 
     def weights(self, x):
@@ -136,14 +137,15 @@ def build_extension(sp, anchors, values, target=None, mc_rounds=64, seed=0):
     """Assemble the extension operator for anchors C and values f(C)."""
     s = space(sp)
     _check_count(mc_rounds, "mc_rounds", 1)
+    _seeds(seed)
     anchors = np.atleast_2d(_points(anchors, s.dim, "anchors", stack=True))
     if anchors.size == 0:
         raise InputError("anchors must be nonempty")
     values = _numbers(values, "values")
     if values.ndim == 1:
         values = values[:, None]
-    if values.shape[0] != anchors.shape[0]:
-        raise InputError("one value per anchor required")
+    if values.ndim != 2 or values.shape[0] != anchors.shape[0]:
+        raise InputError("one value or row of values per anchor required")
     if not np.all(np.isfinite(values)):
         raise InputError("values must be finite")
     _, keep = np.unique(anchors, axis=0, return_index=True)
@@ -151,11 +153,11 @@ def build_extension(sp, anchors, values, target=None, mc_rounds=64, seed=0):
         warnings.warn("duplicate anchors removed")
         keep = np.sort(keep)
         anchors, values = anchors[keep], values[keep]
-    if target is None:
-        from .space import lp
-        target = lp(values.shape[1], 2)
+    target = lp(values.shape[1], 2) if target is None else space(target)
+    if target.dim != values.shape[1]:
+        raise InputError("the target's dimension is not the values' width")
     return ExtensionOperator(space=s, anchors=anchors, values=values,
-                             target=space(target),
+                             target=target,
                              mc_rounds=int(mc_rounds), seed=int(seed))
 
 
@@ -190,7 +192,7 @@ def lipschitz_ratio_scan(op, pair_count=100, seed=0, profile_samples=50_000):
     _check_count(pair_count, "pair_count", 1)
     s = op.space
     G, wt = psi_gradient_cloud(s, samples=profile_samples, seed=seed)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x11b)))
+    rng = np.random.default_rng(_seeds(seed, 0x11b))
     lo = op.anchors.min(axis=0)
     hi = op.anchors.max(axis=0)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo) + 1e-3

@@ -19,9 +19,9 @@ from functools import lru_cache, partial, reduce
 import numpy as np
 
 from .space import (REGISTRY, CapabilityError, InputError, RejectionStalled,
-                    _at_points, _points, _solve_increasing, coord_bound,
-                    log_euclidean_ball_volume, lp, norm_batch, norm_eval,
-                    space, within_batch)
+                    _at_points, _check_count, _points, _seeds,
+                    _solve_increasing, coord_bound, log_euclidean_ball_volume,
+                    lp, norm_batch, norm_eval, space, within_batch)
 
 CHUNK = 1 << 15
 # Words (8 bytes each) of one (rows x n) array of a chunk in dimension
@@ -83,25 +83,17 @@ def _rejection_stalls(s):
     draw from a fixed seed, as an intersect_ball of about its base's volume
     does in high dimension."""
     try:
-        REGISTRY[s.kind].cone_sample(s, 1, np.random.default_rng(0))
+        REGISTRY[s.kind].cone_sample(s, 1, np.random.default_rng(_seeds(0)))
     except RejectionStalled:
         return True
     return False
 
 
-def _check_count(value, what, least):
-    """Raise InputError naming ``what`` unless value is an integer, Python
-    or numpy but not a bool, of at least ``least``."""
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or value < least):
-        raise InputError("%s must be an integer >= %d, got %r"
-                         % (what, least, value))
-
-
 def _exact_or(count, what, seed, exact, estimate):
-    """Once the count named ``what`` is an integer >= 1, exact() with stderr
-    0 from one trial, or estimate() where exact() is None."""
+    """Once the count named ``what`` is an integer >= 1 and the seed valid,
+    exact() with stderr 0 from one trial, or estimate() where it is None."""
     _check_count(count, what, 1)
+    _seeds(seed)
     value = exact()
     if value is None:
         return estimate()
@@ -133,8 +125,9 @@ def estimate_mean(kernel, trials, seed, workers=1, chunk=CHUNK,
     are merged in chunk order, so the result does not depend on ``workers``.
     """
     _check_count(trials, "trials", 1)
+    _check_count(workers, "workers", 1)
     sizes = _chunk_sizes(trials, chunk)
-    streams = np.random.SeedSequence(seed).spawn(len(sizes))
+    streams = _seeds(seed).spawn(len(sizes))
 
     def one(i):
         rng = np.random.default_rng(streams[i])
@@ -267,7 +260,7 @@ def _sample_rng(count, seed, what="sample count"):
     """The rng a sampler draws count >= 1 samples from for the seed; a bad
     count raises InputError naming ``what``."""
     _check_count(count, what, 1)
-    return np.random.default_rng(np.random.SeedSequence(seed))
+    return np.random.default_rng(_seeds(seed))
 
 
 def cone_sample(sp, count, seed=0):
@@ -699,7 +692,7 @@ def _ball_ascent(objective, dom, restarts, seed):
     def normalize(Z):
         return Z / norm_batch(dom, Z)[:, None]
 
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xa5ce)))
+    rng = np.random.default_rng(_seeds(seed, 0xa5ce))
     starts = [np.ones(n)] + list(np.eye(n)[:restarts])
     while len(starts) < restarts + n + 1:
         starts.append(rng.standard_normal(n))
@@ -833,7 +826,7 @@ def cauchy_surface_identity_check(sp, samples=100_000, directions=4096,
     c_n = 2.0 * math.sqrt(math.pi) * math.exp(math.lgamma(0.5 * (n + 1))
                                               - math.lgamma(0.5 * n))
     G, wt = psi_gradient_cloud(s, samples=samples, seed=seed + 1)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xca0c)))
+    rng = np.random.default_rng(_seeds(seed, 0xca0c))
     Z = rng.standard_normal((directions, n))
     Z /= np.sqrt((Z * Z).sum(axis=1))[:, None]
     # psi(z) of every direction from the shared cloud, in row blocks

@@ -23,8 +23,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .space import (_SHORT_ROW_MAX, REGISTRY, InputError, _numbers, _points,
-                    coord_bound, linf, norm_batch, space, within_batch)
+from .space import (_SHORT_ROW_MAX, REGISTRY, InputError, _number, _numbers,
+                    _points, _seeds, coord_bound, linf, norm_batch, space,
+                    within_batch)
 from .geometry import (_ball_points, _chunk_rows, _exact_or, estimate_mean,
                        psi)
 
@@ -240,10 +241,12 @@ class PartitionSample:
 
 
 def _check_delta(delta):
-    """Raise InputError unless delta > 0 and the scale 2/delta is finite."""
-    if not (delta > 0 and math.isfinite(2.0 / float(delta))):
+    """delta as a float; InputError unless it is > 0 with 2/delta finite."""
+    delta = _number(delta, "delta")
+    if not (delta > 0 and math.isfinite(2.0 / delta)):
         raise InputError("delta must be positive, with 2/delta finite, got "
                          "%r" % (delta,))
+    return delta
 
 
 def sample_partition(sp, delta, queries, seed=0):
@@ -252,7 +255,7 @@ def sample_partition(sp, delta, queries, seed=0):
     on the other queries.  `centers` holds the centers some query joined, in
     order of arrival."""
     s = space(sp)
-    _check_delta(delta)
+    delta = _check_delta(delta)
     if delta == math.inf:
         raise InputError("a partition needs a finite delta")
     qpts = np.atleast_2d(_points(queries, s.dim, "queries", stack=True))
@@ -260,13 +263,13 @@ def sample_partition(sp, delta, queries, seed=0):
     if rows == 0:
         raise InputError("queries must be nonempty")
     scale = 2.0 / delta
-    key = np.random.SeedSequence(seed).generate_state(1, np.uint64)
+    key = _seeds(seed).generate_state(1, np.uint64)
     with np.errstate(over="ignore"):    # the grid rejects what overflows
         scaled = qpts * scale
     t, pos = _grid_first_arrivals(s, np.repeat(key, rows), scaled,
                                   np.ones(rows))
     _, first, which = np.unique(t, return_index=True, return_inverse=True)
-    return PartitionSample(delta=float(delta), centers=pos[first] / scale,
+    return PartitionSample(delta=delta, centers=pos[first] / scale,
                            assignment=dict(enumerate(which.tolist())),
                            seed=seed)
 
@@ -281,7 +284,7 @@ def separation_prob_mc(sp, u, v, delta, trials=10_000, seed=0, workers=1):
     one box holding both balls, keyed from the chunk's generator, and
     separates when the first arrivals near u and near v differ."""
     s = space(sp)
-    _check_delta(delta)
+    delta = _check_delta(delta)
     u, v = _points(u, s.dim, "u"), _points(v, s.dim, "v")
     scale = 2.0 / delta
     c = coord_bound(s)
@@ -327,7 +330,7 @@ def separation_prob_exact(sp, u, v, delta, trials=100_000, seed=0, workers=1):
     the rescaled offset; exact where the kind has t in closed form (l_inf),
     one Monte Carlo estimate of t otherwise."""
     s = space(sp)
-    _check_delta(delta)
+    delta = _check_delta(delta)
     u, v = _points(u, s.dim, "u"), _points(v, s.dim, "v")
     with np.errstate(over="ignore"):    # an infinite offset separates
         w = (2.0 / delta) * (v - u)
@@ -352,10 +355,17 @@ def separation_prob_exact(sp, u, v, delta, trials=100_000, seed=0, workers=1):
 # padding
 
 
+def _check_rho(rho):
+    """rho as a float; InputError unless it is a number in (0, 1)."""
+    rho = _number(rho, "rho")
+    if not 0.0 < rho < 1.0:
+        raise InputError("rho must lie in (0, 1), got %r" % (rho,))
+    return rho
+
+
 def padding_prob_exact(sp, rho):
     """Pr[the rho-shrunken ball around a point stays in its own cluster]."""
-    if not 0.0 < rho < 1.0:
-        raise InputError("rho must lie in (0, 1)")
+    rho = _check_rho(rho)
     n = space(sp).dim
     return ((1.0 - rho) / (1.0 + rho)) ** n
 
@@ -366,8 +376,7 @@ def padding_prob_mc(sp, rho, trials=100_000, seed=0, workers=1):
     (1+rho)(delta/2)-ball around u lands in the (1-rho)(delta/2)-ball, and
     that first center is uniform in the larger ball; so the event is
     simulated by one uniform draw from the (1+rho)-ball per trial."""
-    if not 0.0 < rho < 1.0:
-        raise InputError("rho must lie in (0, 1)")
+    rho = _check_rho(rho)
     s = space(sp)
 
     def kernel(rng, m):
@@ -420,6 +429,7 @@ def product_partition(sample_a, sample_b, s=2.0):
     """Product of two partition samples over the product query set, with the
     combined diameter bound (delta_a^s + delta_b^s)^{1/s} of the l_s sum,
     1 <= s <= inf."""
+    s = _number(s, "s")
     if not s >= 1:
         raise InputError("product_partition needs s >= 1, got %r" % (s,))
     na = sample_a.centers.shape[0]
@@ -455,7 +465,7 @@ def _as_point_set(points):
         raise InputError("points must be a nonempty set of points with "
                          "integer coordinates of size at most 2^53")
     pts = pts.astype(np.int64)
-    return pts, {tuple(p) for p in pts}
+    return pts, {tuple(p) for p in pts.tolist()}
 
 
 def loomis_whitney_boundary(grid_set):
@@ -487,9 +497,15 @@ def deterministic_partition_bound_check(omega, labels, M):
     ``labels`` maps each point (tuple) to its part id.  Returns the pair
     (lhs, rhs); the inequality asserts lhs >= rhs.
     """
+    M = _number(M, "M")
     if not M >= 1:
         raise InputError("M must be at least 1, got %r" % (M,))
     pts, members = _as_point_set(omega)
+    try:
+        part = {x: labels[x] for x in members}
+    except (KeyError, TypeError) as exc:
+        raise InputError("labels must map every point of omega to its part, "
+                         "failed at %s" % exc) from None
     n = pts.shape[1]
     cut = 0
     escape = 0
@@ -498,11 +514,10 @@ def deterministic_partition_bound_check(omega, labels, M):
             y = x.copy()
             y[i] += 1
             ty = tuple(y)
-            if ty in members:
-                if labels[tuple(x)] != labels[ty]:
-                    cut += 1
-            else:
+            if ty not in part:
                 escape += 1
+            elif part[tuple(x)] != part[ty]:
+                cut += 1
     lhs = cut / n
     rhs = len(members) / M ** (1.0 / n) - escape / n
     return lhs, rhs

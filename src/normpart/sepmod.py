@@ -18,10 +18,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .space import (INF, REGISTRY, CapabilityError, InputError,
-                    SpaceDescriptor, _numbers, block_lp, circumradius,
-                    gradient_batch, lp, norm_batch, orlicz, space)
-from .geometry import (_ball_ascent, _check_count, _psi_sup, cone_sample,
-                       iq_of, log_euclidean_ball_volume, log_volume_exact)
+                    SpaceDescriptor, _check_count, _numbers, _seeds, block_lp,
+                    circumradius, gradient_batch, lp, norm_batch, orlicz,
+                    space)
+from .geometry import (_ball_ascent, _psi_sup, cone_sample, iq_of,
+                       log_euclidean_ball_volume, log_volume_exact)
 
 
 def external_volume_ratio(sp):
@@ -232,8 +233,7 @@ def records_to_json(records):
 
 
 def _derived_seed(master, index):
-    return int(np.random.SeedSequence([int(master), int(index)])
-               .generate_state(1)[0])
+    return int(_seeds(master, index).generate_state(1)[0])
 
 
 def sweep(p=2.0, dims=(4, 8, 16, 32), companion=False,

@@ -16,9 +16,9 @@ Everything normpart knows about one kind lives in one `Kind` subclass below,
 and `REGISTRY` maps each descriptor kind to its instance.
 """
 
-import bisect
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -157,7 +157,7 @@ def space(desc):
 
 
 def lp(n, p):
-    return SpaceDescriptor(kind="lp", n=n, p=float(p))
+    return SpaceDescriptor(kind="lp", n=n, p=_number(p, "p"))
 
 
 def linf(n):
@@ -167,20 +167,21 @@ def linf(n):
 def block_lp(p, blocks):
     blocks = tuple(blocks)
     return SpaceDescriptor(kind="block_lp", n=sum(b.n for b in blocks),
-                           p=float(p), blocks=blocks)
+                           p=_number(p, "p"), blocks=blocks)
 
 
 def orlicz(m, beta):
-    return SpaceDescriptor(kind="orlicz_beta", n=m, beta=float(beta))
+    return SpaceDescriptor(kind="orlicz_beta", n=m, beta=_number(beta, "beta"))
 
 
 def schatten(d, p):
-    return SpaceDescriptor(kind="schatten", n=d * d, p=float(p))
+    _check_count(d, "d", 1)
+    return SpaceDescriptor(kind="schatten", n=d * d, p=_number(p, "p"))
 
 
 def intersect_ball(base, r):
     return SpaceDescriptor(kind="intersect_ball", n=base.n, base=base,
-                           r=float(r))
+                           r=_number(r, "r"))
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +447,7 @@ def _schatten_svd(desc, X, compute_uv=False):
 
 
 def _check_p(d):
-    if d.p is None or not (d.p >= 1):
+    if d.p is None or not (_number(d.p, "p") >= 1):
         raise InputError("kind %r needs p >= 1" % (d.kind,))
 
 
@@ -933,7 +934,8 @@ class OrliczKind(Kind):
 
     def validate(self, d):
         # the cone sampler draws Poisson(beta) counts for beta >= m
-        if d.beta is None or not (0 < d.beta <= _POISSON_LAM_MAX):
+        if d.beta is None or not (0 < _number(d.beta, "beta")
+                                  <= _POISSON_LAM_MAX):
             raise InputError("orlicz_beta needs a finite beta > 0 and at "
                              "most %.4g, got %r" % (_POISSON_LAM_MAX, d.beta))
 
@@ -1184,7 +1186,7 @@ class IntersectBallKind(Kind):
             raise InputError("intersect_ball needs a base descriptor")
         if d.base.n != d.n:
             raise InputError("intersect_ball base dimension mismatch")
-        if d.r is None or not (d.r > 0):
+        if d.r is None or not (_number(d.r, "r") > 0):
             raise InputError("intersect_ball needs r > 0")
 
     def norm(self, d, X):
@@ -1294,6 +1296,33 @@ def _numbers(x, what):
                          % (what, exc)) from None
 
 
+def _number(x, what):
+    """x as a float, or InputError naming ``what`` where it is not one real
+    number (a string, None, a bool or a list, say) or overflows a float."""
+    try:
+        if isinstance(x, numbers.Real) and not isinstance(x, bool):
+            return float(x)
+    except OverflowError:
+        pass
+    raise InputError("%s must be a real number, got %r" % (what, x))
+
+
+def _check_count(value, what, least):
+    """Raise InputError naming ``what`` unless value is an integer, Python
+    or numpy but not a bool, of at least ``least``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < least):
+        raise InputError("%s must be an integer >= %d, got %r"
+                         % (what, least, value))
+
+
+def _seeds(seed, *salt):
+    """The SeedSequence of an outside seed, once `_check_count` takes it as
+    an integer >= 0, and a salt: where every seeded stream starts."""
+    _check_count(seed, "seed", 0)
+    return np.random.SeedSequence((int(seed),) + salt)
+
+
 def _points(x, n, what, stack=False):
     """x as a finite float vector of length n, or with ``stack`` also a
     stack of them (shape (P, n), P >= 0), or InputError naming ``what``: the
@@ -1345,9 +1374,14 @@ def within_batch(sp, X, r):
     """norm_batch(sp, X) <= r, from `Kind.within`: X shape (..., dim), radii
     r > 0 broadcastable to X.shape[:-1] -> booleans of that shape.  A row
     holding +-inf or NaN is within no radius."""
-    if not np.all(_numbers(r, "radii") > 0):
+    r = _numbers(r, "radii")
+    if not np.all(r > 0):
         raise InputError("radii must be positive")
     X, single = _rows(sp, X)
+    try:
+        np.broadcast_to(r, X.shape[:-1])
+    except ValueError:
+        raise InputError("radii do not broadcast to the rows") from None
     bad = _nonfinite_rows(X)
     if bad is None:
         inside = REGISTRY[sp.kind].within(sp, X, r)
@@ -1445,72 +1479,42 @@ def _icbrt_ceil(x):
     return lo
 
 
-@lru_cache(maxsize=None)
 def _successor_floor(last):
     """Smallest admissible factor after ``last``: the cube-root lower bound
     combined with strict monotonicity."""
     return max(last + 1, _icbrt_ceil(2 ** last))
 
 
-@lru_cache(maxsize=8)
-def _admissible_products(cap):
-    """All products n_1*...*n_k <= cap over increasing chains with
-    n_1 in {6, 7} and n_{i+1} <= 2^{n_i} <= n_{i+1}^3, with one witness
-    chain per product (the lexicographically first found)."""
-    found = {}
-
-    def extend(chain, prod):
-        if prod not in found:
-            found[prod] = tuple(chain)
-        last = chain[-1]
-        hi = cap // prod
-        if last >= 3 * hi.bit_length():
-            return  # cube-root floor 2^{last/3} already exceeds hi
-        lo = _successor_floor(last)
-        if last < hi.bit_length():  # only then can 2**last bind the range
-            hi = min(hi, 2 ** last)
-        for f in range(lo, hi + 1):
-            chain.append(f)
-            extend(chain, prod * f)
-            chain.pop()
-
-    for n1 in (6, 7):
-        if n1 <= cap:
-            extend([n1], n1)
-    return dict(sorted(found.items()))
-
-
-@lru_cache(maxsize=8)
-def _sorted_products(cap):
-    return sorted(_admissible_products(cap))
+def _first_chain(rest, lo, hi):
+    """The lexicographically first increasing chain of product ``rest``,
+    first factor in [lo, hi] and each next in [`_successor_floor`(f), 2^f]
+    after f, or None.  A first factor f < rest leaves a next factor of at
+    least 2^(f/3), so f < 3 bits(rest); rest itself comes last."""
+    for f in range(lo, min(hi + 1, 3 * rest.bit_length())):
+        if rest % f == 0:
+            tail = _first_chain(rest // f, _successor_floor(f), 1 << f)
+            if tail:
+                return (f,) + tail
+    return (rest,) if lo <= rest <= hi else None
 
 
 def loglacunary_decompose(n):
     """Write n = n_1*...*n_k + m with a super-lacunary increasing chain
     (n_1 in {6,7}, n_{i+1} <= 2^{n_i} <= n_{i+1}^3) and a small remainder m.
 
-    Returns ``(factors, remainder)``.  For n < 6 no admissible chain fits and
-    the degenerate answer ``((), n)`` is returned (empty product contributes
-    nothing).  Chains are found by exhaustive enumeration of admissible
-    products up to a cap of 1024 * 8^k >= n.  The 2^25 table took 22 s and
-    1.37 GB at n = 10^7 (2-vCPU x86-64 VM), and the next would be about 8
-    times larger, so n above 2^25 raises CapabilityError before any table.
+    Returns ``(factors, remainder)``: the first m = n, n - 1, ... with a
+    chain (`_first_chain`), at most 45 below n < 2^20, and its
+    lexicographically first chain; ``((), n)`` for n < 6.  n of over 512
+    bits raises CapabilityError: no bound on the remainder is known.  The
+    slowest of 250 random 512-bit n took 15 ms (2-vCPU x86-64 VM).
     """
     if not isinstance(n, (int, np.integer)) or n < 3:
         raise InputError("loglacunary_decompose needs an integer n >= 3")
     n = int(n)
-    if n > 2 ** 25:
-        raise CapabilityError(
-            "loglacunary_decompose supports n <= 2^25 = 33554432, got %d" % n)
-    if n < 6:
-        return (), n
-    cap = 1024
-    while cap < n:
-        cap *= 8  # few cache tiers regardless of call pattern
-    prods = _admissible_products(cap)
-    keys = _sorted_products(cap)
-    i = bisect.bisect_right(keys, n) - 1
-    if i < 0:
-        return (), n
-    best = keys[i]
-    return prods[best], n - best
+    if n.bit_length() > 512:
+        raise CapabilityError("loglacunary_decompose needs n < 2^512")
+    for m in range(n, 5, -1):
+        chain = _first_chain(m, 6, 7)
+        if chain:
+            return chain, n - m
+    return (), n

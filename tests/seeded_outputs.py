@@ -32,8 +32,8 @@ from normpart import (block_lp, bump_weights, build_extension,
                       companion_sandwich, companion_space, cone_sample,
                       cone_volume, evaluate, hit_and_run_sample,
                       intersect_ball, iq, iq_exact, iq_of,
-                      lipschitz_ratio_scan, linf, lp, maxproj,
-                      mean_width_dual, orlicz,
+                      lipschitz_ratio_scan, linf, loglacunary_decompose, lp,
+                      maxproj, mean_width_dual, orlicz,
                       padding_prob_exact, padding_prob_mc, psi,
                       sample_partition, schatten, schmuckenschlager_bracket,
                       sep_lower_evr, sep_upper_two_norm,
@@ -209,6 +209,8 @@ def _entries():
             restarts=2, seed=29, workers=w),
         "bump_weights/lp3": lambda w: bump_weights(
             lp(2, 3), [0.5, 0.5], [[0.0, 0.0], [2.0, 0.0]], 0),
+        "decompose/large": lambda w: [loglacunary_decompose(n) for n in (
+            2 ** 25 + 1, 10 ** 18, 2 ** 511 + 1)],
         "extension/lp3": _extension,
         "extension/lp2_6d": _extension_6d,
         "cli/extend": _cli_extend,

@@ -65,9 +65,16 @@ def test_decompose(capsys):
     assert code == 0 and "factors=6,7" in out and "remainder=0" in out
 
 
-def test_decompose_above_the_table_bound_exit_3(capsys):
-    code, out, err = run_main(["decompose", "--n", "100000000"], capsys)
-    assert code == 3 and "2^25" in err and out == ""
+def test_decompose_large_n(capsys):
+    """10^8 exited 3 while n above 2^25 took a product table."""
+    code, out, _ = run_main(["decompose", "--n", "100000000"], capsys)
+    assert code == 0
+    assert out == "n=100000000 factors=7,23,621118 remainder=2\n"
+
+
+def test_decompose_above_512_bits_exit_3(capsys):
+    code, out, err = run_main(["decompose", "--n", str(2 ** 512)], capsys)
+    assert code == 3 and "2^512" in err and out == ""
 
 
 def test_sweep_companion_from_dimension_one(capsys):
@@ -113,6 +120,19 @@ def test_input_error_exit_2(capsys):
     code, _, err = run_main(["vol", "--space",
                              '{"kind":"lp","n":2,"p":2,"beta":1.0}'], capsys)
     assert code == 2 and "does not use beta" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["meanwidth", "--space", '{"kind":"lp","n":2,"p":2}', "--workers", "0"],
+    ["psi", "--space", '{"kind":"lp","n":2,"p":2}', "--w", "1,0",
+     "--workers", "-2"],
+    ["vol", "--space", '{"kind":"lp","n":2,"p":2}', "--seed", "-1"],
+    ["lw-check", "--seed", "-1"],
+    ["vol"], ["decompose"]], ids=" ".join)
+def test_bad_or_missing_run_options_exit_2(argv, capsys):
+    """--workers below 1 and --seed below 0 ran and exited 0."""
+    code, out, err = run_main(argv, capsys)
+    assert code == 2 and err.startswith("input error") and out == ""
 
 
 def test_capability_error_exit_3(capsys):

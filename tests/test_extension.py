@@ -45,6 +45,20 @@ def test_bump_weight_support_law():
             assert 2.0 ** (k - 1) < dist < 2.0 ** (k + 2)
 
 
+def test_bump_weights_are_the_scale_by_scale_ratio_bit_for_bit():
+    """bump_weights reads its scales and bumps from the operator's own
+    scale arithmetic; the ratio of the bumps summed scale by scale, as it
+    was computed before, is the reference."""
+    rng = np.random.default_rng(41)
+    for d in np.exp(rng.uniform(-30.0, 30.0, 400)).tolist():
+        ks = active_scales(d)
+        total = sum(float(bump(math.ldexp(d, -j))) for j in ks)
+        for k in range(ks[0] - 1, ks[-1] + 2):
+            expected = (float(bump(math.ldexp(d, -k))) / total if k in ks
+                        else 0.0)
+            assert bump_weights(linf(1), [d], [[0.0]], k) == expected
+
+
 def test_exact_interpolation_and_convex_weights():
     rng = np.random.default_rng(5)
     anchors = rng.uniform(-1, 1, size=(6, 3))
@@ -92,6 +106,17 @@ def test_build_validation():
         build_extension(lp(2, 2), [[0.0, 0.0]], [1.0, 2.0])
     with pytest.raises(InputError):
         build_extension(lp(3, 2), [[0.0, 0.0]], [1.0])
+
+
+@pytest.mark.parametrize("values, target", [
+    (3.0, None), (np.zeros((1, 2, 2)), None),
+    (np.zeros((1, 2)), lp(3, 2)), ([1.0], lp(2, 2))],
+    ids=["0-d", "3-d", "target-3-for-2", "target-2-for-1"])
+def test_build_rejects_values_and_targets_that_do_not_fit(values, target):
+    # 0-d values raised IndexError; 3-d values and a target of another
+    # width were accepted, and the latter failed only in a scan
+    with pytest.raises(InputError):
+        build_extension(lp(2, 2), [[0.0, 0.0]], values, target=target)
 
 
 def test_build_rejects_mc_rounds_that_are_not_positive_integers():

@@ -27,8 +27,11 @@ from normpart.geometry import (_SIGN_ORBIT, CHUNK, MonteCarloEstimate,
                                psi_gradient_cloud, surface_ratio,
                                uniform_ball_sample, volume_exact, volume_mc,
                                volume_of)
-from normpart.partition import (padding_prob_mc, schmuckenschlager_bracket,
+from normpart.partition import (padding_prob_mc, sample_partition,
+                                schmuckenschlager_bracket,
                                 separation_prob_exact, separation_prob_mc)
+from normpart.extension import build_extension, lipschitz_ratio_scan
+from normpart.sepmod import sep_upper_two_norm, sweep
 
 import oracles
 from kinds import over_the_table
@@ -148,6 +151,61 @@ def test_a_bad_count_raises_on_the_exact_and_the_estimated_path(call, count):
     with pytest.raises(InputError, match="^(samples|trials) must be an "
                                          "integer"):
         call(count)
+
+
+# Each entry point that takes a seed, on its exact and its estimated path
+# where it has both, as a call at a given seed.
+_SEEDED = {
+    "psi-closed-form": lambda s: psi(linf(3), [1.0, 0.0, 0.0], seed=s),
+    "psi-mc": lambda s: psi(lp(3, 3), [1.0, 0.0, 0.0], samples=16, seed=s),
+    "volume_of": lambda s: volume_of(lp(3, 2), seed=s),
+    "iq_of-mc": lambda s: iq_of(orlicz(3, 1.5), samples=16, seed=s),
+    "cone_sample": lambda s: cone_sample(lp(2, 2), 4, seed=s),
+    "hit_and_run_sample": lambda s: hit_and_run_sample(lp(2, 3), 4, seed=s),
+    "maxproj": lambda s: maxproj(lp(3, 3), restarts=1, samples=16, seed=s),
+    "cauchy_check": lambda s: cauchy_surface_identity_check(
+        lp(3, 3), samples=16, directions=4, seed=s),
+    "separation_prob_exact": lambda s: separation_prob_exact(
+        linf(2), np.zeros(2), np.full(2, 0.1), 2.0, seed=s),
+    "separation_prob_mc": lambda s: separation_prob_mc(
+        lp(2, 2), np.zeros(2), [0.5, 0.0], 2.0, trials=16, seed=s),
+    "padding_prob_mc": lambda s: padding_prob_mc(lp(2, 2), 0.5, trials=16,
+                                                 seed=s),
+    "sample_partition": lambda s: sample_partition(lp(2, 2), 1.0,
+                                                   [[0.0, 0.0]], seed=s),
+    "sep_upper_two_norm": lambda s: sep_upper_two_norm(
+        lp(3, 3), lp(3, 1.5), restarts=1, samples=16, seed=s),
+    "sweep": lambda s: sweep(p=3.0, dims=(2,), quantities=("sep_upper",),
+                             samples=16, restarts=1, seed=s),
+    "build_extension": lambda s: build_extension(lp(2, 2), [[0.0, 0.0]],
+                                                 [1.0], seed=s),
+    "lipschitz_ratio_scan": lambda s: lipschitz_ratio_scan(
+        build_extension(lp(2, 2), [[0.0, 0.0], [1.0, 0.0]], [0.0, 1.0],
+                        mc_rounds=2), pair_count=2, profile_samples=16,
+        seed=s),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 2.7, "a", True, None])
+@pytest.mark.parametrize("call", list(_SEEDED.values()), ids=list(_SEEDED))
+def test_a_bad_seed_raises_input_error(call, seed):
+    # -1 and "a" were recorded in exact answers, 2.7 was read as 2, and
+    # numpy raised its own ValueError or TypeError elsewhere
+    with pytest.raises(InputError, match="^seed must be an integer"):
+        call(seed)
+
+
+def test_numpy_integer_seeds_are_their_values():
+    assert _SEEDED["psi-mc"](np.int64(7)) == _SEEDED["psi-mc"](7)
+    assert np.array_equal(_SEEDED["sample_partition"](np.int64(7)).centers,
+                          _SEEDED["sample_partition"](7).centers)
+
+
+@pytest.mark.parametrize("workers", [0, -2, 2.5, True])
+def test_a_bad_worker_count_raises_input_error(workers):
+    # 2.5 ran, and 0 ran on one thread
+    with pytest.raises(InputError, match="^workers must be an integer"):
+        mean_width_dual(lp(3, 3), samples=16, workers=workers)
 
 
 # ---------------------------------------------------------------------------

@@ -439,6 +439,14 @@ def test_padding_exact_formula():
         padding_prob_exact(lp(2, 2), 1.5)
 
 
+@pytest.mark.parametrize("rho", [0.0, 1.0, -0.5, 1.5, float("nan")])
+@pytest.mark.parametrize("call", [padding_prob_exact, padding_prob_mc],
+                         ids=lambda f: f.__name__)
+def test_rho_outside_the_open_unit_interval_raises(call, rho):
+    with pytest.raises(InputError, match="rho must lie in"):
+        call(lp(2, 2), rho)
+
+
 def test_padding_mc_matches_exact():
     for d, rho in [(lp(2, 1), 0.3), (linf(3), 0.5), (orlicz(2, 1.0), 0.25)]:
         est = padding_prob_mc(d, rho, trials=120_000, seed=3)
@@ -549,6 +557,20 @@ def test_lattice_sets_must_be_nonempty_integer_points(call):
     # were truncated, so {(0.5, 0.5), (1, 0)} was read as {(0, 0), (1, 0)}
     with pytest.raises(InputError):
         call()
+
+
+@pytest.mark.parametrize("labels, M, match", [
+    ({(0, 0): 0}, 2, "\\(1, 0\\)"),
+    (5, 2, "labels"),
+    ([0, 1], 2, "labels"),
+    ({(0, 0): 0, (1, 0): 1}, "2", "M must be a real number"),
+    ({(0, 0): 0, (1, 0): 1}, None, "M must be a real number"),
+], ids=["missing-point", "int", "list", "M-string", "M-None"])
+def test_labels_and_M_must_fit_omega(labels, M, match):
+    # a missing point raised KeyError, and labels or M of the wrong type
+    # TypeError
+    with pytest.raises(InputError, match=match):
+        deterministic_partition_bound_check([[0, 0], [1, 0]], labels, M)
 
 
 def test_deterministic_partition_bound():

@@ -280,6 +280,18 @@ def test_companion_rules():
         companion_space(orlicz(3, 1.0))
 
 
+@pytest.mark.parametrize("d, companion", [
+    (lp(2, 10), block_lp(10, [orlicz(2, 0.5)])),
+    (linf(2), orlicz(2, 0.5)),
+    (lp(3, 1.5), lp(3, 1.5)),
+    (lp(20, 4), orlicz(20, 9.5))],
+    ids=["lp(2, 10)", "linf(2)", "lp(3, 1.5)", "lp(20, 4)"])
+def test_companion_of_each_branch(d, companion):
+    """Below n = max(p, 2) no divisor is admissible, and the companion is
+    the one-block sum of the Orlicz body."""
+    assert companion_space(d) == companion
+
+
 def test_a_line_is_its_own_companion():
     # log(2n) < 1 at n = 1, so no lp(1, p) has an exponent to round
     for d in (lp(1, 1), lp(1, 2), linf(1)):

@@ -17,11 +17,14 @@ from normpart.space import (INF, REGISTRY, CapabilityError, InputError,
 from normpart.geometry import (cone_sample, cone_volume,
                                hyperplane_projection_volume, log_volume_exact,
                                psi, volume_mc)
-from normpart.partition import (sample_partition, schmuckenschlager_bracket,
+from normpart.partition import (deterministic_partition_bound_check,
+                                padding_prob_exact, padding_prob_mc,
+                                product_partition, sample_partition,
+                                schmuckenschlager_bracket,
                                 separation_prob_exact, separation_prob_mc,
                                 separation_profile)
-from normpart.extension import (build_extension, bump_weights, evaluate,
-                                separation_profile_cloud)
+from normpart.extension import (active_scales, build_extension, bump_weights,
+                                evaluate, separation_profile_cloud)
 
 import oracles
 from kinds import SPACES, over_the_table
@@ -85,6 +88,32 @@ def test_descriptor_validation():
         SpaceDescriptor.from_json('{"kind":"lp","n":2}')
     with pytest.raises(InputError):
         SpaceDescriptor.from_json('{"kind":"nope","n":2,"p":1}')
+
+
+@pytest.mark.parametrize("call", [
+    lambda: SpaceDescriptor.from_dict([1, 2]),
+    lambda: SpaceDescriptor.from_json('"lp"'),
+    lambda: SpaceDescriptor.from_dict({"kind": "lp", "n": 2, "p": 2, "q": 1}),
+    lambda: space('{"kind": "lp", "n": 2, "p": 2, "blocks": 3}'),
+    lambda: SpaceDescriptor(kind="block_lp", n=2, p=2.0, blocks=()),
+    lambda: SpaceDescriptor(kind="block_lp", n=3, p=2.0, blocks=(lp(2, 1),)),
+    lambda: SpaceDescriptor(kind="schatten", n=3, p=2.0),
+    lambda: SpaceDescriptor(kind="intersect_ball", n=2, r=1.0),
+    lambda: SpaceDescriptor(kind="intersect_ball", n=3, base=lp(2, 1),
+                            r=1.0),
+], ids=["from_dict-list", "from_json-string", "from_dict-unknown-key",
+        "space-json-blocks", "block_lp-empty", "block_lp-mismatched",
+        "schatten-not-square", "intersect_ball-no-base",
+        "intersect_ball-base-dimension"])
+def test_descriptors_that_cannot_be_built_raise_input_error(call):
+    with pytest.raises(InputError):
+        call()
+
+
+def test_space_parses_json_strings_and_dicts():
+    d = intersect_ball(lp(3, 1), 0.8)
+    assert space(d.to_json()) == d and space(d.to_dict()) == d
+    assert space(d) is d
 
 
 def test_descriptor_rejects_fields_its_kind_does_not_use():
@@ -925,28 +954,38 @@ def test_decompose_examples():
 
 
 def test_decompose_matches_bruteforce():
+    """The product and the chain: the oracle's first chain of the largest
+    product is the first in lexicographic order, as the search's is."""
     for n in list(range(6, 130)) + [500, 1000, 1999]:
         factors, rem = loglacunary_decompose(n)
         chain, prod = oracles.best_chain_product(n)
-        assert math.prod(factors) == prod
+        assert factors == chain
         assert rem == n - prod
 
 
 def test_decompose_chain_constraints():
-    for n in (6, 50, 777, 12345):
+    """Up to 512 bits: n above 2^25 raised CapabilityError while the chains
+    came from a table of every product up to n."""
+    for n in (6, 50, 777, 12345, 2 ** 25 + 1, 10 ** 18, 2 ** 511 + 1,
+              2 ** 512 - 1):
         factors, rem = loglacunary_decompose(n)
         assert factors[0] in (6, 7)
         assert math.prod(factors) + rem == n
+        assert rem <= 60.0 * math.log(n) ** 2
         for a, b in zip(factors, factors[1:]):
             assert a < b <= 2 ** a <= b ** 3
 
 
-def test_decompose_refuses_n_above_its_table_bound():
-    """n above 2^25 would build a product table of about 10 GB
-    (extrapolated from 1.4 GB for the 2^25 table); it raises before
-    building any."""
-    with pytest.raises(CapabilityError, match="2\\^25"):
-        loglacunary_decompose(2 ** 25 + 1)
+def test_decompose_of_large_n():
+    assert loglacunary_decompose(10 ** 8) == ((7, 23, 621118), 2)
+    assert loglacunary_decompose(2 ** 25 + 1) == ((6, 7, 17, 46995), 3)
+    assert loglacunary_decompose(np.int64(10 ** 8)) == ((7, 23, 621118), 2)
+
+
+@pytest.mark.parametrize("n", [2 ** 512, 10 ** 300], ids=["2^512", "10^300"])
+def test_decompose_refuses_n_above_512_bits(n):
+    with pytest.raises(CapabilityError, match="2\\^512"):
+        loglacunary_decompose(n)
 
 
 def test_decompose_rejects_bad_input():
@@ -1017,6 +1056,48 @@ def test_malformed_arrays_raise_input_error(entry, bad):
     call, _ = _ENTRY_POINTS[entry]
     with pytest.raises(InputError):
         call(_MALFORMED[bad])
+
+
+_PARTITION = sample_partition(lp(1, 2), 1.0, [[0.0]], seed=5)
+# entry point -> a call of it at one outside number that is not a real
+# number, or a real number of the wrong shape or size
+_BAD_SCALARS = {
+    "separation_prob_mc-delta": lambda: separation_prob_mc(
+        _L2, [0, 0], [1, 0], "1", trials=16),
+    "separation_prob_exact-delta": lambda: separation_prob_exact(
+        _L2, [0, 0], [1, 0], [1.0], trials=16),
+    "sample_partition-delta": lambda: sample_partition(_L2, None, [[0, 0]]),
+    "padding_prob_mc-rho": lambda: padding_prob_mc(_L2, "x", trials=16),
+    "padding_prob_exact-rho": lambda: padding_prob_exact(_L2, "0.5"),
+    "product_partition-s": lambda: product_partition(_PARTITION, _PARTITION,
+                                                     "x"),
+    "bound_check-M": lambda: deterministic_partition_bound_check(
+        [[0, 0]], {(0, 0): 0}, "2"),
+    "active_scales": lambda: active_scales("1.0"),
+    "within_batch-radii": lambda: within_batch(_L2, np.ones((2, 2)),
+                                               [1, 1, 1]),
+    "lp": lambda: lp(3, "x"),
+    "lp-string-number": lambda: lp(3, "2"),
+    "lp-overflow": lambda: lp(3, 10 ** 400),
+    "block_lp": lambda: block_lp(True, [lp(2, 1)]),
+    "orlicz": lambda: orlicz(3, None),
+    "schatten-d": lambda: schatten("x", 2),
+    "schatten-p": lambda: schatten(2, [2.0]),
+    "intersect_ball": lambda: intersect_ball(lp(2, 1), "x"),
+    "descriptor-p": lambda: SpaceDescriptor(kind="lp", n=3, p="x"),
+    "descriptor-beta": lambda: SpaceDescriptor(kind="orlicz_beta", n=3,
+                                               beta="x"),
+    "descriptor-r": lambda: SpaceDescriptor(kind="intersect_ball", n=2,
+                                            base=lp(2, 1), r="x"),
+}
+
+
+@pytest.mark.parametrize("entry", list(_BAD_SCALARS))
+def test_outside_numbers_that_are_not_numbers_raise_input_error(entry):
+    # each raised TypeError, ValueError or OverflowError from Python or
+    # numpy, or read a string of digits as its number
+    with pytest.raises(InputError):
+        _BAD_SCALARS[entry]()
 
 
 def test_the_weights_of_an_empty_stack_are_an_empty_stack():

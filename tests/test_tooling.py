@@ -139,6 +139,21 @@ def test_exact_estimates_are_built_in_one_place():
     assert found == [("geometry.py", "_exact_or")]
 
 
+def test_seed_sequences_are_made_in_one_place():
+    """`space._seeds` checks an outside seed, an integer >= 0, before it
+    makes its SeedSequence, so no other definition of the package calls
+    ``SeedSequence``: a seed handed to numpy directly was recorded as -1,
+    read as 2 where 2.7 was given, or raised numpy's own errors."""
+    found = [(path.name, getattr(stmt, "name", stmt.lineno))
+             for path in sorted(SRC.glob("*.py"))
+             for stmt in ast.parse(path.read_text()).body
+             for node in ast.walk(stmt)
+             if isinstance(node, ast.Call) and "SeedSequence" in (
+                 getattr(node.func, "attr", None),
+                 getattr(node.func, "id", None))]
+    assert found == [("space.py", "_seeds")]
+
+
 def _public_functions(tree):
     """The public module-level functions of tree and the public methods of
     its classes."""
